@@ -11,7 +11,10 @@ already exists:
   post-critical-cut window kept resident between merges;
 * the legacy rebuild path (``incremental=False``) grows **linearly**: every
   merge materialises the full local order and re-scans it for critical
-  versions, regardless of how little arrived.
+  versions, regardless of how little arrived;
+* a **two-author** session delivered one event per delta (the last row) must
+  replay a window bounded by one exchange: each exchange ends in a two-head
+  critical version, and an engine that misses it replays from the root.
 
 Both the latency and the engine's own work counters are recorded per history
 checkpoint and written to ``BENCH_merge_latency.json`` (the perf-smoke CI
@@ -85,6 +88,16 @@ def test_incremental_engine_never_does_o_history_bookkeeping(latency_rows):
     assert summary["fast_path_merges"] >= summary["merges"] * 0.9
 
 
+def test_two_author_session_replays_only_its_own_exchange(latency_rows):
+    """One event per delta from two authors typing at once: every exchange
+    ends in a (two-head) critical version, so the window replayed per event
+    is bounded by an exchange, not by the history.  A regression back to
+    replaying from the root once per exchange puts this ratio in the tens."""
+    (row,) = _series(latency_rows, True, "two_author")
+    assert row["events_integrated"] == row["history_events"] >= MAX_EVENTS // 4
+    assert row["replayed_window_events"] / row["events_integrated"] <= 2
+
+
 def test_legacy_rebuild_path_grows_linearly(latency_rows):
     """The ablation contrast: per-merge work scales with history length."""
     for delivery in ("sequential", "concurrent"):
@@ -101,4 +114,4 @@ def test_result_file_written(latency_rows):
     with open(RESULT_PATH, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["benchmark"] == "merge_latency"
-    assert len(payload["rows"]) == 2 * (2 * len(CHECKPOINTS) + 1)
+    assert len(payload["rows"]) == 2 * (2 * len(CHECKPOINTS) + 1) + 1

@@ -38,8 +38,9 @@ from ..core.oplog import RemoteEvent
 from ..core.walker import EgWalker
 from ..crdt.ref_crdt import RefCRDTDocument
 from ..ot.ot_replica import OTDocument
+from ..storage.container import _graph_to_remote_events
 from ..traces.datasets import PAPER_TABLE1, TRACE_NAMES, load_all_traces
-from ..traces.generator import generate_async
+from ..traces.generator import generate_async, generate_concurrent
 from ..traces.stats import compute_stats
 from ..traces.trace import Trace
 from .adapters import ALL_ADAPTERS, AlgorithmAdapter, EgWalkerAdapter
@@ -403,7 +404,8 @@ def run_merge_latency(
     engine's ``last_merge_events_touched`` counter.  The incremental engine
     must be flat in the history length; the legacy rebuild path
     (``incremental=False``) grows linearly — the acceptance curve of the
-    merge-engine work.
+    merge-engine work.  A last row (:func:`_two_author_row`) records the
+    window work of a whole two-author session delivered event by event.
     """
     if checkpoints is None:
         checkpoints = [max_events // 8, max_events // 4, max_events // 2, max_events]
@@ -479,7 +481,44 @@ def run_merge_latency(
             }
         )
         assert watcher.text == editor.text
+    rows.append(_two_author_row(max_events))
     return rows
+
+
+def _two_author_row(max_events: int) -> dict[str, object]:
+    """Two authors typing at once, one event per delta (the paper's C1/C2
+    shape as a live server or replica sees it).
+
+    Every exchange ends in a two-head critical version, so each merge
+    replays at most its own exchange: ``window_events_per_event`` stays
+    below 1 at any history length.  An engine that misses those versions
+    replays from the root once per exchange and the ratio grows with the
+    history (47 at 640 events).
+    """
+    trace = generate_concurrent("two-author-live", target_events=4 * max_events, seed=21)
+    watcher = Document("watcher")
+    events = _graph_to_remote_events(trace.graph)
+
+    def deliver() -> None:
+        for event in events:
+            watcher.apply_remote_events([event])
+
+    _, seconds = _timed(deliver)
+    assert watcher.text == EgWalker(trace.graph).replay_text()
+    stats = watcher.merge_stats
+    return {
+        "incremental": True,
+        "delivery": "two_author",
+        "history_events": len(watcher.oplog.graph),
+        "merge_ms": round(seconds * 1000 / stats.merges, 4),
+        "events_integrated": stats.events_integrated,
+        "replayed_window_events": stats.replayed_window_events,
+        "window_events_per_event": round(
+            stats.replayed_window_events / stats.events_integrated, 3
+        ),
+        "fresh_replays": stats.fresh_replays,
+        "checkpoints_dropped": stats.checkpoints_dropped,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -499,8 +538,8 @@ def run_replay_throughput(
     The headline number is **run events per second**; the engine's own
     counters (resumed merges, window events replayed, checkpoint lifecycle)
     are recorded next to it so a throughput regression can be attributed:
-    dropped checkpoints show up directly as redundant
-    ``replayed_window_events``.
+    a critical version the engine misses, or a checkpoint dropped inside an
+    exchange, shows up directly as redundant ``replayed_window_events``.
 
     The receiver's final text is checked against a one-shot walker replay of
     the same graph, so the numbers can never come from a broken merge.
@@ -512,14 +551,7 @@ def run_replay_throughput(
             continue
         trace = all_traces[name]
         graph = trace.graph
-        events = [
-            RemoteEvent(
-                id=event.id,
-                parents=tuple(graph.dependency_id(p) for p in event.parents),
-                op=event.op,
-            )
-            for event in graph.events()
-        ]
+        events = _graph_to_remote_events(graph)
         expected_text = EgWalker(graph).replay_text()
         for incremental in (True, False):
             receiver = Document("receiver", incremental=incremental)
@@ -531,29 +563,41 @@ def run_replay_throughput(
             _, seconds = _timed(deliver)
             assert receiver.text == expected_text
             stats = receiver.merge_stats
-            run_events = len(receiver.oplog.graph)
-            rows.append(
-                {
-                    "trace": name,
-                    "incremental": incremental,
-                    "batch_size": batch_size,
-                    "run_events": run_events,
-                    "char_events": receiver.oplog.graph.num_chars,
-                    "seconds": round(seconds, 4),
-                    "events_per_sec": round(run_events / seconds, 1),
-                    "chars_per_sec": round(
-                        receiver.oplog.graph.num_chars / seconds, 1
-                    ),
-                    "fast_path_events": stats.fast_path_events,
-                    "resumed_merges": stats.resumed_merges,
-                    "fresh_replays": stats.fresh_replays,
-                    "replayed_window_events": stats.replayed_window_events,
-                    "replayed_new_events": stats.replayed_new_events,
-                    "checkpoints_kept": stats.checkpoints_kept,
-                    "checkpoints_dropped": stats.checkpoints_dropped,
-                    "checkpoints_patched": stats.checkpoints_patched,
-                }
+            row: dict[str, object] = {
+                "trace": name,
+                "incremental": incremental,
+                "batch_size": batch_size,
+                "run_events": len(receiver.oplog.graph),
+                "char_events": receiver.oplog.graph.num_chars,
+                "seconds": round(seconds, 4),
+                "events_per_sec": round(len(receiver.oplog.graph) / seconds, 1),
+                "chars_per_sec": round(receiver.oplog.graph.num_chars / seconds, 1),
+                "fast_path_events": stats.fast_path_events,
+                "resumed_merges": stats.resumed_merges,
+                "fresh_replays": stats.fresh_replays,
+                "replayed_window_events": stats.replayed_window_events,
+                "replayed_new_events": stats.replayed_new_events,
+                "checkpoints_kept": stats.checkpoints_kept,
+                "checkpoints_dropped": stats.checkpoints_dropped,
+                "checkpoints_patched": stats.checkpoints_patched,
+                "cut_scan_events": stats.cut_scan_events,
+            }
+            # The session closes: someone who has seen everything types once
+            # more.  The event names every head of the last exchange, which
+            # confirms that critical version and returns the replica to
+            # text-only memory (§3.5).
+            received = receiver.oplog.graph
+            receiver.apply_remote_events(
+                [
+                    RemoteEvent(
+                        id=EventId("closer", 0),
+                        parents=received.ids_from_version(received.frontier),
+                        op=insert_op(0, "."),
+                    )
+                ]
             )
+            row["resident_state_after_close"] = receiver.engine.has_resident_state
+            rows.append(row)
     return rows
 
 

@@ -4,8 +4,6 @@ from .causal_graph import CausalGraph, DiffResult
 from .critical_versions import (
     CriticalCutTracker,
     critical_cut_positions,
-    is_critical_version,
-    latest_critical_cut_before,
 )
 from .document import Document
 from .event_graph import Event, EventGraph, ROOT_VERSION, Version
@@ -53,9 +51,7 @@ __all__ = [
     "critical_cut_positions",
     "delete_op",
     "insert_op",
-    "is_critical_version",
     "is_topological_order",
-    "latest_critical_cut_before",
     "sort_branch_aware",
     "sort_interleaved",
     "sort_local_order",

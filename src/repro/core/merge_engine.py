@@ -15,10 +15,11 @@ lifetime, and the engine maintains everything a merge needs *incrementally*:
   :class:`~repro.core.walker.EgWalker` are created once and reused — the
   event graph updates its children/frontier indices in place as events are
   appended, ingested or split, so there is nothing to rebuild;
-* the critical cuts of the local order are tracked by a
-  :class:`~repro.core.critical_versions.CriticalCutTracker` — O(1) amortized
-  per appended event — so the replay base of §3.6 is a binary search over a
-  short sorted list, not a linear scan;
+* the critical cuts of the local order — critical versions of any width,
+  e.g. the two-head frontier each exchange of a two-author session ends in —
+  are tracked by a :class:`~repro.core.critical_versions.CriticalCutTracker`
+  — O(1) amortized per appended event — so the replay base of §3.6 is a
+  binary search over a short sorted list, not a linear scan;
 * remote events that are causally after everything we have seen take the
   **sequential fast path**: their operations apply verbatim to the text,
   batched through :func:`~repro.core.walker.coalesce_ops`, and the walker is
@@ -30,15 +31,18 @@ lifetime, and the engine maintains everything a merge needs *incrementally*:
   instead of re-replaying the whole post-cut window.  Interop splits and
   in-place run extensions are folded into the resident state surgically
   (``checkpoints_patched``) rather than invalidating it.  The checkpoint is
-  dropped only once a new critical version has *survived* subsequent
-  deliveries (observed as the replay base advancing at the next merge, or a
-  sequential run taking the fast path): a cut that merely forms at a batch's
-  tail is routinely un-made by the next concurrent delivery, and dropping on
-  it would force a full-window re-replay per delivery.  Once an episode
-  really closes, memory returns to just the text (§3.5).
+  dropped once a later critical version has *survived* a delivery: the
+  frontier a batch leaves behind is always a critical version, but a
+  transient one — the next concurrent delivery routinely names only some of
+  its heads and un-makes it, and dropping on it would force a full-window
+  re-replay per delivery.  Survival shows as the next batch's first event
+  riding the fast path across it, or as the replay base advancing.  In a
+  two-author session that happens once per exchange, so the state never
+  outgrows one exchange and memory returns to just the text between them
+  (§3.5).
 
-Per-merge cost, for a history of N events, a post-cut window of W events and
-a batch of k new events:
+Per-merge cost, for a history of N events, a window of W events since the
+latest surviving critical version and a batch of k new events:
 
 ====================================  ==============  =================
 situation                             legacy rebuild  incremental engine
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..rope import Rope
-from .critical_versions import CriticalCutTracker, latest_critical_cut_before
+from .critical_versions import CriticalCutTracker, critical_cut_positions
 from .event_graph import Version
 from .ids import Operation
 from .internal_state import InternalState
@@ -100,8 +104,9 @@ class MergeEngineStats:
     replayed_window_events: int = 0
     replayed_new_events: int = 0
     #: Checkpoint lifecycle: kept = a live state survived the merge; dropped
-    #: = a critical version (or an in-place split/extension of covered
-    #: events) invalidated it, returning the replica to text-only memory.
+    #: = a critical version that survived a delivery (or an in-place
+    #: extension the state could not absorb) retired it, returning the
+    #: replica to text-only memory.
     checkpoints_kept: int = 0
     checkpoints_dropped: int = 0
     #: Checkpoints surgically patched in place instead of dropped: interop
@@ -155,8 +160,8 @@ class WalkerCheckpoint:
 
     state: InternalState
     prepare_version: Version
-    #: Local index of the critical-cut event the state's placeholder stands
-    #: for (``None`` = the root version).
+    #: Local position of the critical cut whose version (one head or
+    #: several) the state's placeholder stands for (``None`` = the root).
     base_cut: int | None
     #: Exclusive upper bound of the local indices folded into ``state``.
     through: int
@@ -350,10 +355,13 @@ class MergeEngine:
 
         # Sequential fast path: every new event whose parent version *and*
         # own version are critical applies verbatim (§3.5) — no walker, no
-        # replay order, no state.  With batched delivery a single batch can
-        # hold a sequential prefix followed by a concurrent tail, so the
-        # critical run is peeled off the front and only the tail (if any)
-        # goes through the replay machinery below.
+        # replay order, no state.  The run is measured from the cut just
+        # before the batch, which must have survived the new events (the
+        # batch's tail is always a cut, and proves nothing about its head).
+        # With batched delivery a single batch can hold a sequential prefix
+        # followed by a concurrent tail, so the critical run is peeled off
+        # the front and only the tail (if any) goes through the replay
+        # machinery below.
         parent_pos = first_new - 1 if first_new > 0 else 0
         run_end = tracker.critical_run_end(parent_pos)
         if run_end >= first_new:
@@ -377,7 +385,7 @@ class MergeEngine:
         # Replay base: the latest critical cut before the new events — a
         # binary search over the tracked cuts, not a graph scan.
         cut = tracker.latest_cut_before(first_new)
-        base_version: Version = () if cut is None else (cut,)
+        base_version = tracker.version_at(cut)
         replay_start = 0 if cut is None else cut + 1
 
         ckpt = self._ckpt
@@ -404,18 +412,16 @@ class MergeEngine:
             ckpt.through = n
             stats.checkpoints_kept += 1
         else:
-            # Fresh window replay from the critical cut (§3.6).  The old
-            # window is replayed silently to rebuild the state the new events
-            # need; it is kept resident afterwards so the *next* merge in
-            # this concurrent episode costs only its own new events.  Only
-            # reaching this branch drops a previous checkpoint: the replay
-            # base advancing past its ``base_cut`` means a critical version
-            # *survived* the deliveries since the last merge, so the events
-            # it covers really are final (§3.5).  A cut that merely formed at
-            # a batch's tail proves nothing — the next concurrent delivery
-            # routinely reaches behind it and un-makes it, and dropping
-            # eagerly on such transient cuts forces a full-window re-replay
-            # per delivery on ping-pong concurrent sessions.
+            # Fresh window replay from the critical version (§3.6).  The
+            # old window is replayed silently to rebuild the state the new
+            # events need; it is kept resident afterwards so the *next* merge
+            # in this concurrent episode costs only its own new events.  A
+            # previous checkpoint is dropped here because the replay base
+            # advanced past its ``base_cut``: a later critical version
+            # *survived* the deliveries since, so the events it covers really
+            # are final (§3.5).  The tail cut a batch leaves behind proves
+            # nothing by itself — the next concurrent delivery routinely
+            # names only some of its heads and un-makes it.
             if ckpt is not None:
                 self._drop_checkpoint()
             old_range = list(range(replay_start, first_new))
@@ -465,7 +471,7 @@ class MergeEngine:
                 (so the result builds the text at ``to_version`` from ``""``).
             to_version: local-index version to reach.
 
-        The replay base is the latest critical cut contained in
+        The replay base is the latest critical version contained in
         ``from_version`` (a binary-search-backed lookup on the incremental
         engine's :class:`CriticalCutTracker`; the root for the legacy
         ``incremental=False`` engine — its ablation role).  The window
@@ -486,7 +492,7 @@ class MergeEngine:
         stats = self.stats
         causal = self.walker.causal
         cut = self._history_cut(from_version)
-        base_version: Version = () if cut is None else (cut,)
+        base_version = () if self.tracker is None else self.tracker.version_at(cut)
         base_length = 0 if cut is None else graph.inserted_chars_through(cut)
         _, window = causal.diff(base_version, from_version)
         _, new_events = causal.diff(from_version, to_version)
@@ -507,15 +513,19 @@ class MergeEngine:
     def _history_cut(self, version: Version) -> int | None:
         """The latest critical cut contained in ``version`` (replay base).
 
-        A critical cut ``c`` qualifies iff ``c ∈ Events(version)``: then
-        ``Events(c)`` is exactly the local-order prefix through ``c``
-        (criticality), every event of ``Events(version) - Events(c)`` sits
-        after ``c`` in local order with no parent before ``c``, and the
-        partial replay from ``(c,)`` is closed.  Criticality also makes the
-        lookup trivial: any cut ``c <= max(version)`` is an ancestor of
-        ``max(version)`` (every event after a cut depends on it), hence
-        contained — so the answer is a single binary search over the tracked
-        cuts, O(log cuts), memoised per version while the graph is unchanged
+        A critical cut ``c`` qualifies iff its whole version is in
+        ``Events(version)``: that version's events are exactly the
+        local-order prefix through ``c`` (criticality), every event of
+        ``Events(version)`` outside it sits after ``c`` in local order and
+        descends from all of it, so the partial replay from the cut's
+        version is closed.  Criticality also makes the lookup trivial: the
+        prefix of any cut ``c < max(version)`` is all ancestors of
+        ``max(version)``, hence contained; a cut *at* ``max(version)``
+        qualifies iff ``version`` names every one of its heads (a version
+        naming one head of a two-head critical version does not contain the
+        other).  So the answer is one binary search over the tracked cuts
+        plus that containment test, O(log cuts), memoised per version while
+        the graph is unchanged
         (history browsing hits the same versions repeatedly — ``text_at``
         then ``diff`` then ``events_between`` — and each hit is an O(1) dict
         lookup on the version tuple).  ``None`` (replay from the root) when
@@ -531,7 +541,10 @@ class MergeEngine:
             self._history_cut_memo = (n, memo)
         if version in memo:
             return memo[version]
-        cut = self.tracker.latest_cut_before(version[-1] + 1)
+        top = version[-1]
+        cut = self.tracker.latest_cut_before(top + 1)
+        if cut == top and not set(self.tracker.version_at(top)) <= set(version):
+            cut = self.tracker.latest_cut_before(top)
         memo[version] = cut
         return cut
 
@@ -554,14 +567,11 @@ class MergeEngine:
         stats.walkers_rebuilt += 1
         local_order = list(range(len(graph)))
         stats.order_events_materialised += len(local_order)
-        cut = latest_critical_cut_before(graph, local_order, first_new)
+        cuts = critical_cut_positions(graph, local_order)
         stats.cut_scan_events += len(local_order)
-        if cut is None:
-            base_version: Version = ()
-            replay_start = 0
-        else:
-            base_version = (local_order[cut],)
-            replay_start = cut + 1
+        cut = max((c for c in cuts if c < first_new), default=None)
+        base_version = () if cut is None else cuts[cut]
+        replay_start = 0 if cut is None else cut + 1
 
         old_range = [idx for idx in range(replay_start, first_new)]
         new_events = sorted(added)

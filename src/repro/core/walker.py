@@ -263,7 +263,7 @@ class EgWalker:
                 self._make_backend(base_doc_length), merge_spans=self.enable_span_merging
             )
         use_clearing = self.enable_clearing if clearing is None else clearing
-        cuts: set[int] = set()
+        cuts: dict[int, Version] = {}
         if use_clearing:
             cuts = critical_cut_positions(graph, order)
 
@@ -302,7 +302,7 @@ class EgWalker:
                 # document (§3.5 / §3.6).
                 state.clear(doc_length)
                 stats.state_clears += 1
-                prepare_version = (order[pos - 1],) if pos > 0 else base_version
+                prepare_version = cuts[pos - 1] if pos > 0 else base_version
                 needs_reset = False
             elif needs_reset:
                 # The state became stale during a run of fast-path events.

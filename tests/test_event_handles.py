@@ -151,9 +151,8 @@ class TestTrackerHandleKeyed:
         # Every cut position past the split shifted; the handle-keyed list
         # must agree with a from-scratch recompute.
         expected = sorted(critical_cut_positions(graph, range(len(graph))))
-        assert tracker.cuts() == expected
-        assert tracker.latest_cut() == expected[-1]
-        assert tracker.all_cuts_from(0)
+        assert tracker.cuts() == expected == list(range(5))
+        assert tracker.critical_run_end(0) == 4
 
     def test_split_of_a_cut_event_gains_a_twin(self):
         graph = EventGraph()
@@ -162,7 +161,6 @@ class TestTrackerHandleKeyed:
         assert tracker.cuts() == [0]
         graph.split_event(0, 2)
         assert tracker.cuts() == [0, 1]
-        assert tracker.is_cut(0) and tracker.is_cut(1)
         assert tracker.critical_run_end(0) == 1
 
     def test_cut_queries_after_mixed_splits_match_rebuild(self):
@@ -264,8 +262,11 @@ class TestCheckpointPatching:
             EventId("local", 2), (EventId("local", 1), EventId("remote", 1)), join_op
         )
         doc.apply_remote_events([a0])
-        doc.apply_remote_events([concurrent])
-        doc.apply_remote_events([join])
+        # One batch, so that no critical version intervenes: delivered on its
+        # own, ``concurrent`` would leave the two-head version {a0,
+        # concurrent} critical and ``join`` (which names both heads) would
+        # ride the fast path across it, dropping the state.
+        doc.apply_remote_events([concurrent, join])
         assert doc.engine.has_resident_state
         return doc
 

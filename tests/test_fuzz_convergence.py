@@ -263,9 +263,9 @@ def run_session(
         )
         if incremental:
             tracker = sim.replicas[name].document.engine.tracker
-            assert tracker.cuts() == sorted(
-                critical_cut_positions(graph, range(len(graph)))
-            ), (
+            assert {
+                c: tracker.version_at(c) for c in tracker.cuts()
+            } == critical_cut_positions(graph, range(len(graph))), (
                 f"handle-keyed cut tracker disagrees with a from-scratch "
                 f"rebuild ({context}, {name})"
             )

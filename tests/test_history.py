@@ -328,6 +328,88 @@ class TestHandleStability:
         assert bob.text_at(saved) == "shared text"
 
 
+def two_author_session() -> tuple[Document, dict[str, Version]]:
+    """Two exchanges of a two-author session, seen from alice's replica.
+
+    Her local order is ``base, a1, b1, a2, b2``; the frontier ``{a1, b1}``
+    the first exchange ends in is a two-head critical version (both authors'
+    next events name both heads), at the cut after ``b1``."""
+    alice, bob = Document("alice"), Document("bob")
+    alice.insert(0, "base ")
+    bob.merge(alice)
+    saved = {"base": alice.version()}
+    for round_ in (1, 2):
+        alice.insert(0, f"alice{round_} ")
+        bob.insert(len(bob.text), f"bob{round_} ")
+        saved[f"a{round_}"], saved[f"b{round_}"] = alice.version(), bob.version()
+        alice.merge(bob)
+        bob.merge(alice)
+        saved[f"both{round_}"] = alice.version()
+    assert len(saved["both1"]) == 2 and len(alice.oplog.graph) == 5
+    return alice, saved
+
+
+class TestMultiHeadCriticalVersions:
+    """History queries around a critical version that has two heads."""
+
+    def check_everything(self, history: History, doc: Document, saved) -> None:
+        final = saved["both2"]
+        for name, version in saved.items():
+            expected = oracle_text_at(doc, version)
+            assert history.text_at(version) == expected, name
+            ops = history.diff(version, final)
+            assert apply_ops(expected, ops) == doc.text, name
+            # Forward browsing resumes from the cached checkout of `version`.
+            assert history.text_at(final) == doc.text, name
+
+    def test_one_head_of_a_two_head_version_is_not_a_replay_base(self):
+        alice, saved = two_author_session()
+        self.check_everything(alice.history, alice, saved)
+        # b1 is the cut's own event, yet the version naming it alone does
+        # not contain a1: the replay starts from the cut before.
+        stats = alice.merge_stats
+        alice.diff(saved["b1"], saved["both2"])
+        assert stats.last_history_events_touched == 4  # window b1; new a1 a2 b2
+        for name in ("a1", "b1"):
+            branch = alice.checkout(saved[name])
+            assert branch.text == oracle_text_at(alice, saved[name])
+
+    def test_diff_from_the_two_head_version_has_an_empty_window(self):
+        alice, saved = two_author_session()
+        stats = alice.merge_stats
+        window_before = stats.history_window_events
+        ops = alice.diff(saved["both1"], saved["both2"])
+        assert stats.last_history_events_touched == 2  # a2 and b2, nothing else
+        assert stats.history_window_events == window_before
+        assert apply_ops(alice.text_at(saved["both1"]), ops) == alice.text
+        assert alice.checkout(saved["both1"]).text == alice.text_at(saved["both1"])
+
+    @pytest.mark.parametrize("head", [1, 2])
+    def test_across_a_split_of_one_of_the_heads(self, head):
+        alice, saved = two_author_session()
+        # An interop re-carving splits a1 (an earlier head of the cut after
+        # b1) or b1 (the cut's own event): the version moves to the right
+        # half and saved handles keep resolving to it.
+        alice.oplog.graph.split_event(head, 3)
+        self.check_everything(alice.history, alice, saved)
+        stats = alice.merge_stats
+        alice.diff(saved["both1"], saved["both2"])
+        assert stats.last_history_events_touched == 2
+        alice.insert(0, "later ")  # the engine still merges across it
+        assert alice.text == oracle_text_at(alice, alice.version())
+
+    def test_storage_round_trip_of_a_two_head_version_handle(self):
+        alice, saved = two_author_session()
+        blobs = {name: encode_version(version) for name, version in saved.items()}
+        decoded = decode_event_graph(encode_event_graph(alice.oplog.graph))
+        history = History.over_graph(decoded.graph)  # cuts come from a rebuild
+        restored = {name: decode_version(blob) for name, blob in blobs.items()}
+        assert restored == saved
+        self.check_everything(history, alice, restored)
+        history.diff(restored["both1"], restored["both2"])
+        assert history.engine.stats.last_history_events_touched == 2
+
+
 class TestDiffQuadraticGuard:
     """The difflib fallback in ``History.diff`` is O(|a|·|b|); above
     ``QUADRATIC_DIFF_LIMIT`` character pairs a guard trims the common affixes

@@ -24,8 +24,11 @@ from repro.core.critical_versions import CriticalCutTracker, critical_cut_positi
 from repro.core.document import Document
 from repro.core.event_graph import EventGraph, expand_to_chars
 from repro.core.ids import EventId, delete_op, insert_op
+from repro.core.oplog import RemoteEvent
 from repro.core.walker import EgWalker
 from repro.network.simulator import live_session
+from repro.server.wal import graph_to_remote_events
+from repro.traces.generator import generate_concurrent
 
 
 def oracle_text(document: Document) -> str:
@@ -38,8 +41,8 @@ def oracle_text(document: Document) -> str:
 # ----------------------------------------------------------------------
 class TestCriticalCutTracker:
     def check(self, graph: EventGraph, tracker: CriticalCutTracker) -> None:
-        expected = sorted(critical_cut_positions(graph, range(len(graph))))
-        assert tracker.cuts() == expected
+        expected = critical_cut_positions(graph, range(len(graph)))
+        assert {c: tracker.version_at(c) for c in tracker.cuts()} == expected
 
     def test_sequential_appends_are_all_cuts(self):
         graph = EventGraph()
@@ -47,8 +50,7 @@ class TestCriticalCutTracker:
         for i in range(5):
             graph.add_local_event("a", insert_op(i, "x"))
         assert tracker.cuts() == [0, 1, 2, 3, 4]
-        assert tracker.latest_cut() == 4
-        assert tracker.all_cuts_from(0)
+        assert tracker.critical_run_end(0) == 4
         self.check(graph, tracker)
 
     def test_concurrent_branch_kills_cuts_behind_its_fork(self):
@@ -56,27 +58,36 @@ class TestCriticalCutTracker:
         tracker = CriticalCutTracker(graph)
         graph.add_local_event("a", insert_op(0, "abc"))
         graph.add_local_event("a", insert_op(3, "def"))
-        # A branch forking from event 0 invalidates the cut after event 1.
+        # A branch forking from event 0 invalidates the cut after event 1;
+        # the tail cut is the (so far transient) two-head frontier.
         graph.add_event(EventId("b", 0), (0,), insert_op(1, "z"), parents_are_indices=True)
         self.check(graph, tracker)
-        assert tracker.cuts() == [0]
-        # A merge event dominating both heads becomes a new cut.
+        assert tracker.cuts() == [0, 2]
+        assert tracker.version_at(2) == (1, 2)
+        assert tracker.latest_cut_before(2) == 0
+        # A merge event naming both heads confirms that version and becomes
+        # a cut of its own.
         graph.add_event(
             EventId("a", 6), (1, 2), insert_op(0, "m"), parents_are_indices=True
         )
         self.check(graph, tracker)
-        assert tracker.cuts() == [0, 3]
-        assert tracker.latest_cut_before(3) == 0
+        assert tracker.cuts() == [0, 2, 3]
+        assert tracker.latest_cut_before(3) == 2
         assert tracker.latest_cut_before(4) == 3
+        assert tracker.version_at(None) == ()
 
-    def test_parentless_second_root_clears_all_cuts(self):
+    def test_parentless_second_root_clears_all_earlier_cuts(self):
         graph = EventGraph()
         tracker = CriticalCutTracker(graph)
         graph.add_local_event("a", insert_op(0, "abc"))
         assert tracker.cuts() == [0]
         graph.add_event(EventId("b", 0), (), insert_op(0, "z"), parents_are_indices=True)
         self.check(graph, tracker)
-        assert tracker.cuts() == []
+        assert tracker.cuts() == [1] and tracker.version_at(1) == (0, 1)
+        # An event naming only one of the two roots un-makes that version.
+        graph.add_event(EventId("b", 1), (1,), insert_op(1, "y"), parents_are_indices=True)
+        self.check(graph, tracker)
+        assert tracker.cuts() == [2]
 
     def test_split_shifts_and_twins_cuts(self):
         graph = EventGraph()
@@ -298,21 +309,20 @@ class TestResidentState:
         bob.insert(0, "b1 ")
         bob.merge(alice)
         assert bob.engine.has_resident_state
-        # Alice sees everything of bob, then types: her next event dominates
-        # all heads, forming a critical version.  The checkpoint survives
-        # this merge — a cut at a batch's tail is routinely un-made by the
-        # next concurrent delivery, so the engine only trusts a cut that has
-        # survived one.
+        # The two-head frontier {a1, b1} that merge left is a critical
+        # version, but a transient one: the next concurrent delivery could
+        # reach behind it, so the state stays.  Alice sees everything of
+        # bob, then types: her event names both heads, the version has
+        # survived, and the event rides the fast path across it — returning
+        # bob to text-only memory (§3.5).
         alice.merge(bob)
         alice.insert(0, "sync ")
         bob.merge(alice)
-        assert bob.engine.has_resident_state
-        # The next sequential delivery rides the fast path across the
-        # surviving cut, returning bob to text-only memory (§3.5).
-        alice.insert(0, "more ")
-        bob.merge(alice)
         assert not bob.engine.has_resident_state
         assert bob.engine.resident_record_count() == 0
+        assert bob.merge_stats.fast_path_merges == 2
+        alice.insert(0, "more ")
+        bob.merge(alice)
         bob.merge(alice)  # idempotent no-op merge stays clean
         assert bob.text.startswith("more sync ")
         assert alice.merge(bob) == [] and alice.text == bob.text
@@ -374,6 +384,50 @@ class TestResidentState:
                 == stats.events_integrated
             )
             assert oracle_text(replica.document) == replica.text
+
+
+class TestTwoAuthorLiveSession:
+    """Two authors typing at once (the paper's C1/C2 shape), one event per
+    delivery: each exchange ends in a two-head critical version, so a merge
+    replays at most its own exchange — never the history before it."""
+
+    def deliver_one_by_one(self, target_chars: int) -> Document:
+        trace = generate_concurrent("two-author-live", target_events=target_chars, seed=21)
+        receiver = Document("receiver")
+        for event in graph_to_remote_events(trace.graph):
+            receiver.apply_remote_events([event])
+        assert receiver.text == oracle_text(receiver)
+        assert receiver.text == EgWalker(trace.graph).replay_text()
+        return receiver
+
+    def test_window_replay_grows_linearly_with_the_history(self):
+        small = self.deliver_one_by_one(1200).merge_stats
+        large = self.deliver_one_by_one(2400).merge_stats
+        growth = large.events_integrated / small.events_integrated
+        assert growth >= 1.8
+        # Linear: the window work grows with the history, not its square.
+        # (With single-event critical versions only, every exchange's first
+        # concurrent event replayed the whole history and this quadrupled.)
+        assert large.replayed_window_events <= 1.25 * growth * small.replayed_window_events
+        assert large.replayed_window_events <= large.events_integrated
+
+    def test_state_is_released_once_an_exchange_has_survived(self):
+        receiver = self.deliver_one_by_one(1200)
+        stats = receiver.merge_stats
+        # One small replay per exchange, each dropping the previous state.
+        assert stats.checkpoints_dropped >= stats.fresh_replays - 1 > 3
+        # The last exchange's two-head frontier is critical but unconfirmed;
+        # the first event naming both heads releases the state.
+        graph = receiver.oplog.graph
+        assert len(graph.frontier) == 2 and receiver.engine.has_resident_state
+        closing = RemoteEvent(
+            id=EventId("carol", 0),
+            parents=graph.ids_from_version(graph.frontier),
+            op=insert_op(0, "!"),
+        )
+        receiver.apply_remote_events([closing])
+        assert not receiver.engine.has_resident_state
+        assert receiver.text == oracle_text(receiver)
 
 
 # ----------------------------------------------------------------------
