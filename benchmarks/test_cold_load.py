@@ -15,7 +15,10 @@ cancels out, so a regression to eager hydration fails on any hardware):
 * the first ``History`` access hydrates the remaining columns **exactly
   once** — repeated accesses never re-decode;
 * the full decode baseline materialises every event, which is what the
-  selective path is measured against.
+  selective path is measured against;
+* an **editable** open adopts what it decodes: one graph built once, zero
+  events merged, no walker state — and the document it yields takes a local
+  edit and reads back as the oracle text.
 
 ``REPRO_TRACE_SCALE`` scales the traces (the storage-format CI job runs
 reduced ones); the JSON always records the scale used.
@@ -97,6 +100,23 @@ def test_full_load_materialises_every_event(cold_load_rows):
         row = _row(cold_load_rows, name)
         assert row["full_load_events"] == len(get_trace(name).graph)
         assert row["full_load_bytes_read"] >= row["cold_text_bytes_read"]
+
+
+def test_editable_open_is_a_decode(cold_load_rows):
+    """Load is a decode: the editable open builds one graph, once, takes the
+    text from the snapshot column and merges nothing — a regression to
+    decode + re-ingest + re-merge fails here on any hardware."""
+    for name in TRACE_NAMES:
+        row = _row(cold_load_rows, name)
+        assert row["editable_open_events_materialised"] == len(get_trace(name).graph), (
+            f"{name}: the editable open did not build exactly one graph"
+        )
+        assert row["editable_open_merges"] == 0, name
+        assert row["editable_open_events_integrated"] == 0, name
+        assert not row["editable_open_resident_state"], name
+        assert row["editable_open_text_ok"], (
+            f"{name}: text after one local insert does not match the oracle"
+        )
 
 
 def test_sequential_traces_serve_text_without_a_snapshot(cold_load_rows):

@@ -34,11 +34,10 @@ from typing import Iterable, Sequence
 
 from ..core.document import Document
 from ..core.ids import EventId, insert_op
-from ..core.oplog import RemoteEvent
+from ..core.oplog import RemoteEvent, graph_to_remote_events
 from ..core.walker import EgWalker
 from ..crdt.ref_crdt import RefCRDTDocument
 from ..ot.ot_replica import OTDocument
-from ..storage.container import _graph_to_remote_events
 from ..traces.datasets import PAPER_TABLE1, TRACE_NAMES, load_all_traces
 from ..traces.generator import generate_async, generate_concurrent
 from ..traces.stats import compute_stats
@@ -244,7 +243,11 @@ def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, obje
     * **lazy history** — the same file after a first ``history`` access:
       exactly one hydration pays for the remaining columns;
     * **full decode** — the v2-style load that materialises everything
-      up front, as the baseline for the bytes/events columns.
+      up front, as the baseline for the bytes/events columns;
+    * **editable open** — :meth:`LazyDecodedFile.document`, the adoption
+      path ``Document.from_bytes`` shares: one graph built once, the text
+      taken from the snapshot column, nothing merged and no walker state,
+      checked by one local insert against the oracle text.
 
     Also records whether a *snapshot-free* v3 file can still serve its text
     selectively (linear histories replay ops over content span-wise).
@@ -281,6 +284,10 @@ def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, obje
         full = LazyDecodedFile(data)
         (_, full_seconds) = _timed(lambda: full.graph)
 
+        editable = LazyDecodedFile(data)
+        document = editable.document("cold-editor")
+        document.insert(0, "x")
+
         plain = encode_event_graph_v3(trace.graph)
         try:
             selective_no_snapshot = LazyDecodedFile(plain).selective_text() == outcome.text
@@ -301,6 +308,11 @@ def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, obje
                 "full_load_ms": round(full_seconds * 1000, 3),
                 "full_load_events": full.stats.events_materialised,
                 "full_load_bytes_read": full.stats.bytes_read,
+                "editable_open_events_materialised": editable.stats.events_materialised,
+                "editable_open_merges": document.merge_stats.merges,
+                "editable_open_events_integrated": document.merge_stats.events_integrated,
+                "editable_open_resident_state": document.engine.has_resident_state,
+                "editable_open_text_ok": document.text == "x" + outcome.text,
                 "selective_text_without_snapshot": selective_no_snapshot,
             }
         )
@@ -497,7 +509,7 @@ def _two_author_row(max_events: int) -> dict[str, object]:
     """
     trace = generate_concurrent("two-author-live", target_events=4 * max_events, seed=21)
     watcher = Document("watcher")
-    events = _graph_to_remote_events(trace.graph)
+    events = graph_to_remote_events(trace.graph)
 
     def deliver() -> None:
         for event in events:
@@ -551,7 +563,7 @@ def run_replay_throughput(
             continue
         trace = all_traces[name]
         graph = trace.graph
-        events = _graph_to_remote_events(graph)
+        events = graph_to_remote_events(graph)
         expected_text = EgWalker(graph).replay_text()
         for incremental in (True, False):
             receiver = Document("receiver", incremental=incremental)

@@ -34,6 +34,7 @@ import warnings
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..rope import Rope
+from .event_graph import EventGraph
 from .event_graph import Version as LocalVersion
 from .ids import EventId, Operation
 from .merge_engine import MergeEngine, MergeEngineStats
@@ -61,6 +62,14 @@ class Document:
         coalesce_local_runs: fold local edits that continue the frontier run
             into the existing event (sender-side run coalescing), so a
             keystroke-at-a-time session stores O(runs) events.
+        graph: an event graph to **adopt** as this replica's history (one
+            decoded from storage) instead of starting empty.  It is installed
+            as is — no event is re-ingested — and the replica becomes its
+            sole owner: nobody else may hold or mutate it.
+        text: the document text at ``graph``'s frontier (the file's snapshot
+            column); the replica starts from it with no walker state.  When
+            an adopted graph comes without one, the engine replays the graph
+            in place instead.
     """
 
     def __init__(
@@ -73,10 +82,14 @@ class Document:
         sort_strategy: str = "branch_aware",
         incremental: bool = True,
         coalesce_local_runs: bool = True,
+        graph: EventGraph | None = None,
+        text: str | None = None,
     ) -> None:
+        if text is not None and graph is None:
+            raise ValueError("text= is the snapshot of an adopted graph; pass graph= too")
         self.agent = agent
-        self.oplog = OpLog(agent, coalesce_local_runs=coalesce_local_runs)
-        self.rope = Rope()
+        self.oplog = OpLog(agent, coalesce_local_runs=coalesce_local_runs, graph=graph)
+        self.rope = Rope(text or "")
         self._walker_options = {
             "backend": backend,
             "enable_clearing": enable_clearing,
@@ -93,23 +106,28 @@ class Document:
         """Id-based history browsing: version algebra, ``text_at`` / ``diff``
         / ``checkout`` (see :class:`repro.history.History`).  The methods
         below delegate here."""
+        if graph is not None and text is None:
+            self.engine.replay_adopted()
 
     @classmethod
     def from_bytes(cls, data: bytes, agent: str, **options: object) -> "Document":
         """Load a replica from a stored event-graph file (v2 or v3).
 
-        The decoded events are ingested through the normal remote-events
-        path, so the resulting replica is immediately editable and mergeable.
-        This fully materialises the graph; use
-        :class:`repro.storage.LazyDecodedFile` when only the text (or a
-        read-only :class:`~repro.history.History`) is needed.
+        Load is a decode: the decoded graph is **adopted** as the replica's
+        graph (built once, privately — nothing is re-ingested) and the text
+        comes from the file's snapshot column, so no event is merged and no
+        walker state exists afterwards (``merge_stats.events_integrated ==
+        0``); the replica is immediately editable and mergeable.  Only a
+        file without a snapshot column replays its graph, in place.  A
+        snapshot that cannot be the text of the stored history is refused
+        with ``StorageError("column-decode")``.  This fully materialises the
+        graph; use :class:`repro.storage.LazyDecodedFile` when only the text
+        (or a read-only :class:`~repro.history.History`) is needed.
         """
-        from ..storage.container import _graph_to_remote_events, decode_file
+        from ..storage.container import decode_file
 
-        document = cls(agent, **options)  # type: ignore[arg-type]
         decoded = decode_file(data)
-        document.apply_remote_events(_graph_to_remote_events(decoded.graph))
-        return document
+        return cls(agent, graph=decoded.graph, text=decoded.snapshot, **options)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Read access

@@ -69,9 +69,11 @@ presentation, kept here as a correctness oracle for the run-length pipeline.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import accumulate
+from operator import ge, lt
 from typing import Iterable, Iterator, Sequence
 
-from .ids import EventId, Operation, delete_op, insert_op
+from .ids import EventId, Operation, OpKind, delete_op, insert_op
 from .range_map import RangeIndex
 
 __all__ = ["Event", "EventGraph", "Version", "ROOT_VERSION", "expand_to_chars"]
@@ -207,6 +209,83 @@ class EventGraph:
         #: are how incremental consumers (the merge engine's critical-cut
         #: tracker) stay in sync without rescanning the graph.
         self._listeners: list[object] = []
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[EventId],
+        parents: Sequence[tuple[int, ...]],
+        ops: Sequence[Operation],
+    ) -> "EventGraph":
+        """The graph that ``add_event(ids[i], parents[i], ops[i],
+        parents_are_indices=True)`` for ``i = 0 .. n-1`` builds — column for
+        column — constructed in bulk (the storage decoder's constructor).
+
+        On a fresh graph handle ``i`` *is* index ``i``, so the decoded
+        columns are the handle-indexed columns verbatim and the derived ones
+        (range maps, children, frontier, labels, cumulative inserts) are
+        whole-list operations instead of n rounds of per-event bookkeeping.
+        Every check :meth:`add_event` makes is kept: each agent's id spans
+        fresh and non-overlapping, every parent tuple sorted, de-duplicated
+        and inside ``[0, own index)``.
+
+        Raises:
+            ValueError: if the columns disagree in length or fail a check.
+        """
+        n = len(ops)
+        if len(ids) != n or len(parents) != n:
+            raise ValueError(f"{len(ids)} ids and {len(parents)} parents for {n} ops")
+        graph = cls()
+        children: list[list[int]] = [[] for _ in range(n)]
+        for handle, refs in enumerate(parents):
+            if refs and (
+                refs[0] < 0
+                or refs[-1] >= handle
+                or (len(refs) > 1 and any(map(ge, refs, refs[1:])))
+            ):
+                raise ValueError(
+                    f"parents {refs} of event {handle} are not sorted, distinct "
+                    f"indices of earlier events"
+                )
+            for parent in refs:
+                children[parent].append(handle)
+        lengths = [op.length for op in ops]
+        seqs = [event_id.seq for event_id in ids]
+        agents = [event_id.agent for event_id in ids]
+        graph._agent_names = list(dict.fromkeys(agents))
+        graph._agent_ids = {name: aid for aid, name in enumerate(graph._agent_names)}
+        graph._h_id = list(ids)
+        graph._h_agent = [graph._agent_ids[agent] for agent in agents]
+        graph._h_seq = seqs
+        graph._h_len = lengths
+        graph._h_op = list(ops)
+        graph._h_parents = list(map(tuple, parents))
+        graph._h_children = children
+        graph._h_pidx = list(graph._h_parents)
+        graph._h_pgen = [0] * n
+        graph._h_view = [Event(graph, handle) for handle in range(n)]
+        graph._order = list(range(n))
+        graph._labels = list(range(0, n * _LABEL_GAP, _LABEL_GAP))
+        graph._h_label = list(graph._labels)
+        graph._frontier = [handle for handle in range(n) if not children[handle]]
+        graph._num_chars = sum(lengths)
+        graph._cum_inserts = list(
+            accumulate(op.length if op.kind is OpKind.INSERT else 0 for op in ops)
+        )
+        by_agent: dict[str, list[int]] = {name: [] for name in graph._agent_names}
+        for handle, agent in enumerate(agents):
+            by_agent[agent].append(handle)
+        for agent, handles in by_agent.items():
+            handles.sort(key=seqs.__getitem__)
+            starts = [seqs[handle] for handle in handles]
+            ends = [seqs[handle] + lengths[handle] for handle in handles]
+            if any(map(lt, starts[1:], ends)):
+                raise ValueError(f"overlapping event id spans for agent {agent!r}")
+            graph._agent_index[agent] = RangeIndex.from_sorted(
+                lengths.__getitem__, starts, handles
+            )
+            graph._next_seq[agent] = ends[-1]
+        return graph
 
     # ------------------------------------------------------------------
     # Listeners

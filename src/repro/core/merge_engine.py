@@ -343,6 +343,14 @@ class MergeEngine:
             return self._integrate_legacy(added)
         return self._integrate_incremental(first_new)
 
+    def replay_adopted(self) -> None:
+        """Rebuild the text of an adopted graph that came without a snapshot:
+        the merge without the re-ingest.  Every event already sits in the
+        graph (and in the tracker), so the whole local order is integrated in
+        place; no walker state stays resident afterwards."""
+        self.integrate(list(range(len(self.oplog.graph))))
+        self._drop_checkpoint()
+
     # ------------------------------------------------------------------
     # Incremental path
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .ids import EventId, Operation, OpKind, delete_op, insert_op
 __all__ = [
     "OpLog",
     "RemoteEvent",
+    "graph_to_remote_events",
     "split_remote_event",
     "merge_remote_events",
     "recarve_events",
@@ -55,6 +56,26 @@ class RemoteEvent:
     def last_char_id(self) -> EventId:
         """Id of the run's last character (what a child's parent ref names)."""
         return self.id.advance(self.op.length - 1)
+
+
+def graph_to_remote_events(
+    graph: EventGraph, indices: Iterable[int] | None = None
+) -> list[RemoteEvent]:
+    """Events of ``graph`` (all of them by default) in portable form: parents
+    as the ids of their last characters, never local indices."""
+    if indices is None:
+        indices = range(len(graph))
+    out: list[RemoteEvent] = []
+    for idx in indices:
+        event = graph[idx]
+        out.append(
+            RemoteEvent(
+                id=event.id,
+                parents=tuple(graph.dependency_id(p) for p in event.parents),
+                op=event.op,
+            )
+        )
+    return out
 
 
 def split_remote_event(event: RemoteEvent, offset: int) -> tuple[RemoteEvent, RemoteEvent]:
@@ -158,12 +179,19 @@ class OpLog:
             history (:func:`merge_remote_events` accepts exactly these
             pairs), so peers holding the shorter run are reconciled by the
             usual carving machinery.
+        graph: an existing event graph to **adopt** as this log's history
+            (e.g. one decoded from storage) instead of starting empty.  The
+            log becomes its sole owner: nobody else may hold or mutate it.
     """
 
     def __init__(
-        self, agent: str | None = None, *, coalesce_local_runs: bool = True
+        self,
+        agent: str | None = None,
+        *,
+        coalesce_local_runs: bool = True,
+        graph: EventGraph | None = None,
     ) -> None:
-        self.graph = EventGraph()
+        self.graph = EventGraph() if graph is None else graph
         self.causal = CausalGraph(self.graph)
         self.agent = agent
         self.coalesce_local_runs = coalesce_local_runs
@@ -280,19 +308,7 @@ class OpLog:
     # ------------------------------------------------------------------
     def export_events(self, indices: Iterable[int] | None = None) -> list[RemoteEvent]:
         """Export events (all of them by default) in portable form."""
-        if indices is None:
-            indices = range(len(self.graph))
-        out: list[RemoteEvent] = []
-        for idx in indices:
-            event = self.graph[idx]
-            out.append(
-                RemoteEvent(
-                    id=event.id,
-                    parents=tuple(self.graph.dependency_id(p) for p in event.parents),
-                    op=event.op,
-                )
-            )
-        return out
+        return graph_to_remote_events(self.graph, indices)
 
     def export_since_seq(self, agent: str, seq: int) -> list[RemoteEvent]:
         """Portable events covering ``agent``'s own characters from ``seq`` on.

@@ -42,6 +42,17 @@ class RangeIndex(Generic[T]):
         #: splits that shrink a registered value are reflected immediately.
         self._length_of = length_of
 
+    @classmethod
+    def from_sorted(
+        cls, length_of: Callable[[T], int], starts: list[int], values: list[T]
+    ) -> "RangeIndex[T]":
+        """Bulk :meth:`register` of disjoint ranges: ``starts`` strictly
+        ascending (it is kept, not copied), ``values`` parallel to it."""
+        index = cls(length_of)
+        index._starts = starts
+        index._values = dict(zip(starts, values))
+        return index
+
     def __len__(self) -> int:
         return len(self._starts)
 

@@ -97,18 +97,15 @@ class History:
     @classmethod
     def over_graph(cls, graph: EventGraph, **walker_options: Any) -> "History":
         """A standalone history over a bare event graph (e.g. one decoded
-        from storage).  Builds a read-only ``OpLog``/engine pair around the
-        graph; O(1) — nothing is replayed until a query asks for text.
+        from storage).  The graph is adopted as is by a read-only
+        ``OpLog``/engine pair (one linear pass finds its critical cuts);
+        nothing is re-ingested, and nothing is replayed until a query asks
+        for text.
         """
         from ..rope import Rope
 
-        oplog = OpLog()
-        oplog.graph = graph
-        oplog.causal = CausalGraph(graph)
-        engine = MergeEngine(oplog, Rope(), walker_options)
-        if engine.tracker is not None:
-            engine.tracker.rebuild()
-        return cls(oplog, engine)
+        oplog = OpLog(graph=graph)
+        return cls(oplog, MergeEngine(oplog, Rope(), walker_options))
 
     @classmethod
     def from_bytes(cls, data: bytes, **walker_options: Any) -> "History":

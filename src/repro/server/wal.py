@@ -21,13 +21,13 @@ durability falls out of the storage layer this repo already has:
   sniffs the magic, so rooms compacted before the v3 container (legacy v2
   snapshots) still recover.  A crash between the
   snapshot replace and the log reset merely leaves duplicate spans in the
-  log — recovery routes every batch through a
-  :class:`~repro.network.causal_broadcast.CausalBuffer`, which dedups them
-  exactly like a reconnect replay.
-* :func:`recover_document` rebuilds a server replica from snapshot + WAL
-  tail, tolerating a truncated or corrupt final record: the scan stops at
-  the first frame that does not parse and verify, and reports how many tail
-  bytes were dropped.
+  log — recovery routes every WAL batch through a
+  :class:`~repro.network.causal_broadcast.CausalBuffer` seeded with the
+  snapshot's id spans, which dedups them exactly like a reconnect replay.
+* :func:`recover_document` adopts the snapshot (its graph and its text, no
+  re-ingest, no re-merge) and applies only the WAL tail, tolerating a
+  truncated or corrupt final record: the scan stops at the first frame that
+  does not parse and verify, and reports how many tail bytes were dropped.
 
 Room names are arbitrary strings; on disk each room lives in a directory
 named by the UTF-8 hex of its name (reversible, filesystem-safe).
@@ -41,14 +41,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from ..core.ids import EventId, delete_op, insert_op
-from ..core.oplog import RemoteEvent
+from ..core.oplog import RemoteEvent, graph_to_remote_events
 from ..network.causal_broadcast import CausalBuffer
 from ..storage.container import ContainerOptions, decode_file, encode_event_graph_v3
 from ..storage.varint import ByteReader, ByteWriter, decode_uvarint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Document imports rope etc.)
     from ..core.document import Document
-    from ..core.event_graph import EventGraph
 
 __all__ = [
     "DurabilityOptions",
@@ -133,6 +132,11 @@ class RecoveryInfo:
 
     snapshot_loaded: bool = False
     snapshot_events: int = 0
+    #: The snapshot file carried a text column and it passed the decoder's
+    #: consistency check against the ops column (a stale text is refused with
+    #: ``StorageError("column-decode")``, so recovery never gets this far
+    #: with one).  ``False`` means there was no text column and the adopted
+    #: graph was replayed instead.
     snapshot_text_verified: bool = False
     wal_records: int = 0
     wal_events: int = 0
@@ -483,18 +487,6 @@ class RoomStorage:
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def graph_to_remote_events(graph: "EventGraph") -> list[RemoteEvent]:
-    """A decoded event graph as portable events (id-based parents)."""
-    return [
-        RemoteEvent(
-            id=event.id,
-            parents=tuple(graph.dependency_id(p) for p in event.parents),
-            op=event.op,
-        )
-        for event in graph.events()
-    ]
-
-
 def recover_document(
     directory: str,
     agent: str,
@@ -502,35 +494,40 @@ def recover_document(
 ) -> "tuple[Document, RecoveryInfo]":
     """Rebuild a room's server replica from snapshot + WAL tail.
 
-    Every batch — the snapshot's events and each surviving WAL record — is
-    routed through a :class:`CausalBuffer`, so duplicate spans (a crash
-    between snapshot replace and WAL reset, or overlapping re-carved runs)
-    dedup exactly like reconnect replays do on the live path.  A torn or
-    corrupt final record is discarded and reported, never decoded.
+    The snapshot is **adopted**: its decoded graph becomes the replica's
+    graph and its snapshot column the text — nothing is re-ingested or
+    re-merged (a snapshot file without the column is replayed in place).
+    Only the WAL tail goes through ``apply_remote_events``, routed through a
+    :class:`CausalBuffer` seeded with the snapshot's id spans, so duplicate
+    spans (a crash between snapshot replace and WAL reset, or overlapping
+    re-carved runs) dedup exactly like reconnect replays do on the live
+    path.  A torn or corrupt final record is discarded and reported, never
+    decoded.
     """
     from ..core.document import Document
 
-    document = Document(agent, **(document_options or {}))
+    options = document_options or {}
     info = RecoveryInfo()
-    buffer = CausalBuffer(deliver_batch=document.apply_remote_events)
-
     try:
         with open(os.path.join(directory, SNAPSHOT_FILENAME), "rb") as fh:
             snapshot_data = fh.read()
     except FileNotFoundError:
-        snapshot_data = None
-    if snapshot_data is not None:
+        document = Document(agent, **options)
+    else:
         # Sniffs the magic: rooms compacted before the v3 container still
         # recover (v2 is a read-only legacy format).
         decoded = decode_file(snapshot_data)
-        events = graph_to_remote_events(decoded.graph)
-        buffer.receive_batch(events)
-        info.snapshot_loaded = True
-        info.snapshot_events = len(events)
-        info.snapshot_text_verified = (
-            decoded.snapshot is not None and decoded.snapshot == document.text
+        document = Document(
+            agent, graph=decoded.graph, text=decoded.snapshot, **options
         )
+        info.snapshot_loaded = True
+        info.snapshot_events = len(decoded.graph)
+        info.snapshot_text_verified = decoded.snapshot is not None
 
+    buffer = CausalBuffer(deliver_batch=document.apply_remote_events)
+    buffer.mark_known_spans(
+        (event.id, event.num_chars) for event in document.oplog.graph.events()
+    )
     payloads, torn_bytes = WriteAheadLog.scan(os.path.join(directory, WAL_FILENAME))
     info.torn_bytes_dropped = torn_bytes
     for payload in payloads:

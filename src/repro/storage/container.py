@@ -50,24 +50,25 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.event_graph import EventGraph
-from ..core.ids import EventId, OpKind, delete_op, insert_op
+from ..core.ids import EventId, OpKind
+from ..core.walker import EgWalker
 from . import compression
 from .encoder import (
     DecodedFile,
     EncodeOptions,
+    _build_graph,
+    _check_snapshot_length,
     _decode_ops_column,
     _decode_parents_column,
     _encode_content_column,
     _encode_ops_column,
     _encode_parents_column,
-    _fill_pruned_content,
     decode_event_graph,
 )
 from .varint import ByteReader, ByteWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..core.document import Document
-    from ..core.oplog import RemoteEvent
     from ..history.history import History
 
 __all__ = [
@@ -592,9 +593,11 @@ class LazyDecodedFile:
     Construction parses (and CRC-verifies) only the header; each column block
     is sliced, CRC-checked, and decompressed at most once, on first use.
     :attr:`text` resolves through the cheap columns when it can; the history
-    columns (parents, agents, ids) are decoded only when :attr:`graph`,
-    :attr:`history`, or :meth:`document` force full hydration — exactly once,
-    however many of them are touched.  :attr:`stats` records what was read.
+    columns (parents, agents, ids) are decoded only when :attr:`graph` or
+    :attr:`history` force full hydration — exactly once, however often they
+    are touched.  :meth:`document` builds a second, private graph from the
+    same cached payloads (a graph a document adopts has exactly one owner).
+    :attr:`stats` records what was read.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -671,11 +674,7 @@ class LazyDecodedFile:
         except StorageError as exc:
             if exc.code != "text-requires-graph":
                 raise
-            from ..core.document import Document
-
-            document = Document("storage-reader")
-            document.apply_remote_events(_graph_to_remote_events(self.graph))
-            self._text = document.text
+            self._text = EgWalker(self.graph).replay_text()
         return self._text
 
     # ------------------------------------------------------------------
@@ -705,60 +704,40 @@ class LazyDecodedFile:
 
     def document(self, agent: str) -> "Document":
         """An editable :class:`~repro.core.document.Document` loaded from the
-        file (hydrates the graph)."""
+        file.
+
+        The document *adopts* a graph of its own, hydrated privately from the
+        column payloads this reader has already decoded (no block is read
+        twice), and takes its text from the snapshot column — nothing is
+        re-ingested or re-merged.  It never aliases :attr:`graph` or
+        :attr:`history`: editing it leaves this reader untouched.
+        """
         from ..core.document import Document
 
-        document = Document(agent)
-        document.apply_remote_events(_graph_to_remote_events(self.graph))
-        return document
+        return Document(agent, graph=self._hydrate(), text=self.snapshot)
 
     def _hydrate(self) -> EventGraph:
+        """Decode the history columns into a fresh graph nobody else holds."""
         self.stats.hydrations += 1
         num_events = self.num_events
         ops = self._decode_ops()
         try:
-            parents = _decode_parents_column(
+            parents, exceptions = _decode_parents_column(
                 self.column_payload(COL_PARENTS), num_events
             )
-            lengths = [length for _, _, length in ops]
             ids = _decode_id_columns(
                 self.column_payload(COL_AGENTS),
                 self.column_payload(COL_IDS),
-                lengths,
+                [length for _, _, length in ops],
             )
+            _check_snapshot_length(self.snapshot, ops, linear=exceptions == 0)
+            content = self.column_payload(COL_CONTENT).decode("utf-8")
+            graph = _build_graph(ops, parents, ids, content, self.pruned)
         except StorageError:
             raise
         except ValueError as exc:
             raise StorageError("column-decode", str(exc)) from exc
-
-        content = self.column_payload(COL_CONTENT).decode("utf-8")
-        from .encoder import PRUNED_CHAR
-
-        graph = EventGraph()
-        content_pos = 0
-        for index in range(num_events):
-            kind, pos, length = ops[index]
-            if kind is OpKind.INSERT:
-                if self.pruned:
-                    graph_text = PRUNED_CHAR * length
-                else:
-                    graph_text = content[content_pos : content_pos + length]
-                    content_pos += length
-                op = insert_op(pos, graph_text)
-            else:
-                op = delete_op(pos, length)
-            try:
-                graph.add_event(ids[index], parents[index], op, parents_are_indices=True)
-            except ValueError as exc:
-                raise StorageError("column-decode", str(exc)) from exc
-            self.stats.events_materialised += 1
-        if not self.pruned and content_pos != len(content):
-            raise StorageError(
-                "column-decode",
-                f"content column has {len(content)} chars, events consume {content_pos}",
-            )
-        if self.pruned:
-            _fill_pruned_content(graph, content)
+        self.stats.events_materialised += num_events
         return graph
 
 
@@ -804,18 +783,3 @@ def _decode_id_columns(
     if event != len(lengths):
         raise ValueError("ids column does not match event count")
     return ids
-
-
-def _graph_to_remote_events(graph: EventGraph) -> "list[RemoteEvent]":
-    from ..core.oplog import RemoteEvent
-
-    return [
-        RemoteEvent(
-            id=event.id,
-            parents=tuple(
-                graph.dependency_id(parent) for parent in event.parents
-            ),
-            op=event.op,
-        )
-        for event in graph.events()
-    ]

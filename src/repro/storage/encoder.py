@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.event_graph import EventGraph
-from ..core.ids import EventId, OpKind, delete_op, insert_op
+from ..core.ids import EventId, Operation, OpKind, delete_op, insert_op
 from . import compression
 from .varint import ByteReader, ByteWriter
 
@@ -262,36 +262,75 @@ def decode_event_graph(data: bytes) -> DecodedFile:
     pruned = bool(flags & _FLAG_PRUNED)
     if flags & _FLAG_COMPRESS_CONTENT:
         content_col = compression.decompress(content_col)
-    content = content_col.decode("utf-8")
 
     ops = _decode_ops_column(ops_col, num_events)
-    parents = _decode_parents_column(parents_col, num_events)
-    lengths = [length for _, _, length in ops]
-    ids = _decode_ids_column(ids_col, lengths)
+    parents, exceptions = _decode_parents_column(parents_col, num_events)
+    ids = _decode_ids_column(ids_col, [length for _, _, length in ops])
+    snapshot = snapshot_col.decode("utf-8") if flags & _FLAG_SNAPSHOT else None
+    _check_snapshot_length(snapshot, ops, linear=exceptions == 0)
+    graph = _build_graph(ops, parents, ids, content_col.decode("utf-8"), pruned)
+    return DecodedFile(graph=graph, snapshot=snapshot, pruned=pruned)
 
-    graph = EventGraph()
+
+def _build_graph(
+    ops: list[tuple[OpKind, int, int]],
+    parents: list[tuple[int, ...]],
+    ids: list[EventId],
+    content: str,
+    pruned: bool,
+) -> EventGraph:
+    """Materialise decoded columns as an event graph, in bulk
+    (:meth:`EventGraph.from_columns`, which keeps ``add_event``'s checks).
+
+    Raises ``ValueError`` when the columns are inconsistent; the v3 reader
+    reports it as ``StorageError("column-decode")``.
+    """
+    operations: list[Operation] = []
     content_pos = 0
-    for index in range(num_events):
-        kind, pos, length = ops[index]
+    for kind, pos, length in ops:
         if kind is OpKind.INSERT:
             if pruned:
-                # In pruned mode we cannot know which characters were deleted
-                # without replaying, so deleted characters decode as the
-                # sentinel and surviving ones are filled in afterwards.
+                # Which characters were deleted is only known after a replay,
+                # so every character decodes as the sentinel and the
+                # surviving ones are filled in afterwards.
                 text = PRUNED_CHAR * length
             else:
                 text = content[content_pos : content_pos + length]
                 content_pos += length
-            op = insert_op(pos, text)
+            operations.append(insert_op(pos, text))
         else:
-            op = delete_op(pos, length)
-        graph.add_event(ids[index], parents[index], op, parents_are_indices=True)
-
+            operations.append(delete_op(pos, length))
+    if not pruned and content_pos != len(content):
+        raise ValueError(
+            f"content column has {len(content)} chars, events consume {content_pos}"
+        )
+    graph = EventGraph.from_columns(ids, parents, operations)
     if pruned:
         _fill_pruned_content(graph, content)
+    return graph
 
-    snapshot = snapshot_col.decode("utf-8") if flags & _FLAG_SNAPSHOT else None
-    return DecodedFile(graph=graph, snapshot=snapshot, pruned=pruned)
+
+def _check_snapshot_length(
+    snapshot: str | None, ops: list[tuple[OpKind, int, int]], *, linear: bool
+) -> None:
+    """Refuse a snapshot the ops column cannot have produced.
+
+    A loaded document *adopts* the snapshot as its text, so a file written
+    with a stale ``final_text`` would diverge silently.  The final text holds
+    every inserted character not deleted since: at most ``inserted`` of them,
+    at least ``inserted - deleted`` (two branches may delete the same
+    character), and exactly that many in a linear history.
+    """
+    if snapshot is None:
+        return
+    inserted = sum(length for kind, _, length in ops if kind is OpKind.INSERT)
+    deleted = sum(length for kind, _, length in ops if kind is OpKind.DELETE)
+    low = inserted - deleted
+    high = low if linear else inserted
+    if not low <= len(snapshot) <= high:
+        raise ValueError(
+            f"snapshot column has {len(snapshot)} chars; the ops column allows {low}..{high}"
+        )
 
 
 def _fill_pruned_content(graph: EventGraph, surviving_content: str) -> None:
@@ -319,7 +358,11 @@ def _decode_ops_column(data: bytes, num_events: int) -> list[tuple[OpKind, int, 
     return ops
 
 
-def _decode_parents_column(data: bytes, num_events: int) -> list[tuple[int, ...]]:
+def _decode_parents_column(
+    data: bytes, num_events: int
+) -> tuple[list[tuple[int, ...]], int]:
+    """Per-event parent indices, plus the column's exception count (0 ⇔ the
+    history is linear)."""
     reader = ByteReader(data)
     parents: list[tuple[int, ...]] = [
         (index - 1,) if index > 0 else () for index in range(num_events)
@@ -328,10 +371,12 @@ def _decode_parents_column(data: bytes, num_events: int) -> list[tuple[int, ...]
     index = 0
     for _ in range(exception_count):
         index += reader.read_uvarint()
+        if index >= num_events:
+            raise ValueError(f"parents column names event {index} of {num_events}")
         count = reader.read_uvarint()
         refs = tuple(sorted(index - reader.read_uvarint() for __ in range(count)))
         parents[index] = refs
-    return parents
+    return parents, exception_count
 
 
 def _decode_ids_column(data: bytes, lengths: list[int]) -> list[EventId]:

@@ -291,3 +291,58 @@ class TestWalkerConfigurationsOnDocuments:
         alice.merge(bob)
         bob.merge(alice)
         assert alice.text == bob.text == "Hello!"
+
+
+class TestAdoption:
+    """``Document(agent, graph=..., text=...)``: a stored graph becomes a live
+    replica without being re-ingested (the path every load goes through)."""
+
+    @staticmethod
+    def _stored():
+        """A two-branch history as a decoder would hand it over: a private
+        graph (bulk-built from columns) and the text at its frontier."""
+        from repro.core.event_graph import EventGraph
+
+        alice, bob = Document("alice"), Document("bob")
+        alice.insert(0, "shared base. ")
+        bob.merge(alice)
+        alice.insert(len(alice.text), "alice's end.")
+        bob.insert(0, "bob's start. ")
+        bob.delete(0, 3)
+        alice.merge(bob)
+        events = alice.oplog.graph.events()
+        graph = EventGraph.from_columns(
+            [e.id for e in events], [e.parents for e in events], [e.op for e in events]
+        )
+        return graph, alice.text, alice
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_adopts_graph_and_text_without_merging(self, incremental):
+        graph, text, source = self._stored()
+        doc = Document("reader", graph=graph, text=text, incremental=incremental)
+        assert doc.oplog.graph is graph
+        assert doc.text == text
+        assert doc.merge_stats.merges == 0
+        assert doc.merge_stats.events_integrated == 0
+        assert not doc.engine.has_resident_state
+        assert doc.version() == source.version()
+        # Editable and mergeable straight away, in both directions.
+        doc.insert(0, "reader was here. ")
+        source.insert(len(source.text), " source went on.")
+        doc.merge(source)
+        source.merge(doc)
+        assert doc.text == source.text
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_graph_without_text_is_replayed_in_place(self, incremental):
+        graph, text, _ = self._stored()
+        doc = Document("reader", graph=graph, incremental=incremental)
+        assert doc.oplog.graph is graph
+        assert doc.text == text
+        assert doc.merge_stats.merges == 1
+        assert doc.merge_stats.events_integrated == len(graph)
+        assert not doc.engine.has_resident_state
+
+    def test_text_without_graph_is_rejected(self):
+        with pytest.raises(ValueError):
+            Document("reader", text="orphan snapshot")

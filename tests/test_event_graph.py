@@ -287,3 +287,74 @@ class TestSummary:
     def test_next_seq_for_unknown_agent(self):
         graph = EventGraph()
         assert graph.next_seq_for("nobody") == 0
+
+
+class TestBulkConstruction:
+    """``EventGraph.from_columns`` — the storage decoder's constructor."""
+
+    @staticmethod
+    def _columns(graph: EventGraph):
+        events = graph.events()
+        return (
+            [e.id for e in events],
+            [e.parents for e in events],
+            [e.op for e in events],
+        )
+
+    @staticmethod
+    def _state(graph: EventGraph) -> dict:
+        """Every private column, in comparable form (views by handle, range
+        maps by their entries)."""
+        state = dict(vars(graph))
+        state["_h_view"] = [view.handle for view in state["_h_view"]]
+        state["_agent_index"] = {
+            agent: (index._starts, index._values)
+            for agent, index in state["_agent_index"].items()
+        }
+        return state
+
+    @pytest.mark.parametrize("shape", ["sequential", "concurrent"])
+    def test_equals_the_add_event_loop_column_by_column(self, shape):
+        from repro.traces.generator import generate_concurrent, generate_sequential
+
+        if shape == "sequential":
+            source = generate_sequential("bulk-seq", target_events=120, authors=3, seed=3).graph
+        else:
+            source = generate_concurrent("bulk-conc", target_events=120, seed=4).graph
+        ids, parents, ops = self._columns(source)
+        looped = EventGraph()
+        for event_id, refs, op in zip(ids, parents, ops):
+            looped.add_event(event_id, refs, op, parents_are_indices=True)
+        bulk = EventGraph.from_columns(ids, parents, ops)
+        assert self._state(bulk) == self._state(looped)
+        # ...and it is a live graph: it appends, splits and extends like one.
+        for graph in (bulk, looped):
+            graph.add_local_event("late", insert_op(0, "xyz"))
+            graph.split_event(len(graph) - 1, 1)
+            graph.dependency_index(graph.id_of(0))
+        assert self._state(bulk) == self._state(looped)
+
+    def test_empty_columns_give_an_empty_graph(self):
+        assert self._state(EventGraph.from_columns([], [], [])) == self._state(EventGraph())
+
+    @pytest.mark.parametrize(
+        "ids, parents",
+        [
+            # an id span that overlaps an earlier one of the same agent
+            ([EventId("a", 0), EventId("a", 1)], [(), (0,)]),
+            # a parent that is the event itself / a later event
+            ([EventId("a", 0), EventId("a", 2)], [(), (1,)]),
+            ([EventId("a", 0), EventId("a", 2)], [(1,), (0,)]),
+            # a negative parent index
+            ([EventId("a", 0), EventId("a", 2)], [(), (-1,)]),
+            # unsorted and duplicated parents
+            ([EventId("a", 0), EventId("b", 0), EventId("a", 2)], [(), (), (1, 0)]),
+            ([EventId("a", 0), EventId("b", 0), EventId("a", 2)], [(), (), (0, 0)]),
+            # columns of different lengths
+            ([EventId("a", 0)], [(), (0,)]),
+        ],
+    )
+    def test_keeps_the_checks_of_add_event(self, ids, parents):
+        ops = [insert_op(0, "ab") for _ in parents]
+        with pytest.raises(ValueError):
+            EventGraph.from_columns(ids, parents, ops)

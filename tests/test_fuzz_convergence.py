@@ -44,6 +44,16 @@ decode must re-encode byte-identically, replay to the oracle-agreed text,
 and a snapshot-bearing file must serve that text selectively — zero events
 materialised.
 
+Every one of those files (plus a v2 file of the same history) then goes
+through the **adopted ≡ re-ingested** property: ``Document.from_bytes`` —
+which adopts the decoded graph and the snapshot text instead of re-ingesting
+and re-merging them — must agree with a twin that ingests the same events
+through ``apply_remote_events`` on every event, the frontier, the critical
+cuts and their versions and the text, must hold no walker state, and 20
+further fuzzed edits exchanged between the two must converge to the
+per-character oracle.  Files without a snapshot column (the pruned one among
+them) take the in-place replay fallback.
+
 Each session also checks **handle stability** of the columnar event graph:
 random :class:`Event` views saved mid-session must still be the live
 singleton for their position at the end (same object, same id, same
@@ -65,12 +75,13 @@ import random
 from repro.core.critical_versions import critical_cut_positions
 from repro.core.document import Document
 from repro.core.event_graph import expand_to_chars
-from repro.core.oplog import recarve_events
+from repro.core.oplog import graph_to_remote_events, recarve_events
 from repro.core.walker import EgWalker
 from repro.history import History, Version, apply_ops
 from repro.network.simulator import full_mesh, star
 from repro.storage import (
     ContainerOptions,
+    EncodeOptions,
     LazyDecodedFile,
     decode_event_graph,
     decode_file,
@@ -286,7 +297,13 @@ def run_session(
     # re-encoding with the same options must reproduce the file byte for
     # byte, and the decoded graph must replay to the oracle-agreed text.
     sample = sim.replicas[rng.choice(all_names)].document
-    _assert_v3_round_trip(sample.oplog.graph, expected, context)
+    files = _assert_v3_round_trip(sample.oplog.graph, expected, context)
+    files.append(
+        encode_event_graph(
+            sample.oplog.graph,
+            EncodeOptions(include_snapshot=True, final_text=expected),
+        )
+    )
 
     # Selective-column reads: a snapshot-bearing file serves its text from
     # the snapshot column alone (zero events materialised); any file serves
@@ -313,10 +330,24 @@ def run_session(
     assert recarved_doc.text == expected, (
         f"re-carved interop copy diverged before the round trip ({context})"
     )
-    _assert_v3_round_trip(recarved_doc.oplog.graph, expected, f"{context}, recarved")
+    # ...of which the snapshot-bearing file joins the adoption property.
+    files.append(
+        _assert_v3_round_trip(
+            recarved_doc.oplog.graph, expected, f"{context}, recarved"
+        )[-1]
+    )
+
+    # --- adopted ≡ re-ingested ----------------------------------------------
+    for number, data in enumerate(files):
+        _assert_adopted_equals_reingested(
+            data, expected, f"{context}, file {number}", rng, incremental
+        )
 
 
-def _assert_v3_round_trip(graph, expected_text: str, context: str) -> None:
+def _assert_v3_round_trip(graph, expected_text: str, context: str) -> list[bytes]:
+    """Round-trip ``graph`` in the four container modes; returns the files
+    (the snapshot-bearing one last)."""
+    files = []
     for options in (
         ContainerOptions(),
         ContainerOptions(compress_columns=False),
@@ -338,6 +369,69 @@ def _assert_v3_round_trip(graph, expected_text: str, context: str) -> None:
         assert history.text_at(Version.frontier(decoded.graph)) == expected_text, (
             f"v3 round trip changed the replayed text ({context}, {options})"
         )
+        files.append(data)
+    return files
+
+
+def _assert_adopted_equals_reingested(
+    data: bytes, expected_text: str, context: str, rng: random.Random, incremental: bool
+) -> None:
+    """``Document.from_bytes`` (adoption) ≡ ingesting the same file's events."""
+    decoded = decode_file(data)
+    adopted = Document.from_bytes(data, "adopted", incremental=incremental)
+    twin = Document("twin", incremental=incremental)
+    twin.apply_remote_events(graph_to_remote_events(decoded.graph))
+
+    stats = adopted.merge_stats
+    if decoded.snapshot is not None:
+        assert stats.merges == 0 and stats.events_integrated == 0, (
+            f"adoption merged events although the file has a snapshot ({context})"
+        )
+    else:
+        # In-place replay fallback: one merge over the adopted indices.
+        assert stats.merges == 1 and stats.events_integrated == len(decoded.graph), (
+            f"snapshot-less file did not take the in-place replay ({context})"
+        )
+    assert adopted.engine.has_resident_state is False, (
+        f"adopted document holds walker state ({context})"
+    )
+    assert adopted.text == twin.text == expected_text, (
+        f"adopted text diverged from the re-ingested twin ({context})"
+    )
+    ours, theirs = adopted.oplog.graph, twin.oplog.graph
+    assert [(e.id, e.parents, e.op) for e in ours.events()] == [
+        (e.id, e.parents, e.op) for e in theirs.events()
+    ], f"adopted graph differs from the re-ingested one ({context})"
+    assert ours.frontier == theirs.frontier and adopted.version() == twin.version(), (
+        f"adopted frontier differs from the re-ingested one ({context})"
+    )
+    if incremental:
+        cuts = adopted.engine.tracker.cuts()
+        assert cuts == twin.engine.tracker.cuts(), (
+            f"adopted critical cuts differ from the re-ingested ones ({context})"
+        )
+        for cut in cuts:
+            assert adopted.engine.tracker.version_at(cut) == twin.engine.tracker.version_at(
+                cut
+            ), f"critical version at cut {cut} differs ({context})"
+
+    # 20 further edits, exchanged now and then so both sides see concurrency.
+    pair = (adopted, twin)
+    for step in range(20):
+        document = pair[rng.randrange(2)]
+        if not document.text or rng.random() < 0.65:
+            pos = rng.randint(0, len(document.text))
+            length = rng.randint(1, 4)
+            document.insert(pos, "".join(rng.choice(ALPHABET) for _ in range(length)))
+        else:
+            pos = rng.randrange(len(document.text))
+            document.delete(pos, min(rng.randint(1, 3), len(document.text) - pos))
+        if step == 19 or rng.random() < 0.3:
+            for sender, receiver in (pair, pair[::-1]):
+                receiver.apply_remote_events(sender.events_since(receiver.version()))
+    assert adopted.text == twin.text == oracle_text(adopted), (
+        f"edits on top of an adopted document diverged ({context})"
+    )
 
 
 def test_convergence_fuzz(fuzz_iterations):

@@ -45,6 +45,7 @@ from repro.storage.container import (
     COL_IDS,
     COL_OPS,
     COL_PARENTS,
+    COL_SNAPSHOT,
     COLUMN_NAMES,
     MAGIC_V3,
     parse_header,
@@ -405,14 +406,21 @@ def test_first_history_access_hydrates_exactly_once():
     assert first_reads["agents"] == 1
     assert first_reads["ids"] == 1
 
-    # Repeated accesses (history, graph, document) must not decode again.
+    # Repeated accesses (history, graph) must not decode again.
     assert lazy.history is history
     _ = lazy.graph
-    _ = lazy.document("reader")
     assert lazy.stats.hydrations == 1
     assert lazy.stats.column_reads == first_reads
     assert lazy.stats.events_materialised == len(graph)
     assert history.text_at(Version.frontier(lazy.graph)) == text
+
+    # A document adopts a graph of its own (one owner per adopted graph):
+    # a second, private hydration from the cached payloads -- no block is
+    # read or decompressed twice.
+    _ = lazy.document("reader")
+    assert lazy.stats.hydrations == 2
+    assert lazy.stats.column_reads == first_reads
+    assert lazy.stats.events_materialised == 2 * len(graph)
 
 
 def test_document_and_history_load_from_bytes():
@@ -441,23 +449,33 @@ def _battery_file() -> bytes:
     )
 
 
+def _open_editable(data: bytes) -> Document:
+    return Document.from_bytes(data, "reader")
+
+
+#: The battery runs through the plain decoder and through the editable open,
+#: which adopts what it decodes: neither may ever see a corrupt file as valid.
+BATTERY_DECODERS = (decode_event_graph_v3, _open_editable)
+
+
 def test_every_truncation_raises_structured_error():
     """A v3 file cut at *any* byte offset (header, table, or blocks) must
     raise a StorageError with a documented code — never decode silently."""
     data = _battery_file()
     header_length = parse_header(data).header_length
-    for cut in range(len(data)):
-        with pytest.raises(StorageError) as info:
-            decode_event_graph_v3(data[:cut])
-        assert info.value.code in KNOWN_CODES, (
-            f"truncation at {cut}: unexpected code {info.value.code!r}"
-        )
-        if cut < header_length:
-            assert info.value.code in {
-                "truncated-header",
-                "header-crc-mismatch",
-                "bad-magic",
-            }, f"header truncation at {cut} gave {info.value.code!r}"
+    for decode in BATTERY_DECODERS:
+        for cut in range(len(data)):
+            with pytest.raises(StorageError) as info:
+                decode(data[:cut])
+            assert info.value.code in KNOWN_CODES, (
+                f"truncation at {cut}: unexpected code {info.value.code!r}"
+            )
+            if cut < header_length:
+                assert info.value.code in {
+                    "truncated-header",
+                    "header-crc-mismatch",
+                    "bad-magic",
+                }, f"header truncation at {cut} gave {info.value.code!r}"
 
 
 def test_every_header_byte_flip_raises_structured_error():
@@ -465,21 +483,22 @@ def test_every_header_byte_flip_raises_structured_error():
     header CRC covers magic through table), with a deterministic code."""
     data = _battery_file()
     header_length = parse_header(data).header_length
-    for pos in range(header_length):
-        corrupted = bytearray(data)
-        corrupted[pos] ^= 0xFF
-        with pytest.raises(StorageError) as info:
-            decode_event_graph_v3(bytes(corrupted))
-        assert info.value.code in {
-            "bad-magic",
-            "unsupported-version",
-            "truncated-header",
-            "header-crc-mismatch",
-            # a flipped length varint can push the parsed table past the end
-            # of the file before the CRC line is reached
-            "truncated-column",
-            "trailing-data",
-        }, f"header flip at {pos} gave {info.value.code!r}"
+    for decode in BATTERY_DECODERS:
+        for pos in range(header_length):
+            corrupted = bytearray(data)
+            corrupted[pos] ^= 0xFF
+            with pytest.raises(StorageError) as info:
+                decode(bytes(corrupted))
+            assert info.value.code in {
+                "bad-magic",
+                "unsupported-version",
+                "truncated-header",
+                "header-crc-mismatch",
+                # a flipped length varint can push the parsed table past the
+                # end of the file before the CRC line is reached
+                "truncated-column",
+                "trailing-data",
+            }, f"header flip at {pos} gave {info.value.code!r}"
 
 
 def test_block_byte_flips_raise_column_crc_mismatch():
@@ -493,11 +512,12 @@ def test_block_byte_flips_raise_column_crc_mismatch():
         for pos in (0, column.stored_length // 2, column.stored_length - 1):
             corrupted = bytearray(data)
             corrupted[header.header_length + column.offset + pos] ^= 0x01
-            with pytest.raises(StorageError) as info:
-                decode_event_graph_v3(bytes(corrupted))
-            assert info.value.code == "column-crc-mismatch", (
-                f"flip in {column.name!r} at {pos} gave {info.value.code!r}"
-            )
+            for decode in BATTERY_DECODERS:
+                with pytest.raises(StorageError) as info:
+                    decode(bytes(corrupted))
+                assert info.value.code == "column-crc-mismatch", (
+                    f"flip in {column.name!r} at {pos} gave {info.value.code!r}"
+                )
 
 
 def test_truncated_blocks_and_trailing_data():
@@ -611,6 +631,161 @@ def test_inconsistent_ids_column_is_column_decode():
     with pytest.raises(StorageError) as info:
         decode_event_graph_v3(_emit(header, entries))
     assert info.value.code == "column-decode"
+
+
+# ----------------------------------------------------------------------
+# Staged column defects: CRC-valid, correctly framed, internally inconsistent
+# ----------------------------------------------------------------------
+def _with_column(data: bytes, column_id: int, payload: bytes) -> bytes:
+    """``data`` with one column's payload replaced (stored raw, CRC and
+    header re-signed, so the payload's content is the only defect)."""
+    header, entries = _entries_of(data)
+    for entry in entries:
+        if entry["column_id"] == column_id:
+            entry.update(
+                flags=0,
+                stored=payload,
+                stored_length=len(payload),
+                raw_length=len(payload),
+                crc32=zlib.crc32(payload),
+            )
+    _reflow(entries)
+    return _emit(header, entries)
+
+
+def _varints(*values: int) -> bytes:
+    writer = ByteWriter()
+    for value in values:
+        writer.write_uvarint(value)
+    return writer.getvalue()
+
+
+def _staged_defects() -> dict[str, bytes]:
+    """Defect name → a file every CRC of which verifies."""
+    plain = encode_event_graph_v3(build_figure2_graph())  # six 1-char events: u1:0..4, u2:0
+    linear = _linear_document().oplog.graph  # multi-character runs, one agent
+    inserted = sum(e.op.length for e in linear.events() if e.op.is_insert)
+    return {
+        # event 3 re-uses u1:2, which event 2 already covers
+        "overlapping id spans": _with_column(
+            plain, COL_IDS, _varints(3, 0, 0, 3, 0, 2, 2, 1, 0, 1)
+        ),
+        # one exception: event 2 names back-reference 0, i.e. itself
+        "parent index >= own event": _with_column(
+            plain, COL_PARENTS, _varints(1, 2, 1, 0)
+        ),
+        # one exception: event 5 names event 3 twice
+        "duplicate parent": _with_column(
+            plain, COL_PARENTS, _varints(1, 5, 2, 2, 2)
+        ),
+        # one exception, for an event the file does not have
+        "parents exception past the last event": _with_column(
+            plain, COL_PARENTS, _varints(1, 6, 1, 1)
+        ),
+        # the first id run ends one character into the second event
+        "id run misaligned with event lengths": _with_column(
+            encode_event_graph_v3(linear),
+            COL_IDS,
+            _varints(2, 0, 0, linear[0].op.length + 1, 0, linear[0].op.length + 1,
+                     linear.num_chars - linear[0].op.length - 1),
+        ),
+        "snapshot longer than all inserts": _with_column(
+            encode_event_graph_v3(
+                linear,
+                ContainerOptions(include_snapshot=True, final_text=graph_text(linear)),
+            ),
+            COL_SNAPSHOT,
+            b"x" * (inserted + 1),
+        ),
+    }
+
+
+@pytest.mark.parametrize("defect", sorted(_staged_defects()))
+def test_staged_column_defects_are_column_decode(defect):
+    """The bulk graph builder keeps every check the per-event loop made, and
+    the snapshot must be a possible text of the ops column: each defect is
+    refused by the decoder, the lazy reader and the editable open alike."""
+    data = _staged_defects()[defect]
+    for decode in (*BATTERY_DECODERS, lambda d: LazyDecodedFile(d).document("reader")):
+        with pytest.raises(StorageError) as info:
+            decode(data)
+        assert info.value.code == "column-decode", f"{defect}: {info.value.code!r}"
+
+
+def test_stale_snapshot_is_refused():
+    """A file written with a ``final_text`` that is not the text of its
+    graph must not load: the editable open adopts the snapshot as the
+    document, so a stale one would be a silent divergence."""
+    doc = _linear_document()
+    stale = doc.text
+    doc.insert(0, "written after the text was captured. ")
+    for data in (
+        encode_event_graph_v3(
+            doc.oplog.graph, ContainerOptions(include_snapshot=True, final_text=stale)
+        ),
+        encode_event_graph(
+            doc.oplog.graph, EncodeOptions(include_snapshot=True, final_text=stale)
+        ),
+    ):
+        for decode in (decode_file, _open_editable, History.from_bytes):
+            with pytest.raises(StorageError) as info:
+                decode(data)
+            assert info.value.code == "column-decode"
+    # A concurrent history has no exact length (two branches may delete the
+    # same character), but its text never holds more characters than were
+    # inserted, nor fewer than inserted - deleted.
+    merged = _merged_two_branch_document()
+    graph = merged.oplog.graph
+    for bad in (merged.text + "!" * graph.num_chars, ""):
+        with pytest.raises(StorageError):
+            _open_editable(
+                encode_event_graph_v3(
+                    graph, ContainerOptions(include_snapshot=True, final_text=bad)
+                )
+            )
+
+
+def test_document_from_lazy_file_owns_its_graph():
+    """``LazyDecodedFile.document()`` adopts a private graph: editing the
+    document leaves the reader's graph, history and stats untouched."""
+    source = _merged_two_branch_document()
+    data = encode_event_graph_v3(
+        source.oplog.graph,
+        ContainerOptions(include_snapshot=True, final_text=source.text),
+    )
+    lazy = LazyDecodedFile(data)
+    history = lazy.history
+    events_before = len(lazy.graph)
+    frontier_before = Version.frontier(lazy.graph)
+
+    document = lazy.document("editor")
+    assert document.oplog.graph is not lazy.graph
+    assert document.text == source.text
+    assert document.merge_stats.events_integrated == 0
+    stats_before = (
+        lazy.stats.hydrations,
+        lazy.stats.events_materialised,
+        dict(lazy.stats.column_reads),
+        lazy.stats.bytes_read,
+    )
+    document.insert(0, "edited: ")
+    document.delete(len(document.text) - 3, 3)
+    other = Document("peer")
+    other.insert(0, "concurrent ")
+    document.merge(other)
+
+    assert len(lazy.graph) == events_before
+    assert Version.frontier(lazy.graph) == frontier_before
+    assert lazy.history is history
+    assert history.text_at(frontier_before) == source.text
+    assert stats_before == (
+        lazy.stats.hydrations,
+        lazy.stats.events_materialised,
+        dict(lazy.stats.column_reads),
+        lazy.stats.bytes_read,
+    )
+    # The file is unchanged by any of it: a second document starts clean.
+    assert lazy.document("second").text == source.text
 
 
 # ----------------------------------------------------------------------

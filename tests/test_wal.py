@@ -171,6 +171,10 @@ class TestRoomStorage:
         assert recovered.text == doc.text == "three two one "
         assert info.snapshot_loaded and info.snapshot_text_verified
         assert info.pending_after_recovery == 0
+        # Closed cleanly: the snapshot holds everything and was adopted, so
+        # recovery merged nothing and started no walker.
+        assert recovered.merge_stats.events_integrated == 0
+        assert not recovered.engine.has_resident_state
 
     def test_duplicate_spans_after_interrupted_compaction(self, tmp_path):
         """A crash between snapshot replace and WAL reset leaves the same
@@ -186,6 +190,70 @@ class TestRoomStorage:
         assert recovered.text == doc.text
         assert info.snapshot_loaded and info.wal_records == 1
         assert info.pending_after_recovery == 0
+        # The snapshot was adopted and the seeded buffer shed the whole WAL
+        # record as duplicates: nothing reached the merge engine at all.
+        assert recovered.merge_stats.merges == 0
+        assert len(recovered.oplog.graph) == len(doc.oplog.graph)
+
+    def test_snapshot_is_adopted_and_only_the_tail_is_merged(self, tmp_path):
+        """Recovery = adopt the snapshot (graph and text as they are), then
+        apply the WAL tail; the recovered replica edits and merges on."""
+        directory = room_directory(str(tmp_path), "doc")
+        storage = RoomStorage(
+            directory, options=DurabilityOptions(compact_on_close=False)
+        )
+        server = Document("server")
+        alice, bob = Document("alice"), Document("bob")
+        alice.insert(0, "shared base. ")
+        base = alice.oplog.export_since_seq("alice", 0)
+        bob.apply_remote_events(base)
+        server.apply_remote_events(base)
+        storage.append(list(base))
+        storage.compact(server)  # snapshot: the base; the WAL is reset
+        # The tail: two concurrent edits, logged after the compaction.
+        alice.insert(len(alice.text), "alice's tail. ")
+        bob.insert(0, "bob's head. ")
+        tail = [
+            list(alice.oplog.export_since_seq("alice", len("shared base. "))),
+            list(bob.oplog.export_since_seq("bob", 0)),
+        ]
+        for batch in tail:
+            server.apply_remote_events(batch)
+            storage.append(batch)
+        storage.abandon()
+
+        recovered, info = recover_document(directory, "server")
+        assert recovered.text == server.text
+        assert info.snapshot_loaded and info.snapshot_text_verified
+        assert info.snapshot_events == 1 and info.wal_records == 2
+        stats = recovered.merge_stats
+        assert stats.events_integrated == info.wal_events == 2
+        assert stats.merges == 2
+        # Still a full replica: a new concurrent edit converges both ways.
+        recovered.insert(0, "after recovery. ")
+        alice.insert(0, "meanwhile. ")
+        bob.apply_remote_events(alice.events_since(bob.version()))
+        for peer in (alice, bob):
+            peer.apply_remote_events(recovered.events_since(peer.version()))
+            recovered.apply_remote_events(peer.events_since(recovered.version()))
+        assert recovered.text == alice.text == bob.text
+
+    def test_snapshot_without_text_column_is_replayed_in_place(self, tmp_path):
+        """A snapshot file that carries no text (not what ``compact`` writes,
+        but a legal file) is still adopted; its text comes from a replay."""
+        from repro.server.wal import SNAPSHOT_FILENAME
+        from repro.storage import encode_event_graph_v3
+
+        directory = room_directory(str(tmp_path), "doc")
+        os.makedirs(directory)
+        doc, _ = make_events(edits=((0, "hello world"), (5, 3), (0, "x")))
+        with open(os.path.join(directory, SNAPSHOT_FILENAME), "wb") as fh:
+            fh.write(encode_event_graph_v3(doc.oplog.graph))
+        recovered, info = recover_document(directory, "server")
+        assert recovered.text == doc.text
+        assert info.snapshot_loaded and not info.snapshot_text_verified
+        assert recovered.merge_stats.events_integrated == len(doc.oplog.graph)
+        assert not recovered.engine.has_resident_state
 
     def test_close_compacts_when_configured(self, tmp_path):
         directory = room_directory(str(tmp_path), "doc")
