@@ -1,8 +1,8 @@
-"""Cold-load-to-first-text from a storage-v3 container — the selective-read
+"""Cold-load-to-first-text from a storage container — the selective-read
 acceptance gate.
 
-The production cold-start story (ROADMAP items 2–3) is: an evicted document
-is a pruned v3 container with a snapshot column, and waking it up to *display*
+The production cold-start story is: an evicted document
+is a pruned container with a snapshot column, and waking it up to *display*
 must not pay for its history.  :func:`repro.bench.harness.run_cold_load`
 persists every trace that way and loads it cold three ways (selective text,
 lazy history, full decode); results land in ``BENCH_cold_load.json``.

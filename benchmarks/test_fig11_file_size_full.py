@@ -1,15 +1,16 @@
 """Figure 11 — file size when the full editing history is retained.
 
-Compares the Eg-walker columnar event-graph encodings (§3.8) — the legacy v2
-interleaved layout and the v3 random-access container with per-column
-compression — with and without a cached copy of the final document, against
-the Automerge-like full-history format.  The lightly shaded lower bound in
-the paper's chart — the concatenated length of all inserted text — is
-reported alongside.
+Compares the Eg-walker columnar event-graph file (§3.8) — uncompressed, as
+the paper's like-for-like comparison has it (§4.5), and with the container's
+per-column deflate — with and without a cached copy of the final document,
+against the Automerge-like full-history format.  The lightly shaded lower
+bound in the paper's chart — the concatenated length of all inserted text —
+is reported alongside.
 
-The v3 variants carry a structural gate: on every trace family the v3 file
-must be no larger than the v2 file it replaces (same options), which is the
-"Smaller" extension claimed by ROADMAP item 2.
+Two structural gates per trace family: the compressed file is no larger than
+its uncompressed twin (store-raw-if-not-smaller, column by column), and the
+paper's ordering holds — the uncompressed event-graph file is smaller than
+the CRDT baseline's.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from repro.bench.adapters import AutomergeLikeAdapter, EgWalkerAdapter
 VARIANTS = [
     "egwalker",
     "egwalker+cached-doc",
-    "egwalker-v3",
-    "egwalker-v3+cached-doc",
+    "egwalker-compressed",
+    "egwalker-compressed+cached-doc",
     "automerge-like",
 ]
 
@@ -36,31 +37,37 @@ def test_full_history_file_size(benchmark, trace, variant):
 
     if variant == "automerge-like":
         adapter = AutomergeLikeAdapter()
-        outcome = adapter.merge(trace)
-        encode = lambda: adapter.save(trace, outcome)  # noqa: E731
     else:
-        cached = variant.endswith("+cached-doc")
-        version = 3 if "-v3" in variant else 2
-        adapter = EgWalkerAdapter(cache_final_doc=cached, format_version=version)
-        outcome = adapter.merge(trace)
-        encode = lambda: adapter.save(trace, outcome)  # noqa: E731
-
-    data = benchmark.pedantic(encode, rounds=1, iterations=1)
+        adapter = EgWalkerAdapter(
+            cache_final_doc=variant.endswith("+cached-doc"),
+            compress_columns="-compressed" in variant,
+        )
+    outcome = adapter.merge(trace)
+    data = benchmark.pedantic(lambda: adapter.save(trace, outcome), rounds=1, iterations=1)
     benchmark.extra_info["trace"] = trace.name
     benchmark.extra_info["variant"] = variant
     benchmark.extra_info["file_bytes"] = len(data)
     benchmark.extra_info["inserted_text_bytes"] = inserted_text_bytes
 
-    if "-v3" not in variant:
+    if "-compressed" not in variant:
         # The inserted text is a lower bound on any *uncompressed*
-        # full-history format (v3 compresses per column, so it may dip below).
+        # full-history format (deflated columns may dip below it).
         assert len(data) > inserted_text_bytes
-    if variant.startswith("egwalker"):
-        # The event-graph encoding keeps the overhead over raw text modest.
-        assert len(data) < inserted_text_bytes * 4 + 10_000
-    if "-v3" in variant:
-        # The "Smaller" gate: v3 must never regress on v2 for any family.
-        v2_data = EgWalkerAdapter(cache_final_doc=cached).save(trace, outcome)
-        assert len(data) <= len(v2_data), (
-            f"v3 file ({len(data)} B) larger than v2 ({len(v2_data)} B) on {trace.name}"
+    if variant == "automerge-like":
+        # The paper's ordering: the history-only, uncompressed event-graph
+        # file (which needs no merge outcome) against the CRDT's.
+        eg_data = EgWalkerAdapter(cache_final_doc=False).save(trace, outcome)
+        assert len(eg_data) < len(data), (
+            f"event-graph file ({len(eg_data)} B) not smaller than the "
+            f"Automerge-like one ({len(data)} B) on {trace.name}"
+        )
+        return
+    # The event-graph encoding keeps the overhead over raw text modest.
+    assert len(data) < inserted_text_bytes * 4 + 10_000
+    if adapter.compress_columns:
+        plain = EgWalkerAdapter(cache_final_doc=adapter.cache_final_doc)
+        plain_data = plain.save(trace, outcome)
+        assert len(data) <= len(plain_data), (
+            f"compressed file ({len(data)} B) larger than uncompressed "
+            f"({len(plain_data)} B) on {trace.name}"
         )

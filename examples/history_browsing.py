@@ -117,7 +117,7 @@ def main() -> None:
     )
     saved_handle = encode_version(draft)  # handles persist independently
     lazy = LazyDecodedFile(data)
-    print(f"\nhistory file: {len(data)} bytes (v3 container, snapshot column), "
+    print(f"\nhistory file: {len(data)} bytes (columnar container, snapshot column), "
           f"saved handle: {len(saved_handle)} bytes")
     # Selective read: the current text costs only the snapshot column.
     print(f"fast load from snapshot column: {lazy.text == alice.text} "

@@ -52,11 +52,11 @@ def main() -> None:
         print(f"  {version}: {user1.text_at(version)!r}")
 
     # The history can be persisted with the compact columnar format of §3.8.
-    from repro.storage import EncodeOptions, encode_event_graph
+    from repro.storage import ContainerOptions, encode_event_graph_v3
 
-    data = encode_event_graph(
+    data = encode_event_graph_v3(
         user1.oplog.graph,
-        EncodeOptions(include_snapshot=True, final_text=user1.text),
+        ContainerOptions(include_snapshot=True, final_text=user1.text),
     )
     print(f"\non-disk size of the full history + cached text: {len(data)} bytes")
 

@@ -26,7 +26,6 @@ from ..crdt.ref_crdt import RefCRDTDocument
 from ..crdt.yjs_like import YjsLikeDocument
 from ..ot.ot_replica import OTDocument
 from ..storage.container import ContainerOptions, decode_file, encode_event_graph_v3
-from ..storage.encoder import EncodeOptions, encode_event_graph
 from ..storage.snapshot import Snapshot, decode_snapshot, encode_snapshot
 from ..traces.trace import Trace
 
@@ -82,17 +81,14 @@ class EgWalkerAdapter(AlgorithmAdapter):
         enable_clearing: bool = True,
         sort_strategy: str = "branch_aware",
         cache_final_doc: bool = True,
-        format_version: int = 2,
+        compress_columns: bool = False,
     ) -> None:
         self.backend = backend
         self.enable_clearing = enable_clearing
         self.sort_strategy = sort_strategy
         self.cache_final_doc = cache_final_doc
-        if format_version not in (2, 3):
-            raise ValueError(f"unknown storage format version {format_version}")
-        #: 2 = legacy interleaved columns, 3 = random-access columnar
-        #: container with per-column compression (repro.storage.container).
-        self.format_version = format_version
+        #: Off by default: the paper compares uncompressed sizes (§4.5).
+        self.compress_columns = compress_columns
         #: Stats of the most recent merge (run/char event counts, peak span
         #: records) — lets the benchmarks report the RLE win per trace.
         self.last_stats: WalkerStats | None = None
@@ -110,17 +106,10 @@ class EgWalkerAdapter(AlgorithmAdapter):
         return MergeOutcome(text=text, retained=text)
 
     def save(self, trace: Trace, outcome: MergeOutcome) -> bytes:
-        if self.format_version == 3:
-            return encode_event_graph_v3(
-                trace.graph,
-                ContainerOptions(
-                    include_snapshot=self.cache_final_doc,
-                    final_text=outcome.text if self.cache_final_doc else None,
-                ),
-            )
-        return encode_event_graph(
+        return encode_event_graph_v3(
             trace.graph,
-            EncodeOptions(
+            ContainerOptions(
+                compress_columns=self.compress_columns,
                 include_snapshot=self.cache_final_doc,
                 final_text=outcome.text if self.cache_final_doc else None,
             ),
@@ -128,12 +117,11 @@ class EgWalkerAdapter(AlgorithmAdapter):
 
     def save_pruned(self, trace: Trace, outcome: MergeOutcome) -> bytes:
         """The Figure 12 variant: drop deleted characters' content."""
-        if self.format_version == 3:
-            return encode_event_graph_v3(
-                trace.graph, ContainerOptions(prune_deleted_content=True)
-            )
-        return encode_event_graph(
-            trace.graph, EncodeOptions(prune_deleted_content=True)
+        return encode_event_graph_v3(
+            trace.graph,
+            ContainerOptions(
+                compress_columns=self.compress_columns, prune_deleted_content=True
+            ),
         )
 
     def load(self, data: bytes) -> str:
@@ -166,10 +154,12 @@ class OTAdapter(AlgorithmAdapter):
 
     def save(self, trace: Trace, outcome: MergeOutcome) -> bytes:
         # OT persists the same artefacts as Eg-walker: the operation history
-        # plus the current text.
-        return encode_event_graph(
+        # plus the current text (uncompressed, like the paper's comparison).
+        return encode_event_graph_v3(
             trace.graph,
-            EncodeOptions(include_snapshot=True, final_text=outcome.text),
+            ContainerOptions(
+                compress_columns=False, include_snapshot=True, final_text=outcome.text
+            ),
         )
 
     def load(self, data: bytes) -> str:

@@ -22,7 +22,7 @@ Experiment index (see DESIGN.md §3):
 * :func:`run_replay_throughput` — end-to-end replay events/sec when a fresh
   replica consumes a whole trace in batches, incremental engine on vs off
   (``BENCH_replay_throughput.json`` / the replay perf-smoke CI gate)
-* :func:`run_cold_load` — cold-load-to-first-text from a storage-v3 container:
+* :func:`run_cold_load` — cold-load-to-first-text from a storage container:
   bytes touched and events materialised for a selective text read vs a full
   graph hydration (``BENCH_cold_load.json`` / the storage-format CI gate)
 """
@@ -181,12 +181,12 @@ def run_file_size_full(traces: dict[str, Trace] | None = None) -> list[dict[str,
         inserted_chars = sum(e.op.length for e in trace.graph.events() if e.op.is_insert)
         eg_plain = EgWalkerAdapter(cache_final_doc=False).save(trace, outcome)
         eg_cached = EgWalkerAdapter(cache_final_doc=True).save(trace, outcome)
-        eg_v3 = EgWalkerAdapter(cache_final_doc=False, format_version=3).save(
+        eg_deflated = EgWalkerAdapter(cache_final_doc=False, compress_columns=True).save(
             trace, outcome
         )
-        eg_v3_cached = EgWalkerAdapter(cache_final_doc=True, format_version=3).save(
-            trace, outcome
-        )
+        eg_deflated_cached = EgWalkerAdapter(
+            cache_final_doc=True, compress_columns=True
+        ).save(trace, outcome)
         am_outcome = automerge.merge(trace)
         am_bytes = automerge.save(trace, am_outcome)
         rows.append(
@@ -195,8 +195,8 @@ def run_file_size_full(traces: dict[str, Trace] | None = None) -> list[dict[str,
                 "inserted_text_bytes": inserted_chars,
                 "egwalker_bytes": len(eg_plain),
                 "egwalker_cached_doc_bytes": len(eg_cached),
-                "egwalker_v3_bytes": len(eg_v3),
-                "egwalker_v3_cached_doc_bytes": len(eg_v3_cached),
+                "egwalker_compressed_bytes": len(eg_deflated),
+                "egwalker_compressed_cached_doc_bytes": len(eg_deflated_cached),
                 "automerge_like_bytes": len(am_bytes),
             }
         )
@@ -213,7 +213,9 @@ def run_file_size_pruned(traces: dict[str, Trace] | None = None) -> list[dict[st
         eg = EgWalkerAdapter()
         outcome = eg.merge(trace)
         pruned = eg.save_pruned(trace, outcome)
-        pruned_v3 = EgWalkerAdapter(format_version=3).save_pruned(trace, outcome)
+        pruned_deflated = EgWalkerAdapter(compress_columns=True).save_pruned(
+            trace, outcome
+        )
         yjs_outcome = yjs.merge(trace)
         yjs_bytes = yjs.save(trace, yjs_outcome)
         rows.append(
@@ -221,7 +223,7 @@ def run_file_size_pruned(traces: dict[str, Trace] | None = None) -> list[dict[st
                 "trace": name,
                 "final_doc_bytes": len(outcome.text.encode("utf-8")),
                 "egwalker_pruned_bytes": len(pruned),
-                "egwalker_v3_pruned_bytes": len(pruned_v3),
+                "egwalker_compressed_pruned_bytes": len(pruned_deflated),
                 "yjs_like_bytes": len(yjs_bytes),
             }
         )
@@ -229,10 +231,10 @@ def run_file_size_pruned(traces: dict[str, Trace] | None = None) -> list[dict[st
 
 
 # ----------------------------------------------------------------------
-# Cold load: selective v3 reads vs full hydration (ROADMAP item 2 payoff)
+# Cold load: selective column reads vs full hydration
 # ----------------------------------------------------------------------
 def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, object]]:
-    """Cold-load-to-first-text from a pruned, snapshot-bearing v3 container.
+    """Cold-load-to-first-text from a pruned, snapshot-bearing container.
 
     For each trace the document is persisted the way the hosting layer will
     evict it (pruned content + snapshot column), then loaded cold three ways:
@@ -242,14 +244,14 @@ def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, obje
       materialised and only a fraction of the file's bytes touched;
     * **lazy history** — the same file after a first ``history`` access:
       exactly one hydration pays for the remaining columns;
-    * **full decode** — the v2-style load that materialises everything
+    * **full decode** — the load that materialises everything
       up front, as the baseline for the bytes/events columns;
     * **editable open** — :meth:`LazyDecodedFile.document`, the adoption
       path ``Document.from_bytes`` shares: one graph built once, the text
       taken from the snapshot column, nothing merged and no walker state,
       checked by one local insert against the oracle text.
 
-    Also records whether a *snapshot-free* v3 file can still serve its text
+    Also records whether a *snapshot-free* file can still serve its text
     selectively (linear histories replay ops over content span-wise).
     """
     from ..storage.container import (

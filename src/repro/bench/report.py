@@ -58,7 +58,7 @@ def format_results(results: Mapping[str, Sequence[Mapping[str, object]]]) -> str
         "fig12_file_size_pruned": "Figure 12 — file size, deleted content omitted",
         "x1_sort_order": "Ablation X1 — sensitivity to the topological-sort order (§4.3)",
         "x2_scaling": "Ablation X2 — two-branch merge scaling (§3.7 complexity claim)",
-        "x5_cold_load": "X5 — cold load from a v3 container: selective text vs full hydration",
+        "x5_cold_load": "X5 — cold load from a storage container: selective text vs full hydration",
     }
     sections = []
     for key, rows in results.items():

@@ -111,7 +111,7 @@ class Document:
 
     @classmethod
     def from_bytes(cls, data: bytes, agent: str, **options: object) -> "Document":
-        """Load a replica from a stored event-graph file (v2 or v3).
+        """Load a replica from a stored event-graph file.
 
         Load is a decode: the decoded graph is **adopted** as the replica's
         graph (built once, privately — nothing is re-ingested) and the text

@@ -90,6 +90,20 @@ ROOT_VERSION: Version = ()
 _LABEL_GAP = 1 << 20
 
 
+def _check_parent_indices(refs: Sequence[int], index: int) -> None:
+    """The one rule for an event's parents given as local indices: sorted,
+    distinct, and inside ``[0, index)`` (``index`` = the event's own)."""
+    if refs and (
+        refs[0] < 0
+        or refs[-1] >= index
+        or (len(refs) > 1 and any(map(ge, refs, refs[1:])))
+    ):
+        raise ValueError(
+            f"parents {tuple(refs)} of event {index} are not sorted, distinct "
+            f"indices of earlier events"
+        )
+
+
 class Event:
     """A view of one run event in the graph — a stable, never-stale handle.
 
@@ -238,15 +252,7 @@ class EventGraph:
         graph = cls()
         children: list[list[int]] = [[] for _ in range(n)]
         for handle, refs in enumerate(parents):
-            if refs and (
-                refs[0] < 0
-                or refs[-1] >= handle
-                or (len(refs) > 1 and any(map(ge, refs, refs[1:])))
-            ):
-                raise ValueError(
-                    f"parents {refs} of event {handle} are not sorted, distinct "
-                    f"indices of earlier events"
-                )
+            _check_parent_indices(refs, handle)
             for parent in refs:
                 children[parent].append(handle)
         lengths = [op.length for op in ops]
@@ -286,6 +292,22 @@ class EventGraph:
             )
             graph._next_seq[agent] = ends[-1]
         return graph
+
+    def to_columns(
+        self,
+    ) -> tuple[list[EventId], list[tuple[int, ...]], list[Operation]]:
+        """The inverse of :meth:`from_columns`: ids, sorted parent-index
+        tuples and operations, each in local order (the storage encoder's
+        view of the graph — three list builds, no :class:`Event` views)."""
+        order = self._order
+        ids, ops = self._h_id, self._h_op
+        pidx, pgen, gen = self._h_pidx, self._h_pgen, self._gen
+        resolve = self._parent_indices
+        return (
+            [ids[h] for h in order],
+            [pidx[h] if pgen[h] == gen else resolve(h) for h in order],
+            [ops[h] for h in order],
+        )
 
     # ------------------------------------------------------------------
     # Listeners
@@ -510,7 +532,8 @@ class EventGraph:
 
         Raises:
             ValueError: if any character of the run's id span is already
-                covered (duplicate), or a parent index is out of range.
+                covered (duplicate), or a parent index is out of range or
+                named twice.
         """
         agent_index = self._agent_index.get(event_id.agent)
         if self._locate_handle(event_id) is not None or (
@@ -523,10 +546,7 @@ class EventGraph:
             parent_indices = sorted(int(p) for p in parents)
         else:
             parent_indices = sorted({self.index_of(p) for p in parents})  # type: ignore[arg-type]
-        index = len(self._order)
-        for p in parent_indices:
-            if p < 0 or p >= index:
-                raise ValueError(f"parent index {p} out of range for event {index}")
+        _check_parent_indices(parent_indices, len(self._order))
         order = self._order
         parent_handles = tuple(order[p] for p in parent_indices)
 

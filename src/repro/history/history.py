@@ -110,7 +110,7 @@ class History:
     @classmethod
     def from_bytes(cls, data: bytes, **walker_options: Any) -> "History":
         """A standalone history decoded from a stored event-graph file
-        (v2 or v3, sniffed).  Materialises the graph once; for deferred
+        (``docs/SPEC.md``).  Materialises the graph once; for deferred
         hydration use :attr:`repro.storage.LazyDecodedFile.history`, which
         decodes the history columns only when first asked.
         """

@@ -6,8 +6,8 @@ durability falls out of the storage layer this repo already has:
 
 * Every causally ordered batch a room ingests is appended to a
   :class:`WriteAheadLog` as one varint-framed record — the same LEB128
-  primitives and column discipline as the storage v2 encoder
-  (:mod:`repro.storage.encoder`), scoped down to one batch of portable
+  primitives and column discipline as the storage column codecs
+  (:mod:`repro.storage.columns`), scoped down to one batch of portable
   :class:`~repro.core.oplog.RemoteEvent`\\ s (agent table, id/parents rows,
   op rows).  Records are guarded by a CRC32 so a torn write (crash mid
   ``write``) is detected, not silently decoded.
@@ -15,11 +15,9 @@ durability falls out of the storage layer this repo already has:
   delta, ``"group"`` lets the server's group-commit task sync on an interval
   (the production trade), ``"none"`` never syncs (the ablation floor).
 * When the log grows past a threshold the room is **compacted**: the full
-  event graph is written as one storage-v3 container (final text included as
+  event graph is written as one storage container (final text included as
   its own snapshot column, so a recovered room serves without a replay) via
-  an atomic temp-file-plus-``os.replace``, and the log is reset.  Recovery
-  sniffs the magic, so rooms compacted before the v3 container (legacy v2
-  snapshots) still recover.  A crash between the
+  an atomic temp-file-plus-``os.replace``, and the log is reset.  A crash between the
   snapshot replace and the log reset merely leaves duplicate spans in the
   log — recovery routes every WAL batch through a
   :class:`~repro.network.causal_broadcast.CausalBuffer` seeded with the
@@ -165,7 +163,7 @@ class RecoveryInfo:
 def encode_wal_record(events: Iterable[RemoteEvent]) -> bytes:
     """Serialise one ingest batch as a WAL record payload.
 
-    The layout mirrors the storage v2 columns at batch scope: an agent
+    The layout mirrors the storage columns at batch scope: an agent
     table, then per event the id, parents and op as varint rows.  Parents
     are explicit ``(agent, seq)`` pairs (they may reference events from
     earlier records or the snapshot).
@@ -514,8 +512,6 @@ def recover_document(
     except FileNotFoundError:
         document = Document(agent, **options)
     else:
-        # Sniffs the magic: rooms compacted before the v3 container still
-        # recover (v2 is a read-only legacy format).
         decoded = decode_file(snapshot_data)
         document = Document(
             agent, graph=decoded.graph, text=decoded.snapshot, **options

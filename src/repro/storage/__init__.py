@@ -1,16 +1,15 @@
 """Persistent storage: columnar event-graph files, snapshots, compression.
 
-Two file formats live here: the legacy v2 interleaved-column encoder
-(:mod:`repro.storage.encoder`, read-only) and the v3 random-access columnar
-container (:mod:`repro.storage.container`) with per-column compression/CRCs,
-selective reads (:func:`decode_text`) and lazy hydration
-(:class:`LazyDecodedFile`).  :func:`decode_file` sniffs the magic and reads
-either.
+One file format (``docs/SPEC.md``): the random-access columnar container
+(:mod:`repro.storage.container`) with per-column zlib and CRCs, selective
+reads (:func:`decode_text`) and lazy hydration (:class:`LazyDecodedFile`);
+the per-column layouts are in :mod:`repro.storage.columns`.
 """
 
 from .compression import compress, decompress
 from .container import (
     ContainerOptions,
+    DecodedFile,
     LazyDecodedFile,
     ReadStats,
     StorageError,
@@ -20,7 +19,6 @@ from .container import (
     encode_event_graph_v3,
     parse_header,
 )
-from .encoder import DecodedFile, EncodeOptions, decode_event_graph, encode_event_graph
 from .snapshot import (
     Snapshot,
     decode_snapshot,
@@ -35,6 +33,8 @@ from .varint import (
     decode_uvarint,
     encode_svarint,
     encode_uvarint,
+    pack_uvarints,
+    unpack_uvarints,
 )
 
 __all__ = [
@@ -42,14 +42,12 @@ __all__ = [
     "ByteWriter",
     "ContainerOptions",
     "DecodedFile",
-    "EncodeOptions",
     "LazyDecodedFile",
     "ReadStats",
     "Snapshot",
     "StorageError",
     "compress",
     "decompress",
-    "decode_event_graph",
     "decode_event_graph_v3",
     "decode_file",
     "decode_snapshot",
@@ -57,11 +55,12 @@ __all__ = [
     "decode_text",
     "decode_uvarint",
     "decode_version",
-    "encode_event_graph",
     "encode_event_graph_v3",
     "encode_snapshot",
     "encode_svarint",
     "encode_uvarint",
     "encode_version",
+    "pack_uvarints",
     "parse_header",
+    "unpack_uvarints",
 ]

@@ -1,92 +1,20 @@
-"""A small self-contained LZ-style byte compressor.
+"""Column compression: stdlib zlib (RFC 1950), the container's one codec."""
 
-The paper's storage format LZ4-compresses the concatenated inserted text
-(§3.8).  LZ4 is not available offline, so this module implements a compact
-LZ77 variant with the same flavour: a token stream of literal runs and
-back-references (offset, length) found with a rolling hash table.  It is not
-meant to compete with LZ4 on speed, only to provide a realistic "compression
-enabled" mode; the file-size benchmarks disable compression by default,
-mirroring the paper (which disables LZ4/gzip for the like-for-like
-comparison in §4.5).
-"""
-
-from __future__ import annotations
-
-from .varint import ByteReader, ByteWriter
-
-__all__ = ["compress", "decompress"]
-
-_MIN_MATCH = 4
-_MAX_MATCH = 255 + _MIN_MATCH
-_WINDOW = 1 << 16
+import zlib
 
 
 def compress(data: bytes) -> bytes:
-    """Compress ``data``; the result always round-trips through :func:`decompress`."""
-    writer = ByteWriter()
-    writer.write_uvarint(len(data))
-    table: dict[bytes, int] = {}
-    i = 0
-    literal_start = 0
-    n = len(data)
-    while i < n:
-        match_len = 0
-        match_offset = 0
-        if i + _MIN_MATCH <= n:
-            key = data[i : i + _MIN_MATCH]
-            candidate = table.get(key)
-            if candidate is not None and i - candidate <= _WINDOW:
-                length = _MIN_MATCH
-                max_len = min(_MAX_MATCH, n - i)
-                while length < max_len and data[candidate + length] == data[i + length]:
-                    length += 1
-                match_len = length
-                match_offset = i - candidate
-            table[key] = i
-        if match_len >= _MIN_MATCH:
-            literal = data[literal_start:i]
-            _emit(writer, literal, match_offset, match_len)
-            # Index a few positions inside the match so later data can refer
-            # back into it (coarse, but keeps compression reasonable).
-            end = i + match_len
-            step = max(1, match_len // 8)
-            for j in range(i + 1, min(end, n - _MIN_MATCH), step):
-                table[data[j : j + _MIN_MATCH]] = j
-            i = end
-            literal_start = i
-        else:
-            i += 1
-    if literal_start < n or n == 0:
-        _emit(writer, data[literal_start:], 0, 0)
-    return writer.getvalue()
+    return zlib.compress(data)
 
 
-def _emit(writer: ByteWriter, literal: bytes, offset: int, length: int) -> None:
-    writer.write_uvarint(len(literal))
-    writer.write_bytes(literal)
-    writer.write_uvarint(offset)
-    if offset:
-        writer.write_uvarint(length - _MIN_MATCH)
-
-
-def decompress(data: bytes) -> bytes:
-    """Inverse of :func:`compress`."""
-    reader = ByteReader(data)
-    expected = reader.read_uvarint()
-    out = bytearray()
-    while len(out) < expected or (expected == 0 and not reader.at_end()):
-        literal_len = reader.read_uvarint()
-        out.extend(reader.read_bytes(literal_len))
-        offset = reader.read_uvarint()
-        if offset:
-            length = reader.read_uvarint() + _MIN_MATCH
-            start = len(out) - offset
-            if start < 0:
-                raise ValueError("corrupt compressed stream: bad offset")
-            for k in range(length):
-                out.append(out[start + k])
-        if expected == 0:
-            break
-    if len(out) != expected:
-        raise ValueError("corrupt compressed stream: length mismatch")
-    return bytes(out)
+def decompress(data: bytes, raw_length: int) -> bytes:
+    """Inflate exactly ``raw_length`` bytes, never allocating more; anything
+    else (corrupt, short, long, trailing input) is a ``ValueError``."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(data, raw_length + 1)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt deflate stream: {exc}") from exc
+    if len(out) != raw_length or not inflater.eof or inflater.unused_data:
+        raise ValueError(f"deflate stream is not exactly {raw_length} bytes")
+    return out

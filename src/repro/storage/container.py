@@ -1,11 +1,7 @@
-"""Storage format v3: a columnar container with selective column reads.
+"""The event-graph file: a columnar container with selective column reads.
 
-Version 2 (:mod:`repro.storage.encoder`) already stores the event graph in
-column-oriented form, but the columns are length-prefixed and *interleaved* in
-one stream: a reader must walk past every earlier column to reach a later one,
-so a cold load pays for the whole file before the first byte of text renders.
-
-Version 3 re-layouts the same columns as a **random-access container**::
+One format (``docs/SPEC.md`` is the byte-level reference), laid out as a
+**random-access container**::
 
     +------+---------+-------+------------+-------------+
     | EGW3 | version | flags | num_events | num_columns |
@@ -19,8 +15,9 @@ Version 3 re-layouts the same columns as a **random-access container**::
     | column blocks, contiguous, in table order         |
     +---------------------------------------------------+
 
-Each column block is independently compressed (the repo's LZ77, stored raw
-when compression does not help) and CRC-framed, so a reader can
+Each column block (layouts in :mod:`repro.storage.columns`) is independently
+deflated with stdlib ``zlib`` (stored raw when that does not shrink it) and
+CRC-framed, so a reader can
 
 * **selectively read** just the columns it needs — :func:`decode_text`
   reconstructs the current document text from the snapshot column (or, for
@@ -33,14 +30,17 @@ when compression does not help) and CRC-framed, so a reader can
   which blocks were touched;
 * **fail loudly** — every malformed input raises :class:`StorageError` with a
   stable :attr:`~StorageError.code`; a flipped bit is caught by the header or
-  column CRC, never silently decoded into a wrong graph.
+  column CRC, never silently decoded into a wrong graph, and an inflate never
+  allocates more than the table entry declared.
 
 Unknown column ids are skipped (the header CRC still covers their table
 entries), which keeps the format extensible: a future writer can add, say, a
 formatting-spans column without breaking old readers.
 
-Version 2 files remain readable through :func:`decode_file`, which sniffs the
-magic and dispatches; v2 is now a read-only legacy format.
+The paper's like-for-like *uncompressed* size comparison (§4.5) is
+``ContainerOptions(compress_columns=False)`` of this same format.  Files of
+earlier format versions (3: another column compressor, interleaved ops) answer
+``unsupported-version``.
 """
 
 from __future__ import annotations
@@ -50,20 +50,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.event_graph import EventGraph
-from ..core.ids import EventId, OpKind
+from ..core.ids import OpKind
 from ..core.walker import EgWalker
 from . import compression
-from .encoder import (
-    DecodedFile,
-    EncodeOptions,
-    _build_graph,
-    _check_snapshot_length,
-    _decode_ops_column,
-    _decode_parents_column,
-    _encode_content_column,
-    _encode_ops_column,
-    _encode_parents_column,
-    decode_event_graph,
+from .columns import (
+    build_graph,
+    check_snapshot_length,
+    decode_id_columns,
+    decode_ops_column,
+    decode_parents_column,
+    encode_content_column,
+    encode_id_columns,
+    encode_ops_column,
+    encode_parents_column,
 )
 from .varint import ByteReader, ByteWriter
 
@@ -72,12 +71,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..history.history import History
 
 __all__ = [
-    "MAGIC_V2",
     "MAGIC_V3",
     "COLUMN_NAMES",
     "ContainerOptions",
     "ColumnInfo",
     "ContainerHeader",
+    "DecodedFile",
     "LazyDecodedFile",
     "ReadStats",
     "StorageError",
@@ -88,15 +87,16 @@ __all__ = [
     "parse_header",
 ]
 
-MAGIC_V2 = b"EGWK"
 MAGIC_V3 = b"EGW3"
-_FORMAT_VERSION = 3
+#: Version 4: deflated columns, ops as three sub-streams with cursor-relative
+#: positions.  Version 3 (another compressor, interleaved ops) is not read.
+_FORMAT_VERSION = 4
 
 #: File-level flags (column-level concerns like compression live per column).
 _FLAG_PRUNED = 1
 
-#: Column ids.  v3 splits v2's combined agents+ids column in two so a reader
-#: resolving only *who edited* never pays for the id runs (and vice versa).
+#: Column ids.  Agents and ids are separate so a reader resolving only *who
+#: edited* never pays for the id runs (and vice versa).
 COL_OPS = 1
 COL_CONTENT = 2
 COL_PARENTS = 3
@@ -113,16 +113,8 @@ COLUMN_NAMES: Mapping[int, str] = {
     COL_SNAPSHOT: "snapshot",
 }
 
-#: Column-level flags.
+#: Column-level flags.  Bit 0: the block is a zlib (RFC 1950) stream.
 _COL_FLAG_COMPRESSED = 1
-
-#: Columns every v3 file must carry (snapshot is optional).
-_REQUIRED_COLUMNS = (COL_OPS, COL_CONTENT, COL_PARENTS, COL_AGENTS, COL_IDS)
-
-#: Columns :func:`decode_text` may touch on the no-snapshot path.  ``parents``
-#: is included only to *check* linearity (for a linear history the column is a
-#: single zero byte); the history columns proper (agents, ids) are never read.
-TEXT_COLUMNS = (COL_SNAPSHOT, COL_OPS, COL_CONTENT, COL_PARENTS)
 
 
 class StorageError(ValueError):
@@ -151,13 +143,12 @@ class StorageError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class ContainerOptions:
-    """Options controlling the v3 on-disk representation.
+    """Options controlling the on-disk representation.
 
     Attributes:
-        compress_columns: LZ-compress each column independently, storing the
-            raw bytes whenever compression does not shrink them.  On by
-            default — same-typed columns compress far better than v2's
-            interleaved rows, which is where "v3 ≤ v2" comes from.
+        compress_columns: deflate each column independently, storing the raw
+            bytes whenever that does not shrink them.  On by default; off is
+            the paper's like-for-like uncompressed size comparison (§4.5).
         prune_deleted_content: omit the text of deleted characters (Figure 12
             mode); the graph structure is kept, so merging still works.
         include_snapshot: store the final document text as its own column so
@@ -194,7 +185,7 @@ class ColumnInfo:
 
 @dataclass(frozen=True, slots=True)
 class ContainerHeader:
-    """The parsed, CRC-verified header of a v3 file."""
+    """The parsed, CRC-verified header of a file."""
 
     flags: int
     num_events: int
@@ -217,6 +208,15 @@ class ContainerHeader:
             name = COLUMN_NAMES.get(column_id, str(column_id))
             raise StorageError("missing-column", f"required column {name!r} absent")
         return column
+
+
+@dataclass(slots=True)
+class DecodedFile:
+    """A fully decoded file (:func:`decode_file`)."""
+
+    graph: EventGraph
+    snapshot: str | None
+    pruned: bool
 
 
 @dataclass(slots=True)
@@ -250,31 +250,37 @@ class ReadStats:
 def encode_event_graph_v3(
     graph: EventGraph, options: ContainerOptions | None = None
 ) -> bytes:
-    """Serialise ``graph`` as a v3 columnar container.
+    """Serialise ``graph`` as a columnar container.
 
-    The output is deterministic for a given graph and options (agent table in
-    first-appearance order, deterministic compressor), so re-encoding a
-    decoded file reproduces it byte for byte.
+    The column payloads are deterministic for a given graph and options
+    (agent table in first-appearance order), so an uncompressed file
+    re-encodes byte for byte; a compressed one does so only within one zlib
+    build — deflate output is not pinned across zlib versions.
     """
     options = options or ContainerOptions()
     if options.include_snapshot and options.final_text is None:
         raise ValueError("include_snapshot requires final_text")
 
-    legacy = EncodeOptions(prune_deleted_content=options.prune_deleted_content)
-    agents_col, ids_col = _encode_agent_and_id_columns(graph)
+    ids, parents, ops = graph.to_columns()
+    agents_col, ids_col = encode_id_columns(ids, ops)
     payloads: list[tuple[int, bytes]] = [
-        (COL_OPS, _encode_ops_column(graph)),
-        (COL_CONTENT, _encode_content_column(graph, legacy)),
-        (COL_PARENTS, _encode_parents_column(graph)),
+        (COL_OPS, encode_ops_column(ops)),
+        (COL_CONTENT, encode_content_column(graph, ops, options.prune_deleted_content)),
+        (COL_PARENTS, encode_parents_column(parents)),
         (COL_AGENTS, agents_col),
         (COL_IDS, ids_col),
     ]
     if options.include_snapshot:
         payloads.append((COL_SNAPSHOT, (options.final_text or "").encode("utf-8")))
 
-    flags = _FLAG_PRUNED if options.prune_deleted_content else 0
-
-    blocks: list[tuple[int, int, bytes, int]] = []
+    header = ByteWriter()
+    header.write_bytes(MAGIC_V3)
+    header.write_uvarint(_FORMAT_VERSION)
+    header.write_uvarint(_FLAG_PRUNED if options.prune_deleted_content else 0)
+    header.write_uvarint(len(ops))
+    header.write_uvarint(len(payloads))
+    blocks: list[bytes] = []
+    offset = 0
     for column_id, raw in payloads:
         stored = raw
         col_flags = 0
@@ -283,72 +289,25 @@ def encode_event_graph_v3(
             if len(packed) < len(raw):
                 stored = packed
                 col_flags = _COL_FLAG_COMPRESSED
-        blocks.append((column_id, col_flags, stored, len(raw)))
-
-    header = ByteWriter()
-    header.write_bytes(MAGIC_V3)
-    header.write_uvarint(_FORMAT_VERSION)
-    header.write_uvarint(flags)
-    header.write_uvarint(len(graph))
-    header.write_uvarint(len(blocks))
-    offset = 0
-    for column_id, col_flags, stored, raw_length in blocks:
         header.write_uvarint(column_id)
         header.write_uvarint(col_flags)
         header.write_uvarint(offset)
         header.write_uvarint(len(stored))
-        header.write_uvarint(raw_length)
+        header.write_uvarint(len(raw))
         header.write_bytes(zlib.crc32(stored).to_bytes(4, "big"))
         offset += len(stored)
+        blocks.append(stored)
     header_bytes = header.getvalue()
-
-    out = ByteWriter()
-    out.write_bytes(header_bytes)
-    out.write_bytes(zlib.crc32(header_bytes).to_bytes(4, "big"))
-    for _, _, stored, _ in blocks:
-        out.write_bytes(stored)
-    return out.getvalue()
-
-
-def _encode_agent_and_id_columns(graph: EventGraph) -> tuple[bytes, bytes]:
-    """v2's combined ids column, split in two: the agent name table and the
-    ``(agent_index, first_seq, char_count)`` runs (one run can span many
-    consecutive events by the same agent)."""
-    runs: list[tuple[str, int, int]] = []
-    for event in graph.events():
-        agent, seq = event.id
-        length = event.op.length
-        if runs and runs[-1][0] == agent and runs[-1][1] + runs[-1][2] == seq:
-            runs[-1] = (agent, runs[-1][1], runs[-1][2] + length)
-        else:
-            runs.append((agent, seq, length))
-
-    agents: list[str] = []
-    agent_index: dict[str, int] = {}
-    for agent, _, _ in runs:
-        if agent not in agent_index:
-            agent_index[agent] = len(agents)
-            agents.append(agent)
-
-    agents_writer = ByteWriter()
-    agents_writer.write_uvarint(len(agents))
-    for agent in agents:
-        agents_writer.write_string(agent)
-
-    ids_writer = ByteWriter()
-    ids_writer.write_uvarint(len(runs))
-    for agent, start_seq, count in runs:
-        ids_writer.write_uvarint(agent_index[agent])
-        ids_writer.write_uvarint(start_seq)
-        ids_writer.write_uvarint(count)
-    return agents_writer.getvalue(), ids_writer.getvalue()
+    return b"".join(
+        (header_bytes, zlib.crc32(header_bytes).to_bytes(4, "big"), *blocks)
+    )
 
 
 # ----------------------------------------------------------------------
 # Header parsing
 # ----------------------------------------------------------------------
 def parse_header(data: bytes) -> ContainerHeader:
-    """Parse and fully validate a v3 header + column table.
+    """Parse and fully validate a header + column table.
 
     Raises :class:`StorageError` on any malformation; after this returns, all
     column table entries are in range and contiguous, so block slicing cannot
@@ -357,7 +316,7 @@ def parse_header(data: bytes) -> ContainerHeader:
     if len(data) < 4:
         raise StorageError("truncated-header", "file shorter than the magic")
     if data[:4] != MAGIC_V3:
-        raise StorageError("bad-magic", "not a v3 event graph container")
+        raise StorageError("bad-magic", "not an event graph container")
     reader = ByteReader(data)
     try:
         reader.read_bytes(4)
@@ -425,7 +384,7 @@ def parse_header(data: bytes) -> ContainerHeader:
 
 
 def _read_column(data: bytes, header: ContainerHeader, column: ColumnInfo) -> bytes:
-    """Slice, CRC-check, and (if needed) decompress one column block."""
+    """Slice, CRC-check, and (if needed) inflate one column block."""
     start = header.header_length + column.offset
     stored = data[start : start + column.stored_length]
     if zlib.crc32(stored) != column.crc32:
@@ -433,59 +392,38 @@ def _read_column(data: bytes, header: ContainerHeader, column: ColumnInfo) -> by
             "column-crc-mismatch", f"column {column.name!r} block corrupted"
         )
     if not column.compressed:
-        payload = stored
-    else:
-        try:
-            payload = compression.decompress(stored)
-        except ValueError as exc:
+        if len(stored) != column.raw_length:
             raise StorageError(
-                "column-decode", f"column {column.name!r} failed to decompress"
-            ) from exc
-    if len(payload) != column.raw_length:
-        raise StorageError(
-            "column-decode",
-            f"column {column.name!r} decoded to {len(payload)} bytes, "
-            f"expected {column.raw_length}",
-        )
-    return payload
+                "column-decode",
+                f"column {column.name!r} stores {len(stored)} raw bytes, "
+                f"declares {column.raw_length}",
+            )
+        return stored
+    try:
+        return compression.decompress(stored, column.raw_length)
+    except ValueError as exc:
+        raise StorageError("column-decode", f"column {column.name!r}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # Full decode
 # ----------------------------------------------------------------------
 def decode_event_graph_v3(data: bytes) -> DecodedFile:
-    """Parse a v3 file into a fully materialised :class:`DecodedFile`."""
+    """Parse a file into a fully materialised :class:`DecodedFile`."""
     lazy = LazyDecodedFile(data)
     graph = lazy.graph
     return DecodedFile(graph=graph, snapshot=lazy.snapshot, pruned=lazy.pruned)
 
 
-def decode_file(data: bytes) -> DecodedFile:
-    """Decode an event-graph file of either format, sniffing the magic.
-
-    v3 files decode through the container machinery; v2 files go through the
-    legacy decoder (:func:`repro.storage.encoder.decode_event_graph`), which
-    is retained read-only.
-    """
-    if len(data) >= 4 and data[:4] == MAGIC_V2:
-        try:
-            return decode_event_graph(data)
-        except StorageError:
-            raise
-        except ValueError as exc:
-            raise StorageError("column-decode", f"legacy v2 file: {exc}") from exc
-    if len(data) >= 4 and data[:4] == MAGIC_V3:
-        return decode_event_graph_v3(data)
-    if len(data) < 4:
-        raise StorageError("truncated-header", "file shorter than the magic")
-    raise StorageError("bad-magic", "not an event graph file")
+#: The format-neutral name the load paths use (there is one format).
+decode_file = decode_event_graph_v3
 
 
 # ----------------------------------------------------------------------
 # Selective reads
 # ----------------------------------------------------------------------
 def decode_text(data: bytes) -> str:
-    """Reconstruct the current document text from a v3 file without
+    """Reconstruct the current document text from a file without
     materialising the causal graph.
 
     Fast path: the snapshot column.  Fallback: for linear histories (the
@@ -499,7 +437,7 @@ def decode_text(data: bytes) -> str:
 
 
 def _replay_linear_text(
-    ops: list[tuple[OpKind, int, int]], content: bytes, pruned: bool
+    ops: tuple[bytes, list[int], list[int]], content: bytes, pruned: bool
 ) -> str:
     """Replay a linear history's ops over its content column, span-wise.
 
@@ -508,9 +446,9 @@ def _replay_linear_text(
     most two at the boundaries), so the cost is O(spans), never O(chars).
     """
     spans: list[list[int]] = []
-
-    for index, (kind, pos, length) in enumerate(ops):
-        if kind is OpKind.INSERT:
+    kinds, positions, lengths = ops
+    for index, (kind, pos, length) in enumerate(zip(kinds, positions, lengths)):
+        if kind == OpKind.INSERT:
             _splice_spans(spans, pos, 0, [index, 0, length])
         else:
             _splice_spans(spans, pos, length, None)
@@ -521,8 +459,8 @@ def _replay_linear_text(
         # earlier insertions' lengths.
         starts: dict[int, int] = {}
         total = 0
-        for index, (kind, _, length) in enumerate(ops):
-            if kind is OpKind.INSERT:
+        for index, (kind, length) in enumerate(zip(kinds, lengths)):
+            if kind == OpKind.INSERT:
                 starts[index] = total
                 total += length
         return "".join(
@@ -588,7 +526,7 @@ def _splice_spans(
 # Lazy decoding
 # ----------------------------------------------------------------------
 class LazyDecodedFile:
-    """A v3 file decoded on demand, column by column.
+    """A file decoded on demand, column by column.
 
     Construction parses (and CRC-verifies) only the header; each column block
     is sliced, CRC-checked, and decompressed at most once, on first use.
@@ -623,10 +561,6 @@ class LazyDecodedFile:
     def has_snapshot(self) -> bool:
         return self.header.find(COL_SNAPSHOT) is not None
 
-    @property
-    def file_size(self) -> int:
-        return len(self._data)
-
     # ------------------------------------------------------------------
     def column_payload(self, column_id: int) -> bytes:
         """The decoded payload of a column, read (and accounted) at most once."""
@@ -643,17 +577,20 @@ class LazyDecodedFile:
     def snapshot(self) -> str | None:
         if not self.has_snapshot:
             return None
-        return self.column_payload(COL_SNAPSHOT).decode("utf-8")
+        try:
+            return self.column_payload(COL_SNAPSHOT).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageError("column-decode", f"snapshot column: {exc}") from exc
 
     # ------------------------------------------------------------------
     def selective_text(self) -> str:
         """Current text from the cheap columns only; raises
         ``StorageError("text-requires-graph")`` when they do not suffice."""
-        if self.has_snapshot:
-            return self.column_payload(COL_SNAPSHOT).decode("utf-8")
-        parents_payload = self.column_payload(COL_PARENTS)
-        exception_count = _parents_exception_count(parents_payload)
-        if exception_count != 0:
+        snapshot = self.snapshot
+        if snapshot is not None:
+            return snapshot
+        # Zero exceptions to "parent = previous event" is the single byte 00.
+        if self.column_payload(COL_PARENTS) != b"\x00":
             raise StorageError(
                 "text-requires-graph",
                 "no snapshot column and the history is not linear; "
@@ -678,11 +615,10 @@ class LazyDecodedFile:
         return self._text
 
     # ------------------------------------------------------------------
-    def _decode_ops(self) -> list[tuple[OpKind, int, int]]:
+    def _decode_ops(self) -> tuple[bytes, list[int], list[int]]:
+        payload = self.column_payload(COL_OPS)
         try:
-            return _decode_ops_column(self.column_payload(COL_OPS), self.num_events)
-        except StorageError:
-            raise
+            return decode_ops_column(payload, self.num_events)
         except ValueError as exc:
             raise StorageError("column-decode", f"ops column: {exc}") from exc
 
@@ -721,18 +657,17 @@ class LazyDecodedFile:
         self.stats.hydrations += 1
         num_events = self.num_events
         ops = self._decode_ops()
+        kinds, _, lengths = ops
         try:
-            parents, exceptions = _decode_parents_column(
+            parents, exceptions = decode_parents_column(
                 self.column_payload(COL_PARENTS), num_events
             )
-            ids = _decode_id_columns(
-                self.column_payload(COL_AGENTS),
-                self.column_payload(COL_IDS),
-                [length for _, _, length in ops],
+            ids = decode_id_columns(
+                self.column_payload(COL_AGENTS), self.column_payload(COL_IDS), lengths
             )
-            _check_snapshot_length(self.snapshot, ops, linear=exceptions == 0)
+            check_snapshot_length(self.snapshot, kinds, lengths, linear=exceptions == 0)
             content = self.column_payload(COL_CONTENT).decode("utf-8")
-            graph = _build_graph(ops, parents, ids, content, self.pruned)
+            graph = build_graph(ops, parents, ids, content, self.pruned)
         except StorageError:
             raise
         except ValueError as exc:
@@ -740,46 +675,3 @@ class LazyDecodedFile:
         self.stats.events_materialised += num_events
         return graph
 
-
-def _parents_exception_count(payload: bytes) -> int:
-    """The parents column's leading exception count (0 ⇔ linear history)."""
-    try:
-        return ByteReader(payload).read_uvarint()
-    except ValueError as exc:
-        raise StorageError("column-decode", f"parents column: {exc}") from exc
-
-
-def _decode_id_columns(
-    agents_payload: bytes, ids_payload: bytes, lengths: list[int]
-) -> list[EventId]:
-    """Slice the id runs back into per-event start ids using event lengths."""
-    agents_reader = ByteReader(agents_payload)
-    agent_count = agents_reader.read_uvarint()
-    agents = [agents_reader.read_string() for _ in range(agent_count)]
-    if not agents_reader.at_end():
-        raise ValueError("agents column has trailing bytes")
-
-    reader = ByteReader(ids_payload)
-    run_count = reader.read_uvarint()
-    ids: list[EventId] = []
-    event = 0
-    for _ in range(run_count):
-        agent_idx = reader.read_uvarint()
-        if agent_idx >= len(agents):
-            raise ValueError("ids column references an unknown agent")
-        agent = agents[agent_idx]
-        seq = reader.read_uvarint()
-        remaining = reader.read_uvarint()
-        while remaining > 0:
-            if event >= len(lengths):
-                raise ValueError("ids column does not match event count")
-            length = lengths[event]
-            if length > remaining:
-                raise ValueError("id run does not align with event boundaries")
-            ids.append(EventId(agent, seq))
-            seq += length
-            remaining -= length
-            event += 1
-    if event != len(lengths):
-        raise ValueError("ids column does not match event count")
-    return ids

@@ -128,8 +128,14 @@ class TestExperimentRunners:
         for row in full:
             assert row["egwalker_bytes"] > row["inserted_text_bytes"] * 0.5
             assert row["egwalker_cached_doc_bytes"] >= row["egwalker_bytes"]
+            assert row["egwalker_compressed_bytes"] <= row["egwalker_bytes"]
+            assert (
+                row["egwalker_compressed_cached_doc_bytes"]
+                <= row["egwalker_cached_doc_bytes"]
+            )
         for row in pruned:
             assert row["egwalker_pruned_bytes"] >= row["final_doc_bytes"] * 0.5
+            assert row["egwalker_compressed_pruned_bytes"] <= row["egwalker_pruned_bytes"]
 
     def test_sort_order_ablation(self, tiny_traces):
         rows = run_sort_order_ablation(tiny_traces, trace_names=("C1",))

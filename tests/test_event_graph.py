@@ -334,7 +334,42 @@ class TestBulkConstruction:
             graph.dependency_index(graph.id_of(0))
         assert self._state(bulk) == self._state(looped)
 
+    @pytest.mark.parametrize("shape", ["sequential", "concurrent"])
+    def test_to_columns_is_the_exact_inverse(self, shape):
+        """``from_columns(*g.to_columns()) ≡ g`` column for column on a fresh
+        graph, and the same events once extensions and splits have made
+        handles differ from indices."""
+        from repro.traces.generator import generate_concurrent, generate_sequential
+
+        if shape == "sequential":
+            graph = generate_sequential("cols-seq", target_events=120, authors=3, seed=5).graph
+        else:
+            graph = generate_concurrent("cols-conc", target_events=120, seed=6).graph
+        assert graph.to_columns() == self._columns(graph)
+        assert self._state(EventGraph.from_columns(*graph.to_columns())) == self._state(
+            EventGraph.from_columns(*self._columns(graph))
+        )
+
+        graph.add_local_event("late", insert_op(0, "xyz"))
+        graph.extend_event(len(graph) - 1, insert_op(3, "w"))
+        graph.split_event(len(graph) - 1, 2)
+        early_run = next(e.index for e in graph.events() if e.op.length > 1)
+        graph.split_event(early_run, 1)  # the right half's handle is the newest
+        assert [graph.handle_at(i) for i in range(len(graph))] != list(range(len(graph)))
+        ids, parents, ops = graph.to_columns()
+        assert (ids, parents, ops) == self._columns(graph)
+        rebuilt = EventGraph.from_columns(ids, parents, ops)
+        assert rebuilt.to_columns() == (ids, parents, ops)
+        assert rebuilt.frontier == graph.frontier
+        assert rebuilt.num_chars == graph.num_chars
+        assert [rebuilt.inserted_chars_through(i) for i in range(len(graph))] == [
+            graph.inserted_chars_through(i) for i in range(len(graph))
+        ]
+        for agent in ("late", ids[0].agent):
+            assert rebuilt.next_seq_for(agent) == graph.next_seq_for(agent)
+
     def test_empty_columns_give_an_empty_graph(self):
+        assert EventGraph().to_columns() == ([], [], [])
         assert self._state(EventGraph.from_columns([], [], [])) == self._state(EventGraph())
 
     @pytest.mark.parametrize(
@@ -358,3 +393,26 @@ class TestBulkConstruction:
         ops = [insert_op(0, "ab") for _ in parents]
         with pytest.raises(ValueError):
             EventGraph.from_columns(ids, parents, ops)
+
+    @pytest.mark.parametrize(
+        "refs",
+        [(0, 0), (1, 1, 2), (-1,), (-1, 0), (3,), (0, 3), (0, 4), (2, 2)],
+    )
+    def test_one_parents_validator_for_both_paths(self, refs):
+        """``add_event(..., parents_are_indices=True)`` and the bulk path
+        refuse the same parent tuples: a duplicate, a negative index, the
+        event's own index or a later one."""
+        ids = [EventId("a", 0), EventId("b", 0), EventId("c", 0), EventId("d", 0)]
+        parents = [(), (0,), (0,), refs]
+        ops = [insert_op(0, "x") for _ in ids]
+        with pytest.raises(ValueError, match="sorted, distinct"):
+            EventGraph.from_columns(ids, parents, ops)
+        looped = EventGraph.from_columns(ids[:3], parents[:3], ops[:3])
+        with pytest.raises(ValueError, match="sorted, distinct"):
+            looped.add_event(ids[3], refs, ops[3], parents_are_indices=True)
+        assert len(looped) == 3  # the refused event left nothing behind
+        # ...and both accept the same well-formed tuple.
+        looped.add_event(ids[3], (1, 2), ops[3], parents_are_indices=True)
+        assert looped.to_columns() == EventGraph.from_columns(
+            ids, parents[:3] + [(1, 2)], ops
+        ).to_columns()

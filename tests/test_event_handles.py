@@ -29,7 +29,7 @@ from repro.core.event_graph import EventGraph, expand_to_chars
 from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.oplog import RemoteEvent
 from repro.core.walker import EgWalker
-from repro.storage import decode_event_graph, encode_event_graph
+from repro.storage import decode_file, encode_event_graph_v3
 
 
 def sequential_graph(chunks: list[str], agent: str = "a") -> EventGraph:
@@ -312,7 +312,7 @@ class TestStorageRoundTrip:
         graph.add_event(EventId("z", 0), (), insert_op(0, "Q"))
         graph.split_event(1, 1)
         original = [(e.id, e.parents, e.op) for e in graph.events()]
-        decoded = decode_event_graph(encode_event_graph(graph)).graph
+        decoded = decode_file(encode_event_graph_v3(graph)).graph
         assert [(e.id, e.parents, e.op) for e in decoded.events()] == original
         # The decoded graph is a live columnar graph: handles resolve, the
         # order labels are consistent, and it accepts further growth.

@@ -21,9 +21,9 @@ from repro.core.oplog import recarve_events
 from repro.core.walker import EgWalker
 from repro.history import ROOT, History, Version, apply_ops
 from repro.storage import (
-    decode_event_graph,
+    decode_file,
     decode_version,
-    encode_event_graph,
+    encode_event_graph_v3,
     encode_version,
 )
 
@@ -307,9 +307,9 @@ class TestHandleStability:
         saved_texts = {
             v: alice.text_at(v) for v in (base, branch_a, branch_b, alice.version())
         }
-        data = encode_event_graph(alice.oplog.graph)
+        data = encode_event_graph_v3(alice.oplog.graph)
         wire_versions = {encode_version(v): text for v, text in saved_texts.items()}
-        decoded = decode_event_graph(data)
+        decoded = decode_file(data)
         history = History.over_graph(decoded.graph)
         for blob, text in wire_versions.items():
             assert history.text_at(decode_version(blob)) == text
@@ -401,7 +401,7 @@ class TestMultiHeadCriticalVersions:
     def test_storage_round_trip_of_a_two_head_version_handle(self):
         alice, saved = two_author_session()
         blobs = {name: encode_version(version) for name, version in saved.items()}
-        decoded = decode_event_graph(encode_event_graph(alice.oplog.graph))
+        decoded = decode_file(encode_event_graph_v3(alice.oplog.graph))
         history = History.over_graph(decoded.graph)  # cuts come from a rebuild
         restored = {name: decode_version(blob) for name, blob in blobs.items()}
         assert restored == saved

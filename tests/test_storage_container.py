@@ -1,25 +1,27 @@
-"""Storage format v3: container round trips, the corruption battery, lazy
-hydration accounting, and v2→v3 migration parity.
+"""The storage container: round trips, the corruption battery, lazy
+hydration accounting, and the golden corpus.
 
-The battery mirrors ``test_wal.py``'s rigor for the container: a v3 file is
-truncated at **every** byte offset and has single bytes flipped throughout
-the header and in every column block, and each mutation must surface as a
-structured :class:`~repro.storage.StorageError` with a stable ``code`` —
-never a silent wrong decode.  Stale offsets, duplicated/missing columns,
-per-column CRC mismatches and bad compressed payloads are each staged
-explicitly by rewriting the column table (and re-signing the header CRC, so
-only the staged defect can trip).
+The battery mirrors ``test_wal.py``'s rigor for the container: a file is
+truncated at **every** byte offset and has **every** byte of the header and
+of the column blocks flipped, through every load path, and each mutation must
+surface as a structured :class:`~repro.storage.StorageError` with a stable
+``code`` — never a silent wrong decode.  Stale offsets, duplicated/missing
+columns, per-column CRC mismatches, mislabelled compression and internally
+inconsistent column payloads are each staged explicitly by rewriting the
+column table (and re-signing the header CRC, so only the staged defect can
+trip).
 
-Migration parity pins the v2→v3 path: every fixture graph decoded from its
-v2 bytes and re-encoded as v3 must carry an equivalent event graph (ids,
-parents, ops, frontier, replayed text), and a committed golden corpus
-(``tests/golden/storage_v3``) fails loudly if either format's bytes drift.
-Regenerate with ``python tests/test_storage_container.py --regenerate``.
+A committed golden corpus (``tests/golden/storage_v3``) pins the format by
+what is stable: uncompressed files byte for byte, compressed files (deflate
+output differs between zlib builds) by their table structure and inflated
+column payloads.  Regenerate with
+``python tests/test_storage_container.py --regenerate``.
 """
 
 from __future__ import annotations
 
 import os
+import tracemalloc
 import zlib
 
 import pytest
@@ -30,14 +32,13 @@ from repro.core.ids import EventId, delete_op, insert_op
 from repro.history import History, Version
 from repro.storage import (
     ContainerOptions,
-    EncodeOptions,
     LazyDecodedFile,
     StorageError,
     decode_event_graph_v3,
     decode_file,
     decode_text,
-    encode_event_graph,
     encode_event_graph_v3,
+    pack_uvarints,
 )
 from repro.storage.container import (
     COL_AGENTS,
@@ -177,7 +178,7 @@ ALL_OPTIONS = {
 # Table-rewriting helpers (for staging single defects with a valid header)
 # ----------------------------------------------------------------------
 def _entries_of(data: bytes):
-    """Parse a v3 file into (header, mutable column-entry dicts with blocks)."""
+    """Parse a file into (header, mutable column-entry dicts with blocks)."""
     header = parse_header(data)
     blocks = data[header.header_length :]
     entries = [
@@ -203,12 +204,12 @@ def _reflow(entries) -> None:
         offset += entry["stored_length"]
 
 
-def _emit(header, entries) -> bytes:
-    """Re-emit a v3 file from entry dicts, re-signing the header CRC (so a
+def _emit(header, entries, version: int = 4) -> bytes:
+    """Re-emit a file from entry dicts, re-signing the header CRC (so a
     staged table defect is the *only* thing a decoder can trip on)."""
     writer = ByteWriter()
     writer.write_bytes(MAGIC_V3)
-    writer.write_uvarint(3)
+    writer.write_uvarint(version)
     writer.write_uvarint(header.flags)
     writer.write_uvarint(header.num_events)
     writer.write_uvarint(len(entries))
@@ -245,6 +246,22 @@ def _append_column(data: bytes, column_id: int, payload: bytes) -> bytes:
     return _emit(header, entries)
 
 
+def column_payloads(data: bytes) -> dict[int, bytes]:
+    """Column id → inflated payload, for every column of ``data``."""
+    lazy = LazyDecodedFile(data)
+    return {c.column_id: lazy.column_payload(c.column_id) for c in lazy.header.columns}
+
+
+def assert_same_file(a: bytes, b: bytes, context: str = "") -> None:
+    """Equal up to what zlib is free to vary: the same file flags, event
+    count and column ids in the same order, and identical inflated payloads
+    (compressed blocks themselves differ between zlib builds)."""
+    ha, hb = parse_header(a), parse_header(b)
+    assert (ha.flags, ha.num_events) == (hb.flags, hb.num_events), context
+    assert [c.column_id for c in ha.columns] == [c.column_id for c in hb.columns], context
+    assert column_payloads(a) == column_payloads(b), context
+
+
 def test_rewrite_helpers_are_faithful():
     """Sanity: an identity rewrite reproduces the file byte for byte."""
     data = _battery_file()
@@ -271,8 +288,30 @@ def test_v3_round_trip(graph_name, options_name):
         assert graph_text(decoded.graph) == graph_text(graph)
     else:
         assert_graphs_equivalent(decoded.graph, graph, f"{graph_name}/{options_name}")
-    # Byte-identical re-encode: the format is deterministic.
-    assert encode_event_graph_v3(decoded.graph, options) == data
+    # Re-encoding a decode reproduces every column payload; an uncompressed
+    # file is byte-identical outright.
+    re_encoded = encode_event_graph_v3(decoded.graph, options)
+    assert_same_file(re_encoded, data, f"{graph_name}/{options_name}")
+    if not options.compress_columns:
+        assert re_encoded == data
+
+
+def test_compressed_file_holds_the_uncompressed_payloads():
+    """Compression is per block and invisible above it: the same payloads,
+    deflated only where that made the block smaller."""
+    graph = fixture_graphs()["conc_trace"]
+    packed = encode_event_graph_v3(graph)
+    plain = encode_event_graph_v3(graph, ContainerOptions(compress_columns=False))
+    assert_same_file(packed, plain)
+    assert len(packed) < len(plain)
+    columns = parse_header(packed).columns
+    assert any(c.compressed for c in columns) and not all(c.compressed for c in columns)
+    for column in columns:
+        if column.compressed:
+            assert column.stored_length < column.raw_length
+        else:
+            assert column.stored_length == column.raw_length
+    assert not any(c.compressed for c in parse_header(plain).columns)
 
 
 @pytest.mark.parametrize("graph_name", sorted(fixture_graphs()))
@@ -294,22 +333,12 @@ def test_snapshot_requires_text():
         )
 
 
-def test_decode_file_sniffs_both_formats():
-    graph = fixture_graphs()["two_branch"]
-    text = graph_text(graph)
-    v2 = encode_event_graph(graph, EncodeOptions(include_snapshot=True, final_text=text))
-    v3 = encode_event_graph_v3(
-        graph, ContainerOptions(include_snapshot=True, final_text=text)
-    )
-    assert decode_file(v2).snapshot == text
-    assert decode_file(v3).snapshot == text
-    assert_graphs_equivalent(decode_file(v2).graph, decode_file(v3).graph)
-
-
 def test_decode_file_rejects_garbage():
-    with pytest.raises(StorageError) as info:
-        decode_file(b"NOPE" + b"\x00" * 20)
-    assert info.value.code == "bad-magic"
+    # "EGWK" was the magic of the retired interleaved format.
+    for garbage in (b"NOPE" + b"\x00" * 20, b"EGWK\x02\x00\x00"):
+        with pytest.raises(StorageError) as info:
+            decode_file(garbage)
+        assert info.value.code == "bad-magic"
     with pytest.raises(StorageError) as info:
         decode_file(b"EG")
     assert info.value.code == "truncated-header"
@@ -426,16 +455,13 @@ def test_first_history_access_hydrates_exactly_once():
 def test_document_and_history_load_from_bytes():
     graph = fixture_graphs()["two_branch"]
     text = graph_text(graph)
-    for data in (
-        encode_event_graph(graph),
-        encode_event_graph_v3(graph),
-    ):
-        doc = Document.from_bytes(data, "reader")
-        assert doc.text == text
-        doc.insert(0, "still editable: ")
-        assert doc.text.startswith("still editable: ")
-        history = History.from_bytes(data)
-        assert history.text_at(Version.frontier(history.graph)) == text
+    data = encode_event_graph_v3(graph)
+    doc = Document.from_bytes(data, "reader")
+    assert doc.text == text
+    doc.insert(0, "still editable: ")
+    assert doc.text.startswith("still editable: ")
+    history = History.from_bytes(data)
+    assert history.text_at(Version.frontier(history.graph)) == text
 
 
 # ----------------------------------------------------------------------
@@ -453,13 +479,20 @@ def _open_editable(data: bytes) -> Document:
     return Document.from_bytes(data, "reader")
 
 
-#: The battery runs through the plain decoder and through the editable open,
-#: which adopts what it decodes: neither may ever see a corrupt file as valid.
-BATTERY_DECODERS = (decode_event_graph_v3, _open_editable)
+def _open_lazily(data: bytes) -> None:
+    lazy = LazyDecodedFile(data)
+    lazy.text
+    lazy.graph
+
+
+#: The battery runs through the plain decoder, the lazy reader and the
+#: editable open, which adopts what it decodes: none may ever see a corrupt
+#: file as valid.
+BATTERY_DECODERS = (decode_file, _open_lazily, _open_editable)
 
 
 def test_every_truncation_raises_structured_error():
-    """A v3 file cut at *any* byte offset (header, table, or blocks) must
+    """A file cut at *any* byte offset (header, table, or blocks) must
     raise a StorageError with a documented code — never decode silently."""
     data = _battery_file()
     header_length = parse_header(data).header_length
@@ -501,23 +534,22 @@ def test_every_header_byte_flip_raises_structured_error():
             }, f"header flip at {pos} gave {info.value.code!r}"
 
 
-def test_block_byte_flips_raise_column_crc_mismatch():
-    """One flipped byte in each column block trips that column's CRC."""
+def test_every_block_byte_flip_raises_column_crc_mismatch():
+    """A flipped byte anywhere in a column block — deflated or raw — trips
+    that column's CRC before any inflate or parse sees it."""
     data = _battery_file()
     header = parse_header(data)
     assert len(header.columns) == 6  # ops, content, parents, agents, ids, snapshot
-    for column in header.columns:
-        if column.stored_length == 0:
-            continue
-        for pos in (0, column.stored_length // 2, column.stored_length - 1):
-            corrupted = bytearray(data)
-            corrupted[header.header_length + column.offset + pos] ^= 0x01
-            for decode in BATTERY_DECODERS:
-                with pytest.raises(StorageError) as info:
-                    decode(bytes(corrupted))
-                assert info.value.code == "column-crc-mismatch", (
-                    f"flip in {column.name!r} at {pos} gave {info.value.code!r}"
-                )
+    assert {c.compressed for c in header.columns} == {True, False}
+    for pos in range(header.header_length, len(data)):
+        corrupted = bytearray(data)
+        corrupted[pos] ^= 0x01
+        for decode in BATTERY_DECODERS:
+            with pytest.raises(StorageError) as info:
+                decode(bytes(corrupted))
+            assert info.value.code == "column-crc-mismatch", (
+                f"block flip at {pos} gave {info.value.code!r}"
+            )
 
 
 def test_truncated_blocks_and_trailing_data():
@@ -560,23 +592,95 @@ def test_wrong_stored_crc_per_column():
 
 
 def test_wrong_raw_length_is_column_decode():
+    """The declared raw length binds both kinds of block: a raw one must be
+    exactly that long, a deflated one must inflate to exactly that much."""
+    data = _battery_file()
+    for index, column in enumerate(parse_header(data).columns):
+        for delta in (1, -1):
+            header, entries = _entries_of(data)
+            entries[index]["raw_length"] += delta
+            with pytest.raises(StorageError) as info:
+                decode_event_graph_v3(_emit(header, entries))
+            assert info.value.code == "column-decode", (
+                f"column {column.name!r} {delta:+d}: {info.value.code!r}"
+            )
+
+
+def test_mislabelled_compression_is_column_decode():
+    """A raw column labelled as deflated and a deflated one labelled as raw
+    (flag flipped, header re-signed) fail as decode errors — ``zlib.error``
+    never escapes, and nothing decodes as garbage."""
+    data = _battery_file()
+    columns = parse_header(data).columns
+    assert {c.compressed for c in columns} == {True, False}
+    for index, column in enumerate(columns):
+        header, entries = _entries_of(data)
+        entries[index]["flags"] ^= 1
+        for decode in BATTERY_DECODERS:
+            with pytest.raises(StorageError) as info:
+                decode(_emit(header, entries))
+            assert info.value.code == "column-decode", (
+                f"column {column.name!r}: {info.value.code!r}"
+            )
+
+
+def test_corrupt_deflate_stream_is_column_decode():
+    """Damage *inside* a deflated block that a re-signed CRC lets through
+    (the case the block-flip battery cannot reach) is a structured error,
+    never ``zlib.error`` and never a different payload: bit flips, a
+    truncated stream, and bytes after the stream's end."""
+    data = _battery_file()
+    index = next(
+        i for i, c in enumerate(parse_header(data).columns) if c.compressed
+    )
+    stored = _entries_of(data)[1][index]["stored"]
+    damaged = [stored[:-2], stored + b"\x00"]
+    for pos in range(len(stored)):
+        flipped = bytearray(stored)
+        flipped[pos] ^= 0x10
+        damaged.append(bytes(flipped))
+    refused = 0
+    for block in damaged:
+        header, entries = _entries_of(data)
+        entries[index].update(
+            stored=block, stored_length=len(block), crc32=zlib.crc32(block)
+        )
+        _reflow(entries)
+        staged = _emit(header, entries)
+        for decode in BATTERY_DECODERS:
+            try:
+                decode(staged)
+            except StorageError as exc:
+                assert exc.code == "column-decode", exc.code
+                refused += 1
+            else:
+                # Deflate has don't-care bits (the padding after the final
+                # block); a flip there inflates to the very same payload,
+                # Adler-32 verified.  Nothing else may get through.
+                assert column_payloads(staged) == column_payloads(data)
+    assert refused >= len(BATTERY_DECODERS) * (len(damaged) - 2)
+
+
+def test_inflate_never_exceeds_the_declared_length():
+    """A crafted entry declaring a few bytes over a block that inflates to
+    megabytes is refused without inflating it."""
     data = _battery_file()
     header, entries = _entries_of(data)
-    entries[0]["raw_length"] += 1
-    with pytest.raises(StorageError) as info:
-        decode_event_graph_v3(_emit(header, entries))
+    bomb = zlib.compress(b"\x00" * 20_000_000)
+    entries[-1].update(
+        flags=1, stored=bomb, stored_length=len(bomb), raw_length=8,
+        crc32=zlib.crc32(bomb),
+    )
+    _reflow(entries)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StorageError) as info:
+            decode_text(_emit(header, entries))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert info.value.code == "column-decode"
-
-
-def test_bogus_compression_flag_is_column_decode():
-    """Mislabelling a column's compression (flag flipped, CRC re-signed) must
-    fail as a decode error, not produce garbage."""
-    data = _battery_file()
-    header, entries = _entries_of(data)
-    entries[0]["flags"] ^= 1
-    with pytest.raises(StorageError) as info:
-        decode_event_graph_v3(_emit(header, entries))
-    assert info.value.code == "column-decode", info.value.code
+    assert peak < 1_000_000
 
 
 def test_duplicate_column_rejected():
@@ -606,12 +710,19 @@ def test_missing_required_column(column_id):
 
 def test_unsupported_version_rejected():
     data = _battery_file()
-    # byte 4 is the version varint (3 encodes as one byte)
-    assert data[4] == 3
+    # byte 4 is the version varint (4 encodes as one byte)
+    assert data[4] == 4
     bumped = data[:4] + b"\x07" + data[5:]
     with pytest.raises(StorageError) as info:
         decode_event_graph_v3(bumped)
     assert info.value.code == "unsupported-version"
+    # A correctly signed header of the retired version 3 (LZ77 columns,
+    # interleaved ops) is refused by version, not mis-parsed.
+    header, entries = _entries_of(data)
+    for decode in BATTERY_DECODERS:
+        with pytest.raises(StorageError) as info:
+            decode(_emit(header, entries, version=3))
+        assert info.value.code == "unsupported-version"
 
 
 def test_inconsistent_ids_column_is_column_decode():
@@ -654,9 +765,15 @@ def _with_column(data: bytes, column_id: int, payload: bytes) -> bytes:
 
 
 def _varints(*values: int) -> bytes:
+    return pack_uvarints(values)
+
+
+def _ops_payload(kinds: bytes, moves: bytes, lengths: bytes, tail: bytes = b"") -> bytes:
+    """An ops column from its three sub-streams (each length-prefixed)."""
     writer = ByteWriter()
-    for value in values:
-        writer.write_uvarint(value)
+    for stream in (kinds, moves, lengths):
+        writer.write_length_prefixed(stream)
+    writer.write_bytes(tail)
     return writer.getvalue()
 
 
@@ -689,6 +806,39 @@ def _staged_defects() -> dict[str, bytes]:
             _varints(2, 0, 0, linear[0].op.length + 1, 0, linear[0].op.length + 1,
                      linear.num_chars - linear[0].op.length - 1),
         ),
+        # figure 2's ops are six 1-char inserts at 0,1,2,3,3,4: every cursor
+        # move is 0 except the fifth (one back: zig-zag 1)
+        "unknown kind byte": _with_column(
+            plain, COL_OPS, _ops_payload(b"\0\0\2\0\0\0", _varints(0, 0, 0, 0, 1, 0), _varints(*[1] * 6))
+        ),
+        "fewer kinds than events": _with_column(
+            plain, COL_OPS, _ops_payload(b"\0" * 5, _varints(0, 0, 0, 0, 1, 0), _varints(*[1] * 6))
+        ),
+        "more positions than events": _with_column(
+            plain, COL_OPS, _ops_payload(b"\0" * 6, _varints(0, 0, 0, 0, 1, 0, 0), _varints(*[1] * 6))
+        ),
+        "fewer lengths than events": _with_column(
+            plain, COL_OPS, _ops_payload(b"\0" * 6, _varints(0, 0, 0, 0, 1, 0), _varints(*[1] * 5))
+        ),
+        # the lengths sub-stream claims 7 bytes; the column holds 6 more
+        "sub-stream length prefix past the column end": _with_column(
+            plain, COL_OPS, _ops_payload(b"\0" * 6, _varints(0, 0, 0, 0, 1, 0), b"")[:-1]
+            + b"\x07" + _varints(*[1] * 6)
+        ),
+        "bytes after the last sub-stream": _with_column(
+            plain, COL_OPS,
+            _ops_payload(b"\0" * 6, _varints(0, 0, 0, 0, 1, 0), _varints(*[1] * 6), tail=b"\0"),
+        ),
+        # the first op moves one back from the document start (zig-zag 1)
+        "relative position drives the cursor negative": _with_column(
+            plain, COL_OPS, _ops_payload(b"\0" * 6, _varints(1, 0, 0, 0, 1, 0), _varints(*[1] * 6))
+        ),
+        "zero-length run": _with_column(
+            plain, COL_OPS, _ops_payload(b"\0" * 6, _varints(0, 0, 0, 0, 1, 0), _varints(1, 1, 0, 1, 1, 1))
+        ),
+        "ids column cut mid-run": _with_column(
+            plain, COL_IDS, _varints(2, 0, 0, 5, 1, 0)
+        ),
         "snapshot longer than all inserts": _with_column(
             encode_event_graph_v3(
                 linear,
@@ -702,9 +852,10 @@ def _staged_defects() -> dict[str, bytes]:
 
 @pytest.mark.parametrize("defect", sorted(_staged_defects()))
 def test_staged_column_defects_are_column_decode(defect):
-    """The bulk graph builder keeps every check the per-event loop made, and
-    the snapshot must be a possible text of the ops column: each defect is
-    refused by the decoder, the lazy reader and the editable open alike."""
+    """The column decoders and the bulk graph builder keep every check the
+    per-event loops made, and the snapshot must be a possible text of the ops
+    column: each defect is refused by the decoder, the lazy reader and the
+    editable open alike."""
     data = _staged_defects()[defect]
     for decode in (*BATTERY_DECODERS, lambda d: LazyDecodedFile(d).document("reader")):
         with pytest.raises(StorageError) as info:
@@ -719,18 +870,13 @@ def test_stale_snapshot_is_refused():
     doc = _linear_document()
     stale = doc.text
     doc.insert(0, "written after the text was captured. ")
-    for data in (
-        encode_event_graph_v3(
-            doc.oplog.graph, ContainerOptions(include_snapshot=True, final_text=stale)
-        ),
-        encode_event_graph(
-            doc.oplog.graph, EncodeOptions(include_snapshot=True, final_text=stale)
-        ),
-    ):
-        for decode in (decode_file, _open_editable, History.from_bytes):
-            with pytest.raises(StorageError) as info:
-                decode(data)
-            assert info.value.code == "column-decode"
+    data = encode_event_graph_v3(
+        doc.oplog.graph, ContainerOptions(include_snapshot=True, final_text=stale)
+    )
+    for decode in (decode_file, _open_editable, History.from_bytes):
+        with pytest.raises(StorageError) as info:
+            decode(data)
+        assert info.value.code == "column-decode"
     # A concurrent history has no exact length (two branches may delete the
     # same character), but its text never holds more characters than were
     # inserted, nor fewer than inserted - deleted.
@@ -789,86 +935,72 @@ def test_document_from_lazy_file_owns_its_graph():
 
 
 # ----------------------------------------------------------------------
-# v2 → v3 migration parity + golden corpus
+# WAL compaction + golden corpus
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("graph_name", sorted(fixture_graphs()))
-def test_v2_to_v3_migration_parity(graph_name):
-    """Decoding any v2 fixture file and re-encoding it as v3 must preserve
-    the event graph (ids, parents, ops, frontier) and the replayed text."""
-    graph = fixture_graphs()[graph_name]
-    v2_bytes = encode_event_graph(graph)
-    migrated = decode_file(v2_bytes)
-    v3_bytes = encode_event_graph_v3(migrated.graph)
-    reloaded = decode_file(v3_bytes)
-    assert_graphs_equivalent(reloaded.graph, graph, graph_name)
-    # And the migration is stable: migrating the migrated file is a no-op.
-    assert encode_event_graph_v3(reloaded.graph) == v3_bytes
-
-
-def test_wal_compaction_snapshot_migration(tmp_path):
-    """A WAL room compacted under v2 recovers identically under v3."""
+def test_wal_compaction_snapshot_is_a_container(tmp_path):
+    """WAL compaction writes the one format; recovery adopts it, and the
+    room's text comes straight off the snapshot column."""
     from repro.server.wal import (
         SNAPSHOT_FILENAME,
         DurabilityOptions,
         RoomStorage,
-        graph_to_remote_events,
         recover_document,
     )
 
-    options = DurabilityOptions(fsync_policy="none", compact_on_close=False)
     doc = _merged_two_branch_document()
-
-    # Legacy room: write the snapshot the way the pre-v3 server did.
-    legacy_dir = tmp_path / "legacy-room"
-    storage = RoomStorage(str(legacy_dir), options=options)
-    storage.append(graph_to_remote_events(doc.oplog.graph))
-    storage.close()
-    legacy_snapshot = encode_event_graph(
-        doc.oplog.graph, EncodeOptions(include_snapshot=True, final_text=doc.text)
+    room_dir = tmp_path / "room"
+    storage = RoomStorage(
+        str(room_dir),
+        options=DurabilityOptions(fsync_policy="none", compact_on_close=False),
     )
-    (legacy_dir / SNAPSHOT_FILENAME).write_bytes(legacy_snapshot)
-    recovered_legacy, info_legacy = recover_document(str(legacy_dir), "server")
-    assert recovered_legacy.text == doc.text
-    assert info_legacy.snapshot_loaded and info_legacy.snapshot_text_verified
-
-    # Modern room: compaction writes v3; recovery sniffs it the same way.
-    modern_dir = tmp_path / "modern-room"
-    storage = RoomStorage(str(modern_dir), options=options)
     storage.compact(doc)
     storage.close()
-    snapshot_bytes = (modern_dir / SNAPSHOT_FILENAME).read_bytes()
+    snapshot_bytes = (room_dir / SNAPSHOT_FILENAME).read_bytes()
     assert snapshot_bytes[:4] == MAGIC_V3
-    recovered_modern, info_modern = recover_document(str(modern_dir), "server")
-    assert recovered_modern.text == doc.text
-    assert info_modern.snapshot_loaded and info_modern.snapshot_text_verified
-    assert_graphs_equivalent(
-        recovered_modern.oplog.graph, recovered_legacy.oplog.graph, "wal migration"
-    )
-    # The v3 snapshot is also selectively readable: the room's text comes
-    # straight off the snapshot column.
+    recovered, info = recover_document(str(room_dir), "server")
+    assert recovered.text == doc.text
+    assert info.snapshot_loaded and info.snapshot_text_verified
+    assert_graphs_equivalent(recovered.oplog.graph, doc.oplog.graph, "wal snapshot")
     assert decode_text(snapshot_bytes) == doc.text
 
 
+GOLDEN_MODES = {
+    "full": lambda text: {},
+    "pruned": lambda text: {"prune_deleted_content": True},
+    "snapshot": lambda text: {"include_snapshot": True, "final_text": text},
+}
+
+
 def _golden_specs():
-    """(file stem → encode callable) for every committed golden file."""
+    """File stem → encode callable for every committed golden file: each
+    fixture graph in each mode, deflated (``.bin``) and as its uncompressed
+    twin (``.raw.bin``)."""
     specs = {}
     for graph_name, graph in fixture_graphs().items():
         text = graph_text(graph)
-        specs[f"{graph_name}.v2"] = lambda g=graph: encode_event_graph(g)
-        specs[f"{graph_name}.v3"] = lambda g=graph: encode_event_graph_v3(g)
-        specs[f"{graph_name}.v3.pruned"] = lambda g=graph: encode_event_graph_v3(
-            g, ContainerOptions(prune_deleted_content=True)
-        )
-        specs[f"{graph_name}.v3.snapshot"] = (
-            lambda g=graph, t=text: encode_event_graph_v3(
-                g, ContainerOptions(include_snapshot=True, final_text=t)
-            )
-        )
+        for mode, mode_options in GOLDEN_MODES.items():
+            for suffix, compress in (("", True), (".raw", False)):
+                options = ContainerOptions(compress_columns=compress, **mode_options(text))
+                specs[f"{graph_name}.{mode}{suffix}"] = (
+                    lambda g=graph, o=options: encode_event_graph_v3(g, o)
+                )
     return specs
 
 
-def test_golden_corpus_pins_both_formats():
-    """Committed golden files fail loudly on any byte-level format drift."""
+def _golden(stem: str) -> bytes:
+    with open(os.path.join(GOLDEN_DIR, f"{stem}.bin"), "rb") as fh:
+        return fh.read()
+
+
+def test_golden_corpus_pins_the_format():
+    """Committed golden files fail loudly on any format drift.
+
+    Uncompressed files are pinned byte for byte.  Deflate output is not
+    stable across zlib builds, so a compressed file is pinned by what is:
+    its table structure (flags, event count, column ids and raw lengths — a
+    block is either deflated and smaller, or raw) and every column's
+    *inflated* payload, which must equal the uncompressed twin's — for the
+    committed bytes and for a fresh encode alike."""
     specs = _golden_specs()
     assert os.path.isdir(GOLDEN_DIR), (
         "golden corpus missing; regenerate with "
@@ -881,34 +1013,45 @@ def test_golden_corpus_pins_both_formats():
         f"extra {sorted(committed - expected)}"
     )
     for stem, encode in sorted(specs.items()):
-        path = os.path.join(GOLDEN_DIR, f"{stem}.bin")
-        with open(path, "rb") as fh:
-            golden = fh.read()
-        fresh = encode()
-        assert fresh == golden, (
-            f"{stem}: encoder output drifted from the committed golden file "
-            f"({len(fresh)} vs {len(golden)} bytes); if the format change is "
-            f"intentional, regenerate the corpus and bump the format version"
-        )
+        golden, fresh = _golden(stem), encode()
+        if stem.endswith(".raw"):
+            assert fresh == golden, (
+                f"{stem}: encoder output drifted from the committed golden file "
+                f"({len(fresh)} vs {len(golden)} bytes); if the format change is "
+                f"intentional, regenerate the corpus and bump the format version"
+            )
+            assert not any(c.compressed for c in parse_header(golden).columns)
+            continue
+        twin = _golden(f"{stem}.raw")
+        for data in (golden, fresh):
+            assert_same_file(data, twin, stem)
+            assert len(data) <= len(twin), stem
+            for column in parse_header(data).columns:
+                assert column.flags in (0, 1), stem
+                if column.compressed:
+                    assert column.stored_length < column.raw_length, stem
+                else:
+                    assert column.stored_length == column.raw_length, stem
 
 
-def test_golden_corpus_decodes_and_migrates():
-    """Every committed golden file decodes, and each v2 file's v3 migration
-    matches the committed v3 bytes."""
+def test_golden_corpus_decodes_to_the_fixture_graphs():
+    """Every committed golden file decodes to the graph it was written from."""
+    graphs = fixture_graphs()
     for name in sorted(os.listdir(GOLDEN_DIR)):
         if not name.endswith(".bin"):
             continue
-        with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
-            data = fh.read()
-        decoded = decode_file(data)
-        assert len(decoded.graph) > 0
-        if name.endswith(".v2.bin"):
-            v3_path = os.path.join(GOLDEN_DIR, name[: -len(".v2.bin")] + ".v3.bin")
-            with open(v3_path, "rb") as fh:
-                golden_v3 = fh.read()
-            assert encode_event_graph_v3(decoded.graph) == golden_v3, (
-                f"{name}: v2→v3 migration does not reproduce the golden v3 bytes"
-            )
+        graph_name, mode = name.split(".")[:2]
+        graph = graphs[graph_name]
+        decoded = decode_file(_golden(name[: -len(".bin")]))
+        assert decoded.pruned == (mode == "pruned"), name
+        assert decoded.snapshot == (graph_text(graph) if mode == "snapshot" else None), name
+        if decoded.pruned:
+            assert len(decoded.graph) == len(graph), name
+            assert decoded.graph.frontier == graph.frontier, name
+            assert graph_text(decoded.graph) == graph_text(graph), name
+        else:
+            assert_graphs_equivalent(decoded.graph, graph, name)
+            assert [e.op for e in decoded.graph.events()] == [e.op for e in graph.events()]
 
 
 def regenerate_golden_corpus() -> None:
