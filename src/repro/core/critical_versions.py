@@ -172,16 +172,19 @@ class CriticalCutTracker:
         cuts = self._cuts
         heads = self._heads
         parents = event.parents
-        # Cuts strictly after the event's latest parent die.
-        keep = self._bisect_position(parents[-1] + 1) if parents else 0
-        if keep < len(cuts):
-            if heads:
-                for dead in cuts[keep:]:
-                    heads.pop(dead, None)
-            del cuts[keep:]
+        latest = graph.handle_at(parents[-1]) if parents else None
+        # Cuts strictly after the event's latest parent die — none, in the
+        # common case where the newest cut *is* that parent (no search then).
+        if not cuts or cuts[-1] != latest:
+            keep = self._bisect_position(parents[-1] + 1) if parents else 0
+            if keep < len(cuts):
+                if heads:
+                    for dead in cuts[keep:]:
+                        heads.pop(dead, None)
+                del cuts[keep:]
         # The cut at the latest parent survives iff the event names all of
         # its heads (a single head is that parent itself).
-        if cuts and cuts[-1] in heads and cuts[-1] == graph.handle_at(parents[-1]):
+        if cuts and cuts[-1] in heads and cuts[-1] == latest:
             if not set(heads[cuts[-1]]) <= {graph.handle_at(p) for p in parents}:
                 del heads[cuts.pop()]
         cuts.append(event.handle)

@@ -31,7 +31,7 @@ deprecated shims.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..rope import Rope
 from .event_graph import EventGraph
@@ -208,13 +208,15 @@ class Document:
         Returns the transformed operations that were applied to the local
         text (the incremental update of §2.4).
         """
-        added = self.oplog.merge_from(other.oplog)
-        return self._integrate_new_events(added)
+        return self._ingest(self.oplog.merge_from, other.oplog)
 
     def apply_remote_events(self, events: Iterable[RemoteEvent]) -> list[Operation]:
-        """Ingest a batch of events from the network and update the text."""
-        added = self.oplog.ingest_events(events)
-        return self._integrate_new_events(added)
+        """Ingest a batch of events from the network and update the text.
+
+        If an event of the batch is refused (``KeyError``: a parent is
+        unknown; ``ValueError``: known ids with different content), the
+        events before it are merged before the exception propagates."""
+        return self._ingest(self.oplog.ingest_events, events)
 
     def events_since(
         self, version: "Version | Sequence[EventId]"
@@ -321,5 +323,15 @@ class Document:
     def _make_walker(self) -> EgWalker:
         return EgWalker(self.oplog.graph, **self._walker_options)
 
-    def _integrate_new_events(self, added: list[int]) -> list[Operation]:
+    def _ingest(self, ingest: Callable[..., list[int]], source: object) -> list[Operation]:
+        """Run one of the oplog's batch ingests and fold what it added into
+        the text — also when it raises midway: the events before the refused
+        one are in the graph for good (redelivering them is a no-op), so a
+        text that never received them would stay wrong."""
+        added_spans: list[tuple[str, int, int]] = []
+        try:
+            added = ingest(source, added_spans)
+        except (KeyError, ValueError):
+            self.engine.integrate(self.oplog.graph.indices_covering(added_spans))
+            raise
         return self.engine.integrate(added)

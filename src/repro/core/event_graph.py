@@ -68,7 +68,7 @@ presentation, kept here as a correctness oracle for the run-length pipeline.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from itertools import accumulate
 from operator import ge, lt
 from typing import Iterable, Iterator, Sequence
@@ -294,19 +294,24 @@ class EventGraph:
         return graph
 
     def to_columns(
-        self,
+        self, indices: Iterable[int] | None = None
     ) -> tuple[list[EventId], list[tuple[int, ...]], list[Operation]]:
         """The inverse of :meth:`from_columns`: ids, sorted parent-index
         tuples and operations, each in local order (the storage encoder's
-        view of the graph — three list builds, no :class:`Event` views)."""
+        view of the graph — three list builds, no :class:`Event` views).
+
+        With ``indices`` the three lists are parallel to it instead: the bulk
+        read of a replay, which visits the same events in its own order.
+        """
         order = self._order
+        handles = order if indices is None else [order[i] for i in indices]
         ids, ops = self._h_id, self._h_op
         pidx, pgen, gen = self._h_pidx, self._h_pgen, self._gen
         resolve = self._parent_indices
         return (
-            [ids[h] for h in order],
-            [pidx[h] if pgen[h] == gen else resolve(h) for h in order],
-            [ops[h] for h in order],
+            [ids[h] for h in handles],
+            [pidx[h] if pgen[h] == gen else resolve(h) for h in handles],
+            [ops[h] for h in handles],
         )
 
     # ------------------------------------------------------------------
@@ -425,10 +430,7 @@ class EventGraph:
         Raises:
             KeyError: if no run in this graph covers the id.
         """
-        found = self._locate_handle(event_id)
-        if found is None:
-            raise KeyError(f"event id {event_id} not in graph")
-        handle, offset = found
+        handle, offset = self._located(event_id)
         return self.index_of_handle(handle), offset
 
     def index_of(self, event_id: EventId) -> int:
@@ -446,6 +448,12 @@ class EventGraph:
         if index is None:
             return None
         return index.find(event_id.seq)
+
+    def _located(self, event_id: EventId) -> tuple[int, int]:
+        found = self._locate_handle(event_id)
+        if found is None:
+            raise KeyError(f"event id {event_id} not in graph")
+        return found
 
     def id_of(self, index: int) -> EventId:
         """Id of the first character of the event at ``index``.  O(1)."""
@@ -547,18 +555,26 @@ class EventGraph:
         else:
             parent_indices = sorted({self.index_of(p) for p in parents})  # type: ignore[arg-type]
         _check_parent_indices(parent_indices, len(self._order))
+        return self._append(event_id, tuple(parent_indices), op)
+
+    def _append(self, event_id: EventId, parent_indices: Version, op: Operation) -> Event:
+        """The one way an event enters the graph.  Its callers
+        (:meth:`add_event`, :meth:`ingest_run`) have validated it: the run's
+        id span is fresh and ``parent_indices`` are sorted, distinct indices
+        of stored events."""
         order = self._order
-        parent_handles = tuple(order[p] for p in parent_indices)
+        parent_handles = tuple([order[p] for p in parent_indices])
+        agent, seq, length = event_id.agent, event_id.seq, op.length
 
         handle = len(self._h_id)
         self._h_id.append(event_id)
-        self._h_agent.append(self._intern_agent(event_id.agent))
-        self._h_seq.append(event_id.seq)
-        self._h_len.append(op.length)
+        self._h_agent.append(self._intern_agent(agent))
+        self._h_seq.append(seq)
+        self._h_len.append(length)
         self._h_op.append(op)
         self._h_parents.append(parent_handles)
         self._h_children.append([])
-        self._h_pidx.append(tuple(parent_indices))
+        self._h_pidx.append(parent_indices)
         self._h_pgen.append(self._gen)
         label = self._labels[-1] + _LABEL_GAP if self._labels else 0
         self._h_label.append(label)
@@ -567,26 +583,23 @@ class EventGraph:
 
         order.append(handle)
         self._labels.append(label)
+        agent_index = self._agent_index.get(agent)
         if agent_index is None:
-            agent_index = self._agent_index[event_id.agent] = RangeIndex(
-                self._h_len.__getitem__
-            )
-        agent_index.register(event_id.seq, handle)
-        self._num_chars += op.length
+            agent_index = self._agent_index[agent] = RangeIndex(self._h_len.__getitem__)
+        agent_index.register(seq, handle)
+        self._num_chars += length
         previous = self._cum_inserts[-1] if self._cum_inserts else 0
-        self._cum_inserts.append(previous + (op.length if op.is_insert else 0))
+        self._cum_inserts.append(previous + (length if op.kind is OpKind.INSERT else 0))
         for ph in parent_handles:
             self._h_children[ph].append(handle)
         # Maintain the frontier incrementally: the new event replaces any of
         # its parents that were frontier members, and is itself a frontier
         # member (nothing can be its child yet).
         if parent_handles:
-            parent_set = set(parent_handles)
-            self._frontier = [f for f in self._frontier if f not in parent_set]
+            self._frontier = [f for f in self._frontier if f not in parent_handles]
         self._frontier.append(handle)
-        expected = self._next_seq.get(event_id.agent, 0)
-        if event_id.seq + op.length > expected:
-            self._next_seq[event_id.agent] = event_id.seq + op.length
+        if seq + length > self._next_seq.get(agent, 0):
+            self._next_seq[agent] = seq + length
         self._notify("event_added", event)
         return event
 
@@ -752,14 +765,26 @@ class EventGraph:
         — the peer that emitted the reference did not causally depend on the
         rest of the run.  Raises :class:`KeyError` if the id is unknown.
         """
-        found = self._locate_handle(event_id)
-        if found is None:
-            raise KeyError(f"event id {event_id} not in graph")
-        handle, offset = found
+        handle, offset = self._located(event_id)
         index = self.index_of_handle(handle)
         if offset + 1 < self._h_len[handle]:
             self.split_event(index, offset + 1)
         return index
+
+    def _whole_run_indices(self, parent_ids: Iterable[EventId]) -> Version | None:
+        """``parent_ids`` as sorted, distinct local indices if each names the
+        **last** character of a stored run; ``None`` if one falls mid-run
+        (resolving it means a split: :meth:`dependency_index`).  Raises
+        :class:`KeyError` for an unknown id."""
+        indices: list[int] = []
+        for parent_id in parent_ids:
+            handle, offset = self._located(parent_id)
+            if offset + 1 < self._h_len[handle]:
+                return None
+            indices.append(self.index_of_handle(handle))
+        if len(indices) > 1:
+            indices = sorted(set(indices))
+        return tuple(indices)
 
     def ingest_run(
         self, event_id: EventId, parent_ids: Iterable[EventId], op: Operation
@@ -774,15 +799,27 @@ class EventGraph:
         references); later sub-spans chain onto the previous character of the
         run, mirroring :func:`expand_to_chars`.
 
+        A run that starts at or past the agent's next unused seq and whose
+        parents name whole stored runs — every run of a peer we are merely
+        behind — skips the walk: it is validated and appended directly.
+
         Returns the newly created events (empty for a full redelivery).
         Raises :class:`ValueError` if stored coverage disagrees with the
         incoming operation (same ids, different content — the one truly
         illegal divergence), and :class:`KeyError` if a needed parent is
         missing (the replication layer holds such events back).
         """
+        agent = event_id.agent
+        if event_id.seq >= self._next_seq.get(agent, 0):
+            # The whole span is new (nothing stored reaches its first seq), so
+            # there is no overlap to walk; parents that each name the last
+            # character of a stored run need no split either, and the run is
+            # a plain append.  A mid-run parent takes the general path below.
+            parent_indices = self._whole_run_indices(parent_ids)
+            if parent_indices is not None:
+                return [self._append(event_id, parent_indices, op)]
         added: list[Event] = []
         parent_events: list[Event] | None = None
-        agent = event_id.agent
         seq = event_id.seq
         end = event_id.seq + op.length
         while seq < end:
@@ -867,7 +904,9 @@ class EventGraph:
         """
         return self.ingest_run(event_id, parent_ids, op)
 
-    def merge_from(self, other: "EventGraph") -> list[int]:
+    def merge_from(
+        self, other: "EventGraph", added_spans: list[tuple[str, int, int]] | None = None
+    ) -> list[int]:
         """Union this graph with ``other`` (paper §2.2).
 
         Events of ``other`` that are missing locally are added in ``other``'s
@@ -880,15 +919,17 @@ class EventGraph:
             The local indices (in *this* graph) of the events now covering the
             newly added id spans, ascending.  (A span added early in the merge
             may be split by a later event of the batch, in which case both
-            halves are reported.)
+            halves are reported.)  ``added_spans``, if given, receives the
+            ``(agent, seq, length)`` span of each event as it is added, so a
+            caller can account for a merge that raises midway.
         """
-        added_spans: list[tuple[str, int, int]] = []
+        if added_spans is None:
+            added_spans = []
         for event in other.events():
             parent_ids = [other.dependency_id(p) for p in event.parents]
             for new_event in self.ingest_run(event.id, parent_ids, event.op):
-                added_spans.append(
-                    (new_event.id.agent, new_event.id.seq, new_event.op.length)
-                )
+                new_id = new_event.id
+                added_spans.append((new_id.agent, new_id.seq, new_event.num_chars))
         return self.indices_covering(added_spans)
 
     def indices_covering(self, spans: Iterable[tuple[str, int, int]]) -> list[int]:
@@ -903,10 +944,7 @@ class EventGraph:
         for agent, seq, length in spans:
             end = seq + length
             while seq < end:
-                found = self._locate_handle(EventId(agent, seq))
-                if found is None:
-                    raise KeyError(f"event id {agent}:{seq} not in graph")
-                handle, offset = found
+                handle, offset = self._located(EventId(agent, seq))
                 indices.add(self.index_of_handle(handle))
                 seq += self._h_len[handle] - offset
         return sorted(indices)

@@ -161,6 +161,7 @@ class InternalState:
         """
         segments: list[DeleteSegment] = []
         targets: list[tuple[EventId, int]] = []
+        touched: list[CrdtRecord] = []
         remaining = length
         while remaining > 0:
             item, offset = self.sequence.find_visible_unit(pos)
@@ -183,6 +184,7 @@ class InternalState:
                 self.sequence.convert_placeholder_run(item, offset, record)
                 segments.append(DeleteSegment(record.id, take, effect_pos))
                 targets.append((record.id, take))
+                touched.append(record)
                 remaining -= take
                 continue
 
@@ -209,10 +211,10 @@ class InternalState:
             self.sequence.update_item_counts(record, -take, d_effect)
             segments.append(DeleteSegment(record.id, take, effect_pos))
             targets.append((record.id, take))
+            touched.append(record)
             remaining -= take
         self._delete_targets[event_id] = targets
-        for target_id, target_len in targets:
-            self._coalesce_span(target_id, target_len)
+        self._coalesce_records(touched)
         return segments
 
     def extend_delete(self, event_id: EventId, pos: int, length: int = 1) -> list[DeleteSegment]:
@@ -268,6 +270,7 @@ class InternalState:
     # ------------------------------------------------------------------
     def retreat(self, event_id: EventId, is_insert: bool, length: int = 1) -> None:
         """Remove a whole run event from the prepare version (§3.2)."""
+        update = self.sequence.update_item_counts
         if is_insert:
             # No coalescing here: the records become NotInsertedYet, which is
             # the one state the merge rule excludes (integration scans them).
@@ -275,46 +278,57 @@ class InternalState:
                 if record.prepare_state != INSERTED:  # pragma: no cover - defensive
                     raise RuntimeError("retreating an insert whose record is not Ins")
                 record.prepare_state = NOT_YET_INSERTED
-                self.sequence.update_item_counts(record, -record.length, 0)
+                update(record, -record.length, 0)
         else:
-            targets = self._delete_targets[event_id]
-            for target_id, target_len in targets:
-                for record in self._aligned_spans(target_id, target_len):
-                    if record.prepare_state < INSERTED + 1:  # pragma: no cover - defensive
-                        raise RuntimeError("retreating a delete whose record is not Del n")
-                    record.prepare_state -= 1
-                    if record.prepare_state == INSERTED:
-                        self.sequence.update_item_counts(record, +record.length, 0)
-            # Coalesce only after every span of the event has flipped: merging
-            # mid-loop could absorb a record the loop has not visited yet.
-            for target_id, target_len in targets:
-                self._coalesce_span(target_id, target_len)
+            flipped = self._delete_target_records(event_id)
+            for record in flipped:
+                if record.prepare_state < INSERTED + 1:  # pragma: no cover - defensive
+                    raise RuntimeError("retreating a delete whose record is not Del n")
+                record.prepare_state -= 1
+                if record.prepare_state == INSERTED:
+                    update(record, +record.length, 0)
+            self._coalesce_records(flipped)
 
     def advance(self, event_id: EventId, is_insert: bool, length: int = 1) -> None:
         """Add a whole run event back into the prepare version (§3.2)."""
+        update = self.sequence.update_item_counts
         if is_insert:
-            for record in self._aligned_spans(event_id, length):
+            flipped = self._aligned_spans(event_id, length)
+            for record in flipped:
                 if record.prepare_state != NOT_YET_INSERTED:  # pragma: no cover - defensive
                     raise RuntimeError("advancing an insert whose record is not NIY")
                 record.prepare_state = INSERTED
-                self.sequence.update_item_counts(record, +record.length, 0)
-            self._coalesce_span(event_id, length)
+                update(record, +record.length, 0)
         else:
-            targets = self._delete_targets[event_id]
-            for target_id, target_len in targets:
-                for record in self._aligned_spans(target_id, target_len):
-                    if record.prepare_state < INSERTED:  # pragma: no cover - defensive
-                        raise RuntimeError("advancing a delete whose record is NIY")
-                    was_visible = record.prepare_state == INSERTED
-                    record.prepare_state += 1
-                    if was_visible:
-                        self.sequence.update_item_counts(record, -record.length, 0)
-            for target_id, target_len in targets:
-                self._coalesce_span(target_id, target_len)
+            flipped = self._delete_target_records(event_id)
+            for record in flipped:
+                if record.prepare_state < INSERTED:  # pragma: no cover - defensive
+                    raise RuntimeError("advancing a delete whose record is NIY")
+                record.prepare_state += 1
+                if record.prepare_state == INSERTED + 1:
+                    update(record, -record.length, 0)
+        self._coalesce_records(flipped)
+
+    def _delete_target_records(self, event_id: EventId) -> list[CrdtRecord]:
+        """The records an applied delete event removed, aligned to its spans."""
+        records: list[CrdtRecord] = []
+        for target_id, target_len in self._delete_targets[event_id]:
+            records += self._aligned_spans(target_id, target_len)
+        return records
 
     # ------------------------------------------------------------------
     # Span re-merging (the inverse of lazy splitting)
     # ------------------------------------------------------------------
+    def _coalesce_records(self, records: list[CrdtRecord]) -> None:
+        """Coalesce each of ``records`` — the ones a state change touched, in
+        sequence order — with its neighbours.  Called once the change has
+        settled, never while a flip loop is still running, since a merge
+        consumes the right record; and from the last record to the first, so
+        that the one consumed is always one already visited (or never listed).
+        """
+        for record in reversed(records):
+            self._coalesce_record(record)
+
     def _coalesce_record(self, record: CrdtRecord) -> None:
         """Merge ``record`` with its neighbours where states allow it.
 
@@ -326,11 +340,10 @@ class InternalState:
         if not self.merge_spans:
             return
         sequence = self.sequence
-        nxt = sequence.next_item(record)
+        prev, nxt = sequence.neighbours(record)
         if isinstance(nxt, CrdtRecord) and self._mergeable(record, nxt):
             sequence.merge_into_left(record, nxt)
             self.spans_merged += 1
-        prev = sequence.prev_item(record)
         if isinstance(prev, CrdtRecord) and self._mergeable(prev, record):
             sequence.merge_into_left(prev, record)
             self.spans_merged += 1
@@ -366,23 +379,6 @@ class InternalState:
             and right.ever_deleted == left.ever_deleted
         )
 
-    def _coalesce_span(self, start_id: EventId, length: int) -> None:
-        """Coalesce every record currently covering the id span, plus its
-        outer neighbours.  Called after a state change settles (never while a
-        flip loop is still running, since a merge consumes the right record).
-        """
-        if not self.merge_spans:
-            return
-        seq = start_id.seq
-        end = start_id.seq + length
-        while seq < end:
-            record, _ = self.sequence.record_at(EventId(start_id.agent, seq))
-            self._coalesce_record(record)
-            # The record may have been absorbed into its left neighbour;
-            # re-resolve to find the (possibly grown) live covering record.
-            record, offset = self.sequence.record_at(EventId(start_id.agent, seq))
-            seq += record.length - offset
-
     def _aligned_spans(self, start_id: EventId, length: int) -> list[CrdtRecord]:
         """Records exactly covering the id span ``start_id .. +length``.
 
@@ -392,14 +388,15 @@ class InternalState:
         they are split so that a state change never bleeds outside the range.
         """
         spans: list[CrdtRecord] = []
-        seq = start_id.seq
-        end = start_id.seq + length
+        sequence = self.sequence
+        agent, seq = start_id
+        end = seq + length
         while seq < end:
-            record, offset = self.sequence.record_at(EventId(start_id.agent, seq))
+            record, offset = sequence.record_at_seq(agent, seq)
             if offset > 0:
-                record = self.sequence.split_record(record, offset)
+                record = sequence.split_record(record, offset)
             if record.length > end - seq:
-                self.sequence.split_record(record, end - seq)
+                sequence.split_record(record, end - seq)
             spans.append(record)
             seq += record.length
         return spans

@@ -368,7 +368,11 @@ class OpLog:
         _, missing = self.causal.diff(local_version, self.graph.frontier)
         return self.export_events(missing)
 
-    def ingest_events(self, events: Iterable[RemoteEvent]) -> list[int]:
+    def ingest_events(
+        self,
+        events: Iterable[RemoteEvent],
+        added_spans: list[tuple[str, int, int]] | None = None,
+    ) -> list[int]:
         """Add remote events to the graph (idempotently).
 
         Events must arrive with their parents either already known or earlier
@@ -380,17 +384,26 @@ class OpLog:
         Returns:
             Local indices of the events now covering the spans that were
             actually new (resolved after the whole batch, since later events
-            of the batch may split earlier ones).
+            of the batch may split earlier ones).  ``added_spans``, if given,
+            receives each new ``(agent, seq, length)`` span as it is added:
+            the events before one that raises stay in the graph, and the
+            caller has to account for them.
         """
-        added_spans: list[tuple[str, int, int]] = []
+        if added_spans is None:
+            added_spans = []
+        ingest_run = self.graph.ingest_run
         for remote in events:
-            for event in self.graph.add_remote_event(remote.id, remote.parents, remote.op):
-                added_spans.append((event.id.agent, event.id.seq, event.op.length))
+            for event in ingest_run(remote.id, remote.parents, remote.op):
+                event_id = event.id
+                added_spans.append((event_id.agent, event_id.seq, event.num_chars))
         return self.graph.indices_covering(added_spans)
 
-    def merge_from(self, other: "OpLog") -> list[int]:
-        """Union this log with another replica's log (paper §2.2)."""
-        return self.graph.merge_from(other.graph)
+    def merge_from(
+        self, other: "OpLog", added_spans: list[tuple[str, int, int]] | None = None
+    ) -> list[int]:
+        """Union this log with another replica's log (paper §2.2); see
+        :meth:`ingest_events` for ``added_spans``."""
+        return self.graph.merge_from(other.graph, added_spans)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -26,6 +26,7 @@ import bisect
 from typing import Iterator
 
 from .records import (
+    INSERTED,
     CrdtRecord,
     Item,
     OriginRef,
@@ -44,6 +45,7 @@ class _Leaf:
     """A leaf node holding up to :data:`MAX_NODE_SIZE` items."""
 
     __slots__ = ("items", "parent", "next", "total", "prep", "eff")
+    is_leaf = True
 
     def __init__(self) -> None:
         self.items: list[Item] = []
@@ -54,19 +56,21 @@ class _Leaf:
         self.eff = 0
 
     def recompute(self) -> None:
-        self.total = sum(i.units for i in self.items)
-        self.prep = sum(i.prepare_units for i in self.items)
-        self.eff = sum(i.effect_units for i in self.items)
-
-    @property
-    def is_leaf(self) -> bool:
-        return True
+        total = prep = eff = 0
+        for item in self.items:
+            total += item.length
+            if item.prepare_state == INSERTED:
+                prep += item.length
+            if not item.ever_deleted:
+                eff += item.length
+        self.total, self.prep, self.eff = total, prep, eff
 
 
 class _Internal:
     """An internal node holding child nodes and their aggregate counters."""
 
     __slots__ = ("children", "parent", "total", "prep", "eff")
+    is_leaf = False
 
     def __init__(self) -> None:
         self.children: list[_Leaf | _Internal] = []
@@ -79,10 +83,6 @@ class _Internal:
         self.total = sum(c.total for c in self.children)
         self.prep = sum(c.prep for c in self.children)
         self.eff = sum(c.eff for c in self.children)
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
 
 class TreeSequence(SequenceBackend):
@@ -156,10 +156,10 @@ class TreeSequence(SequenceBackend):
             else:  # pragma: no cover - defensive (counts out of sync)
                 raise RuntimeError("prepare counters out of sync")
         for item in node.items:  # type: ignore[union-attr]
-            visible = item.prepare_units
-            if visible > remaining:
-                return item, remaining
-            remaining -= visible
+            if item.prepare_state == INSERTED:
+                if item.length > remaining:
+                    return item, remaining
+                remaining -= item.length
         raise RuntimeError("prepare counters out of sync")  # pragma: no cover
 
     def find_insert_cursor(self, prepare_pos: int) -> Cursor:
@@ -172,7 +172,7 @@ class TreeSequence(SequenceBackend):
                 f"{self._root.prep}"
             )
         item, offset = self.find_visible_unit(prepare_pos - 1)
-        if offset + 1 < item.units:
+        if offset + 1 < item.length:
             # The gap sits strictly inside a multi-unit item (prepare-visible
             # items have unit offset == prepare offset).
             return Cursor(item, offset + 1)
@@ -189,7 +189,7 @@ class TreeSequence(SequenceBackend):
         )
         if prev is None:
             return None
-        return _ref_to_unit(prev, prev.units - 1)
+        return _ref_to_unit(prev, prev.length - 1)
 
     def next_existing_in_prepare(self, cursor: Cursor) -> OriginRef:
         if cursor.at_end:
@@ -216,7 +216,7 @@ class TreeSequence(SequenceBackend):
         if cursor.at_end:
             return
         leaf = cursor.item.leaf
-        idx = _index_in_leaf(leaf, cursor.item)
+        idx = leaf.items.index(cursor.item)
         while leaf is not None:
             for i in range(idx, len(leaf.items)):
                 yield leaf.items[i]
@@ -265,7 +265,7 @@ class TreeSequence(SequenceBackend):
 
     def split_record(self, record: CrdtRecord, offset: int) -> CrdtRecord:
         leaf: _Leaf = record.leaf  # type: ignore[assignment]
-        idx = _index_in_leaf(leaf, record)
+        idx = leaf.items.index(record)
         right = record.split(offset)
         right.leaf = leaf
         leaf.items.insert(idx + 1, right)
@@ -273,7 +273,8 @@ class TreeSequence(SequenceBackend):
         # Aggregates are unchanged (the same characters are below the leaf);
         # only a structural split may be needed.
         self.register_record(right)
-        self._maybe_split_leaf(leaf)
+        if len(leaf.items) > MAX_NODE_SIZE:
+            self._split_leaf(leaf)
         return right
 
     def merge_into_left(self, left: CrdtRecord, right: CrdtRecord) -> None:
@@ -282,20 +283,24 @@ class TreeSequence(SequenceBackend):
         # may live in different leaves; a leaf left empty stays in the tree
         # (iteration and the total>0 descent skip it) — merges are bounded by
         # prior splits, so empties stay rare.
-        units, prep, eff = right.units, right.prepare_units, right.effect_units
+        units = right.length
+        prep = units if right.prepare_state == INSERTED else 0
+        eff = 0 if right.ever_deleted else units
         right_leaf: _Leaf = right.leaf  # type: ignore[assignment]
-        del right_leaf.items[_index_in_leaf(right_leaf, right)]
+        right_leaf.items.remove(right)
         self._item_count -= 1
         self._bubble_add(right_leaf, -units, -prep, -eff)
         right.leaf = None
         self._absorb_record(left, right)
         self._bubble_add(left.leaf, units, prep, eff)  # type: ignore[arg-type]
 
-    def next_item(self, item: Item) -> Item | None:
-        return self._next_item(item)
-
-    def prev_item(self, item: Item) -> Item | None:
-        return self._prev_item(item)
+    def neighbours(self, item: Item) -> tuple[Item | None, Item | None]:
+        items = item.leaf.items  # type: ignore[union-attr]
+        idx = items.index(item)
+        return (
+            items[idx - 1] if idx > 0 else self._prev_item(item),
+            items[idx + 1] if idx + 1 < len(items) else self._next_item(item),
+        )
 
     def update_item_counts(self, item: Item, d_prepare: int, d_effect: int) -> None:
         if d_prepare == 0 and d_effect == 0:
@@ -350,7 +355,7 @@ class TreeSequence(SequenceBackend):
 
     def _next_item(self, item: Item) -> Item | None:
         leaf: _Leaf = item.leaf  # type: ignore[assignment]
-        idx = _index_in_leaf(leaf, item)
+        idx = leaf.items.index(item)
         if idx + 1 < len(leaf.items):
             return leaf.items[idx + 1]
         nxt = leaf.next
@@ -362,7 +367,7 @@ class TreeSequence(SequenceBackend):
 
     def _prev_item(self, item: Item) -> Item | None:
         leaf: _Leaf = item.leaf  # type: ignore[assignment]
-        idx = _index_in_leaf(leaf, item)
+        idx = leaf.items.index(item)
         if idx > 0:
             return leaf.items[idx - 1]
         # Walk up until a non-empty left sibling subtree exists (total > 0
@@ -385,13 +390,19 @@ class TreeSequence(SequenceBackend):
 
     def _position_of_item(self, item: Item, offset: int, *, effect: bool, units: bool) -> int:
         leaf: _Leaf = item.leaf  # type: ignore[assignment]
-        idx = _index_in_leaf(leaf, item)
+        idx = leaf.items.index(item)
+        pos = offset
         if units:
-            pos = offset + sum(i.units for i in leaf.items[:idx])
+            for i in leaf.items[:idx]:
+                pos += i.length
         elif effect:
-            pos = offset + sum(i.effect_units for i in leaf.items[:idx])
+            for i in leaf.items[:idx]:
+                if not i.ever_deleted:
+                    pos += i.length
         else:
-            pos = offset + sum(i.prepare_units for i in leaf.items[:idx])
+            for i in leaf.items[:idx]:
+                if i.prepare_state == INSERTED:
+                    pos += i.length
         node: _Leaf | _Internal = leaf
         parent = node.parent
         while parent is not None:
@@ -412,23 +423,27 @@ class TreeSequence(SequenceBackend):
         node = self._root
         while not node.is_leaf:
             node = node.children[-1]  # type: ignore[union-attr]
-        leaf: _Leaf = node  # type: ignore[assignment]
-        record.leaf = leaf
-        leaf.items.append(record)
-        self._item_count += 1
-        self.register_record(record)
-        self._bubble_add(leaf, record.units, record.prepare_units, record.effect_units)
-        self._maybe_split_leaf(leaf)
+        self._place(node, len(node.items), record)  # type: ignore[arg-type, union-attr]
 
     def _insert_before(self, target: Item, record: CrdtRecord) -> None:
         leaf: _Leaf = target.leaf  # type: ignore[assignment]
-        idx = _index_in_leaf(leaf, target)
+        self._place(leaf, leaf.items.index(target), record)
+
+    def _place(self, leaf: _Leaf, idx: int, record: CrdtRecord) -> None:
+        """Put a new ``record`` at position ``idx`` of ``leaf``."""
         record.leaf = leaf
         leaf.items.insert(idx, record)
         self._item_count += 1
         self.register_record(record)
-        self._bubble_add(leaf, record.units, record.prepare_units, record.effect_units)
-        self._maybe_split_leaf(leaf)
+        length = record.length
+        self._bubble_add(
+            leaf,
+            length,
+            length if record.prepare_state == INSERTED else 0,
+            0 if record.ever_deleted else length,
+        )
+        if len(leaf.items) > MAX_NODE_SIZE:
+            self._split_leaf(leaf)
 
     def _split_piece_and_insert(
         self, piece: PlaceholderPiece, offset: int, record: CrdtRecord, *, consumed: int
@@ -441,7 +456,7 @@ class TreeSequence(SequenceBackend):
         and ``offset`` and the placeholder keeps all its units.
         """
         leaf: _Leaf = piece.leaf  # type: ignore[assignment]
-        idx = _index_in_leaf(leaf, piece)
+        idx = leaf.items.index(piece)
         right_start = offset + consumed
         replacement: list[Item] = []
         if offset > 0:
@@ -475,7 +490,8 @@ class TreeSequence(SequenceBackend):
         delta_prep = record.prepare_units - consumed
         delta_eff = record.effect_units - consumed
         self._bubble_add(leaf, delta_units, delta_prep, delta_eff)
-        self._maybe_split_leaf(leaf)
+        if len(leaf.items) > MAX_NODE_SIZE:
+            self._split_leaf(leaf)
 
     def _bubble_add(self, leaf: _Leaf, d_total: int, d_prep: int, d_eff: int) -> None:
         leaf.total += d_total
@@ -488,9 +504,7 @@ class TreeSequence(SequenceBackend):
             node.eff += d_eff
             node = node.parent
 
-    def _maybe_split_leaf(self, leaf: _Leaf) -> None:
-        if len(leaf.items) <= MAX_NODE_SIZE:
-            return
+    def _split_leaf(self, leaf: _Leaf) -> None:
         mid = len(leaf.items) // 2
         new_leaf = _Leaf()
         new_leaf.items = leaf.items[mid:]
@@ -534,10 +548,3 @@ class TreeSequence(SequenceBackend):
         new_node.recompute()
         self._insert_into_parent(node, new_node)
 
-
-def _index_in_leaf(leaf: _Leaf, item: Item) -> int:
-    """Index of ``item`` within its leaf (identity comparison)."""
-    for i, candidate in enumerate(leaf.items):
-        if candidate is item:
-            return i
-    raise KeyError(f"item {item!r} is not in its leaf")  # pragma: no cover

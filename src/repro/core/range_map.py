@@ -62,10 +62,11 @@ class RangeIndex(Generic[T]):
 
     def register(self, start: int, value: T) -> None:
         """Register ``value`` as covering ``start .. start + length_of(value)``."""
-        if start in self._values:
-            self._values[start] = value
-            return
-        bisect.insort(self._starts, start)
+        starts = self._starts
+        if not starts or start > starts[-1]:
+            starts.append(start)  # the common case: ranges arrive in key order
+        elif start not in self._values:
+            bisect.insort(starts, start)
         self._values[start] = value
 
     def find(self, key: int) -> tuple[T, int] | None:

@@ -119,14 +119,15 @@ class CrdtRecord:
         """
         if offset <= 0 or offset >= self.length:
             raise ValueError(f"cannot split a record of length {self.length} at {offset}")
+        agent, seq = self.id
         right = CrdtRecord(
-            id=self.id.advance(offset),
-            length=self.length - offset,
-            origin_left=self.id_at(offset - 1),
-            origin_right=self.origin_right,
-            prepare_state=self.prepare_state,
-            ever_deleted=self.ever_deleted,
-            ph_base=None if self.ph_base is None else self.ph_base + offset,
+            EventId(agent, seq + offset),
+            self.length - offset,
+            EventId(agent, seq + offset - 1),
+            self.origin_right,
+            self.prepare_state,
+            self.ever_deleted,
+            None if self.ph_base is None else self.ph_base + offset,
         )
         self.length = offset
         return right
@@ -144,13 +145,17 @@ class CrdtRecord:
         the YATA integration rule scans and compares origins of, and collapsing
         them could change which origins a concurrent sibling sees.
         """
+        if (
+            self.prepare_state == NOT_YET_INSERTED
+            or right.prepare_state != self.prepare_state
+            or right.ever_deleted != self.ever_deleted
+        ):
+            return False
+        agent, seq = self.id
+        end = seq + self.length
         return (
-            self.prepare_state != NOT_YET_INSERTED
-            and right.prepare_state == self.prepare_state
-            and right.ever_deleted == self.ever_deleted
-            and right.id.agent == self.id.agent
-            and right.id.seq == self.end_seq
-            and right.origin_left == self.id_at(self.length - 1)
+            right.id == (agent, end)
+            and right.origin_left == (agent, end - 1)  # self's last character
             and right.origin_right == self.origin_right
             and (right.ph_base is None) == (self.ph_base is None)
             and (self.ph_base is None or right.ph_base == self.ph_base + self.length)
@@ -208,6 +213,11 @@ class PlaceholderPiece:
     base: int
     length: int
     leaf: object = None
+
+    #: A placeholder is visible in both versions: the two constants let the
+    #: backends' counting loops read every item's state the same way.
+    prepare_state = INSERTED
+    ever_deleted = False
 
     @property
     def units(self) -> int:

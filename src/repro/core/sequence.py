@@ -203,12 +203,8 @@ class SequenceBackend:
         """
         raise NotImplementedError
 
-    def next_item(self, item: Item) -> Item | None:
-        """The item directly after ``item`` in the sequence (None at the end)."""
-        raise NotImplementedError
-
-    def prev_item(self, item: Item) -> Item | None:
-        """The item directly before ``item`` in the sequence (None at the start)."""
+    def neighbours(self, item: Item) -> tuple[Item | None, Item | None]:
+        """The items directly before and after ``item`` (``None`` at an end)."""
         raise NotImplementedError
 
     def update_item_counts(self, item: Item, d_prepare: int, d_effect: int) -> None:
@@ -257,10 +253,14 @@ class SequenceBackend:
 
     def record_at(self, event_id: EventId) -> tuple[CrdtRecord, int]:
         """The (record, offset) currently covering the character ``event_id``."""
-        index = self._record_index.get(event_id.agent)
-        found = index.find(event_id.seq) if index is not None else None
+        return self.record_at_seq(event_id.agent, event_id.seq)
+
+    def record_at_seq(self, agent: str, seq: int) -> tuple[CrdtRecord, int]:
+        """:meth:`record_at` for loops that walk an id span by its seqs."""
+        index = self._record_index.get(agent)
+        found = index.find(seq) if index is not None else None
         if found is None:
-            raise KeyError(f"no record covers id {event_id}")
+            raise KeyError(f"no record covers id {agent}:{seq}")
         return found
 
     def record_spans(self, start_id: EventId, length: int) -> list[tuple[CrdtRecord, int, int]]:
@@ -273,7 +273,7 @@ class SequenceBackend:
         seq = start_id.seq
         end = start_id.seq + length
         while seq < end:
-            record, offset = self.record_at(EventId(start_id.agent, seq))
+            record, offset = self.record_at_seq(start_id.agent, seq)
             span_len = min(record.length - offset, end - seq)
             spans.append((record, offset, span_len))
             seq += span_len
@@ -468,13 +468,13 @@ class ListSequence(SequenceBackend):
         del self._items[self._index_of_item(right)]
         self._absorb_record(left, right)
 
-    def next_item(self, item: Item) -> Item | None:
+    def neighbours(self, item: Item) -> tuple[Item | None, Item | None]:
+        items = self._items
         idx = self._index_of_item(item)
-        return self._items[idx + 1] if idx + 1 < len(self._items) else None
-
-    def prev_item(self, item: Item) -> Item | None:
-        idx = self._index_of_item(item)
-        return self._items[idx - 1] if idx > 0 else None
+        return (
+            items[idx - 1] if idx > 0 else None,
+            items[idx + 1] if idx + 1 < len(items) else None,
+        )
 
     def update_item_counts(self, item: Item, d_prepare: int, d_effect: int) -> None:
         # The list backend recomputes counts on demand, so nothing to do.

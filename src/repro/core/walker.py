@@ -248,20 +248,17 @@ class EgWalker:
             prepare version for callers that resume.
         """
         graph = self.graph
-        if events is None:
-            event_list: list[int] = list(range(len(graph)))
-        else:
-            event_list = sorted(events)
         if order is None:
+            event_list = range(len(graph)) if events is None else sorted(events)
             order = _SORTERS[self.sort_strategy](graph, event_list)
         else:
             order = list(order)
 
-        stats = WalkerStats()
         if state is None:
             state = InternalState(
                 self._make_backend(base_doc_length), merge_spans=self.enable_span_merging
             )
+        sequence = state.sequence
         use_clearing = self.enable_clearing if clearing is None else clearing
         cuts: dict[int, Version] = {}
         if use_clearing:
@@ -273,25 +270,30 @@ class EgWalker:
         )
         doc_length = base_doc_length
         needs_reset = False
+        # The loop below runs once per replayed event: it reads the graph's
+        # columns in bulk and counts in locals (written to the stats once).
+        ids, parents, ops = graph.to_columns(order)
+        chars = fast_events = fast_chars = retreats = advances = clears = 0
+        peak_records = peak_chars = 0
 
         for pos, idx in enumerate(order):
-            event = graph[idx]
-            op = event.op
-            stats.events_processed += 1
-            stats.chars_processed += op.length
+            op = ops[pos]
+            length = op.length
+            is_insert = op.kind is OpKind.INSERT
+            chars += length
+            emit = emit_only is None or idx in emit_only
             parent_critical = use_clearing and (pos == 0 or (pos - 1) in cuts)
-            own_critical = use_clearing and pos in cuts
 
-            if parent_critical and own_critical:
+            if parent_critical and pos in cuts:
                 # Fast path (§3.5): both the event's parents and the event
                 # itself are critical versions, so the transformed operation
                 # is identical to the original (the whole run at once) and the
                 # CRDT state is not needed at all.
-                stats.events_fast_path += 1
-                stats.chars_fast_path += op.length
-                if emit_only is None or idx in emit_only:
+                fast_events += 1
+                fast_chars += length
+                if emit:
                     transformed.append(TransformedOp(idx, (op,)))
-                doc_length += op.length if op.is_insert else -op.length
+                doc_length += length if is_insert else -length
                 prepare_version = (idx,)
                 needs_reset = True
                 continue
@@ -301,55 +303,68 @@ class EgWalker:
                 # and restart from a placeholder representing the current
                 # document (§3.5 / §3.6).
                 state.clear(doc_length)
-                stats.state_clears += 1
+                clears += 1
                 prepare_version = cuts[pos - 1] if pos > 0 else base_version
                 needs_reset = False
             elif needs_reset:
                 # The state became stale during a run of fast-path events.
                 state.clear(doc_length)
-                stats.state_clears += 1
+                clears += 1
                 needs_reset = False
 
             # Move the prepare version to the event's parents.  Retreats and
             # advances move whole run events at a time.
-            target_version = event.parents
+            target_version = parents[pos]
             if prepare_version != target_version:
                 only_prepare, only_target = self.causal.diff(prepare_version, target_version)
-                for other in reversed(only_prepare):
-                    other_op = graph[other].op
-                    state.retreat(graph.id_of(other), other_op.is_insert, other_op.length)
-                    stats.retreats += 1
-                for other in only_target:
-                    other_op = graph[other].op
-                    state.advance(graph.id_of(other), other_op.is_insert, other_op.length)
-                    stats.advances += 1
+                for flip, others in (
+                    (state.retreat, reversed(only_prepare)),
+                    (state.advance, only_target),
+                ):
+                    other_ids, _, other_ops = graph.to_columns(others)
+                    for other_id, other_op in zip(other_ids, other_ops):
+                        flip(other_id, other_op.kind is OpKind.INSERT, other_op.length)
+                retreats += len(only_prepare)
+                advances += len(only_target)
 
             # Apply the event.
-            if op.is_insert:
-                effect_pos = state.apply_insert(event.id, op.pos, op.length)
-                out: tuple[Operation, ...] = (insert_op(effect_pos, op.content),)
-                doc_length += op.length
+            if is_insert:
+                effect_pos = state.apply_insert(ids[pos], op.pos, length)
+                out: tuple[Operation, ...] = (
+                    op if effect_pos == op.pos else insert_op(effect_pos, op.content),
+                )
+                doc_length += length
             else:
-                segments = state.apply_delete(event.id, op.pos, op.length)
-                ops: list[Operation] = []
-                for segment in segments:
-                    if segment.effect_pos is None:
-                        continue
-                    ops.append(delete_op(segment.effect_pos, segment.length))
-                    doc_length -= segment.length
-                out = tuple(coalesce_ops(ops))
-            if emit_only is None or idx in emit_only:
+                deletes = [
+                    delete_op(segment.effect_pos, segment.length)
+                    for segment in state.apply_delete(ids[pos], op.pos, length)
+                    if segment.effect_pos is not None
+                ]
+                doc_length -= sum(delete.length for delete in deletes)
+                out = tuple(coalesce_ops(deletes) if len(deletes) > 1 else deletes)
+            if emit:
                 transformed.append(TransformedOp(idx, out))
             prepare_version = (idx,)
-            records = state.record_count()
-            if records > stats.peak_records:
-                stats.peak_records = records
-            units = state.unit_count()
-            if units > stats.peak_record_chars:
-                stats.peak_record_chars = units
+            records = sequence.memory_items()
+            if records > peak_records:
+                peak_records = records
+            units = sequence.total_units()
+            if units > peak_chars:
+                peak_chars = units
 
-        stats.spans_merged = state.spans_merged
-        stats.final_records = state.record_count()
+        stats = WalkerStats(
+            events_processed=len(order),
+            chars_processed=chars,
+            events_fast_path=fast_events,
+            chars_fast_path=fast_chars,
+            retreats=retreats,
+            advances=advances,
+            state_clears=clears,
+            peak_records=peak_records,
+            peak_record_chars=peak_chars,
+            spans_merged=state.spans_merged,
+            final_records=sequence.memory_items(),
+        )
         self.last_stats = stats
         return ReplayResult(
             transformed=transformed,

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.document import Document
-from repro.core.ids import EventId
+from repro.core.ids import EventId, insert_op
+from repro.core.oplog import RemoteEvent
+from repro.core.walker import EgWalker
 from repro.history import Version
 
 
@@ -180,6 +182,55 @@ class TestMerging:
         bob.insert(6, "!")
         handle = alice.version()
         assert bob.events_since(handle) == bob.events_since(handle.ids)
+
+
+class TestBatchFailingMidway:
+    """A batch whose n-th event is refused leaves events 0..n-1 in the graph
+    (redelivering them is a no-op), so the text must have received them by
+    the time the exception propagates."""
+
+    @staticmethod
+    def _sender() -> Document:
+        sender = Document("sender")
+        sender.insert(0, "world")
+        sender.insert(0, "hello ")
+        return sender
+
+    @staticmethod
+    def _refused(kind: str, good: list[RemoteEvent]) -> tuple[type, RemoteEvent]:
+        if kind == "unknown-parent":
+            return KeyError, RemoteEvent(EventId("ghost", 0), (EventId("nobody", 3),), insert_op(0, "x"))
+        return ValueError, RemoteEvent(good[0].id, good[0].parents, insert_op(0, "WORLD"))
+
+    @pytest.mark.parametrize("kind", ["unknown-parent", "different-content"])
+    def test_apply_remote_events_then_redelivery_then_an_edit(self, kind):
+        sender = self._sender()
+        good = sender.oplog.export_events()
+        error, refused = self._refused(kind, good)
+        receiver = Document("receiver")
+        with pytest.raises(error):
+            receiver.apply_remote_events(good + [refused])
+        assert receiver.text == "hello world"
+        assert receiver.apply_remote_events(good) == []  # redelivery: all known
+        sender.insert(len(sender), "!")
+        receiver.apply_remote_events(sender.events_since(receiver.version()))
+        receiver.insert(0, "> ")
+        sender.apply_remote_events(receiver.events_since(sender.version()))
+        assert receiver.text == sender.text == "> hello world!"
+        assert receiver.text == EgWalker(receiver.oplog.graph).replay_text()
+
+    def test_merge(self):
+        """``merge`` reads another replica's graph, whose parents always come
+        first — only a content conflict can stop it midway."""
+        other = self._sender()
+        other.apply_remote_events([RemoteEvent(EventId("zed", 0), (), insert_op(0, "Z"))])
+        receiver = Document("receiver")
+        receiver.apply_remote_events([RemoteEvent(EventId("zed", 0), (), insert_op(0, "Q"))])
+        with pytest.raises(ValueError):
+            receiver.merge(other)
+        assert sorted(receiver.text) == sorted("Qhello world")
+        receiver.insert(0, "> ")
+        assert receiver.text == EgWalker(receiver.oplog.graph).replay_text()
 
 
 class TestHistory:

@@ -416,3 +416,148 @@ class TestBulkConstruction:
         assert looped.to_columns() == EventGraph.from_columns(
             ids, parents[:3] + [(1, 2)], ops
         ).to_columns()
+
+
+class TestFreshAppend:
+    """``ingest_run``'s branch for a run that is wholly new and whose parents
+    name whole stored runs: the same graph as the general (overlap-walking,
+    splitting) path builds, and the same refusals."""
+
+    @staticmethod
+    def _halves(shape: str, seed: int):
+        """A seeded history with every run of length ≥ 2 carved in two:
+        ``(source graph, [(left half, right half or None, whole run)])``."""
+        from repro.core.oplog import graph_to_remote_events, split_remote_event
+        from repro.traces.generator import (
+            generate_async,
+            generate_concurrent,
+            generate_sequential,
+        )
+
+        if shape == "sequential":
+            source = generate_sequential("fresh", target_events=400, authors=2, seed=seed).graph
+        elif shape == "concurrent":
+            source = generate_concurrent("fresh", target_events=400, seed=seed).graph
+        else:
+            source = generate_async(
+                "fresh", target_events=600, seed=seed, concurrent_branches=3, events_per_branch=60
+            ).graph
+        carved = []
+        for whole in graph_to_remote_events(source):
+            if whole.op.length > 1:
+                carved.append((*split_remote_event(whole, whole.op.length // 2), whole))
+            else:
+                carved.append((whole, None, whole))
+        return source, carved
+
+    @pytest.mark.parametrize("shape", ["sequential", "concurrent", "async"])
+    def test_same_graph_as_the_general_path(self, shape, monkeypatch):
+        from repro.core.document import Document
+        from repro.core.walker import EgWalker
+
+        source, carved = self._halves(shape, seed=11)
+        resolved = []
+        resolve = EventGraph.dependency_index
+        monkeypatch.setattr(
+            EventGraph,
+            "dependency_index",
+            lambda graph, event_id: resolved.append(event_id) or resolve(graph, event_id),
+        )
+        # (a) each half arrives on its own: fresh, parents whole — an append.
+        appended = Document("appended")
+        appended.apply_remote_events(
+            [half for left, right, _ in carved for half in (left, right) if half is not None]
+        )
+        assert resolved == [], "the general path ran"
+        # (b) the left half, then the whole run over it: the general path
+        # walks the overlap and adds the rest as the same right half.
+        general = Document("general")
+        general.apply_remote_events(
+            [run for left, right, whole in carved for run in ((left, whole) if right else (whole,))]
+        )
+        assert len(resolved) >= sum(1 for _, right, _ in carved if right)
+
+        a, b = appended.oplog.graph, general.oplog.graph
+        assert a.to_columns() == b.to_columns()
+        assert a.frontier == b.frontier
+        agents = {event_id.agent for event_id in a.to_columns()[0]}
+        assert {x: a.next_seq_for(x) for x in agents} == {x: b.next_seq_for(x) for x in agents}
+        assert appended.engine.tracker.cuts() == general.engine.tracker.cuts()
+        assert appended.text == general.text == EgWalker(source).replay_text()
+
+    @staticmethod
+    def _shape(graph: EventGraph):
+        return [(str(e.id), e.parents, e.op.content) for e in graph.events()]
+
+    @staticmethod
+    def _abc() -> EventGraph:
+        graph = EventGraph()
+        graph.ingest_run(EventId("a", 0), (), insert_op(0, "abc"))
+        return graph
+
+    def test_redelivery_is_a_no_op_and_a_conflict_is_refused(self):
+        graph = self._abc()
+        assert graph.ingest_run(EventId("a", 0), (), insert_op(0, "abc")) == []
+        with pytest.raises(ValueError, match="different content"):
+            graph.ingest_run(EventId("a", 0), (), insert_op(0, "abX"))
+        with pytest.raises(ValueError, match="duplicate"):
+            graph.add_event(EventId("a", 1), (0,), insert_op(0, "x"), parents_are_indices=True)
+        assert self._shape(graph) == [("a:0", (), "abc")]
+
+    def test_unknown_parent_is_a_key_error_and_adds_nothing(self):
+        graph = self._abc()
+        with pytest.raises(KeyError, match="zz:4"):
+            graph.ingest_run(EventId("b", 0), (EventId("a", 2), EventId("zz", 4)), insert_op(0, "x"))
+        assert self._shape(graph) == [("a:0", (), "abc")]
+        assert graph.next_seq_for("b") == 0
+
+    def test_mid_run_parent_splits_then_appends(self):
+        graph = self._abc()
+        (added,) = graph.ingest_run(EventId("b", 0), (EventId("a", 1),), insert_op(0, "x"))
+        assert added.index == 2
+        assert self._shape(graph) == [("a:0", (), "ab"), ("a:2", (0,), "c"), ("b:0", (0,), "x")]
+        assert graph.frontier == (1, 2)
+
+    def test_two_parent_ids_inside_one_stored_run(self):
+        graph = self._abc()
+        graph.ingest_run(EventId("b", 0), (EventId("a", 1), EventId("a", 2)), insert_op(0, "x"))
+        assert self._shape(graph)[-1] == ("b:0", (0, 1), "x")
+        # The same last character named twice is one parent, not two.
+        graph = self._abc()
+        graph.ingest_run(EventId("b", 0), (EventId("a", 2), EventId("a", 2)), insert_op(0, "x"))
+        assert self._shape(graph) == [("a:0", (), "abc"), ("b:0", (0,), "x")]
+
+    def test_parents_are_stored_sorted_whatever_order_they_arrive_in(self):
+        graph = self._abc()
+        graph.ingest_run(EventId("b", 0), (), insert_op(0, "x"))
+        graph.ingest_run(EventId("c", 0), (EventId("b", 0), EventId("a", 2)), insert_op(0, "y"))
+        assert graph.parents_of(2) == (0, 1)
+        assert graph.frontier == (2,)
+
+    def test_a_seq_gap_is_appended_and_filled_later(self):
+        graph = self._abc()
+        graph.ingest_run(EventId("a", 5), (EventId("a", 2),), insert_op(5, "fg"))
+        assert graph.next_seq_for("a") == 7
+        # Below the agent's next seq now: the general path fills the gap and
+        # recognises the part it already holds.
+        graph.ingest_run(EventId("a", 3), (EventId("a", 2),), insert_op(3, "defg"))
+        assert self._shape(graph) == [
+            ("a:0", (), "abc"),
+            ("a:5", (0,), "fg"),
+            ("a:3", (0,), "de"),
+        ]
+
+    def test_a_listener_hears_every_append(self):
+        class Listener:
+            def __init__(self):
+                self.heard = []
+
+            def event_added(self, event):
+                self.heard.append((str(event.id), event.index, event.parents))
+
+        graph = EventGraph()
+        listener = Listener()
+        graph.add_listener(listener)
+        graph.ingest_run(EventId("a", 0), (), insert_op(0, "abc"))
+        graph.ingest_run(EventId("b", 0), (EventId("a", 2),), insert_op(0, "x"))
+        assert listener.heard == [("a:0", 0, ()), ("b:0", 1, (0,))]
