@@ -4,10 +4,14 @@ For every algorithm and trace we record (via tracemalloc) the peak memory
 allocated while merging and the memory still retained afterwards (the steady
 state).  The paper's claims reproduced here:
 
-* Eg-walker and OT retain only the document text once the merge completes —
-  one to two orders of magnitude less than any CRDT (claim C5);
+* the Eg-walker *replay* and OT retain only the document text once the merge
+  completes — one to two orders of magnitude less than any CRDT (claim C5);
 * Eg-walker's peak (while the merge is running) is in the same ballpark as the
-  reference CRDT's steady state.
+  reference CRDT's steady state;
+* an Eg-walker *replica* (``eg-walker-replica``) — a ``Document`` that merged
+  the trace's events and keeps its event graph to go on editing and syncing —
+  retains the text plus that graph: more than the replay, still below the
+  reference CRDT on every trace.
 
 The benchmark time measured here includes the tracemalloc overhead, so it is
 not comparable with Figure 8's numbers; the memory readings are attached as
@@ -26,6 +30,8 @@ from repro.bench.adapters import (
     YjsLikeAdapter,
 )
 from repro.bench.memory import measure_memory
+from repro.core.document import Document
+from repro.core.oplog import graph_to_remote_events
 
 ADAPTERS = {
     "eg-walker": EgWalkerAdapter,
@@ -87,3 +93,42 @@ def test_steady_state_ratio_egwalker_vs_ref_crdt(benchmark, all_traces):
         name: round(value, 1) for name, value in ratios.items()
     }
     assert all(value > 2 for value in ratios.values())
+
+
+#: Steady bytes per run event a replica may retain on the sequential traces
+#: (S1–S3, no walker state resident after the merge): 135–137 measured; 514–531
+#: while the event graph kept a view, a children list and two tuples per event.
+REPLICA_BYTES_PER_RUN_EVENT = 200
+
+
+def _replica(events):
+    document = Document("fig10-replica")
+    document.apply_remote_events(events)
+    return document
+
+
+def test_replica_memory(benchmark, trace):
+    """The ``eg-walker-replica`` row: a replica that keeps its graph."""
+    benchmark.group = f"fig10-memory-{trace.name}"
+    events = graph_to_remote_events(trace.graph)  # built outside the measurement
+
+    def run():
+        _, replica = measure_memory(lambda: _replica(events))
+        _, crdt = measure_memory(lambda: RefCRDTAdapter().merge(trace))
+        return replica, crdt
+
+    replica, crdt = benchmark.pedantic(run, rounds=1, iterations=1)
+    per_run_event = replica.retained_bytes / len(trace.graph)
+    benchmark.extra_info["trace"] = trace.name
+    benchmark.extra_info["algorithm"] = "eg-walker-replica"
+    benchmark.extra_info["peak_kib"] = round(replica.peak_bytes / 1024, 1)
+    benchmark.extra_info["steady_kib"] = round(replica.retained_bytes / 1024, 1)
+    benchmark.extra_info["steady_bytes_per_run_event"] = round(per_run_event, 1)
+    benchmark.extra_info["crdt_over_replica_steady_ratio"] = round(
+        crdt.retained_bytes / max(1, replica.retained_bytes), 1
+    )
+    assert replica.retained_bytes < crdt.retained_bytes
+    # Below a few hundred run events (a reduced REPRO_TRACE_SCALE) the rope's
+    # and the maps' fixed costs dominate the per-event figure.
+    if trace.kind == "sequential" and len(trace.graph) >= 300:
+        assert per_run_event < REPLICA_BYTES_PER_RUN_EVENT

@@ -1,12 +1,14 @@
 """Rule: ``EventGraph``'s private columns are touched only by ``event_graph.py``.
 
 The graph stores events as handle-indexed parallel columns (``_h_id``,
-``_h_op``, ``_order``, ``_labels``, ...).  The whole point of the handle
+``_h_op``, ``_h_parent``, ``_order``, ``_labels``, ...) plus the side maps
+of multi-parent / multi-child events.  The whole point of the handle
 refactor (PR 6) is that *every* consumer goes through the handle APIs
 (``handle_at`` / ``index_of_handle`` / ``order_key`` / the ``Event`` views),
 so splits can re-label and re-spread without breaking anyone.  A module that
 reaches into a column directly re-creates exactly the stale-index bugs the
-refactor removed — and does so silently, because the columns are plain lists.
+refactor removed — and does so silently, because the columns are plain
+lists, arrays and dicts.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ _ORDER_COLUMNS = {
     "_frontier",
     "_cum_inserts",
     "_agent_index",
-    "_agent_names",
-    "_agent_ids",
+    "_more_parents",
+    "_more_children",
     "_next_seq",
 }
 

@@ -25,6 +25,7 @@ set incrementally for a graph's local order.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Sequence
 
 from .event_graph import ROOT_VERSION, Event, EventGraph, Version
@@ -147,8 +148,8 @@ class CriticalCutTracker:
         self.graph = graph
         #: Event handles whose prefix version is critical ("the cut after
         #: event X"), kept sorted by current local position (equivalently, by
-        #: live order label).
-        self._cuts: list[int] = []
+        #: live order label); an array, like the graph's own columns.
+        self._cuts = array("q")
         #: Cut handle -> handles of its version's heads, multi-head cuts only
         #: (a cut without an entry has the single head X).
         self._heads: dict[int, tuple[int, ...]] = {}
@@ -269,7 +270,7 @@ class CriticalCutTracker:
         """Recompute from scratch (O(n); only used when attaching late)."""
         graph = self.graph
         cuts = critical_cut_positions(graph, range(len(graph)))
-        self._cuts = [graph.handle_at(p) for p in cuts]
+        self._cuts = array("q", map(graph.handle_at, cuts))
         self._heads = {
             graph.handle_at(p): tuple(map(graph.handle_at, version))
             for p, version in cuts.items()

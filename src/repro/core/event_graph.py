@@ -24,8 +24,8 @@ the **last** character the event depends on; within a trusted local graph
 (:meth:`EventGraph.add_event`) any character of a run still identifies the
 whole run, because locally-created runs are only ever depended on whole.
 
-Storage layout — columns keyed by **stable event handles**
-----------------------------------------------------------
+Storage layout — integer columns keyed by **stable event handles**
+------------------------------------------------------------------
 
 Algorithms address events by their integer position in the local topological
 order (the *local index*; versions are sorted tuples of local indices).  But
@@ -38,28 +38,42 @@ The graph therefore separates *identity* from *position*:
 
 * Each event gets a **handle** — a small integer allocated once and never
   reused or renumbered.  All per-event data lives in parallel columns
-  indexed by handle (agent as an interned int, start seq, run length, parent
-  handles, child handles, the operation payload) — the columnar layout the
-  storage encoder uses on disk, here as the in-memory representation.
+  indexed by handle — the columnar layout the storage format has on disk,
+  here as the in-memory representation, at one machine word per event per
+  column.  ``_h_id`` / ``_h_op`` are lists of references to the caller's
+  :class:`~repro.core.ids.EventId` / :class:`~repro.core.ids.Operation`
+  objects; every integer column (run length, order label, first parent,
+  first child) is an ``array('q')``.
+* **Parents and children are a first entry plus a side map.**  The first
+  parent handle sits in ``_h_parent`` (−1 for a root) and the first child in
+  ``_h_child`` (−1 for none); only the rare event with two or more parents
+  (a merge) or children (a fork) has an entry in ``_more_parents`` /
+  ``_more_children`` holding the rest.
 * The local order is one array of handles (``_order``) plus a parallel array
-  of strictly increasing **order labels**.  ``index → handle`` is a list
+  of strictly increasing **order labels**.  ``index → handle`` is an array
   lookup (O(1)); ``handle → index`` is a bisect over the labels (O(log n)).
   A split allocates the right half a label midway between its neighbours, so
   no existing label (and no listener keyed by handles) needs touching; label
   space is re-spread in the rare case two neighbours become adjacent.
+* **Identity fast path.**  Appends allocate handles and positions in
+  lockstep, so until the first split (``_gen == 0``) a handle *is* its
+  index: :meth:`index_of_handle` and parent resolution return the stored
+  handles as they are, with no bisect and no cache, and the label columns
+  stay empty — the first split creates them.
 
 :meth:`split_event` is then O(log n + degree) Python work: rewrite the
 whole-run parent references of the split run's children (via the child
-column) and insert the right half's handle into the order — the only O(n)
-residue is a pair of C-level array inserts.  Consumers that key off handles
+columns) and insert the right half's handle into the order — the only O(n)
+residue is a few C-level array inserts.  Consumers that key off handles
 (the merge engine's critical-cut tracker, the per-agent range map, the
-frontier) do not shift anything; index-based caches (parents-as-indices) are
-invalidated wholesale by a generation counter and recomputed lazily.
+frontier) do not shift anything.
 
-:class:`Event` is a permanent flyweight **view** (one per handle, ``__slots__``
-only): ``event.index`` always reports the current position, ``event.op`` /
-``event.id`` / ``event.parents`` read the columns, so holding an ``Event``
-across splits is safe — the object never goes stale.
+:class:`Event` is a **view made on access** — ``(graph, handle)``, nothing
+stored: two views of the same event compare and hash equal, ``event.index``
+always reports the current position, and ``event.op`` / ``event.id`` /
+``event.parents`` read the columns, so holding an ``Event`` across splits is
+safe — it never goes stale.  Bulk readers (:meth:`EventGraph.to_columns`,
+:meth:`EventGraph.id_spans`, :meth:`EventGraph.ingest_runs`) make no views.
 
 :func:`expand_to_chars` converts a run graph into the equivalent
 one-event-per-character graph — the representation the paper uses for
@@ -68,6 +82,7 @@ presentation, kept here as a correctness oracle for the run-length pipeline.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import accumulate
 from operator import ge, lt
@@ -107,8 +122,9 @@ def _check_parent_indices(refs: Sequence[int], index: int) -> None:
 class Event:
     """A view of one run event in the graph — a stable, never-stale handle.
 
-    One ``Event`` object exists per stored event, for the graph's lifetime.
-    All attributes read through to the graph's columns, so they are live:
+    Views are made on access and compare and hash by ``(graph, handle)``, so
+    every view of an event is equal to every other.  All attributes read
+    through to the graph's columns, so they are live:
 
     * ``index`` — the event's *current* local index (splits shift it);
     * ``id`` — globally unique ``(agent, seq)`` of the run's first character;
@@ -124,6 +140,14 @@ class Event:
     def __init__(self, graph: "EventGraph", handle: int) -> None:
         self.graph = graph
         self.handle = handle
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return self.graph is other.graph and self.handle == other.handle
+
+    def __hash__(self) -> int:
+        return hash((id(self.graph), self.handle))
 
     @property
     def index(self) -> int:
@@ -149,7 +173,7 @@ class Event:
     @property
     def end_seq(self) -> int:
         """One past the seq of the run's last character."""
-        return self.graph._h_seq[self.handle] + self.graph._h_len[self.handle]
+        return self.id.seq + self.graph._h_len[self.handle]
 
     def id_at(self, offset: int) -> EventId:
         """Id of the ``offset``-th character of this run."""
@@ -183,30 +207,26 @@ class EventGraph:
     """
 
     def __init__(self) -> None:
-        # -- per-handle columns (parallel lists indexed by handle) ---------
-        self._h_id: list[EventId] = []  # first-char id (cached composite)
-        self._h_agent: list[int] = []  # interned agent (index into _agent_names)
-        self._h_seq: list[int] = []  # run start seq
-        self._h_len: list[int] = []  # run length (in sync with the op)
+        # -- per-handle columns (indexed by handle) -------------------------
+        self._h_id: list[EventId] = []  # first-char id
         self._h_op: list[Operation] = []  # operation payload
-        self._h_parents: list[tuple[int, ...]] = []  # parent handles
-        self._h_children: list[list[int]] = []  # child handles (append order)
-        self._h_label: list[int] = []  # order label (monotone along _order)
-        self._h_view: list[Event] = []  # the one Event view per handle
-        # parents-as-sorted-index-tuples cache + the generation it was
-        # computed at; bumping _gen (splits only) invalidates every entry in
-        # O(1), recomputation is lazy and O(parents log n).
-        self._h_pidx: list[Version] = []
-        self._h_pgen: list[int] = []
+        self._h_len = array("q")  # run length (in sync with the op)
+        self._h_label = array("q")  # order label (from the first split on)
+        self._h_parent = array("q")  # first parent handle, -1 for a root
+        self._h_child = array("q")  # first child handle, -1 for none
+        #: The rest of a multi-parent event's parent handles, and of a
+        #: multi-child event's child handles (append order).
+        self._more_parents: dict[int, tuple[int, ...]] = {}
+        self._more_children: dict[int, list[int]] = {}
+        #: Splits so far; while 0, every handle is its own local index.
         self._gen = 0
         # -- the local order ----------------------------------------------
-        self._order: list[int] = []  # handles in local (topological) order
-        self._labels: list[int] = []  # labels parallel to _order (ascending)
-        # -- agent interning + id range maps --------------------------------
-        self._agent_names: list[str] = []
-        self._agent_ids: dict[str, int] = {}
-        #: Per-agent range map: run-start seq -> event handle (shared
-        #: RangeIndex machinery with the internal-state record index).
+        self._order = array("q")  # handles in local (topological) order
+        self._labels = array("q")  # _h_label along _order (ascending)
+        # -- id range maps --------------------------------------------------
+        #: Per-agent range map: run-start seq -> event handle, the handles
+        #: in an array (shared RangeIndex machinery with the internal-state
+        #: record index).
         self._agent_index: dict[str, RangeIndex[int]] = {}
         # -- aggregates ------------------------------------------------------
         self._frontier: list[int] = []  # handles of events with no children
@@ -218,7 +238,7 @@ class EventGraph:
         #: :meth:`inserted_chars_through` is O(1).  The history subsystem
         #: uses it as a safe upper bound on the document length at any
         #: version contained in a prefix, to size replay placeholders.
-        self._cum_inserts: list[int] = []
+        self._cum_inserts = array("q")
         #: Structural-change observers (see :meth:`add_listener`).  Listeners
         #: are how incremental consumers (the merge engine's critical-cut
         #: tracker) stay in sync without rescanning the graph.
@@ -237,8 +257,8 @@ class EventGraph:
 
         On a fresh graph handle ``i`` *is* index ``i``, so the decoded
         columns are the handle-indexed columns verbatim and the derived ones
-        (range maps, children, frontier, labels, cumulative inserts) are
-        whole-list operations instead of n rounds of per-event bookkeeping.
+        (range maps, children, frontier, cumulative inserts) are whole-array
+        operations instead of n rounds of per-event bookkeeping.
         Every check :meth:`add_event` makes is kept: each agent's id spans
         fresh and non-overlapping, every parent tuple sorted, de-duplicated
         and inside ``[0, own index)``.
@@ -250,37 +270,35 @@ class EventGraph:
         if len(ids) != n or len(parents) != n:
             raise ValueError(f"{len(ids)} ids and {len(parents)} parents for {n} ops")
         graph = cls()
-        children: list[list[int]] = [[] for _ in range(n)]
+        children, more_children = array("q", [-1]) * n, graph._more_children
         for handle, refs in enumerate(parents):
             _check_parent_indices(refs, handle)
             for parent in refs:
-                children[parent].append(handle)
-        lengths = [op.length for op in ops]
+                if children[parent] < 0:
+                    children[parent] = handle
+                elif parent in more_children:
+                    more_children[parent].append(handle)
+                else:
+                    more_children[parent] = [handle]
+        lengths = array("q", [op.length for op in ops])
         seqs = [event_id.seq for event_id in ids]
-        agents = [event_id.agent for event_id in ids]
-        graph._agent_names = list(dict.fromkeys(agents))
-        graph._agent_ids = {name: aid for aid, name in enumerate(graph._agent_names)}
         graph._h_id = list(ids)
-        graph._h_agent = [graph._agent_ids[agent] for agent in agents]
-        graph._h_seq = seqs
-        graph._h_len = lengths
         graph._h_op = list(ops)
-        graph._h_parents = list(map(tuple, parents))
-        graph._h_children = children
-        graph._h_pidx = list(graph._h_parents)
-        graph._h_pgen = [0] * n
-        graph._h_view = [Event(graph, handle) for handle in range(n)]
-        graph._order = list(range(n))
-        graph._labels = list(range(0, n * _LABEL_GAP, _LABEL_GAP))
-        graph._h_label = list(graph._labels)
-        graph._frontier = [handle for handle in range(n) if not children[handle]]
+        graph._h_len = lengths
+        graph._h_parent = array("q", [refs[0] if refs else -1 for refs in parents])
+        graph._more_parents = {
+            handle: tuple(refs[1:]) for handle, refs in enumerate(parents) if len(refs) > 1
+        }
+        graph._h_child = children
+        graph._order = array("q", range(n))
+        graph._frontier = [handle for handle in range(n) if children[handle] < 0]
         graph._num_chars = sum(lengths)
-        graph._cum_inserts = list(
-            accumulate(op.length if op.kind is OpKind.INSERT else 0 for op in ops)
+        graph._cum_inserts = array(
+            "q", accumulate(op.length if op.kind is OpKind.INSERT else 0 for op in ops)
         )
-        by_agent: dict[str, list[int]] = {name: [] for name in graph._agent_names}
-        for handle, agent in enumerate(agents):
-            by_agent[agent].append(handle)
+        by_agent: dict[str, list[int]] = {}
+        for handle, event_id in enumerate(ids):
+            by_agent.setdefault(event_id.agent, []).append(handle)
         for agent, handles in by_agent.items():
             handles.sort(key=seqs.__getitem__)
             starts = [seqs[handle] for handle in handles]
@@ -288,7 +306,7 @@ class EventGraph:
             if any(map(lt, starts[1:], ends)):
                 raise ValueError(f"overlapping event id spans for agent {agent!r}")
             graph._agent_index[agent] = RangeIndex.from_sorted(
-                lengths.__getitem__, starts, handles
+                lengths.__getitem__, starts, array("q", handles)
             )
             graph._next_seq[agent] = ends[-1]
         return graph
@@ -306,13 +324,24 @@ class EventGraph:
         order = self._order
         handles = order if indices is None else [order[i] for i in indices]
         ids, ops = self._h_id, self._h_op
-        pidx, pgen, gen = self._h_pidx, self._h_pgen, self._gen
-        resolve = self._parent_indices
-        return (
-            [ids[h] for h in handles],
-            [pidx[h] if pgen[h] == gen else resolve(h) for h in handles],
-            [ops[h] for h in handles],
-        )
+        if self._gen:
+            parents = list(map(self._parent_indices, handles))
+        else:
+            first, more = self._h_parent, self._more_parents
+            parents = [
+                () if (p := first[h]) < 0 else (p, *more[h]) if h in more else (p,)
+                for h in handles
+            ]
+        return [ids[h] for h in handles], parents, [ops[h] for h in handles]
+
+    def id_spans(self, indices: Iterable[int] | None = None) -> list[tuple[EventId, int]]:
+        """``(first-character id, run length)`` of each event in local order
+        (or parallel to ``indices``): the graph's id coverage, without
+        :class:`Event` views."""
+        order = self._order
+        handles = order if indices is None else [order[i] for i in indices]
+        ids, lengths = self._h_id, self._h_len
+        return [(ids[h], lengths[h]) for h in handles]
 
     # ------------------------------------------------------------------
     # Listeners
@@ -361,39 +390,39 @@ class EventGraph:
         return self._order[index]
 
     def index_of_handle(self, handle: int) -> int:
-        """Current local index of the event with the given handle.  O(log n)."""
+        """Current local index of the event with the given handle: the handle
+        itself until the first split (O(1)), a bisect over the labels after
+        (O(log n))."""
+        if not self._gen:
+            return handle
         return bisect_left(self._labels, self._h_label[handle])
 
     def order_key(self, handle: int) -> int:
         """The handle's order label: comparing two events' labels orders them
         by current local index, without resolving either index.  O(1).
 
-        Labels are reassigned only when a label-space re-spread occurs (rare,
-        amortised), so consumers must read them live, never cache them.
+        Labels are reassigned when the first split creates them (before it
+        the handle itself is the key) and when a label-space re-spread occurs
+        (rare, amortised), so consumers must read them live, never cache them.
         """
-        return self._h_label[handle]
+        return self._h_label[handle] if self._gen else handle
+
+    def _child_handles(self, handle: int) -> list[int]:
+        first = self._h_child[handle]
+        return [] if first < 0 else [first, *self._more_children.get(handle, ())]
 
     def _parent_indices(self, handle: int) -> Version:
-        """Parent handles resolved to sorted local indices, cached per
-        generation (splits bump the generation; appends/extensions do not
-        move anything, so caches stay valid)."""
-        if self._h_pgen[handle] == self._gen:
-            return self._h_pidx[handle]
-        labels = self._h_label
-        order_labels = self._labels
-        resolved = tuple(
-            sorted(bisect_left(order_labels, labels[p]) for p in self._h_parents[handle])
-        )
-        self._h_pidx[handle] = resolved
-        self._h_pgen[handle] = self._gen
-        return resolved
-
-    def _intern_agent(self, agent: str) -> int:
-        aid = self._agent_ids.get(agent)
-        if aid is None:
-            aid = self._agent_ids[agent] = len(self._agent_names)
-            self._agent_names.append(agent)
-        return aid
+        """Parent handles resolved to sorted local indices: stored sorted and
+        returned as they are until the first split, bisected after."""
+        first = self._h_parent[handle]
+        if first < 0:
+            return ()
+        more = self._more_parents.get(handle)
+        parents = (first,) if more is None else (first, *more)
+        if not self._gen:
+            return parents
+        labels, order_labels = self._h_label, self._labels
+        return tuple(sorted(bisect_left(order_labels, labels[p]) for p in parents))
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -402,16 +431,14 @@ class EventGraph:
         return len(self._order)
 
     def __iter__(self) -> Iterator[Event]:
-        views = self._h_view
-        return iter([views[h] for h in self._order])
+        return iter(self.events())
 
     def __getitem__(self, index: int) -> Event:
-        return self._h_view[self._order[index]]
+        return Event(self, self._order[index])
 
     def events(self) -> Sequence[Event]:
         """All events in local (topological) order."""
-        views = self._h_view
-        return [views[h] for h in self._order]
+        return [Event(self, h) for h in self._order]
 
     @property
     def num_chars(self) -> int:
@@ -459,16 +486,20 @@ class EventGraph:
         """Id of the first character of the event at ``index``.  O(1)."""
         return self._h_id[self._order[index]]
 
+    def op_of(self, index: int) -> Operation:
+        """The run operation of the event at ``index``.  O(1)."""
+        return self._h_op[self._order[index]]
+
     def parents_of(self, index: int) -> Version:
-        """Local indices of the event's parents (sorted).  O(1) amortized
-        (cached per handle; the cache is invalidated by splits and rebuilt
-        lazily at O(parents log n))."""
+        """Local indices of the event's parents (sorted).  O(parents) until
+        the first split, O(parents log n) after."""
         return self._parent_indices(self._order[index])
 
     def children_of(self, index: int) -> Sequence[int]:
         """Local indices of the event's children, maintained incrementally as
         events are appended or split.  O(children log n)."""
-        return [self.index_of_handle(c) for c in self._h_children[self._order[index]]]
+        children = self._child_handles(self._order[index])
+        return list(map(self.index_of_handle, children)) if self._gen else children
 
     @property
     def frontier(self) -> Version:
@@ -555,53 +586,63 @@ class EventGraph:
         else:
             parent_indices = sorted({self.index_of(p) for p in parents})  # type: ignore[arg-type]
         _check_parent_indices(parent_indices, len(self._order))
-        return self._append(event_id, tuple(parent_indices), op)
+        return Event(self, self._append(event_id, parent_indices, op))
 
-    def _append(self, event_id: EventId, parent_indices: Version, op: Operation) -> Event:
-        """The one way an event enters the graph.  Its callers
-        (:meth:`add_event`, :meth:`ingest_run`) have validated it: the run's
-        id span is fresh and ``parent_indices`` are sorted, distinct indices
-        of stored events."""
+    def _append(self, event_id: EventId, parent_indices: Sequence[int], op: Operation) -> int:
+        """The one way an event enters the graph; returns its handle.  Its
+        callers (:meth:`add_event`, :meth:`ingest_run`) have validated it:
+        the run's id span is fresh and ``parent_indices`` are sorted,
+        distinct indices of stored events."""
         order = self._order
-        parent_handles = tuple([order[p] for p in parent_indices])
+        parents = [order[p] for p in parent_indices] if self._gen else parent_indices
         agent, seq, length = event_id.agent, event_id.seq, op.length
 
         handle = len(self._h_id)
         self._h_id.append(event_id)
-        self._h_agent.append(self._intern_agent(agent))
-        self._h_seq.append(seq)
-        self._h_len.append(length)
         self._h_op.append(op)
-        self._h_parents.append(parent_handles)
-        self._h_children.append([])
-        self._h_pidx.append(parent_indices)
-        self._h_pgen.append(self._gen)
-        label = self._labels[-1] + _LABEL_GAP if self._labels else 0
-        self._h_label.append(label)
-        event = Event(self, handle)
-        self._h_view.append(event)
-
+        self._h_len.append(length)
+        self._h_child.append(-1)
         order.append(handle)
-        self._labels.append(label)
+        if self._gen:
+            label = self._labels[-1] + _LABEL_GAP
+            self._h_label.append(label)
+            self._labels.append(label)
+        cum_inserts = self._cum_inserts
+        cum_inserts.append(
+            (cum_inserts[-1] if cum_inserts else 0)
+            + (length if op.kind is OpKind.INSERT else 0)
+        )
         agent_index = self._agent_index.get(agent)
         if agent_index is None:
-            agent_index = self._agent_index[agent] = RangeIndex(self._h_len.__getitem__)
+            agent_index = self._agent_index[agent] = RangeIndex(
+                self._h_len.__getitem__, array("q")
+            )
         agent_index.register(seq, handle)
         self._num_chars += length
-        previous = self._cum_inserts[-1] if self._cum_inserts else 0
-        self._cum_inserts.append(previous + (length if op.kind is OpKind.INSERT else 0))
-        for ph in parent_handles:
-            self._h_children[ph].append(handle)
-        # Maintain the frontier incrementally: the new event replaces any of
-        # its parents that were frontier members, and is itself a frontier
-        # member (nothing can be its child yet).
-        if parent_handles:
-            self._frontier = [f for f in self._frontier if f not in parent_handles]
-        self._frontier.append(handle)
         if seq + length > self._next_seq.get(agent, 0):
             self._next_seq[agent] = seq + length
-        self._notify("event_added", event)
-        return event
+        # Parent and child columns, and the frontier, incrementally: the new
+        # event replaces any of its parents that were frontier members, and
+        # is itself a frontier member (nothing can be its child yet).
+        if parents:
+            self._h_parent.append(parents[0])
+            if len(parents) > 1:
+                self._more_parents[handle] = tuple(parents[1:])
+            children, more_children = self._h_child, self._more_children
+            for parent in parents:
+                if children[parent] < 0:
+                    children[parent] = handle
+                elif parent in more_children:
+                    more_children[parent].append(handle)
+                else:
+                    more_children[parent] = [handle]
+            self._frontier = [f for f in self._frontier if f not in parents]
+        else:
+            self._h_parent.append(-1)
+        self._frontier.append(handle)
+        if self._listeners:
+            self._notify("event_added", Event(self, handle))
+        return handle
 
     def extend_event(self, index: int, op: Operation) -> Event:
         """Grow the run at ``index`` in place by the run ``op`` continues.
@@ -643,7 +684,7 @@ class EventGraph:
             self._cum_inserts[index] += op.length  # the sole frontier run is last
         self._next_seq[event_id.agent] = event_id.seq + new_op.length
         self._notify("event_extended", index, op.length)
-        return self._h_view[handle]
+        return Event(self, handle)
 
     def add_local_event(self, agent: str, op: Operation) -> Event:
         """Add a run event generated locally by ``agent``.
@@ -669,11 +710,11 @@ class EventGraph:
         Returns the right half.  O(log n + children of the split run) Python
         work: the right half's order label is bisected between its
         neighbours, the split run's children (found via the child column)
-        have one parent handle rewritten, and the parents-as-indices caches
-        are invalidated wholesale by a generation bump.  The only O(n)
-        residue is a pair of C-level array inserts into the order.  Splits
-        only happen when interoperating with a peer that carved runs
-        differently, never on the local editing path.
+        have one parent handle rewritten, and the split ends the identity
+        fast path (handles no longer equal indices).  The only O(n) residue
+        is a few C-level array inserts into the order.  Splits only happen
+        when interoperating with a peer that carved runs differently, never
+        on the local editing path.
         """
         left = self._order[index]
         op = self._h_op[left]
@@ -683,35 +724,32 @@ class EventGraph:
         label = self._split_label(index)
         right = len(self._h_id)
         right_op = op.slice(offset, op.length - offset)
-        self._h_id.append(self._h_id[left].advance(offset))
-        self._h_agent.append(self._h_agent[left])
-        self._h_seq.append(self._h_seq[left] + offset)
-        self._h_len.append(right_op.length)
+        right_id = self._h_id[left].advance(offset)
+        self._h_id.append(right_id)
         self._h_op.append(right_op)
-        self._h_parents.append((left,))
+        self._h_len.append(right_op.length)
         self._h_label.append(label)
-        view = Event(self, right)
-        self._h_view.append(view)
+        self._h_parent.append(left)
 
         self._h_op[left] = op.slice(0, offset)
         self._h_len[left] = offset
 
         # Children who depended on the whole run now depend on the right
         # half; the left half's only child is the right half.  Handles are
-        # rewritten via the child column — no scan over the graph.
-        moved = self._h_children[left]
-        self._h_children.append(moved)
-        self._h_children[left] = [right]
+        # rewritten via the child columns — no scan over the graph.
+        moved = self._child_handles(left)
+        self._h_child.append(self._h_child[left])
+        self._h_child[left] = right
+        if left in self._more_children:
+            self._more_children[right] = self._more_children.pop(left)
         for child in moved:
-            self._h_parents[child] = tuple(
-                right if p == left else p for p in self._h_parents[child]
-            )
-        # Invalidate the parents-as-indices caches (positions after the split
-        # shift, and references to the split run change identity); the right
-        # half's fresh cache entry is exact.
+            if self._h_parent[child] == left:
+                self._h_parent[child] = right
+            else:
+                self._more_parents[child] = tuple(
+                    right if p == left else p for p in self._more_parents[child]
+                )
         self._gen += 1
-        self._h_pidx.append((index,))
-        self._h_pgen.append(self._gen)
 
         self._order.insert(index + 1, right)
         self._labels.insert(index + 1, label)
@@ -724,15 +762,20 @@ class EventGraph:
         self._cum_inserts.insert(index, self._cum_inserts[index] - right_inserts)
         # The id range map refines: the left entry now covers less (its
         # length is consulted live) and the right half gets its own entry.
-        self._agent_index[self._h_id[right].agent].register(self._h_seq[right], right)
+        self._agent_index[right_id.agent].register(right_id.seq, right)
         self._notify("event_split", index)
-        return view
+        return Event(self, right)
 
     def _split_label(self, index: int) -> int:
         """An order label strictly between positions ``index`` and
         ``index + 1``, re-spreading the label space if the gap is exhausted
         (needs ~20 splits between the same two events; O(n) then, amortised
         away)."""
+        if not self._gen:
+            # The first split: until now handle and index were one, so the
+            # labels (not kept before) start out evenly spread.
+            self._labels = array("q", range(0, len(self._order) * _LABEL_GAP, _LABEL_GAP))
+            self._h_label = array("q", self._labels)
         labels = self._labels
         left = labels[index]
         right = labels[index + 1] if index + 1 < len(labels) else left + 2 * _LABEL_GAP
@@ -741,7 +784,7 @@ class EventGraph:
             h_label = self._h_label
             for pos, handle in enumerate(self._order):
                 h_label[handle] = pos * _LABEL_GAP
-            self._labels = [pos * _LABEL_GAP for pos in range(len(self._order))]
+            self._labels = array("q", range(0, len(self._order) * _LABEL_GAP, _LABEL_GAP))
             left = self._labels[index]
             label = left + _LABEL_GAP // 2
         return label
@@ -809,6 +852,35 @@ class EventGraph:
         illegal divergence), and :class:`KeyError` if a needed parent is
         missing (the replication layer holds such events back).
         """
+        return [Event(self, h) for h in self._ingest_run(event_id, parent_ids, op)]
+
+    def ingest_runs(
+        self,
+        runs: Iterable[tuple[EventId, Iterable[EventId], Operation]],
+        added_spans: list[tuple[str, int, int]] | None = None,
+    ) -> list[int]:
+        """:meth:`ingest_run` for a causally ordered batch of ``(id, parent
+        ids, op)`` runs, without :class:`Event` views.
+
+        Returns the current local indices of the events covering the new id
+        spans, resolved once the batch is done (a later run may split an
+        earlier one).  ``added_spans``, if given, receives each new ``(agent,
+        seq, length)`` span as it is added, so a caller can account for a
+        batch that raises midway.
+        """
+        if added_spans is None:
+            added_spans = []
+        ids, lengths = self._h_id, self._h_len
+        for event_id, parent_ids, op in runs:
+            for handle in self._ingest_run(event_id, parent_ids, op):
+                new_id = ids[handle]
+                added_spans.append((new_id.agent, new_id.seq, lengths[handle]))
+        return self.indices_covering(added_spans)
+
+    def _ingest_run(
+        self, event_id: EventId, parent_ids: Iterable[EventId], op: Operation
+    ) -> list[int]:
+        """:meth:`ingest_run`, returning the new events' handles."""
         agent = event_id.agent
         if event_id.seq >= self._next_seq.get(agent, 0):
             # The whole span is new (nothing stored reaches its first seq), so
@@ -818,8 +890,8 @@ class EventGraph:
             parent_indices = self._whole_run_indices(parent_ids)
             if parent_indices is not None:
                 return [self._append(event_id, parent_indices, op)]
-        added: list[Event] = []
-        parent_events: list[Event] | None = None
+        added: list[int] = []
+        parent_handles: list[int] | None = None
         seq = event_id.seq
         end = event_id.seq + op.length
         while seq < end:
@@ -839,14 +911,16 @@ class EventGraph:
             span = (next_start if next_start is not None else end) - seq
             offset = seq - event_id.seq
             if offset == 0:
-                if parent_events is None:
-                    # Resolve to Event views first: each dependency_index call
-                    # may split a stored run, shifting later indices (the
-                    # views' .index stays live).
-                    parent_events = [
-                        self[self.dependency_index(p)] for p in parent_ids
+                if parent_handles is None:
+                    # Resolve to handles first: each dependency_index call may
+                    # split a stored run, shifting later indices (handles
+                    # never move).
+                    parent_handles = [
+                        self._order[self.dependency_index(p)] for p in parent_ids
                     ]
-                parent_indices: Iterable[int] = {e.index for e in parent_events}
+                parent_indices: Iterable[int] = set(
+                    map(self.index_of_handle, parent_handles)
+                )
             else:
                 parent_indices = (self.dependency_index(EventId(agent, seq - 1)),)
             added.append(
@@ -855,7 +929,7 @@ class EventGraph:
                     parent_indices,
                     op.slice(offset, span),
                     parents_are_indices=True,
-                )
+                ).handle
             )
             seq += span
         return added
@@ -923,14 +997,14 @@ class EventGraph:
             ``(agent, seq, length)`` span of each event as it is added, so a
             caller can account for a merge that raises midway.
         """
-        if added_spans is None:
-            added_spans = []
-        for event in other.events():
-            parent_ids = [other.dependency_id(p) for p in event.parents]
-            for new_event in self.ingest_run(event.id, parent_ids, event.op):
-                new_id = new_event.id
-                added_spans.append((new_id.agent, new_id.seq, new_event.num_chars))
-        return self.indices_covering(added_spans)
+        dependency_id = other.dependency_id
+        return self.ingest_runs(
+            (
+                (event_id, list(map(dependency_id, parents)), op)
+                for event_id, parents, op in zip(*other.to_columns())
+            ),
+            added_spans,
+        )
 
     def indices_covering(self, spans: Iterable[tuple[str, int, int]]) -> list[int]:
         """Current event indices covering the given ``(agent, seq, length)`` spans.
@@ -966,10 +1040,6 @@ class EventGraph:
         causal coverage.
         """
         return tuple(self.dependency_id(i) for i in version)
-
-    def is_valid_version(self, version: Version) -> bool:
-        """Check that ``version`` only references events present in the graph."""
-        return all(0 <= i < len(self._order) for i in version)
 
     def summary(self) -> dict[str, int]:
         """Cheap summary statistics used by the trace tooling.

@@ -252,9 +252,9 @@ class MergeEngine:
             # keyed by the event's first-char id, so it is re-keyed under the
             # two halves' ids.
             graph = self.oplog.graph
-            left = graph[index]
-            if left.op.is_delete:
-                ckpt.state.split_delete_targets(left.id, left.op.length)
+            left_op = graph.op_of(index)
+            if left_op.is_delete:
+                ckpt.state.split_delete_targets(graph.id_of(index), left_op.length)
             self.stats.checkpoints_patched += 1
         else:
             ckpt.base_cut = base + 1
@@ -291,15 +291,16 @@ class MergeEngine:
         if ckpt.prepare_version != (index,):
             self._drop_checkpoint()
             return
-        event = self.oplog.graph[index]
-        op = event.op  # already extended; recover the pre-extension length
+        graph = self.oplog.graph
+        event_id = graph.id_of(index)
+        op = graph.op_of(index)  # already extended; recover the old length
         old_length = op.length - added_length
         if op.is_insert:
             ckpt.state.apply_insert(
-                event.id.advance(old_length), op.pos + old_length, added_length
+                event_id.advance(old_length), op.pos + old_length, added_length
             )
         else:
-            ckpt.state.extend_delete(event.id, op.pos, added_length)
+            ckpt.state.extend_delete(event_id, op.pos, added_length)
         self.stats.checkpoints_patched += 1
 
     # ------------------------------------------------------------------
@@ -330,7 +331,7 @@ class MergeEngine:
         stats.merges += 1
         stats.events_integrated += len(added)
         graph = self.oplog.graph
-        stats.chars_integrated += sum(graph[idx].op.length for idx in added)
+        stats.chars_integrated += sum(op.length for op in map(graph.op_of, added))
         if not self.incremental:
             return self._integrate_legacy(added)
         first_new = min(added)
@@ -375,10 +376,11 @@ class MergeEngine:
         if run_end >= first_new:
             prefix = list(range(first_new, run_end + 1))
             self._drop_checkpoint()  # a critical version formed at run_end
-            ops = coalesce_ops(graph[idx].op for idx in prefix)
+            prefix_ops = list(map(graph.op_of, prefix))
+            ops = coalesce_ops(prefix_ops)
             self._apply_to_rope(ops)
             stats.fast_path_events += len(prefix)
-            stats.fast_path_chars += sum(graph[idx].op.length for idx in prefix)
+            stats.fast_path_chars += sum(op.length for op in prefix_ops)
             if run_end == n - 1:
                 # The whole batch was sequential.
                 stats.fast_path_merges += 1
@@ -437,7 +439,7 @@ class MergeEngine:
                 graph, new_events
             )
             deletes_in_old = sum(
-                graph[idx].op.length for idx in old_range if graph[idx].op.is_delete
+                op.length for op in map(graph.op_of, old_range) if op.is_delete
             )
             result = self.walker.transform(
                 old_range + new_events,
@@ -585,7 +587,7 @@ class MergeEngine:
         new_events = sorted(added)
         order = sort_branch_aware(graph, old_range) + sort_branch_aware(graph, new_events)
         deletes_in_old_range = sum(
-            graph[idx].op.length for idx in old_range if graph[idx].op.is_delete
+            op.length for op in map(graph.op_of, old_range) if op.is_delete
         )
         base_doc_length = len(self.rope) + deletes_in_old_range
 

@@ -63,19 +63,11 @@ def graph_to_remote_events(
 ) -> list[RemoteEvent]:
     """Events of ``graph`` (all of them by default) in portable form: parents
     as the ids of their last characters, never local indices."""
-    if indices is None:
-        indices = range(len(graph))
-    out: list[RemoteEvent] = []
-    for idx in indices:
-        event = graph[idx]
-        out.append(
-            RemoteEvent(
-                id=event.id,
-                parents=tuple(graph.dependency_id(p) for p in event.parents),
-                op=event.op,
-            )
-        )
-    return out
+    dependency_id = graph.dependency_id
+    return [
+        RemoteEvent(id=event_id, parents=tuple(map(dependency_id, parents)), op=op)
+        for event_id, parents, op in zip(*graph.to_columns(indices))
+    ]
 
 
 def split_remote_event(event: RemoteEvent, offset: int) -> tuple[RemoteEvent, RemoteEvent]:
@@ -389,14 +381,9 @@ class OpLog:
             the events before one that raises stay in the graph, and the
             caller has to account for them.
         """
-        if added_spans is None:
-            added_spans = []
-        ingest_run = self.graph.ingest_run
-        for remote in events:
-            for event in ingest_run(remote.id, remote.parents, remote.op):
-                event_id = event.id
-                added_spans.append((event_id.agent, event_id.seq, event.num_chars))
-        return self.graph.indices_covering(added_spans)
+        return self.graph.ingest_runs(
+            ((remote.id, remote.parents, remote.op) for remote in events), added_spans
+        )
 
     def merge_from(
         self, other: "OpLog", added_spans: list[tuple[str, int, int]] | None = None

@@ -23,7 +23,7 @@ character ids have been delivered without O(chars) memory.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Generic, TypeVar
+from typing import Callable, Generic, MutableSequence, TypeVar
 
 __all__ = ["RangeIndex", "SpanSet"]
 
@@ -35,22 +35,24 @@ class RangeIndex(Generic[T]):
 
     __slots__ = ("_starts", "_values", "_length_of")
 
-    def __init__(self, length_of: Callable[[T], int]) -> None:
+    def __init__(
+        self, length_of: Callable[[T], int], values: MutableSequence[T] | None = None
+    ) -> None:
         self._starts: list[int] = []
-        self._values: dict[int, T] = {}
+        #: Parallel to ``_starts``; integer values may come in an ``array``.
+        self._values: MutableSequence[T] = [] if values is None else values
         #: Current length of a value's range; consulted at lookup time so
         #: splits that shrink a registered value are reflected immediately.
         self._length_of = length_of
 
     @classmethod
     def from_sorted(
-        cls, length_of: Callable[[T], int], starts: list[int], values: list[T]
+        cls, length_of: Callable[[T], int], starts: list[int], values: MutableSequence[T]
     ) -> "RangeIndex[T]":
         """Bulk :meth:`register` of disjoint ranges: ``starts`` strictly
-        ascending (it is kept, not copied), ``values`` parallel to it."""
-        index = cls(length_of)
+        ascending, ``values`` parallel to it (both kept, not copied)."""
+        index = cls(length_of, values)
         index._starts = starts
-        index._values = dict(zip(starts, values))
         return index
 
     def __len__(self) -> int:
@@ -58,25 +60,29 @@ class RangeIndex(Generic[T]):
 
     def clear(self) -> None:
         self._starts.clear()
-        self._values.clear()
+        del self._values[:]
 
     def register(self, start: int, value: T) -> None:
         """Register ``value`` as covering ``start .. start + length_of(value)``."""
         starts = self._starts
         if not starts or start > starts[-1]:
             starts.append(start)  # the common case: ranges arrive in key order
-        elif start not in self._values:
-            bisect.insort(starts, start)
-        self._values[start] = value
+            self._values.append(value)
+            return
+        idx = bisect.bisect_left(starts, start)
+        if starts[idx] == start:
+            self._values[idx] = value
+        else:
+            starts.insert(idx, start)
+            self._values.insert(idx, value)
 
     def find(self, key: int) -> tuple[T, int] | None:
         """The (value, offset) whose range contains ``key``, or ``None``."""
         idx = bisect.bisect_right(self._starts, key) - 1
         if idx < 0:
             return None
-        start = self._starts[idx]
-        value = self._values[start]
-        offset = key - start
+        value = self._values[idx]
+        offset = key - self._starts[idx]
         if offset < self._length_of(value):
             return value, offset
         return None
@@ -98,11 +104,11 @@ class RangeIndex(Generic[T]):
         removed and lookups in its range fall back to the left span, whose
         grown length covers them again.
         """
-        if start not in self._values:
-            return
-        idx = bisect.bisect_left(self._starts, start)
-        self._starts.pop(idx)
-        del self._values[start]
+        starts = self._starts
+        idx = bisect.bisect_left(starts, start)
+        if idx < len(starts) and starts[idx] == start:
+            del starts[idx]
+            del self._values[idx]
 
 
 class SpanSet:

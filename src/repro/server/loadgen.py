@@ -186,11 +186,7 @@ class _ReplicaCore:
         self.buffer = CausalBuffer(deliver_batch=self._apply_batch)
         # A reconnecting client reuses its document: everything already in
         # the graph is known to the (fresh) buffer.
-        graph = self.document.oplog.graph
-        if len(graph):
-            self.buffer.mark_known_spans(
-                (graph[i].id, graph[i].num_chars) for i in range(len(graph))
-            )
+        self.buffer.mark_known_spans(self.document.oplog.graph.id_spans())
         self.sent_times = sent_times
         self.latency_samples = latency_samples
         self.presence_seen: dict[str, tuple] = {}

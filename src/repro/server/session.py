@@ -256,10 +256,7 @@ class DocumentRoom:
         self._seed_inbound()
 
     def _seed_inbound(self) -> None:
-        graph = self.document.oplog.graph
-        self.inbound.mark_known_spans(
-            (graph[i].id, graph[i].num_chars) for i in range(len(graph))
-        )
+        self.inbound.mark_known_spans(self.document.oplog.graph.id_spans())
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -317,8 +314,7 @@ class DocumentRoom:
         if not known:
             return []
         indices = tuple(sorted({graph.dependency_index(eid) for eid in known}))
-        closure = self.document.oplog.causal.ancestors(indices)
-        return [(graph[i].id, graph[i].num_chars) for i in closure]
+        return graph.id_spans(self.document.oplog.causal.ancestors(indices))
 
     # ------------------------------------------------------------------
     # Traffic
@@ -397,6 +393,7 @@ class DocumentRoom:
             "run_events": len(self.document.oplog.graph),
             "chars": self.document.oplog.graph.num_chars,
             "text_len": len(self.document.rope),
+            "resident_walker_records": self.document.engine.resident_record_count(),
             "version": [[a, s] for a, s in self.document.version().as_tuples()],
             "buffer_pending": self.buffer_pending(),
             "stats": asdict(self.stats),

@@ -521,9 +521,7 @@ def recover_document(
         info.snapshot_text_verified = decoded.snapshot is not None
 
     buffer = CausalBuffer(deliver_batch=document.apply_remote_events)
-    buffer.mark_known_spans(
-        (event.id, event.num_chars) for event in document.oplog.graph.events()
-    )
+    buffer.mark_known_spans(document.oplog.graph.id_spans())
     payloads, torn_bytes = WriteAheadLog.scan(os.path.join(directory, WAL_FILENAME))
     info.torn_bytes_dropped = torn_bytes
     for payload in payloads:

@@ -137,6 +137,18 @@ class TestColumnEncapsulation:
         result = lint(src, rule=self.RULE)
         assert {f.line for f in result.findings} == {2, 3}
 
+    def test_parent_and_child_columns_and_side_maps(self):
+        src = (
+            "def f(graph, tree, cache):\n"
+            "    a = graph._more_parents.get(3)\n"
+            "    b = doc.oplog.graph._more_children\n"
+            "    c = tree._h_parent[3] + graph._h_child[3]\n"
+            "    fine = cache._more_parents\n"
+            "    gone = graph._agent_names, graph._agent_ids\n"
+        )
+        result = lint(src, rule=self.RULE)
+        assert sorted(f.line for f in result.findings) == [2, 3, 4, 4]
+
     def test_self_receiver_is_not_flagged(self):
         # An unrelated class may reuse the _h_ prefix for its own state.
         src = (

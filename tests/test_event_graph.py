@@ -303,10 +303,9 @@ class TestBulkConstruction:
 
     @staticmethod
     def _state(graph: EventGraph) -> dict:
-        """Every private column, in comparable form (views by handle, range
-        maps by their entries)."""
+        """Every private column and side map, in comparable form (range maps
+        by their entries)."""
         state = dict(vars(graph))
-        state["_h_view"] = [view.handle for view in state["_h_view"]]
         state["_agent_index"] = {
             agent: (index._starts, index._values)
             for agent, index in state["_agent_index"].items()
@@ -326,12 +325,30 @@ class TestBulkConstruction:
         for event_id, refs, op in zip(ids, parents, ops):
             looped.add_event(event_id, refs, op, parents_are_indices=True)
         bulk = EventGraph.from_columns(ids, parents, ops)
-        assert self._state(bulk) == self._state(looped)
+        state = self._state(bulk)
+        assert state == self._state(looped)
+        assert {"_h_parent", "_h_child", "_more_parents", "_more_children"} <= set(state)
+        if shape == "concurrent":
+            # Merges have several parents and forks several children, so the
+            # side maps are compared with content in them.
+            assert state["_more_parents"] and state["_more_children"]
         # ...and it is a live graph: it appends, splits and extends like one.
         for graph in (bulk, looped):
             graph.add_local_event("late", insert_op(0, "xyz"))
             graph.split_event(len(graph) - 1, 1)
             graph.dependency_index(graph.id_of(0))
+            if shape != "concurrent":
+                continue
+            # A split run hands its children (and their side-map entries) to
+            # the right half.
+            fork = next(
+                i for i in range(len(graph))
+                if graph.op_of(i).length > 1 and len(graph.children_of(i)) > 1
+            )
+            children = [graph.id_of(c) for c in graph.children_of(fork)]
+            graph.split_event(fork, 1)
+            assert graph.children_of(fork) == [fork + 1]
+            assert [graph.id_of(c) for c in graph.children_of(fork + 1)] == children
         assert self._state(bulk) == self._state(looped)
 
     @pytest.mark.parametrize("shape", ["sequential", "concurrent"])

@@ -9,7 +9,8 @@ relies on:
 
 * handles and :class:`Event` views are **never renumbered and never go
   stale**: they survive interop splits (the handle stays with the left
-  half), in-place run extensions, and arbitrary later growth;
+  half), in-place run extensions, and arbitrary later growth, and every
+  view of an event equals every other;
 * ``index_of_handle`` / ``handle_at`` stay exact inverses and order labels
   stay strictly increasing through splits, including the label-space
   re-spread when many splits land between the same two events;
@@ -57,14 +58,14 @@ class TestHandleIndirection:
         )
         return graph
 
-    def test_views_are_singletons_with_live_attributes(self):
+    def test_views_are_values_with_live_attributes(self):
         graph = self.build()
         view = graph[0]
-        assert graph[0] is view and graph.events()[0] is view
+        assert graph[0] == view and graph.events()[0] == view
         graph.split_event(0, 3)
-        # The view still points at the left half: same object, same id, the
+        # The view still points at the left half: same handle, same id, the
         # index reads live.
-        assert graph[0] is view
+        assert graph[0] == view
         assert view.index == 0 and view.id == EventId("a", 0)
         assert view.op.content == "abc"
 
@@ -111,7 +112,7 @@ class TestHandleIndirection:
         for _ in range(40):
             graph.split_event(0, graph[0].op.length - 1)
         assert len(graph) == 41
-        assert graph[0] is view and view.index == 0
+        assert graph[0] == view and view.index == 0
         keys = [graph.order_key(graph.handle_at(i)) for i in range(len(graph))]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         for index in range(len(graph)):
@@ -127,7 +128,7 @@ class TestHandleIndirection:
         handle = event.handle
         graph.extend_event(0, insert_op(2, "cd"))
         assert graph.handle_at(0) == handle
-        assert graph[0] is event and event.op.content == "abcd"
+        assert graph[0] == event and event.op.content == "abcd"
         assert graph.num_chars == 4
         assert graph.locate(EventId("a", 3)) == (0, 3)
 

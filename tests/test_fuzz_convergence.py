@@ -245,11 +245,11 @@ def run_session(
     # --- handle stability: saved Event views never renumber or go stale ----
     for owner, view, saved_id, saved_handle in saved_events:
         graph = sim.replicas[owner].document.oplog.graph
-        # The view is still the live singleton for its (current) position;
-        # its id and handle never changed, even if the run was split (the
-        # left half keeps both) or extended in place.
-        assert graph[view.index] is view, (
-            f"saved Event view is no longer the singleton at its index ({context})"
+        # The view still equals the one at its (current) position; its id
+        # and handle never changed, even if the run was split (the left half
+        # keeps both) or extended in place.
+        assert graph[view.index] == view, (
+            f"saved Event view no longer equals the view at its index ({context})"
         )
         assert view.id == saved_id and view.handle == saved_handle, (
             f"saved Event view changed id or handle ({context}, owner {owner})"

@@ -3,7 +3,8 @@
 Each test spins up a :class:`~repro.server.CollabServer` on an ephemeral
 loopback port inside ``asyncio.run`` and drives it with the loadgen clients —
 the same code paths the benchmark and the CI smoke job exercise, at small
-scale.
+scale.  (The room summary's gauges are also checked in process, on a bare
+:class:`~repro.server.DocumentRoom`.)
 """
 
 import asyncio
@@ -11,7 +12,9 @@ import json
 
 import pytest
 
-from repro.server import CollabServer, run_loadgen, run_trace_replay
+from repro.core.ids import EventId, insert_op
+from repro.core.oplog import RemoteEvent
+from repro.server import CollabServer, DocumentRoom, run_loadgen, run_trace_replay
 from repro.server.loadgen import CollabClient, PollClient, http_request
 from repro.traces.datasets import get_trace
 
@@ -214,9 +217,28 @@ class TestLongPollFallback:
                     host, port, "GET", "/v1/stats?doc=d"
                 )
                 assert status == 200 and body["doc"] == "d"
+                assert body["resident_walker_records"] == 0  # sequential
                 await client.close()
 
         run(scenario())
+
+
+class TestRoomSummary:
+    def test_resident_walker_records_gauge(self):
+        room = DocumentRoom("gauge")
+        alice = room.connect("alice", "ws", ())
+        bob = room.connect("bob", "ws", ())
+        room.receive_delta(alice, [RemoteEvent(EventId("alice", 0), (), insert_op(0, "ab"))])
+        room.receive_delta(
+            alice, [RemoteEvent(EventId("alice", 2), (EventId("alice", 1),), insert_op(2, "c"))]
+        )
+        assert room.summary()["resident_walker_records"] == 0  # sequential: fast path
+        # Concurrent with alice's second run: the merge keeps walker state.
+        room.receive_delta(
+            bob, [RemoteEvent(EventId("bob", 0), (EventId("alice", 1),), insert_op(0, "X"))]
+        )
+        assert room.text == "Xabc"
+        assert room.summary()["resident_walker_records"] > 0
 
 
 class TestLoadgen:
