@@ -58,18 +58,15 @@ def throughput_rows():
     return rows
 
 
-def _row(rows, trace, incremental):
-    matches = [
-        r for r in rows if r["trace"] == trace and r["incremental"] is incremental
-    ]
-    assert len(matches) == 1
-    return matches[0]
+def _row(rows, trace):
+    (row,) = [r for r in rows if r["trace"] == trace]
+    return row
 
 
 def test_sequential_trace_never_touches_the_walker(throughput_rows):
     """S3 is purely sequential: every event must take the fast path, with no
     window replay and no walker state ever built."""
-    row = _row(throughput_rows, "S3", True)
+    row = _row(throughput_rows, "S3")
     assert row["fast_path_events"] == row["run_events"]
     assert row["replayed_window_events"] == 0
     assert row["checkpoints_kept"] == 0
@@ -83,7 +80,7 @@ def test_concurrent_trace_releases_its_state_between_exchanges(throughput_rows):
     re-replayed history is the window bound below; that splits and
     extensions inside an exchange patch the state instead of dropping it is
     pinned in ``tests/test_event_handles.py``."""
-    row = _row(throughput_rows, "C2", True)
+    row = _row(throughput_rows, "C2")
     assert row["resident_state_after_close"] is False
     assert row["checkpoints_dropped"] >= row["fresh_replays"] - 1 > 0
 
@@ -92,30 +89,12 @@ def test_window_replay_stays_proportional_to_new_events(throughput_rows):
     """The redundant-work bound: total window events replayed across the
     whole C2 session must stay below the new events integrated.  (Before
     checkpoint patching the ratio was ~16x the other way.)"""
-    row = _row(throughput_rows, "C2", True)
+    row = _row(throughput_rows, "C2")
     assert row["replayed_window_events"] <= row["replayed_new_events"]
-
-
-def test_incremental_beats_legacy_on_work(throughput_rows):
-    """The ablation contrast, on counters: the legacy path replays every
-    event through a rebuilt walker (fast-pathing nothing) and re-scans the
-    whole history for critical versions on every merge; the incremental
-    engine fast-paths sequential input, tracks the cuts as events arrive,
-    and replays no more window than the rebuild does (both start from the
-    same critical versions)."""
-    for trace in TRACE_NAMES:
-        legacy = _row(throughput_rows, trace, False)
-        assert legacy["fast_path_events"] == 0
-        assert legacy["cut_scan_events"] >= legacy["run_events"]
-        assert _row(throughput_rows, trace, True)["cut_scan_events"] == 0
-    assert _row(throughput_rows, "S3", True)["fast_path_events"] > 0
-    c2_incremental = _row(throughput_rows, "C2", True)
-    c2_legacy = _row(throughput_rows, "C2", False)
-    assert c2_incremental["replayed_window_events"] <= c2_legacy["replayed_window_events"]
 
 
 def test_result_file_written(throughput_rows):
     with open(RESULT_PATH, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["benchmark"] == "replay_throughput"
-    assert len(payload["rows"]) == 2 * len(TRACE_NAMES)
+    assert len(payload["rows"]) == len(TRACE_NAMES)

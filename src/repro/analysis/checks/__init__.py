@@ -5,6 +5,6 @@ codebase — see ``docs/architecture.md`` ("Invariants & static analysis") for
 the rule-by-rule rationale.
 """
 
-from . import async_races, columns, deprecated_api, hot_path, hygiene
+from . import async_races, columns, hot_path, hygiene
 
-__all__ = ["async_races", "columns", "deprecated_api", "hot_path", "hygiene"]
+__all__ = ["async_races", "columns", "hot_path", "hygiene"]

@@ -77,15 +77,9 @@ class EgWalkerAdapter(AlgorithmAdapter):
     def __init__(
         self,
         *,
-        backend: str = "tree",
-        enable_clearing: bool = True,
-        sort_strategy: str = "branch_aware",
         cache_final_doc: bool = True,
         compress_columns: bool = False,
     ) -> None:
-        self.backend = backend
-        self.enable_clearing = enable_clearing
-        self.sort_strategy = sort_strategy
         self.cache_final_doc = cache_final_doc
         #: Off by default: the paper compares uncompressed sizes (§4.5).
         self.compress_columns = compress_columns
@@ -94,12 +88,7 @@ class EgWalkerAdapter(AlgorithmAdapter):
         self.last_stats: WalkerStats | None = None
 
     def merge(self, trace: Trace) -> MergeOutcome:
-        walker = EgWalker(
-            trace.graph,
-            backend=self.backend,
-            enable_clearing=self.enable_clearing,
-            sort_strategy=self.sort_strategy,
-        )
+        walker = EgWalker(trace.graph)
         text = walker.replay_text()
         self.last_stats = walker.last_stats
         # The walker's internal state is transient; only the text is retained.
@@ -130,8 +119,7 @@ class EgWalkerAdapter(AlgorithmAdapter):
             # Fast path: the cached document text is all that is needed to
             # display and edit the document (§4.3).
             return decoded.snapshot
-        walker = EgWalker(decoded.graph, backend=self.backend)
-        return walker.replay_text()
+        return EgWalker(decoded.graph).replay_text()
 
     def save_snapshot_only(self, outcome: MergeOutcome, trace: Trace) -> bytes:
         """Just the cached text (what the steady-state load actually reads)."""

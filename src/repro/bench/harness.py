@@ -17,10 +17,9 @@ Experiment index (see DESIGN.md §3):
 * :func:`run_sort_order_ablation` — merge time vs traversal order (§4.3 remark)
 * :func:`run_scaling`     — two-branch merge cost vs branch length (§3.7 complexity)
 * :func:`run_merge_latency` — per-merge cost vs history length in a live
-  session: the incremental merge engine vs the legacy rebuild path
-  (``BENCH_merge_latency.json`` / the perf-smoke CI gate)
+  session (``BENCH_merge_latency.json`` / the perf-smoke CI gate)
 * :func:`run_replay_throughput` — end-to-end replay events/sec when a fresh
-  replica consumes a whole trace in batches, incremental engine on vs off
+  replica consumes a whole trace in batches
   (``BENCH_replay_throughput.json`` / the replay perf-smoke CI gate)
 * :func:`run_cold_load` — cold-load-to-first-text from a storage container:
   bytes touched and events materialised for a selective text read vs a full
@@ -409,92 +408,83 @@ def _ship_keystroke(editor: Document, watcher: Document, mark: int) -> tuple[flo
 def run_merge_latency(
     max_events: int = 1600, checkpoints: Sequence[int] | None = None
 ) -> list[dict[str, object]]:
-    """Per-merge latency and engine work vs. history length, both engine modes.
+    """Per-merge latency and engine work vs. history length.
 
     A watcher replica receives a live stream of single events while its
     history grows to ``max_events``.  At each checkpoint the cost of one
     sequential delivery (the fast path) and one concurrent delivery (the
     walker path against the resident state) is recorded, together with the
-    engine's ``last_merge_events_touched`` counter.  The incremental engine
-    must be flat in the history length; the legacy rebuild path
-    (``incremental=False``) grows linearly — the acceptance curve of the
-    merge-engine work.  A last row (:func:`_two_author_row`) records the
-    window work of a whole two-author session delivered event by event.
+    engine's ``last_merge_events_touched`` counter, which must be flat in the
+    history length — the acceptance curve of the merge-engine work.  A last
+    row (:func:`_two_author_row`) records the window work of a whole
+    two-author session delivered event by event.
     """
     if checkpoints is None:
         checkpoints = [max_events // 8, max_events // 4, max_events // 2, max_events]
     rows: list[dict[str, object]] = []
-    for incremental in (True, False):
-        editor = Document("editor")
-        watcher = Document("watcher", incremental=incremental)
-        mark = 0
-        intruder_seq = 0
-        for checkpoint in checkpoints:
-            while len(watcher.oplog.graph) < checkpoint - 1:
-                _, mark = _ship_keystroke(editor, watcher, mark)
+    editor = Document("editor")
+    watcher = Document("watcher")
+    mark = 0
+    intruder_seq = 0
+    for checkpoint in checkpoints:
+        while len(watcher.oplog.graph) < checkpoint - 1:
+            _, mark = _ship_keystroke(editor, watcher, mark)
 
-            history = len(watcher.oplog.graph)
-            seq_seconds, mark = _ship_keystroke(editor, watcher, mark)
-            rows.append(
-                {
-                    "incremental": incremental,
-                    "delivery": "sequential",
-                    "history_events": history,
-                    "merge_ms": round(seq_seconds * 1000, 4),
-                    "merge_work_events": watcher.merge_stats.last_merge_events_touched,
-                }
-            )
-
-            # A concurrent delivery: an event forking from two events back
-            # exercises the walker path at this history length.  The window
-            # the engine replays stays O(1); the rebuild path scans all.
-            graph = watcher.oplog.graph
-            intruder = RemoteEvent(
-                id=EventId("intruder", intruder_seq),
-                parents=(graph.dependency_id(len(graph) - 2),),
-                op=insert_op(0, "Z"),
-            )
-            intruder_seq += 1
-            history = len(graph)
-            start = time.perf_counter()
-            watcher.apply_remote_events([intruder])
-            conc_seconds = time.perf_counter() - start
-            rows.append(
-                {
-                    "incremental": incremental,
-                    "delivery": "concurrent",
-                    "history_events": history,
-                    "merge_ms": round(conc_seconds * 1000, 4),
-                    "merge_work_events": watcher.merge_stats.last_merge_events_touched,
-                }
-            )
-
-            # Re-quiesce: the editor pulls everything (intruder included)
-            # and types once — that event dominates all heads, forming a
-            # fresh critical version, so the next checkpoint starts in the
-            # steady state.
-            editor.merge(watcher)
-            editor.insert(len(editor.text), ". ")
-            delta = editor.oplog.export_since_seq(editor.agent, mark)
-            mark = editor.oplog.graph.next_seq_for(editor.agent)
-            watcher.apply_remote_events(delta)
-
-        stats = watcher.merge_stats
+        history = len(watcher.oplog.graph)
+        seq_seconds, mark = _ship_keystroke(editor, watcher, mark)
         rows.append(
             {
-                "incremental": incremental,
-                "delivery": "summary",
-                "history_events": len(watcher.oplog.graph),
-                "merges": stats.merges,
-                "fast_path_merges": stats.fast_path_merges,
-                "resumed_merges": stats.resumed_merges,
-                "fresh_replays": stats.fresh_replays,
-                "walkers_rebuilt": stats.walkers_rebuilt,
-                "cut_scan_events": stats.cut_scan_events,
-                "order_events_materialised": stats.order_events_materialised,
+                "delivery": "sequential",
+                "history_events": history,
+                "merge_ms": round(seq_seconds * 1000, 4),
+                "merge_work_events": watcher.merge_stats.last_merge_events_touched,
             }
         )
-        assert watcher.text == editor.text
+
+        # A concurrent delivery: an event forking from two events back
+        # exercises the walker path at this history length.  The window the
+        # engine replays stays O(1).
+        graph = watcher.oplog.graph
+        intruder = RemoteEvent(
+            id=EventId("intruder", intruder_seq),
+            parents=(graph.dependency_id(len(graph) - 2),),
+            op=insert_op(0, "Z"),
+        )
+        intruder_seq += 1
+        history = len(graph)
+        start = time.perf_counter()
+        watcher.apply_remote_events([intruder])
+        conc_seconds = time.perf_counter() - start
+        rows.append(
+            {
+                "delivery": "concurrent",
+                "history_events": history,
+                "merge_ms": round(conc_seconds * 1000, 4),
+                "merge_work_events": watcher.merge_stats.last_merge_events_touched,
+            }
+        )
+
+        # Re-quiesce: the editor pulls everything (intruder included) and
+        # types once — that event dominates all heads, forming a fresh
+        # critical version, so the next checkpoint starts in the steady state.
+        editor.merge(watcher)
+        editor.insert(len(editor.text), ". ")
+        delta = editor.oplog.export_since_seq(editor.agent, mark)
+        mark = editor.oplog.graph.next_seq_for(editor.agent)
+        watcher.apply_remote_events(delta)
+
+    stats = watcher.merge_stats
+    rows.append(
+        {
+            "delivery": "summary",
+            "history_events": len(watcher.oplog.graph),
+            "merges": stats.merges,
+            "fast_path_merges": stats.fast_path_merges,
+            "resumed_merges": stats.resumed_merges,
+            "fresh_replays": stats.fresh_replays,
+        }
+    )
+    assert watcher.text == editor.text
     rows.append(_two_author_row(max_events))
     return rows
 
@@ -521,7 +511,6 @@ def _two_author_row(max_events: int) -> dict[str, object]:
     assert watcher.text == EgWalker(trace.graph).replay_text()
     stats = watcher.merge_stats
     return {
-        "incremental": True,
         "delivery": "two_author",
         "history_events": len(watcher.oplog.graph),
         "merge_ms": round(seconds * 1000 / stats.merges, 4),
@@ -547,8 +536,7 @@ def run_replay_throughput(
 
     For each trace the portable event stream is delivered to a brand-new
     :class:`Document` in batches of ``batch_size`` (the live-session shape:
-    many small merges against a growing history, not one bulk load), once
-    with the incremental merge engine and once with the legacy rebuild path.
+    many small merges against a growing history, not one bulk load).
     The headline number is **run events per second**; the engine's own
     counters (resumed merges, window events replayed, checkpoint lifecycle)
     are recorded next to it so a throughput regression can be attributed:
@@ -567,51 +555,48 @@ def run_replay_throughput(
         graph = trace.graph
         events = graph_to_remote_events(graph)
         expected_text = EgWalker(graph).replay_text()
-        for incremental in (True, False):
-            receiver = Document("receiver", incremental=incremental)
+        receiver = Document("receiver")
 
-            def deliver() -> None:
-                for start in range(0, len(events), batch_size):
-                    receiver.apply_remote_events(events[start : start + batch_size])
+        def deliver() -> None:
+            for start in range(0, len(events), batch_size):
+                receiver.apply_remote_events(events[start : start + batch_size])
 
-            _, seconds = _timed(deliver)
-            assert receiver.text == expected_text
-            stats = receiver.merge_stats
-            row: dict[str, object] = {
-                "trace": name,
-                "incremental": incremental,
-                "batch_size": batch_size,
-                "run_events": len(receiver.oplog.graph),
-                "char_events": receiver.oplog.graph.num_chars,
-                "seconds": round(seconds, 4),
-                "events_per_sec": round(len(receiver.oplog.graph) / seconds, 1),
-                "chars_per_sec": round(receiver.oplog.graph.num_chars / seconds, 1),
-                "fast_path_events": stats.fast_path_events,
-                "resumed_merges": stats.resumed_merges,
-                "fresh_replays": stats.fresh_replays,
-                "replayed_window_events": stats.replayed_window_events,
-                "replayed_new_events": stats.replayed_new_events,
-                "checkpoints_kept": stats.checkpoints_kept,
-                "checkpoints_dropped": stats.checkpoints_dropped,
-                "checkpoints_patched": stats.checkpoints_patched,
-                "cut_scan_events": stats.cut_scan_events,
-            }
-            # The session closes: someone who has seen everything types once
-            # more.  The event names every head of the last exchange, which
-            # confirms that critical version and returns the replica to
-            # text-only memory (§3.5).
-            received = receiver.oplog.graph
-            receiver.apply_remote_events(
-                [
-                    RemoteEvent(
-                        id=EventId("closer", 0),
-                        parents=received.ids_from_version(received.frontier),
-                        op=insert_op(0, "."),
-                    )
-                ]
-            )
-            row["resident_state_after_close"] = receiver.engine.has_resident_state
-            rows.append(row)
+        _, seconds = _timed(deliver)
+        assert receiver.text == expected_text
+        stats = receiver.merge_stats
+        row: dict[str, object] = {
+            "trace": name,
+            "batch_size": batch_size,
+            "run_events": len(receiver.oplog.graph),
+            "char_events": receiver.oplog.graph.num_chars,
+            "seconds": round(seconds, 4),
+            "events_per_sec": round(len(receiver.oplog.graph) / seconds, 1),
+            "chars_per_sec": round(receiver.oplog.graph.num_chars / seconds, 1),
+            "fast_path_events": stats.fast_path_events,
+            "resumed_merges": stats.resumed_merges,
+            "fresh_replays": stats.fresh_replays,
+            "replayed_window_events": stats.replayed_window_events,
+            "replayed_new_events": stats.replayed_new_events,
+            "checkpoints_kept": stats.checkpoints_kept,
+            "checkpoints_dropped": stats.checkpoints_dropped,
+            "checkpoints_patched": stats.checkpoints_patched,
+        }
+        # The session closes: someone who has seen everything types once
+        # more.  The event names every head of the last exchange, which
+        # confirms that critical version and returns the replica to
+        # text-only memory (§3.5).
+        received = receiver.oplog.graph
+        receiver.apply_remote_events(
+            [
+                RemoteEvent(
+                    id=EventId("closer", 0),
+                    parents=received.ids_from_version(received.frontier),
+                    op=insert_op(0, "."),
+                )
+            ]
+        )
+        row["resident_state_after_close"] = receiver.engine.has_resident_state
+        rows.append(row)
     return rows
 
 

@@ -24,13 +24,11 @@ ids), which is the stable handle — it survives sender-side run coalescing
 extending the frontier run in place, interop splits, storage round trips and
 transfer to other replicas.  Local-index tuples still exist internally
 (:attr:`Document.local_version`) but silently go stale under in-place run
-extension; the historical index-based entry points are kept as thin
-deprecated shims.
+extension.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..rope import Rope
@@ -39,7 +37,6 @@ from .event_graph import Version as LocalVersion
 from .ids import EventId, Operation
 from .merge_engine import MergeEngine, MergeEngineStats
 from .oplog import OpLog, RemoteEvent
-from .walker import EgWalker
 
 if TYPE_CHECKING:  # pragma: no cover - resolved lazily to avoid an import cycle
     from ..history import History, Version
@@ -52,13 +49,6 @@ class Document:
 
     Args:
         agent: this replica's globally unique name.
-        backend / enable_clearing / enable_span_merging / sort_strategy:
-            walker configuration, see :class:`~repro.core.walker.EgWalker`.
-        incremental: use the persistent :class:`MergeEngine` (critical cuts
-            tracked incrementally, sequential fast path, resident walker
-            state between merges).  ``False`` selects the legacy
-            rebuild-everything merge — O(history) bookkeeping per merge —
-            kept as the ablation baseline.
         coalesce_local_runs: fold local edits that continue the frontier run
             into the existing event (sender-side run coalescing), so a
             keystroke-at-a-time session stores O(runs) events.
@@ -76,11 +66,6 @@ class Document:
         self,
         agent: str,
         *,
-        backend: str = "tree",
-        enable_clearing: bool = True,
-        enable_span_merging: bool = True,
-        sort_strategy: str = "branch_aware",
-        incremental: bool = True,
         coalesce_local_runs: bool = True,
         graph: EventGraph | None = None,
         text: str | None = None,
@@ -90,15 +75,7 @@ class Document:
         self.agent = agent
         self.oplog = OpLog(agent, coalesce_local_runs=coalesce_local_runs, graph=graph)
         self.rope = Rope(text or "")
-        self._walker_options = {
-            "backend": backend,
-            "enable_clearing": enable_clearing,
-            "enable_span_merging": enable_span_merging,
-            "sort_strategy": sort_strategy,
-        }
-        self.engine = MergeEngine(
-            self.oplog, self.rope, self._walker_options, incremental=incremental
-        )
+        self.engine = MergeEngine(self.oplog, self.rope)
         # Imported lazily: repro.history depends on the core modules above.
         from ..history import History
 
@@ -110,7 +87,9 @@ class Document:
             self.engine.replay_adopted()
 
     @classmethod
-    def from_bytes(cls, data: bytes, agent: str, **options: object) -> "Document":
+    def from_bytes(
+        cls, data: bytes, agent: str, *, coalesce_local_runs: bool = True
+    ) -> "Document":
         """Load a replica from a stored event-graph file.
 
         Load is a decode: the decoded graph is **adopted** as the replica's
@@ -127,7 +106,12 @@ class Document:
         from ..storage.container import decode_file
 
         decoded = decode_file(data)
-        return cls(agent, graph=decoded.graph, text=decoded.snapshot, **options)  # type: ignore[arg-type]
+        return cls(
+            agent,
+            coalesce_local_runs=coalesce_local_runs,
+            graph=decoded.graph,
+            text=decoded.snapshot,
+        )
 
     # ------------------------------------------------------------------
     # Read access
@@ -160,21 +144,6 @@ class Document:
         outlives the current call stack.
         """
         return self.oplog.local_version
-
-    def remote_version(self) -> tuple[EventId, ...]:
-        """Deprecated: use :meth:`version` (its ``.ids`` are these ids).
-
-        Forwards to the :class:`~repro.history.Version` handle so the shim
-        can never drift from the canonical API: the returned ids are exactly
-        ``Document.version().ids`` (sorted, deduplicated).
-        """
-        warnings.warn(
-            "Document.remote_version() is deprecated; use Document.version() "
-            "(a repro.history.Version; its .ids field carries the event ids)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.version().ids
 
     # ------------------------------------------------------------------
     # Local editing
@@ -232,7 +201,7 @@ class Document:
     # ------------------------------------------------------------------
     # History (id-based versions; see repro.history)
     # ------------------------------------------------------------------
-    def text_at(self, version: "Version | Sequence[int]") -> str:
+    def text_at(self, version: "Version") -> str:
         """Reconstruct the document text at a historical version.
 
         ``version`` is a saved :class:`repro.history.Version` handle.  The
@@ -242,22 +211,7 @@ class Document:
         lookup replays ``Events(version)`` once.  The result is exact for
         arbitrary saved handles, no matter how the graph was extended, split
         or re-carved since the handle was taken.
-
-        Passing a tuple of local event indices (the pre-id-based API) still
-        works but is deprecated: index snapshots silently go stale when the
-        frontier run is extended in place.
         """
-        from ..history import Version
-
-        if not isinstance(version, Version):
-            warnings.warn(
-                "Document.text_at with local-index tuples is deprecated; hold "
-                "a Document.version() handle (repro.history.Version) instead "
-                "— index snapshots go stale when runs extend in place",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self._make_walker().text_at_version(tuple(version))
         return self.history.text_at(version)
 
     def diff(self, a: "Version", b: "Version") -> list[Operation]:
@@ -285,30 +239,6 @@ class Document:
         """
         return self.history.versions()
 
-    def text_at_remote(self, remote_version: Sequence[EventId]) -> str:
-        """Deprecated: wrap the ids in a :class:`repro.history.Version` and
-        call :meth:`text_at`."""
-        from ..history import Version
-
-        warnings.warn(
-            "Document.text_at_remote is deprecated; use "
-            "Document.text_at(Version(ids)) — or save Document.version() "
-            "handles in the first place",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.history.text_at(Version(remote_version))
-
-    def history_versions(self) -> list[LocalVersion]:
-        """Deprecated: use :meth:`versions` (stable id-based handles)."""
-        warnings.warn(
-            "Document.history_versions is deprecated; use Document.versions() "
-            "— its Version handles stay valid across in-place run extension",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [tuple([idx]) for idx in range(len(self.oplog.graph))]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -320,9 +250,6 @@ class Document:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _make_walker(self) -> EgWalker:
-        return EgWalker(self.oplog.graph, **self._walker_options)
-
     def _ingest(self, ingest: Callable[..., list[int]], source: object) -> list[Operation]:
         """Run one of the oplog's batch ingests and fold what it added into
         the text — also when it raises midway: the events before the refused

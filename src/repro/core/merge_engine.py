@@ -2,14 +2,13 @@
 
 The paper's headline promise for the *steady state* is that sequential events
 bypass the walker entirely and a merge only replays the graph since the last
-critical version.  A naive :class:`~repro.core.document.Document` gets the
-replay-window part right but pays O(history) *bookkeeping* on every merge:
-rebuilding the walker, materialising the full local order and re-scanning the
-whole graph for critical versions even when a single event arrived.  Over a
-long-lived replica that is quadratic.
+critical version.  Getting the replay window right is not enough: a merge that
+rebuilt the walker, materialised the full local order and re-scanned the whole
+graph for critical versions would still pay O(history) *bookkeeping* per
+merge, which over a long-lived replica is quadratic.
 
-:class:`MergeEngine` is the fix.  A document owns one engine for its whole
-lifetime, and the engine maintains everything a merge needs *incrementally*:
+A document therefore owns one :class:`MergeEngine` for its whole lifetime, and
+the engine maintains everything a merge needs *incrementally*:
 
 * the :class:`~repro.core.causal_graph.CausalGraph` view and
   :class:`~repro.core.walker.EgWalker` are created once and reused — the
@@ -44,32 +43,30 @@ lifetime, and the engine maintains everything a merge needs *incrementally*:
 Per-merge cost, for a history of N events, a window of W events since the
 latest surviving critical version and a batch of k new events:
 
-====================================  ==============  =================
-situation                             legacy rebuild  incremental engine
-====================================  ==============  =================
-sequential events (quiescent tail)    O(N)            O(k)
-concurrent, state resident            O(N + W)        O(k) amortized
-concurrent, first merge after a cut   O(N + W)        O(W)
-====================================  ==============  =================
+====================================  ==============
+situation                             cost
+====================================  ==============
+sequential events (quiescent tail)    O(k)
+concurrent, state resident            O(k) amortized
+concurrent, first merge after a cut   O(W)
+====================================  ==============
 
-The legacy behaviour is kept (``incremental=False``) as the ablation
-baseline; both paths produce identical documents, which the convergence
-fuzzer checks against the per-character oracle.
+The convergence fuzzer checks every merged document against the
+per-character oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from ..rope import Rope
-from .critical_versions import CriticalCutTracker, critical_cut_positions
+from .critical_versions import CriticalCutTracker
 from .event_graph import Version
 from .ids import Operation
 from .internal_state import InternalState
 from .oplog import OpLog
 from .topo_sort import sort_branch_aware
-from .walker import EgWalker, ReplayResult, coalesce_ops
+from .walker import EgWalker, coalesce_ops
 
 __all__ = ["MergeEngine", "MergeEngineStats", "WalkerCheckpoint"]
 
@@ -79,12 +76,8 @@ class MergeEngineStats:
     """Counters proving (or disproving) the O(new events) merge claim.
 
     ``last_merge_events_touched`` is the headline number: how many events the
-    most recent merge had to look at, *including* bookkeeping.  For the
-    incremental engine it is O(new events) in the steady state; for the
-    legacy rebuild path it is Ω(history) on every merge because of the
-    full-order materialisation and critical-cut scan (counted separately in
-    ``order_events_materialised`` / ``cut_scan_events``, which stay 0 for the
-    incremental engine).
+    most recent merge had to look at, *including* bookkeeping — O(new events)
+    in the steady state.
     """
 
     merges: int = 0
@@ -114,13 +107,6 @@ class MergeEngineStats:
     #: are folded into the live state (see the listener hooks), so a
     #: concurrent episode survives re-carvings without re-replaying it.
     checkpoints_patched: int = 0
-    #: O(history) bookkeeping — incremental engine keeps all three at 0.
-    order_events_materialised: int = 0
-    cut_scan_events: int = 0
-    walkers_rebuilt: int = 0
-    #: Batches whose new events did not form a contiguous tail of the local
-    #: order (never expected; handled by falling back to the legacy path).
-    non_tail_batches: int = 0
     #: Work profile of the most recent merge.
     last_merge_events_touched: int = 0
     #: History queries (``text_at`` / ``diff``) answered by a walker replay:
@@ -179,31 +165,17 @@ class MergeEngine:
 
     Args:
         oplog: the replica's event log; the engine registers itself as a
-            graph listener when ``incremental`` is set.
+            graph listener.
         rope: the document text the transformed operations apply to.
-        walker_options: :class:`EgWalker` configuration (backend, clearing,
-            span merging, sort strategy) — fixed for the engine's lifetime.
-        incremental: ``True`` (default) uses the persistent machinery
-            described above; ``False`` selects the legacy rebuild-everything
-            merge, kept as the ablation baseline.
     """
 
-    def __init__(
-        self,
-        oplog: OpLog,
-        rope: Rope,
-        walker_options: dict[str, Any],
-        *,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, oplog: OpLog, rope: Rope) -> None:
         self.oplog = oplog
         self.rope = rope
-        self.incremental = incremental
         self.stats = MergeEngineStats()
-        self._walker_options = dict(walker_options)
         #: One walker for the engine's whole lifetime: the event graph and
         #: causal-graph view update in place, so there is nothing to rebuild.
-        self.walker = EgWalker(oplog.graph, **self._walker_options)
+        self.walker = EgWalker(oplog.graph)
         self._ckpt: WalkerCheckpoint | None = None
         #: Version -> replay-base cut memo for :meth:`_history_cut`, tagged
         #: with the graph length it was computed at.  Any append or split
@@ -211,11 +183,8 @@ class MergeEngine:
         #: cuts), which discards the whole memo; in-place extensions change
         #: neither indices nor cuts, so the memo survives them.
         self._history_cut_memo: tuple[int, dict[Version, int | None]] = (-1, {})
-        if incremental:
-            self.tracker: CriticalCutTracker | None = CriticalCutTracker(oplog.graph)
-            oplog.graph.add_listener(self)
-        else:
-            self.tracker = None
+        self.tracker = CriticalCutTracker(oplog.graph)
+        oplog.graph.add_listener(self)
 
     # ------------------------------------------------------------------
     # Graph listener hooks (checkpoint invalidation)
@@ -316,14 +285,12 @@ class MergeEngine:
 
         Returns:
             The transformed operations that were applied to the rope, in
-            order — the incremental update of §2.4 (coalesced into maximal
-            runs on the incremental engine; per-event on the legacy path).
+            order and coalesced into maximal runs — the incremental update
+            of §2.4.
 
         Complexity: O(new events) for a sequential batch or while walker
         state is resident; O(window + new) on the first merge after a
-        critical cut; the legacy ``incremental=False`` path adds Ω(history)
-        bookkeeping per merge (the measured ablation).  See the class
-        docstring's table.
+        critical cut.  See the module docstring's table.
         """
         if not added:
             return []
@@ -332,16 +299,11 @@ class MergeEngine:
         stats.events_integrated += len(added)
         graph = self.oplog.graph
         stats.chars_integrated += sum(op.length for op in map(graph.op_of, added))
-        if not self.incremental:
-            return self._integrate_legacy(added)
         first_new = min(added)
+        # New events always form a contiguous tail of the local order (splits
+        # of stored runs land below the first appended event).
         if len(added) != len(graph) - first_new:
-            # New events always form a contiguous tail of the local order
-            # (splits of stored runs land below the first appended event);
-            # if that invariant ever breaks, fall back to the always-correct
-            # legacy path rather than miscount.
-            stats.non_tail_batches += 1
-            return self._integrate_legacy(added)
+            raise AssertionError("merged events are not a tail of the local order")
         return self._integrate_incremental(first_new)
 
     def replay_adopted(self) -> None:
@@ -482,9 +444,8 @@ class MergeEngine:
             to_version: local-index version to reach.
 
         The replay base is the latest critical version contained in
-        ``from_version`` (a binary-search-backed lookup on the incremental
-        engine's :class:`CriticalCutTracker`; the root for the legacy
-        ``incremental=False`` engine — its ablation role).  The window
+        ``from_version`` (a binary-search-backed lookup on the engine's
+        :class:`CriticalCutTracker`).  The window
         ``Events(from) - Events(base)`` is replayed silently to rebuild the
         walker state the new events need, then ``Events(to) - Events(from)``
         replays with operations emitted — the §3.6 merge procedure pointed at
@@ -502,7 +463,7 @@ class MergeEngine:
         stats = self.stats
         causal = self.walker.causal
         cut = self._history_cut(from_version)
-        base_version = () if self.tracker is None else self.tracker.version_at(cut)
+        base_version = self.tracker.version_at(cut)
         base_length = 0 if cut is None else graph.inserted_chars_through(cut)
         _, window = causal.diff(base_version, from_version)
         _, new_events = causal.diff(from_version, to_version)
@@ -539,10 +500,9 @@ class MergeEngine:
         (history browsing hits the same versions repeatedly — ``text_at``
         then ``diff`` then ``events_between`` — and each hit is an O(1) dict
         lookup on the version tuple).  ``None`` (replay from the root) when
-        no cut qualifies or on the legacy engine (``incremental=False``),
-        which keeps full-history replays as its ablation behaviour.
+        no cut qualifies.
         """
-        if not version or self.tracker is None:
+        if not version:
             return None
         n = len(self.oplog.graph)
         memo_n, memo = self._history_cut_memo
@@ -559,56 +519,6 @@ class MergeEngine:
         return cut
 
     # ------------------------------------------------------------------
-    # Legacy rebuild path (the ablation baseline)
-    # ------------------------------------------------------------------
-    def _integrate_legacy(self, added: list[int]) -> list[Operation]:
-        """The original rebuild-everything merge (kept for ``incremental=False``).
-
-        Every call rebuilds a fresh walker (and with it a causal-graph view),
-        materialises the full local order and re-scans the whole graph for
-        the latest critical cut — O(history) bookkeeping per merge, which the
-        stats record so benchmarks can show the gap.
-        """
-        graph = self.oplog.graph
-        stats = self.stats
-        first_new = min(added)
-
-        walker = EgWalker(graph, **self._walker_options)
-        stats.walkers_rebuilt += 1
-        local_order = list(range(len(graph)))
-        stats.order_events_materialised += len(local_order)
-        cuts = critical_cut_positions(graph, local_order)
-        stats.cut_scan_events += len(local_order)
-        cut = max((c for c in cuts if c < first_new), default=None)
-        base_version = () if cut is None else cuts[cut]
-        replay_start = 0 if cut is None else cut + 1
-
-        old_range = [idx for idx in range(replay_start, first_new)]
-        new_events = sorted(added)
-        order = sort_branch_aware(graph, old_range) + sort_branch_aware(graph, new_events)
-        deletes_in_old_range = sum(
-            op.length for op in map(graph.op_of, old_range) if op.is_delete
-        )
-        base_doc_length = len(self.rope) + deletes_in_old_range
-
-        result: ReplayResult = walker.transform(
-            old_range + new_events,
-            base_version=base_version,
-            base_doc_length=base_doc_length,
-            order=order,
-            emit_only=set(new_events),
-        )
-        stats.replayed_window_events += len(old_range)
-        stats.replayed_new_events += len(new_events)
-        stats.last_merge_events_touched = len(local_order)
-
-        # Per-event ops, deliberately uncoalesced: the rebuild path preserves
-        # the pre-engine behaviour exactly, as the ablation baseline.
-        applied = [op for entry in result.transformed for op in entry.ops]
-        self._apply_to_rope(applied)
-        return applied
-
-    # ------------------------------------------------------------------
     # Helpers / introspection
     # ------------------------------------------------------------------
     def _apply_to_rope(self, ops: list[Operation]) -> None:
@@ -623,11 +533,6 @@ class MergeEngine:
         if self._ckpt is not None:
             self._ckpt = None
             self.stats.checkpoints_dropped += 1
-
-    @property
-    def walker_options(self) -> dict[str, Any]:
-        """The walker configuration this engine was built with (a copy)."""
-        return dict(self._walker_options)
 
     @property
     def has_resident_state(self) -> bool:

@@ -15,7 +15,6 @@ whole point of Eg-walker: in the steady state only the plain text and the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -261,39 +260,14 @@ class OpLog:
         Internal representation: only meaningful inside this replica, and
         only until the graph mutates (in-place run extension makes an index
         cover more characters; interop splits shift indices).  Id-based
-        handles (:meth:`remote_version`, or :meth:`Document.version
+        handles (:meth:`Document.version
         <repro.core.document.Document.version>` one layer up) are the stable
         currency.  O(1).
         """
         return self.graph.frontier
 
-    @property
-    def version(self) -> Version:
-        """Deprecated alias of :attr:`local_version` (index-based).
-
-        Forwards to :attr:`local_version` so the two can never disagree.
-        """
-        warnings.warn(
-            "OpLog.version is deprecated; use OpLog.local_version (local "
-            "indices) or OpLog.remote_version() / Document.version() (stable "
-            "id-based handles)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.local_version
-
     def __len__(self) -> int:
         return len(self.graph)
-
-    def remote_version(self) -> tuple[EventId, ...]:
-        """The frontier expressed as event ids (safe to send to other replicas).
-
-        Each id names the last character of a frontier run
-        (:meth:`EventGraph.dependency_id`), so the snapshot stays exact if
-        the run is later extended in place.  O(frontier heads), plus any
-        boundary splits the id resolution performs on the receiving side.
-        """
-        return self.graph.ids_from_version(self.graph.frontier)
 
     # ------------------------------------------------------------------
     # Replication

@@ -165,10 +165,6 @@ class EgWalker:
         enable_clearing: enable the critical-version optimisations of §3.5
             (state clearing plus the transform-free fast path).  Disabling
             this reproduces the "opt disabled" series of Figure 9.
-        enable_span_merging: re-merge adjacent same-state record spans once
-            the concurrency that split them resolves, so the internal state
-            shrinks back toward O(runs).  Disabling it reproduces the
-            split-only behaviour (used by the span-merging ablation).
         sort_strategy: ``"branch_aware"`` (default, the paper's heuristic),
             ``"local"`` or ``"interleaved"`` (pathological; used by the
             sort-order ablation).
@@ -180,7 +176,6 @@ class EgWalker:
         *,
         backend: str = "tree",
         enable_clearing: bool = True,
-        enable_span_merging: bool = True,
         sort_strategy: str = "branch_aware",
     ) -> None:
         if backend not in ("tree", "list"):
@@ -191,7 +186,6 @@ class EgWalker:
         self.causal = CausalGraph(graph)
         self.backend = backend
         self.enable_clearing = enable_clearing
-        self.enable_span_merging = enable_span_merging
         self.sort_strategy = sort_strategy
         self.last_stats: WalkerStats | None = None
 
@@ -255,9 +249,7 @@ class EgWalker:
             order = list(order)
 
         if state is None:
-            state = InternalState(
-                self._make_backend(base_doc_length), merge_spans=self.enable_span_merging
-            )
+            state = InternalState(self._make_backend(base_doc_length))
         sequence = state.sequence
         use_clearing = self.enable_clearing if clearing is None else clearing
         cuts: dict[int, Version] = {}

@@ -36,7 +36,7 @@ operation                                             cost
 from __future__ import annotations
 
 import difflib
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.causal_graph import CausalGraph
 from ..core.event_graph import EventGraph
@@ -95,7 +95,7 @@ class History:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def over_graph(cls, graph: EventGraph, **walker_options: Any) -> "History":
+    def over_graph(cls, graph: EventGraph) -> "History":
         """A standalone history over a bare event graph (e.g. one decoded
         from storage).  The graph is adopted as is by a read-only
         ``OpLog``/engine pair (one linear pass finds its critical cuts);
@@ -105,10 +105,10 @@ class History:
         from ..rope import Rope
 
         oplog = OpLog(graph=graph)
-        return cls(oplog, MergeEngine(oplog, Rope(), walker_options))
+        return cls(oplog, MergeEngine(oplog, Rope()))
 
     @classmethod
-    def from_bytes(cls, data: bytes, **walker_options: Any) -> "History":
+    def from_bytes(cls, data: bytes) -> "History":
         """A standalone history decoded from a stored event-graph file
         (``docs/SPEC.md``).  Materialises the graph once; for deferred
         hydration use :attr:`repro.storage.LazyDecodedFile.history`, which
@@ -116,7 +116,7 @@ class History:
         """
         from ..storage.container import decode_file
 
-        return cls.over_graph(decode_file(data).graph, **walker_options)
+        return cls.over_graph(decode_file(data).graph)
 
     @property
     def graph(self) -> EventGraph:
@@ -285,8 +285,7 @@ class History:
         The new replica contains exactly ``Events(version)`` (exported in
         portable form and re-ingested, so its run carving is self-consistent)
         and can edit and merge like any other replica — a branch rooted at a
-        historical version.  It inherits the owner's configuration (walker
-        backend and options, merge-engine mode, run coalescing).
+        historical version.  It inherits the owner's run-coalescing setting.
         O(|Events(version)|).
 
         Args:
@@ -314,12 +313,7 @@ class History:
                 n += 1
                 agent = f"{base}-{n}"
             self._checkout_agents.add(agent)
-        doc = Document(
-            agent,
-            incremental=self.engine.incremental,
-            coalesce_local_runs=self.oplog.coalesce_local_runs,
-            **self.engine.walker_options,
-        )
+        doc = Document(agent, coalesce_local_runs=self.oplog.coalesce_local_runs)
         doc.apply_remote_events(events)
         return doc
 

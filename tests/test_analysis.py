@@ -42,7 +42,6 @@ class TestRegistry:
     def test_battery_is_complete(self):
         names = {rule.name for rule in all_rules()}
         assert {
-            "deprecated-snapshot-api",
             "column-encapsulation",
             "per-char-hot-path",
             "await-state-race",
@@ -56,63 +55,37 @@ class TestRegistry:
             get_rule("no-such-rule")
 
 
-class TestDeprecatedSnapshotApi:
-    RULE = "deprecated-snapshot-api"
+# The same file as the driver may see it: scanned as ``src``, ``./src`` or
+# through an absolute path.
+PATH_SPELLINGS = pytest.mark.parametrize(
+    "prefix", ["", "./", "/home/dev/checkout/"], ids=["src", "dot-src", "absolute"]
+)
 
-    def test_flags_each_shim_attribute(self):
+
+class TestPathScope:
+    """``include`` / ``exclude`` match path fragments, whatever the spelling."""
+
+    @PATH_SPELLINGS
+    def test_exclude_carves_out_only_the_rule_home(self, prefix):
+        src = "def split(graph):\n    return graph._h_id[0]\n"
+        home = prefix + "src/repro/core/event_graph.py"
+        sibling = prefix + "src/repro/core/walker.py"
+        assert lint(src, path=home, rule="column-encapsulation").findings == []
+        assert len(lint(src, path=sibling, rule="column-encapsulation").findings) == 1
+
+    @PATH_SPELLINGS
+    def test_include_restricts_to_the_scoped_package(self, prefix):
         src = (
-            "def f(doc):\n"
-            "    a = doc.remote_version\n"
-            "    b = doc.text_at_remote(a)\n"
-            "    c = doc.history_versions()\n"
+            "class Room:\n"
+            "    async def park(self, frame):\n"
+            "        known = self.pending\n"
+            "        await self.flush()\n"
+            "        self.pending = known + [frame]\n"
         )
-        result = lint(src, rule=self.RULE)
-        assert len(result.findings) == 3
-        assert all(f.rule == self.RULE for f in result.findings)
-
-    def test_flags_version_only_on_oplog_receivers(self):
-        src = (
-            "def f(doc, oplog):\n"
-            "    bad = oplog.version\n"
-            "    also_bad = doc.oplog.version\n"
-            "    fine = doc.version()\n"
-            "    config_fine = config.version\n"
-        )
-        result = lint(src, rule=self.RULE)
-        assert len(result.findings) == 2
-        assert {f.line for f in result.findings} == {2, 3}
-
-    def test_blessed_apis_are_clean(self):
-        src = (
-            "def f(doc):\n"
-            "    v = doc.version()\n"
-            "    doc.text_at(v)\n"
-            "    doc.versions()\n"
-            "    doc.oplog.local_version\n"
-        )
-        assert lint(src, rule=self.RULE).findings == []
-
-    @pytest.mark.parametrize(
-        "home",
-        [
-            "src/repro/core/document.py",
-            "src/repro/core/oplog.py",
-            "tests/test_deprecation_shims.py",
-        ],
-    )
-    def test_shim_homes_are_excluded(self, home):
-        src = "def f(doc):\n    return doc.remote_version\n"
-        assert lint(src, path=home, rule=self.RULE).findings == []
-
-    def test_suppression_comment_silences(self):
-        src = (
-            "def f(doc):\n"
-            "    return doc.remote_version  "
-            "# lint: disable=deprecated-snapshot-api -- parity check\n"
-        )
-        result = lint(src, rule=self.RULE)
-        assert result.findings == []
-        assert len(result.suppressed) == 1
+        inside = prefix + "src/repro/server/room.py"
+        outside = prefix + "src/repro/core/room.py"
+        assert len(lint(src, path=inside, rule="await-state-race").findings) == 1
+        assert lint(src, path=outside, rule="await-state-race").findings == []
 
 
 class TestColumnEncapsulation:
@@ -512,6 +485,17 @@ class TestSuppressions:
         )
         result = lint(src, rule="mutable-default-arg")
         assert result.findings == [] and len(result.suppressed) == 1
+
+    def test_named_disable_silences_only_its_own_line(self):
+        src = (
+            "def f(a=[]):  # lint: disable=mutable-default-arg -- parity check\n"
+            "    pass\n"
+            "def g(a=[]):\n"
+            "    pass\n"
+        )
+        result = lint(src, rule="mutable-default-arg")
+        assert [f.line for f in result.findings] == [3]
+        assert len(result.suppressed) == 1
 
     def test_directive_inside_string_literal_is_not_a_directive(self):
         src = (

@@ -1,10 +1,14 @@
 """Tests for the high-level Document API: local editing, merging, history."""
 
+import inspect
+import warnings
+
 import pytest
 
 from repro.core.document import Document
 from repro.core.ids import EventId, insert_op
-from repro.core.oplog import RemoteEvent
+from repro.core.merge_engine import MergeEngine
+from repro.core.oplog import OpLog, RemoteEvent
 from repro.core.walker import EgWalker
 from repro.history import Version
 
@@ -74,9 +78,6 @@ class TestLocalEditing:
         doc.insert(2, "cd")
         assert doc.local_version == (1,)
         assert len(doc.oplog) == 2
-
-    # (OpLog.version deprecation parity is pinned in
-    # tests/test_deprecation_shims.py::TestOpLogShims.)
 
 
 class TestMerging:
@@ -315,26 +316,97 @@ class TestHistory:
         assert "!" in doc.text and "def" in doc.text
 
 
-class TestDeprecatedIndexShims:
-    # Warning + value parity for all four deprecated snapshot shims lives in
-    # tests/test_deprecation_shims.py (the one file the deprecated-snapshot-api
-    # lint rule allows to touch them).  Only the index-tuple overload of the
-    # canonical text_at is pinned here.
-    def test_text_at_with_index_tuples_warns_but_works(self):
-        doc = Document("alice", coalesce_local_runs=False)
-        doc.insert(0, "abc")
-        version_after_abc = doc.local_version
-        doc.insert(3, "def")
-        with pytest.warns(DeprecationWarning):
-            assert doc.text_at(version_after_abc) == "abc"
+class TestVersionHandles:
+    """Id-based :class:`Version` handles are the one snapshot currency; local
+    index tuples reach the history API only through ``History.version_of``."""
+
+    @staticmethod
+    def _merged(two_branch_documents) -> Document:
+        """A replica whose frontier has two heads, so handle ordering and
+        canonicalisation actually matter."""
+        alice, bob = two_branch_documents
+        alice.merge(bob)
+        assert len(alice.local_version) == 2
+        return alice
+
+    def test_version_ids_are_sorted_and_unique(self, two_branch_documents):
+        doc = self._merged(two_branch_documents)
+        ids = doc.version().ids
+        assert len(ids) == 2
+        assert ids == tuple(sorted(set(ids)))
+
+    def test_rebuilt_handles_read_the_same_text(self, two_branch_documents):
+        doc = self._merged(two_branch_documents)
+        for handle in doc.versions():
+            assert doc.text_at(Version(handle.ids)) == doc.text_at(handle)
+        assert doc.text_at(Version(reversed(doc.version().ids))) == doc.text
+
+    def test_text_at_each_version_matches_its_checkout(self, two_branch_documents):
+        doc = self._merged(two_branch_documents)
+        for handle in doc.versions() + [doc.version()]:
+            assert doc.checkout(handle).text == doc.text_at(handle)
+
+    def test_local_index_versions_convert_through_version_of(self):
+        doc = Document("solo", coalesce_local_runs=False)
+        doc.insert(0, "one")
+        after_one = doc.local_version
+        doc.insert(3, " two")
+        assert doc.history.version_of(doc.local_version) == doc.version()
+        assert doc.text_at(doc.history.version_of(after_one)) == "one"
+
+    def test_local_version_tracks_graph_mutation(self, two_branch_documents):
+        alice, bob = two_branch_documents
+        for edit in (lambda: alice.insert(0, "x"), lambda: alice.merge(bob)):
+            edit()
+            assert alice.oplog.local_version == alice.oplog.graph.frontier
+            assert alice.local_version == alice.oplog.local_version
+
+    def test_version_apis_do_not_warn(self, two_branch_documents):
+        doc = self._merged(two_branch_documents)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc.text_at(doc.version())
+            doc.text_at(Version(doc.version().ids))
+            doc.diff(doc.versions()[0], doc.version())
+            _ = doc.oplog.local_version
+
+
+class TestOptionSurface:
+    """One merge path: the walker configuration is not a replica option."""
+
+    def test_document_options_are_coalescing_and_adoption(self):
+        params = inspect.signature(Document).parameters
+        keyword_only = {
+            name for name, p in params.items() if p.kind is p.KEYWORD_ONLY
+        }
+        assert keyword_only == {"coalesce_local_runs", "graph", "text"}
+        with pytest.raises(TypeError):
+            Document("alice", backend="list")  # type: ignore[call-arg]
+
+    def test_merge_engine_takes_no_options(self):
+        params = inspect.signature(MergeEngine).parameters
+        assert list(params) == ["oplog", "rope"]
+
+    def test_walker_keeps_the_reference_and_figure_knobs(self):
+        params = inspect.signature(EgWalker).parameters
+        keyword_only = {
+            name for name, p in params.items() if p.kind is p.KEYWORD_ONLY
+        }
+        assert keyword_only == {"backend", "enable_clearing", "sort_strategy"}
+
+    def test_index_based_snapshot_shims_are_gone(self):
+        for name in ("remote_version", "text_at_remote", "history_versions"):
+            assert not hasattr(Document, name)
+        for name in ("version", "remote_version"):
+            assert not hasattr(OpLog, name)
 
 
 class TestWalkerConfigurationsOnDocuments:
     @pytest.mark.parametrize("backend", ["list", "tree"])
     @pytest.mark.parametrize("clearing", [True, False])
     def test_document_options_converge(self, backend, clearing):
-        alice = Document("alice", backend=backend, enable_clearing=clearing)
-        bob = Document("bob", backend=backend, enable_clearing=clearing)
+        alice = Document("alice")
+        bob = Document("bob")
         alice.insert(0, "Helo")
         bob.merge(alice)
         alice.insert(3, "l")
@@ -342,6 +414,9 @@ class TestWalkerConfigurationsOnDocuments:
         alice.merge(bob)
         bob.merge(alice)
         assert alice.text == bob.text == "Hello!"
+        for doc in (alice, bob):
+            walker = EgWalker(doc.oplog.graph, backend=backend, enable_clearing=clearing)
+            assert walker.replay_text() == "Hello!"
 
 
 class TestAdoption:
@@ -367,10 +442,19 @@ class TestAdoption:
         )
         return graph, alice.text, alice
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_adopts_graph_and_text_without_merging(self, incremental):
+    @staticmethod
+    def _type_two_runs(doc: Document, coalesce: bool) -> None:
+        """Two continuing inserts on an adopted replica: one event or two,
+        per its own coalescing setting."""
+        before = len(doc.oplog)
+        doc.insert(0, "reader ")
+        doc.insert(7, "was here. ")
+        assert len(doc.oplog) == before + (1 if coalesce else 2)
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_adopts_graph_and_text_without_merging(self, coalesce):
         graph, text, source = self._stored()
-        doc = Document("reader", graph=graph, text=text, incremental=incremental)
+        doc = Document("reader", graph=graph, text=text, coalesce_local_runs=coalesce)
         assert doc.oplog.graph is graph
         assert doc.text == text
         assert doc.merge_stats.merges == 0
@@ -378,21 +462,24 @@ class TestAdoption:
         assert not doc.engine.has_resident_state
         assert doc.version() == source.version()
         # Editable and mergeable straight away, in both directions.
-        doc.insert(0, "reader was here. ")
+        self._type_two_runs(doc, coalesce)
         source.insert(len(source.text), " source went on.")
         doc.merge(source)
         source.merge(doc)
         assert doc.text == source.text
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_graph_without_text_is_replayed_in_place(self, incremental):
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_graph_without_text_is_replayed_in_place(self, coalesce):
         graph, text, _ = self._stored()
-        doc = Document("reader", graph=graph, incremental=incremental)
+        doc = Document("reader", graph=graph, coalesce_local_runs=coalesce)
         assert doc.oplog.graph is graph
         assert doc.text == text
         assert doc.merge_stats.merges == 1
         assert doc.merge_stats.events_integrated == len(graph)
         assert not doc.engine.has_resident_state
+        self._type_two_runs(doc, coalesce)
+        assert doc.text == "reader was here. " + text
+        assert doc.text == EgWalker(graph).replay_text()
 
     def test_text_without_graph_is_rejected(self):
         with pytest.raises(ValueError):

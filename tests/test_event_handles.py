@@ -18,8 +18,8 @@ relies on:
   :func:`critical_cut_positions` rebuild after any split pattern;
 * the merge engine's resident checkpoint is surgically *patched* (never
   dropped) when an interop split or an in-place extension lands inside the
-  window it covers, and the patched state still converges with the legacy
-  engine and the per-character oracle.
+  window it covers, and the patched state still converges with a fresh
+  observer replica and the per-character oracle.
 """
 
 from __future__ import annotations
@@ -209,11 +209,11 @@ class TestCheckpointPatching:
         assert stats.checkpoints_patched > stats_before["checkpoints_patched"]
         assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
         assert stats.resumed_merges == stats_before["resumed_merges"] + 1
-        # Convergence against a legacy replica fed the same histories, and
+        # Convergence against a fresh replica fed the same histories, and
         # against the per-character oracle.
-        legacy = Document("legacy-observer", incremental=False)
-        legacy.merge(bob)
-        assert legacy.text == bob.text == oracle_text(bob)
+        observer = Document("observer")
+        observer.merge(bob)
+        assert observer.text == bob.text == oracle_text(bob)
         carol.merge(bob)
         alice.merge(bob)
         assert carol.text == alice.text == bob.text
@@ -242,9 +242,9 @@ class TestCheckpointPatching:
         stats = bob.merge_stats
         assert stats.checkpoints_patched > stats_before["checkpoints_patched"]
         assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
-        legacy = Document("legacy-observer", incremental=False)
-        legacy.merge(bob)
-        assert legacy.text == bob.text == oracle_text(bob)
+        observer = Document("observer")
+        observer.merge(bob)
+        assert observer.text == bob.text == oracle_text(bob)
         alice.merge(bob)
         carol.merge(bob)
         assert alice.text == carol.text == bob.text
@@ -283,13 +283,13 @@ class TestCheckpointPatching:
         assert doc.engine.has_resident_state
         assert len(doc.oplog.graph) == 3  # extended in place, no new event
         # A further concurrent remote event resumes against the patched
-        # state; the result must match legacy and the oracle.
+        # state; the result must match a fresh observer and the oracle.
         late = _remote(EventId("remote", 2), (EventId("remote", 1),), insert_op(2, "E"))
         doc.apply_remote_events([late])
         assert stats.resumed_merges == stats_before["resumed_merges"] + 1
-        legacy = Document("legacy-observer", incremental=False)
-        legacy.merge(doc)
-        assert legacy.text == doc.text == oracle_text(doc)
+        observer = Document("observer")
+        observer.merge(doc)
+        assert observer.text == doc.text == oracle_text(doc)
 
     def test_delete_extension_folds_into_resident_state(self):
         doc = self._seed_resident_sole_frontier("delete")
@@ -302,9 +302,9 @@ class TestCheckpointPatching:
         late = _remote(EventId("remote", 2), (EventId("remote", 1),), insert_op(0, "E"))
         doc.apply_remote_events([late])
         assert stats.resumed_merges == stats_before["resumed_merges"] + 1
-        legacy = Document("legacy-observer", incremental=False)
-        legacy.merge(doc)
-        assert legacy.text == doc.text == oracle_text(doc)
+        observer = Document("observer")
+        observer.merge(doc)
+        assert observer.text == doc.text == oracle_text(doc)
 
 
 class TestStorageRoundTrip:

@@ -20,11 +20,9 @@ with a mix of
   partial-overlap ingestion everywhere that event travels — the
   split-on-ingest paths this fuzzer exists to hammer.
 
-Sessions run on a full mesh and on a star (relay) topology, and every
-configuration runs with the incremental merge engine both **enabled and
-disabled** (the legacy rebuild path): after healing everything and draining
-the network, every replica must hold the same text in both modes, and that
-text must match the per-character
+Sessions run on a full mesh and on a star (relay) topology: after healing
+everything and draining the network, every replica must hold the same text,
+and that text must match the per-character
 :func:`~repro.core.event_graph.expand_to_chars` oracle replayed with the
 simple list backend.
 
@@ -59,8 +57,7 @@ random :class:`Event` views saved mid-session must still be the live
 singleton for their position at the end (same object, same id, same
 handle), the handle indirection must stay an exact inverse of the local
 order, order labels must remain strictly increasing through every split,
-and — for incremental sessions — the handle-keyed critical-cut tracker
-must agree with a from-scratch :func:`critical_cut_positions` rebuild.
+and the handle-keyed critical-cut tracker must agree with a from-scratch :func:`critical_cut_positions` rebuild.
 
 Everything is seeded and deterministic: session ``i`` uses
 ``random.Random(BASE_SEED + i)``.  The iteration count comes from the
@@ -123,14 +120,13 @@ def run_session(
     *,
     replicas: int = 3,
     steps: int = 28,
-    incremental: bool = True,
     topology: str = "mesh",
 ) -> None:
     rng = random.Random(seed)
     names = [f"r{i}" for i in range(replicas)]
     # Sender-side run coalescing alternates by seed, so both the extended
     # and the one-event-per-edit encodings are fuzzed at no extra cost.
-    document_options = {"incremental": incremental, "coalesce_local_runs": seed % 2 == 0}
+    document_options = {"coalesce_local_runs": seed % 2 == 0}
     if topology == "star":
         sim = star("hub", names, latency=0.01, document_options=document_options)
         all_names = ["hub", *names]
@@ -201,18 +197,17 @@ def run_session(
 
     texts = {name: replica.text for name, replica in sim.replicas.items()}
     assert len(set(texts.values())) == 1, (
-        f"replicas diverged (seed {seed}, incremental={incremental}, "
-        f"{topology}): {texts}"
+        f"replicas diverged (seed {seed}, {topology}): {texts}"
     )
     expected = next(iter(texts.values()))
     for name, replica in sim.replicas.items():
         assert oracle_text(replica.document) == expected, (
             f"replica {name} disagrees with the per-character oracle "
-            f"(seed {seed}, incremental={incremental}, {topology})"
+            f"(seed {seed}, {topology})"
         )
 
     # --- version stability: saved handles still mean what they meant -------
-    context = f"seed {seed}, incremental={incremental}, {topology}"
+    context = f"seed {seed}, {topology}"
     per_replica: dict[str, list[tuple[Version, str]]] = {}
     for owner, version, text in saved_versions:
         document = sim.replicas[owner].document
@@ -269,14 +264,13 @@ def run_session(
         assert keys == sorted(keys) and len(set(keys)) == len(keys), (
             f"order labels are not strictly increasing ({context}, {name})"
         )
-        if incremental:
-            tracker = sim.replicas[name].document.engine.tracker
-            assert {
-                c: tracker.version_at(c) for c in tracker.cuts()
-            } == critical_cut_positions(graph, range(len(graph))), (
-                f"handle-keyed cut tracker disagrees with a from-scratch "
-                f"rebuild ({context}, {name})"
-            )
+        tracker = sim.replicas[name].document.engine.tracker
+        assert {
+            c: tracker.version_at(c) for c in tracker.cuts()
+        } == critical_cut_positions(graph, range(len(graph))), (
+            f"handle-keyed cut tracker disagrees with a from-scratch "
+            f"rebuild ({context}, {name})"
+        )
 
     # Saved handles survive a storage round trip of the event graph.
     if saved_versions:
@@ -315,7 +309,7 @@ def run_session(
 
     # A re-carved copy of the same history (different run boundaries) is a
     # different byte stream but must round-trip just as losslessly.
-    recarved_doc = Document("recarve-reader", incremental=incremental)
+    recarved_doc = Document("recarve-reader")
     recarved_doc.apply_remote_events(
         random_recarve(rng, sample.oplog.export_events())
     )
@@ -332,7 +326,7 @@ def run_session(
     # --- adopted ≡ re-ingested ----------------------------------------------
     for number, data in enumerate(files):
         _assert_adopted_equals_reingested(
-            data, expected, f"{context}, file {number}", rng, incremental
+            data, expected, f"{context}, file {number}", rng
         )
 
 
@@ -377,12 +371,12 @@ def _assert_v3_round_trip(graph, expected_text: str, context: str) -> list[bytes
 
 
 def _assert_adopted_equals_reingested(
-    data: bytes, expected_text: str, context: str, rng: random.Random, incremental: bool
+    data: bytes, expected_text: str, context: str, rng: random.Random
 ) -> None:
     """``Document.from_bytes`` (adoption) ≡ ingesting the same file's events."""
     decoded = decode_file(data)
-    adopted = Document.from_bytes(data, "adopted", incremental=incremental)
-    twin = Document("twin", incremental=incremental)
+    adopted = Document.from_bytes(data, "adopted")
+    twin = Document("twin")
     twin.apply_remote_events(graph_to_remote_events(decoded.graph))
 
     stats = adopted.merge_stats
@@ -408,15 +402,14 @@ def _assert_adopted_equals_reingested(
     assert ours.frontier == theirs.frontier and adopted.version() == twin.version(), (
         f"adopted frontier differs from the re-ingested one ({context})"
     )
-    if incremental:
-        cuts = adopted.engine.tracker.cuts()
-        assert cuts == twin.engine.tracker.cuts(), (
-            f"adopted critical cuts differ from the re-ingested ones ({context})"
-        )
-        for cut in cuts:
-            assert adopted.engine.tracker.version_at(cut) == twin.engine.tracker.version_at(
-                cut
-            ), f"critical version at cut {cut} differs ({context})"
+    cuts = adopted.engine.tracker.cuts()
+    assert cuts == twin.engine.tracker.cuts(), (
+        f"adopted critical cuts differ from the re-ingested ones ({context})"
+    )
+    for cut in cuts:
+        assert adopted.engine.tracker.version_at(cut) == twin.engine.tracker.version_at(
+            cut
+        ), f"critical version at cut {cut} differs ({context})"
 
     # 20 further edits, exchanged now and then so both sides see concurrency.
     pair = (adopted, twin)
@@ -438,30 +431,22 @@ def _assert_adopted_equals_reingested(
 
 
 def test_convergence_fuzz(fuzz_iterations):
-    """Mesh sessions, every seed run with the merge engine on and off."""
+    """Mesh sessions, one per seed."""
     for i in range(fuzz_iterations):
-        for incremental in (True, False):
-            run_session(BASE_SEED + i, incremental=incremental)
+        run_session(BASE_SEED + i)
 
 
 def test_convergence_fuzz_star(fuzz_iterations):
     """Star (relay) sessions: all traffic through a forwarding hub, mixed
     with offline toggles and re-carved direct syncs between leaves."""
     for i in range(max(1, fuzz_iterations // 2)):
-        for incremental in (True, False):
-            run_session(BASE_SEED + 50_000 + i, incremental=incremental, topology="star")
+        run_session(BASE_SEED + 50_000 + i, topology="star")
 
 
 def test_larger_sessions_converge():
     """A few bigger sessions (more replicas, more steps), fixed seeds."""
     for offset in range(3):
-        for incremental in (True, False):
-            run_session(
-                BASE_SEED + 10_000 + offset,
-                replicas=4,
-                steps=48,
-                incremental=incremental,
-            )
+        run_session(BASE_SEED + 10_000 + offset, replicas=4, steps=48)
         run_session(
             BASE_SEED + 20_000 + offset, replicas=4, steps=48, topology="star"
         )

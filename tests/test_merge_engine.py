@@ -8,10 +8,9 @@ Covers the three pillars of the engine:
   function on randomized histories);
 * the sequential fast path and the checkpoint (resident walker state)
   machinery: a quiescent merge touches O(new events), never O(history) —
-  proven by engine stat counters, with the legacy rebuild path
-  (``incremental=False``) as the contrast;
-* end-to-end equivalence: incremental and legacy documents, and the
-  per-character oracle, produce identical texts on randomized sessions.
+  proven by engine stat counters at two history lengths;
+* end-to-end equivalence: documents and the per-character oracle produce
+  identical texts on randomized sessions.
 """
 
 from __future__ import annotations
@@ -144,9 +143,9 @@ class TestCriticalCutTracker:
 # The O(new events) acceptance claim
 # ----------------------------------------------------------------------
 class TestQuiescentMergeCost:
-    def build_peer_pair(self, history_events: int, *, incremental: bool):
+    def build_peer_pair(self, history_events: int):
         """An editor with ``history_events`` runs of quiescent history and a
-        fully synced watcher using the given engine mode."""
+        fully synced watcher."""
         editor = Document("editor")
         for i in range(history_events):
             # Alternate kinds so coalescing keeps one event per call.
@@ -154,12 +153,12 @@ class TestQuiescentMergeCost:
                 editor.insert(len(editor.text), f"w{i} ")
             else:
                 editor.delete(0, 1)
-        watcher = Document("watcher", incremental=incremental)
+        watcher = Document("watcher")
         watcher.merge(editor)
         return editor, watcher
 
     def test_incremental_merge_touches_only_new_events(self):
-        editor, watcher = self.build_peer_pair(300, incremental=True)
+        editor, watcher = self.build_peer_pair(300)
         n = len(editor.oplog.graph)
         assert n >= 300
         baseline = watcher.merge_stats.snapshot()
@@ -170,40 +169,32 @@ class TestQuiescentMergeCost:
         # bookkeeping of any kind.
         assert stats.last_merge_events_touched == 1
         assert stats.fast_path_merges == baseline["fast_path_merges"] + 1
-        assert stats.cut_scan_events == 0
-        assert stats.order_events_materialised == 0
-        assert stats.walkers_rebuilt == 0
         assert stats.replayed_new_events == baseline["replayed_new_events"]
         assert watcher.text == editor.text
         # Steady state: no resident walker state, memory is just the text.
         assert not watcher.engine.has_resident_state
 
-    def test_legacy_merge_pays_o_history_bookkeeping(self):
-        editor, watcher = self.build_peer_pair(300, incremental=False)
-        n = len(editor.oplog.graph)
-        before = watcher.merge_stats.cut_scan_events
-        editor.insert(len(editor.text), "new!")
-        watcher.merge(editor)
-        stats = watcher.merge_stats
-        # The rebuild path re-scans the whole order for critical cuts and
-        # materialises it, every single merge.
-        assert stats.cut_scan_events - before >= n
-        assert stats.last_merge_events_touched >= n
-        assert stats.walkers_rebuilt >= 1
-        assert watcher.text == editor.text
-
     def test_per_merge_work_is_flat_in_history_length(self):
         """The acceptance curve in miniature: per-merge work at N and at 4N
-        history must be identical for the engine, growing for the rebuild."""
+        history must be identical."""
         work = {}
-        for mode in (True, False):
-            for n in (100, 400):
-                editor, watcher = self.build_peer_pair(n, incremental=mode)
-                editor.insert(len(editor.text), "x")
-                watcher.merge(editor)
-                work[(mode, n)] = watcher.merge_stats.last_merge_events_touched
-        assert work[(True, 100)] == work[(True, 400)] == 1
-        assert work[(False, 400)] >= work[(False, 100)] + 300
+        for n in (100, 400):
+            editor, watcher = self.build_peer_pair(n)
+            editor.insert(len(editor.text), "x")
+            watcher.merge(editor)
+            work[n] = watcher.merge_stats.last_merge_events_touched
+        assert work[100] == work[400] == 1
+
+    def test_batch_that_is_not_a_tail_is_refused(self):
+        """There is no second merge path to fall back to: new events that
+        do not end the local order break an invariant, and say so."""
+        doc = Document("alice", coalesce_local_runs=False)
+        doc.insert(0, "ab")
+        doc.insert(2, "cd")
+        assert len(doc.oplog.graph) == 2
+        with pytest.raises(AssertionError, match="not a tail"):
+            doc.engine.integrate([0])
+        assert doc.text == "abcd"
 
 
 class TestSequentialFastPath:
@@ -327,48 +318,36 @@ class TestResidentState:
         assert bob.text.startswith("more sync ")
         assert alice.merge(bob) == [] and alice.text == bob.text
 
-    def test_resumed_merges_converge_with_legacy_and_oracle(self):
+    def test_resumed_merges_converge_with_oracle(self):
         for seed in range(8):
             rng = random.Random(0xE61 + seed)
-            docs = {
-                True: Document("inc", incremental=True),
-                False: Document("leg", incremental=False),
-            }
-            peers = {
-                True: Document("peer-inc", incremental=True),
-                False: Document("peer-leg", incremental=False),
-            }
-            for mode in (True, False):
-                doc, peer = docs[mode], peers[mode]
-                rng_local = random.Random(rng.randint(0, 1 << 30))
-                doc.insert(0, "seed ")
-                peer.merge(doc)
-                for _ in range(30):
-                    roll = rng_local.random()
-                    target = doc if rng_local.random() < 0.5 else peer
-                    if roll < 0.6 or not target.text:
-                        pos = rng_local.randint(0, len(target.text))
-                        target.insert(pos, rng_local.choice(["ab ", "c", "defg "]))
-                    elif roll < 0.8 and target.text:
-                        pos = rng_local.randrange(len(target.text))
-                        target.delete(pos, min(2, len(target.text) - pos))
-                    else:
-                        doc.merge(peer) if rng_local.random() < 0.5 else peer.merge(doc)
-                doc.merge(peer)
-                peer.merge(doc)
-                assert doc.text == peer.text == oracle_text(doc)
+            doc, peer = Document("doc"), Document("peer")
+            doc.insert(0, "seed ")
+            peer.merge(doc)
+            for _ in range(30):
+                roll = rng.random()
+                target = doc if rng.random() < 0.5 else peer
+                if roll < 0.6 or not target.text:
+                    pos = rng.randint(0, len(target.text))
+                    target.insert(pos, rng.choice(["ab ", "c", "defg "]))
+                elif roll < 0.8 and target.text:
+                    pos = rng.randrange(len(target.text))
+                    target.delete(pos, min(2, len(target.text) - pos))
+                else:
+                    doc.merge(peer) if rng.random() < 0.5 else peer.merge(doc)
+            doc.merge(peer)
+            peer.merge(doc)
+            assert doc.text == peer.text == oracle_text(doc)
 
     def test_live_session_mostly_fast_paths(self):
         """The steady-state claim on a realistic live session: the engine
-        takes the fast path for the bulk of deliveries, never rebuilds, and
-        ends with no resident state once the session quiesces."""
+        takes the fast path for the bulk of deliveries and every replica
+        agrees with the oracle."""
         sim = live_session(["a", "b", "c"], rounds=50, seed=7)
         texts = {r.text for r in sim.replicas.values()}
         assert len(texts) == 1
         for replica in sim.replicas.values():
             stats = replica.document.merge_stats
-            assert stats.walkers_rebuilt == 0
-            assert stats.cut_scan_events == 0
             assert stats.merges > 0
             # A large share of deliveries are sequential fast paths.  (With
             # per-tick delivery batching a batch holding two mutually

@@ -19,6 +19,7 @@ from repro.core.event_graph import EventGraph
 from repro.core.oplog import graph_to_remote_events
 from repro.core.order_statistic_tree import TreeSequence
 from repro.core.sequence import ListSequence, SequenceBackend
+from repro.core.walker import EgWalker
 from repro.traces.generator import generate_async
 
 EVENTS = 900
@@ -61,11 +62,14 @@ def test_lookups_per_event(history, monkeypatch):
 
 
 def test_both_backends_do_the_same_work(history):
+    document = Document("work")
+    document.apply_remote_events(history)
     stats = {}
     for backend in ("tree", "list"):
-        document = Document("work", backend=backend)
-        document.apply_remote_events(history)
-        stats[backend] = asdict(document.engine.walker.last_stats)
-        stats[backend]["text"] = document.text
+        walker = EgWalker(document.oplog.graph, backend=backend)
+        text = walker.replay_text()
+        stats[backend] = asdict(walker.last_stats)
+        stats[backend]["text"] = text
     assert stats["tree"] == stats["list"]
+    assert stats["tree"]["text"] == document.text
     assert ListSequence.neighbours is not SequenceBackend.neighbours

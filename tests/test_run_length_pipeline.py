@@ -40,10 +40,11 @@ BACKENDS = ["list", "tree"]
 SORT_STRATEGIES = ["branch_aware", "local", "interleaved"]
 
 
-def make_state(backend: str, placeholder: int = 0) -> InternalState:
-    if backend == "tree":
-        return InternalState(TreeSequence(placeholder))
-    return InternalState(ListSequence(placeholder))
+def make_state(
+    backend: str, placeholder: int = 0, *, merge_spans: bool = True
+) -> InternalState:
+    sequence = TreeSequence(placeholder) if backend == "tree" else ListSequence(placeholder)
+    return InternalState(sequence, merge_spans=merge_spans)
 
 
 # ----------------------------------------------------------------------
@@ -270,10 +271,12 @@ class TestPlaceholderRunCarving:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_delete_run_spanning_boundary_via_walker(self, backend):
         """The same §3.6 scenario end-to-end: a remote delete run spanning the
-        base-version placeholder and a freshly merged insert run."""
-        alice = Document("alice", backend=backend)
+        base-version placeholder and a freshly merged insert run — merged by
+        documents, then replayed by the walker on each backend (its state
+        clears to a placeholder after the critical first run)."""
+        alice = Document("alice")
         alice.insert(0, "0123456789")
-        bob = Document("bob", backend=backend)
+        bob = Document("bob")
         bob.merge(alice)
         bob.insert(5, "XYZ")  # 01234XYZ56789 at bob
         alice.delete(3, 4)  # delete 3456 at alice -> 012789
@@ -284,6 +287,9 @@ class TestPlaceholderRunCarving:
             expand_to_chars(alice.oplog.graph), backend="list"
         ).replay_text()
         assert alice.text == oracle
+        walker = EgWalker(alice.oplog.graph, backend=backend)
+        assert walker.replay_text() == oracle
+        assert walker.last_stats.state_clears >= 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_retreat_and_advance_of_split_runs(self, backend):
@@ -324,7 +330,7 @@ class TestPlaceholderRunCarving:
 
     def test_state_clearing_with_run_events_still_converges(self):
         """State clears sit between runs; replay stays correct around them."""
-        doc = Document("alice", enable_clearing=True)
+        doc = Document("alice")
         for i in range(30):
             doc.insert(len(doc.text) // 2, f"run {i}! ")
             if i % 3 == 2:
@@ -406,10 +412,7 @@ class TestSpanReMerging:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_merging_can_be_disabled(self, backend):
-        state = InternalState(
-            TreeSequence(0) if backend == "tree" else ListSequence(0),
-            merge_spans=False,
-        )
+        state = make_state(backend, merge_spans=False)
         state.apply_insert(EventId("a", 0), 0, 8)
         state.apply_delete(EventId("b", 0), 2, 3)
         state.retreat(EventId("b", 0), is_insert=False)
@@ -448,8 +451,14 @@ class TestSpanReMerging:
             parent = event.index
         order = [run.index] + y_events + z_events
 
-        def replay_in_order(walker):
-            result = walker.transform(order=order)
+        # Span merging is a property of the internal state, so the split-only
+        # ablation hands the walker a state built with ``merge_spans=False``.
+        walker = EgWalker(graph, backend=backend, enable_clearing=False)
+
+        def replay_in_order(merge_spans):
+            result = walker.transform(
+                order=order, state=make_state(backend, merge_spans=merge_spans)
+            )
             buffer: list[str] = []
             for entry in result.transformed:
                 for op in entry.ops:
@@ -457,20 +466,15 @@ class TestSpanReMerging:
                         buffer[op.pos : op.pos] = op.content
                     else:
                         del buffer[op.pos : op.pos + op.length]
-            return "".join(buffer)
+            return "".join(buffer), result.stats
 
         # Clearing is disabled so the whole session runs against live CRDT
         # state (the regime span re-merging exists for).
         oracle = EgWalker(expand_to_chars(graph), backend="list").replay_text()
-        merged_walker = EgWalker(graph, backend=backend, enable_clearing=False)
-        merged_text = replay_in_order(merged_walker)
-        plain_walker = EgWalker(
-            graph, backend=backend, enable_clearing=False, enable_span_merging=False
-        )
-        plain_text = replay_in_order(plain_walker)
+        merged_text, merged = replay_in_order(True)
+        plain_text, plain = replay_in_order(False)
         assert merged_text == plain_text == oracle
 
-        merged, plain = merged_walker.last_stats, plain_walker.last_stats
         # Replaying branch y fragments the run; retreating it for branch z
         # re-merges the fragments, so the session ends far below its peak ...
         assert merged.spans_merged > 0
@@ -489,17 +493,11 @@ class TestSpanReMerging:
         window = y_events + z_events
         results = {}
         for merging in (True, False):
-            walker = EgWalker(
-                graph,
-                backend=backend,
-                enable_clearing=False,
-                enable_span_merging=merging,
-            )
             results[merging] = walker.transform(
                 window,
                 base_version=(run.index,),
-                base_doc_length=40,
                 order=window,
+                state=make_state(backend, 40, merge_spans=merging),
             )
         assert [t.ops for t in results[True].transformed] == [
             t.ops for t in results[False].transformed

@@ -464,6 +464,20 @@ def test_document_and_history_load_from_bytes():
     assert history.text_at(Version.frontier(history.graph)) == text
 
 
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_loaded_document_keeps_its_coalescing_setting(coalesce):
+    graph = fixture_graphs()["two_branch"]
+    data = encode_event_graph_v3(graph)
+    doc = Document.from_bytes(data, "reader", coalesce_local_runs=coalesce)
+    assert doc.oplog.coalesce_local_runs is coalesce
+    before = len(doc.oplog)
+    doc.insert(0, "ab")
+    doc.insert(2, "cd")
+    assert len(doc.oplog) == before + (1 if coalesce else 2)
+    # A checkout of the loaded replica inherits the setting in turn.
+    assert doc.checkout(doc.version()).oplog.coalesce_local_runs is coalesce
+
+
 # ----------------------------------------------------------------------
 # Corruption battery: truncation and byte flips
 # ----------------------------------------------------------------------
