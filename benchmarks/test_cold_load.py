@@ -119,13 +119,6 @@ def test_editable_open_is_a_decode(cold_load_rows):
         )
 
 
-def test_sequential_traces_serve_text_without_a_snapshot(cold_load_rows):
-    """Linear histories reconstruct their text from ops+content alone
-    (span-wise replay), even with no snapshot column stored."""
-    for name in ("S1", "S2", "S3"):
-        assert _row(cold_load_rows, name)["selective_text_without_snapshot"], name
-
-
 def test_result_file_written(cold_load_rows):
     with open(RESULT_PATH, encoding="utf-8") as fh:
         payload = json.load(fh)

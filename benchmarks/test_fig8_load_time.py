@@ -3,8 +3,9 @@
 After a merge, each algorithm persists its document and we measure the time to
 load it back into a state where the user can view and edit it:
 
-* Eg-walker and OT read the cached plain-text snapshot — the event graph stays
-  on disk — so loads are orders of magnitude faster than the CRDTs;
+* Eg-walker and OT save the event-graph file with its snapshot column, and the
+  Eg-walker load reads only that column — the event graph stays on disk — so
+  loads are orders of magnitude faster than the CRDTs;
 * the CRDTs must rebuild their full per-character structure (Automerge-like
   even replays its stored operation history), which is why the paper reports
   CRDT loads costing as much as merges.
@@ -35,22 +36,11 @@ ADAPTERS = {
 def test_load_document_from_disk(benchmark, trace, algorithm):
     adapter = ADAPTERS[algorithm]()
     outcome = adapter.merge(trace)
-    if algorithm in ("eg-walker", "ot"):
-        # The steady-state load path: just the cached document snapshot
-        # (the event graph file is only opened when a concurrent merge needs it).
-        saved = (
-            adapter.save_snapshot_only(outcome, trace)
-            if algorithm == "eg-walker"
-            else adapter.save(trace, outcome)
-        )
-        loader = adapter.load_snapshot if algorithm == "eg-walker" else adapter.load
-    else:
-        saved = adapter.save(trace, outcome)
-        loader = adapter.load
+    saved = adapter.save(trace, outcome)
 
     benchmark.group = f"fig8-load-{trace.name}"
     rounds = 3 if algorithm in ("eg-walker", "ot") else 1
-    text = benchmark.pedantic(loader, args=(saved,), rounds=rounds, iterations=1)
+    text = benchmark.pedantic(adapter.load, args=(saved,), rounds=rounds, iterations=1)
     benchmark.extra_info["trace"] = trace.name
     benchmark.extra_info["algorithm"] = algorithm
     benchmark.extra_info["file_bytes"] = len(saved)

@@ -11,25 +11,21 @@ The pieces:
 
 * :mod:`repro.analysis.rules` — rule base class + registry, path scoping;
 * :mod:`repro.analysis.checks` — the rule battery (see each module);
-* :mod:`repro.analysis.suppressions` — ``# lint: disable=rule`` comments;
-* :mod:`repro.analysis.baseline` — committed, justified grandfathered
-  findings (``analysis-baseline.json`` at the repo root);
+* :mod:`repro.analysis.suppressions` — ``# lint: disable=rule -- why``
+  comments, each carrying its justification on the offending line;
 * :mod:`repro.analysis.driver` / :mod:`~repro.analysis.reporters` /
   :mod:`~repro.analysis.cli` — file walking, filtering, text/JSON output.
 
 Run it as ``python -m repro.analysis src tests`` (exit 1 on any finding that
-is neither suppressed nor baselined); ``--list-rules`` documents the battery.
+is not suppressed); ``--list-rules`` documents the battery.
 """
 
-from .baseline import Baseline, BaselineEntry
 from .driver import AnalysisResult, analyze_source, run_analysis
 from .findings import Finding
 from .rules import ModuleContext, Rule, all_rules, get_rule, register
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ModuleContext",
     "Rule",

@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro.analysis [paths ...]``.
 
-Exit status is 0 when every finding is suppressed or baselined, 1 when
-actionable findings remain (or a file failed to parse), 2 on usage errors —
+Exit status is 0 when every finding is suppressed, 1 when actionable
+findings remain (or a file failed to parse), 2 on usage errors —
 so the CI job gates directly on the exit code.
 """
 
@@ -12,14 +12,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline
 from .driver import run_analysis
 from .reporters import render_json, render_text
 from .rules import all_rules
 
 __all__ = ["main"]
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,28 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline JSON of grandfathered findings (default: "
-            f"{DEFAULT_BASELINE} if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help=(
-            "write every current finding to FILE as a new baseline (each "
-            "entry then needs a hand-written justification) and exit 0"
-        ),
     )
     parser.add_argument(
         "--format",
@@ -74,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also list baselined and suppressed findings (text format)",
+        help="also list suppressed findings (text format)",
     )
     parser.add_argument(
         "--list-rules",
@@ -106,15 +81,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         dropped = {name.strip() for name in args.ignore.split(",") if name.strip()}
         rules = [rule for rule in rules if rule.name not in dropped]
 
-    baseline: Baseline | None = None
-    if not args.no_baseline and args.write_baseline is None:
-        baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-        if baseline_path.exists():
-            baseline = Baseline.load(baseline_path)
-        elif args.baseline:
-            print(f"baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
-
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -123,18 +89,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
 
-    result = run_analysis(paths, rules=rules, baseline=baseline)
-
-    if args.write_baseline is not None:
-        new_baseline = Baseline.from_findings(
-            result.findings, justification="TODO: justify or fix"
-        )
-        new_baseline.save(Path(args.write_baseline))
-        print(
-            f"wrote {len(result.findings)} entr(y/ies) to {args.write_baseline}; "
-            "replace every TODO justification before committing"
-        )
-        return 0
+    result = run_analysis(paths, rules=rules)
 
     if args.format == "json":
         print(render_json(result))

@@ -1,10 +1,9 @@
-"""The analysis driver: walk files, run rules, apply suppressions + baseline.
+"""The analysis driver: walk files, run rules, apply suppressions.
 
-The driver is the one place that knows about the three filtering layers:
+The driver is the one place that knows about the two filtering layers:
 
 1. rule path scoping (``Rule.applies_to``),
-2. per-line suppression comments (``# lint: disable=rule``),
-3. the committed baseline of grandfathered findings.
+2. per-line suppression comments (``# lint: disable=rule -- why``).
 
 ``analyze_source`` is the unit-test entry point (lint a string under an
 arbitrary virtual path, so fixture snippets can exercise path-scoped rules);
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .baseline import Baseline, BaselineEntry
 from .findings import Finding
 from .rules import ModuleContext, Rule, all_rules
 from .suppressions import collect_suppressions
@@ -34,9 +32,7 @@ class AnalysisResult:
     """Outcome of one analysis run."""
 
     findings: list[Finding] = field(default_factory=list)  # actionable
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -45,7 +41,6 @@ class AnalysisResult:
 
     def extend(self, other: "AnalysisResult") -> None:
         self.findings.extend(other.findings)
-        self.baselined.extend(other.baselined)
         self.suppressed.extend(other.suppressed)
         self.files_checked += other.files_checked
 
@@ -69,7 +64,6 @@ def analyze_source(
     source: str,
     path: str,
     rules: Iterable[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> AnalysisResult:
     """Lint one source string as if it lived at ``path``.
 
@@ -92,8 +86,6 @@ def analyze_source(
         for finding in rule.check(module):
             if suppressions.covers(finding.line, finding.rule):
                 result.suppressed.append(finding)
-            elif baseline is not None and baseline.consume(finding) is not None:
-                result.baselined.append(finding)
             else:
                 result.findings.append(finding)
     return result
@@ -102,19 +94,18 @@ def analyze_source(
 def run_analysis(
     paths: Sequence[Path],
     rules: Iterable[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> AnalysisResult:
     """Lint every python file under ``paths``; see :class:`AnalysisResult`.
 
     Files that fail to parse surface as a ``parse-error`` finding (never
-    baselined or suppressed — a broken file must fail the gate loudly).
+    suppressed — a broken file must fail the gate loudly).
     """
     rule_list = list(rules) if rules is not None else all_rules()
     total = AnalysisResult()
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8")
         try:
-            result = analyze_source(source, _posix(file_path), rule_list, baseline)
+            result = analyze_source(source, _posix(file_path), rule_list)
         except SyntaxError as exc:
             total.findings.append(
                 Finding(
@@ -128,6 +119,4 @@ def run_analysis(
             total.files_checked += 1
             continue
         total.extend(result)
-    if baseline is not None:
-        total.stale_baseline = baseline.stale_entries()
     return total

@@ -1,24 +1,10 @@
-"""Finding: one rule violation at one source location.
-
-A finding's identity for baselining purposes is its :attr:`fingerprint` —
-a hash of the rule name, the file path and the *text* of the offending line
-(normalised for whitespace), deliberately excluding the line number so that
-unrelated edits above a grandfathered finding do not invalidate the baseline.
-Two identical lines in the same file share a fingerprint; the baseline
-therefore stores one entry per occurrence and entries are consumed
-multiset-style (see :mod:`repro.analysis.baseline`).
-"""
+"""Finding: one rule violation at one source location."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 __all__ = ["Finding"]
-
-
-def _normalise(snippet: str) -> str:
-    return " ".join(snippet.split())
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,12 +27,6 @@ class Finding:
     message: str
     snippet: str = field(default="", compare=False)
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file."""
-        payload = "\x00".join((self.rule, self.path, _normalise(self.snippet)))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 
@@ -58,5 +38,4 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }

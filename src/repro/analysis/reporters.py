@@ -17,19 +17,11 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
     if verbose:
-        for finding in sorted(result.baselined, key=lambda f: (f.path, f.line)):
-            lines.append(f"[baselined] {finding.render()}")
         for finding in sorted(result.suppressed, key=lambda f: (f.path, f.line)):
             lines.append(f"[suppressed] {finding.render()}")
-    for entry in result.stale_baseline:
-        lines.append(
-            f"stale baseline entry: {entry.rule} @ {entry.path} "
-            f"({entry.fingerprint}) — remove it: {entry.justification!r}"
-        )
     lines.append(
         f"{result.files_checked} files checked: {len(result.findings)} finding(s), "
-        f"{len(result.baselined)} baselined, {len(result.suppressed)} suppressed, "
-        f"{len(result.stale_baseline)} stale baseline entr(y/ies)"
+        f"{len(result.suppressed)} suppressed"
     )
     return "\n".join(lines)
 
@@ -40,8 +32,6 @@ def render_json(result: AnalysisResult) -> str:
         "ok": result.ok,
         "files_checked": result.files_checked,
         "findings": [f.as_dict() for f in result.findings],
-        "baselined": [f.as_dict() for f in result.baselined],
         "suppressed": [f.as_dict() for f in result.suppressed],
-        "stale_baseline": [e.as_dict() for e in result.stale_baseline],
     }
     return json.dumps(payload, indent=2)

@@ -9,15 +9,15 @@ touched — in ``core/event_graph.py``).  Scoping by path *fragment* keeps the m
 whether the tree is scanned as ``src/``, ``./src`` or an absolute path.
 
 Rules yield :class:`~repro.analysis.findings.Finding` objects from
-:meth:`Rule.check`; the driver applies suppression comments and the baseline
-afterwards, so rules themselves stay oblivious to both mechanisms.
+:meth:`Rule.check`; the driver applies suppression comments afterwards, so
+rules themselves stay oblivious to them.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .findings import Finding
 
@@ -102,28 +102,3 @@ def get_rule(name: str) -> Rule:
         raise KeyError(
             f"unknown rule {name!r}; known: {', '.join(sorted(_REGISTRY))}"
         ) from None
-
-
-def walk_functions(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Yield ``(qualname, node)`` for every function/method in the module."""
-
-    def visit(node: ast.AST, prefix: str) -> Iterator[tuple[str, ast.AST]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}"
-                yield qual, child
-                yield from visit(child, f"{qual}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, f"{prefix}{child.name}.")
-            else:
-                yield from visit(child, prefix)
-
-    for qual, node in visit(tree, ""):
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield qual, node
-
-
-#: Type of the per-node callback used by small custom walkers.
-NodeCallback = Callable[[ast.AST], None]

@@ -20,13 +20,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.walker import EgWalker, WalkerStats
-from ..history.version import Version
 from ..crdt.automerge_like import AutomergeLikeDocument
 from ..crdt.ref_crdt import RefCRDTDocument
 from ..crdt.yjs_like import YjsLikeDocument
 from ..ot.ot_replica import OTDocument
-from ..storage.container import ContainerOptions, decode_file, encode_event_graph_v3
-from ..storage.snapshot import Snapshot, decode_snapshot, encode_snapshot
+from ..storage.container import (
+    ContainerOptions,
+    LazyDecodedFile,
+    decode_file,
+    encode_event_graph_v3,
+)
 from ..traces.trace import Trace
 
 __all__ = [
@@ -114,20 +117,10 @@ class EgWalkerAdapter(AlgorithmAdapter):
         )
 
     def load(self, data: bytes) -> str:
-        decoded = decode_file(data)
-        if decoded.snapshot is not None:
-            # Fast path: the cached document text is all that is needed to
-            # display and edit the document (§4.3).
-            return decoded.snapshot
-        return EgWalker(decoded.graph).replay_text()
-
-    def save_snapshot_only(self, outcome: MergeOutcome, trace: Trace) -> bytes:
-        """Just the cached text (what the steady-state load actually reads)."""
-        version = Version.frontier(trace.graph)
-        return encode_snapshot(Snapshot(text=outcome.text, version=version))
-
-    def load_snapshot(self, data: bytes) -> str:
-        return decode_snapshot(data).text
+        # The cached document text is all that is needed to display and edit
+        # the document (§4.3): a file with a snapshot column serves it without
+        # materialising a single event; one without replays its graph.
+        return LazyDecodedFile(data).text
 
 
 class OTAdapter(AlgorithmAdapter):

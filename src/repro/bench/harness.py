@@ -249,14 +249,10 @@ def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, obje
       path ``Document.from_bytes`` shares: one graph built once, the text
       taken from the snapshot column, nothing merged and no walker state,
       checked by one local insert against the oracle text.
-
-    Also records whether a *snapshot-free* file can still serve its text
-    selectively (linear histories replay ops over content span-wise).
     """
     from ..storage.container import (
         ContainerOptions,
         LazyDecodedFile,
-        StorageError,
         encode_event_graph_v3,
     )
 
@@ -289,12 +285,6 @@ def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, obje
         document = editable.document("cold-editor")
         document.insert(0, "x")
 
-        plain = encode_event_graph_v3(trace.graph)
-        try:
-            selective_no_snapshot = LazyDecodedFile(plain).selective_text() == outcome.text
-        except StorageError:
-            selective_no_snapshot = False
-
         rows.append(
             {
                 "trace": name,
@@ -314,7 +304,6 @@ def run_cold_load(traces: dict[str, Trace] | None = None) -> list[dict[str, obje
                 "editable_open_events_integrated": document.merge_stats.events_integrated,
                 "editable_open_resident_state": document.engine.has_resident_state,
                 "editable_open_text_ok": document.text == "x" + outcome.text,
-                "selective_text_without_snapshot": selective_no_snapshot,
             }
         )
     return rows

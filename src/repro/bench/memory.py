@@ -36,10 +36,6 @@ class MemoryMeasurement:
     def peak_mib(self) -> float:
         return self.peak_bytes / (1024 * 1024)
 
-    @property
-    def retained_mib(self) -> float:
-        return self.retained_bytes / (1024 * 1024)
-
 
 def measure_memory(action: Callable[[], T]) -> tuple[T, MemoryMeasurement]:
     """Run ``action`` and measure its peak and retained allocations.

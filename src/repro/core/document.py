@@ -47,11 +47,12 @@ __all__ = ["Document"]
 class Document:
     """A replica of a collaboratively edited plain-text document.
 
+    Local edits that continue the frontier run extend the existing event in
+    place (sender-side run coalescing, see :class:`OpLog`), so a
+    keystroke-at-a-time session stores O(runs) events.
+
     Args:
         agent: this replica's globally unique name.
-        coalesce_local_runs: fold local edits that continue the frontier run
-            into the existing event (sender-side run coalescing), so a
-            keystroke-at-a-time session stores O(runs) events.
         graph: an event graph to **adopt** as this replica's history (one
             decoded from storage) instead of starting empty.  It is installed
             as is — no event is re-ingested — and the replica becomes its
@@ -66,14 +67,13 @@ class Document:
         self,
         agent: str,
         *,
-        coalesce_local_runs: bool = True,
         graph: EventGraph | None = None,
         text: str | None = None,
     ) -> None:
         if text is not None and graph is None:
             raise ValueError("text= is the snapshot of an adopted graph; pass graph= too")
         self.agent = agent
-        self.oplog = OpLog(agent, coalesce_local_runs=coalesce_local_runs, graph=graph)
+        self.oplog = OpLog(agent, graph=graph)
         self.rope = Rope(text or "")
         self.engine = MergeEngine(self.oplog, self.rope)
         # Imported lazily: repro.history depends on the core modules above.
@@ -87,9 +87,7 @@ class Document:
             self.engine.replay_adopted()
 
     @classmethod
-    def from_bytes(
-        cls, data: bytes, agent: str, *, coalesce_local_runs: bool = True
-    ) -> "Document":
+    def from_bytes(cls, data: bytes, agent: str) -> "Document":
         """Load a replica from a stored event-graph file.
 
         Load is a decode: the decoded graph is **adopted** as the replica's
@@ -106,12 +104,7 @@ class Document:
         from ..storage.container import decode_file
 
         decoded = decode_file(data)
-        return cls(
-            agent,
-            coalesce_local_runs=coalesce_local_runs,
-            graph=decoded.graph,
-            text=decoded.snapshot,
-        )
+        return cls(agent, graph=decoded.graph, text=decoded.snapshot)
 
     # ------------------------------------------------------------------
     # Read access

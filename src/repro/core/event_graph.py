@@ -16,7 +16,7 @@ two replicas may carve the same per-character history into different runs
 (e.g. one batched a paragraph into a single run while a peer received it in
 two deliveries).  Locally a run event is stored whole, but ingesting a remote
 run that only partially overlaps stored coverage *splits* runs on either side
-until the two carvings agree (:meth:`EventGraph.ingest_run`), and a remote
+until the two carvings agree (:meth:`EventGraph.ingest_runs`), and a remote
 parent reference to a mid-run character splits the stored run at that
 boundary so the dependency covers exactly the referenced prefix
 (:meth:`EventGraph.dependency_index`).  In replicated form a parent id names
@@ -197,7 +197,7 @@ class EventGraph:
     The graph grows monotonically; events are never removed and an existing
     event's parents never change (paper §2.2).  Two replicas merge their
     graphs by taking the union of their event sets, which here is implemented
-    by :meth:`add_remote_event` / :meth:`merge_from`.
+    by :meth:`ingest_runs` / :meth:`merge_from`.
 
     The id mapping is a *range map*: per agent, a sorted list of run start
     seqs resolving to event handles, so that any character id maps to
@@ -366,10 +366,6 @@ class EventGraph:
         on a split.
         """
         self._listeners.append(listener)
-
-    def remove_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     def _notify(self, method: str, *args: object) -> None:
         for listener in self._listeners:
@@ -553,7 +549,7 @@ class EventGraph:
                 The run's whole id span must be fresh.
             parents: parent events, either as :class:`EventId` values (any
                 character of the parent run identifies it, and the dependency
-                covers the whole run — use :meth:`ingest_run` for remote
+                covers the whole run — use :meth:`ingest_runs` for remote
                 references, where a mid-run id means a dependency on only a
                 prefix) or as local indices (set ``parents_are_indices``).  All
                 parents must already be in the graph (causal delivery is the
@@ -590,7 +586,7 @@ class EventGraph:
 
     def _append(self, event_id: EventId, parent_indices: Sequence[int], op: Operation) -> int:
         """The one way an event enters the graph; returns its handle.  Its
-        callers (:meth:`add_event`, :meth:`ingest_run`) have validated it:
+        callers (:meth:`add_event`, :meth:`ingest_runs`) have validated it:
         the run's id span is fresh and ``parent_indices`` are sorted,
         distinct indices of stored events."""
         order = self._order
@@ -654,7 +650,7 @@ class EventGraph:
         session stores O(runs) events at the source.  The result is a legal
         re-encoding of the same history — a peer that already received the
         shorter run resolves the difference through the usual split-on-ingest
-        machinery (:meth:`ingest_run` / :meth:`dependency_index`).
+        machinery (:meth:`ingest_runs` / :meth:`dependency_index`).
 
         The event must be the sole frontier head (which also makes it the last
         event in local order): the new characters depend on everything, which
@@ -829,44 +825,35 @@ class EventGraph:
             indices = sorted(set(indices))
         return tuple(indices)
 
-    def ingest_run(
-        self, event_id: EventId, parent_ids: Iterable[EventId], op: Operation
-    ) -> list[Event]:
-        """Add a (possibly differently-carved) remote run to the graph.
-
-        The incoming id span is walked against stored coverage: sub-spans
-        already covered are verified to carry the same operation (redelivery
-        and legal re-carvings are idempotent), uncovered sub-spans are added
-        as new events.  The first new sub-span takes ``parent_ids`` (resolved
-        with :meth:`dependency_index`, splitting stored runs at mid-run parent
-        references); later sub-spans chain onto the previous character of the
-        run, mirroring :func:`expand_to_chars`.
-
-        A run that starts at or past the agent's next unused seq and whose
-        parents name whole stored runs — every run of a peer we are merely
-        behind — skips the walk: it is validated and appended directly.
-
-        Returns the newly created events (empty for a full redelivery).
-        Raises :class:`ValueError` if stored coverage disagrees with the
-        incoming operation (same ids, different content — the one truly
-        illegal divergence), and :class:`KeyError` if a needed parent is
-        missing (the replication layer holds such events back).
-        """
-        return [Event(self, h) for h in self._ingest_run(event_id, parent_ids, op)]
-
     def ingest_runs(
         self,
         runs: Iterable[tuple[EventId, Iterable[EventId], Operation]],
         added_spans: list[tuple[str, int, int]] | None = None,
     ) -> list[int]:
-        """:meth:`ingest_run` for a causally ordered batch of ``(id, parent
-        ids, op)`` runs, without :class:`Event` views.
+        """Add a causally ordered batch of ``(id, parent ids, op)`` remote
+        runs, each possibly carved differently than this graph.
+
+        Each incoming id span is walked against stored coverage: sub-spans
+        already covered are verified to carry the same operation (redelivery
+        and legal re-carvings are idempotent), uncovered sub-spans are added
+        as new events.  The first new sub-span takes the run's parent ids
+        (resolved with :meth:`dependency_index`, splitting stored runs at
+        mid-run parent references); later sub-spans chain onto the previous
+        character of the run, mirroring :func:`expand_to_chars`.
+
+        A run that starts at or past the agent's next unused seq and whose
+        parents name whole stored runs — every run of a peer we are merely
+        behind — skips the walk: it is validated and appended directly.
 
         Returns the current local indices of the events covering the new id
         spans, resolved once the batch is done (a later run may split an
-        earlier one).  ``added_spans``, if given, receives each new ``(agent,
-        seq, length)`` span as it is added, so a caller can account for a
-        batch that raises midway.
+        earlier one); empty for a full redelivery.  ``added_spans``, if given,
+        receives each new ``(agent, seq, length)`` span as it is added, so a
+        caller can account for a batch that raises midway.  Raises
+        :class:`ValueError` if stored coverage disagrees with an incoming
+        operation (same ids, different content — the one truly illegal
+        divergence), and :class:`KeyError` if a needed parent is missing (the
+        replication layer holds such events back).
         """
         if added_spans is None:
             added_spans = []
@@ -880,7 +867,8 @@ class EventGraph:
     def _ingest_run(
         self, event_id: EventId, parent_ids: Iterable[EventId], op: Operation
     ) -> list[int]:
-        """:meth:`ingest_run`, returning the new events' handles."""
+        """Ingest one run of :meth:`ingest_runs`; return the new events'
+        handles."""
         agent = event_id.agent
         if event_id.seq >= self._next_seq.get(agent, 0):
             # The whole span is new (nothing stored reaches its first seq), so
@@ -961,23 +949,6 @@ class EventGraph:
                 f"different content"
             )
 
-    def add_remote_event(
-        self, event_id: EventId, parent_ids: Iterable[EventId], op: Operation
-    ) -> list[Event]:
-        """Add a run event received from another replica.
-
-        Run boundaries are a local encoding detail, so the incoming run may be
-        carved differently than this graph's coverage of the same characters:
-        already-known sub-spans are skipped (delivery is idempotent), new
-        sub-spans are added, and stored runs are split where the carvings
-        disagree.  See :meth:`ingest_run` for the exact semantics and error
-        cases.
-
-        Returns the list of newly created events (empty if the run was fully
-        known already).
-        """
-        return self.ingest_run(event_id, parent_ids, op)
-
     def merge_from(
         self, other: "EventGraph", added_spans: list[tuple[str, int, int]] | None = None
     ) -> list[int]:
@@ -986,8 +957,7 @@ class EventGraph:
         Events of ``other`` that are missing locally are added in ``other``'s
         local order, which is guaranteed to deliver parents before children.
         The two graphs may carve the same edits into different runs; the
-        overlap handling is the same (shared) path as
-        :meth:`add_remote_event`.
+        overlap handling is the same (shared) path as :meth:`ingest_runs`.
 
         Returns:
             The local indices (in *this* graph) of the events now covering the
@@ -1026,10 +996,6 @@ class EventGraph:
     # ------------------------------------------------------------------
     # Version helpers
     # ------------------------------------------------------------------
-    def version_from_ids(self, ids: Iterable[EventId]) -> Version:
-        """Convert a set of event ids into a local-index version tuple."""
-        return tuple(sorted({self.index_of(i) for i in ids}))
-
     def ids_from_version(self, version: Version) -> tuple[EventId, ...]:
         """Convert a local-index version into globally meaningful event ids.
 

@@ -420,10 +420,6 @@ class InternalState:
                 return record
             raise
 
-    def delete_targets(self, event_id: EventId) -> list[tuple[EventId, int]]:
-        """The id spans a previously applied delete event removed."""
-        return list(self._delete_targets[event_id])
-
     def iter_records(self) -> Iterator[Item]:
         return self.sequence.iter_items()
 
@@ -436,10 +432,6 @@ class InternalState:
     def record_count(self) -> int:
         """Number of span items currently held (runs, not characters)."""
         return self.sequence.memory_items()
-
-    def unit_count(self) -> int:
-        """Number of characters covered by the current items."""
-        return self.sequence.total_units()
 
     # ------------------------------------------------------------------
     # Concurrent-insert ordering (YATA / YjsMod integration)

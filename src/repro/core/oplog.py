@@ -158,18 +158,17 @@ def recarve_events(
 class OpLog:
     """A replica's event graph plus convenience editing / replication APIs.
 
+    When a local edit *continues* the frontier run — same agent, an insert
+    picking up exactly where the run ended or a delete at the run's index —
+    the log extends that run event in place instead of appending a new event.
+    This is the sender-side counterpart of split-on-ingest (diamond-types'
+    oplog coalescing): a keystroke-at-a-time session stores O(runs) events at
+    the source, and the extension is a legal re-encoding of the same history
+    (:func:`merge_remote_events` accepts exactly these pairs), so peers
+    holding the shorter run are reconciled by the usual carving machinery.
+
     Args:
         agent: default agent name for local edits.
-        coalesce_local_runs: when a local edit *continues* the frontier run —
-            same agent, an insert picking up exactly where the run ended or a
-            delete at the run's index — extend that run event in place
-            instead of appending a new event.  This is the sender-side
-            counterpart of split-on-ingest (diamond-types' oplog coalescing):
-            a keystroke-at-a-time session stores O(runs) events at the
-            source, and the extension is a legal re-encoding of the same
-            history (:func:`merge_remote_events` accepts exactly these
-            pairs), so peers holding the shorter run are reconciled by the
-            usual carving machinery.
         graph: an existing event graph to **adopt** as this log's history
             (e.g. one decoded from storage) instead of starting empty.  The
             log becomes its sole owner: nobody else may hold or mutate it.
@@ -179,13 +178,11 @@ class OpLog:
         self,
         agent: str | None = None,
         *,
-        coalesce_local_runs: bool = True,
         graph: EventGraph | None = None,
     ) -> None:
         self.graph = EventGraph() if graph is None else graph
         self.causal = CausalGraph(self.graph)
         self.agent = agent
-        self.coalesce_local_runs = coalesce_local_runs
 
     # ------------------------------------------------------------------
     # Local editing
@@ -196,9 +193,8 @@ class OpLog:
         The whole run is stored as a single event whose id names its first
         character — O(1) events and id-map entries per run instead of
         O(chars).  The per-character view is recoverable with
-        :func:`repro.core.event_graph.expand_to_chars`.  With
-        ``coalesce_local_runs`` the event may be the *extended* frontier run
-        rather than a new event.
+        :func:`repro.core.event_graph.expand_to_chars`.  The event may be
+        the *extended* frontier run rather than a new event.
         """
         agent_name = self._agent(agent)
         op = insert_op(pos, content)
@@ -213,9 +209,9 @@ class OpLog:
         Stored as a single run event: deleting ``length`` characters at
         ``pos`` removes ``pos .. pos+length-1`` of the version the event was
         generated against (each character lands on the same index once its
-        predecessors are gone).  With ``coalesce_local_runs`` a delete at the
-        frontier delete run's index extends that run in place (holding the
-        Delete key produces one event).
+        predecessors are gone).  A delete at the frontier delete run's index
+        extends that run in place (holding the Delete key produces one
+        event).
         """
         agent_name = self._agent(agent)
         op = delete_op(pos, length)
@@ -226,8 +222,6 @@ class OpLog:
 
     def _try_extend_frontier_run(self, agent: str, op: Operation) -> Event | None:
         """Extend the frontier run in place if ``op`` continues it."""
-        if not self.coalesce_local_runs:
-            return None
         frontier = self.graph.frontier
         if len(frontier) != 1:
             return None
@@ -345,7 +339,7 @@ class OpLog:
         in the same batch (the causal-broadcast layer guarantees this).  Runs
         may be carved differently than this replica's graph; partial overlaps
         are resolved by splitting on either side (see
-        :meth:`EventGraph.ingest_run`).
+        :meth:`EventGraph.ingest_runs`).
 
         Returns:
             Local indices of the events now covering the spans that were

@@ -104,9 +104,6 @@ class CrdtRecord:
         """Id of the ``offset``-th character of this run."""
         return EventId(self.id.agent, self.id.seq + offset)
 
-    def contains_seq(self, seq: int) -> bool:
-        return self.id.seq <= seq < self.end_seq
-
     def split(self, offset: int) -> "CrdtRecord":
         """Split this run before character ``offset``; return the right half.
 

@@ -111,11 +111,6 @@ class ReplayResult:
         """The non-noop transformed operations, in replay order."""
         return [op for t in self.transformed for op in t.ops]
 
-    def coalesced_ops(self) -> list[Operation]:
-        """The transformed operations with adjacent runs merged (see
-        :func:`coalesce_ops`)."""
-        return coalesce_ops(self.ops())
-
 
 def coalesce_ops(ops: Iterable[Operation]) -> list[Operation]:
     """Merge adjacent operations back into maximal runs.

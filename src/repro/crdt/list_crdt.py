@@ -105,9 +105,6 @@ class SimpleListCRDT:
     def iter_items(self) -> Iterator[CrdtItem]:
         return iter(self._items)
 
-    def has_applied(self, op_id: EventId) -> bool:
-        return op_id in self._applied_ops
-
     # ------------------------------------------------------------------
     # Local editing (index-based -> ID-based)
     # ------------------------------------------------------------------

@@ -30,7 +30,6 @@ from ..core.order_statistic_tree import TreeSequence
 from ..core.records import CrdtRecord, OriginRef
 from ..core.topo_sort import sort_branch_aware
 from ..storage.varint import ByteReader, ByteWriter
-from .list_crdt import CrdtItem
 
 __all__ = ["RefCRDTDocument"]
 
@@ -215,19 +214,6 @@ class RefCRDTDocument:
         doc.by_id = {EventId(i.agent, i.seq): i for i in items}
         doc.text = "".join(text_parts)
         return doc
-
-    def as_crdt_items(self) -> list[CrdtItem]:
-        """Expose the state as generic CRDT items (used by tests)."""
-        return [
-            CrdtItem(
-                id=EventId(item.agent, item.seq),
-                origin_left=item.origin_left,
-                origin_right=item.origin_right,
-                content=item.content,
-                deleted=item.deleted,
-            )
-            for item in self.items
-        ]
 
 
 def _origin_id(ref: OriginRef) -> EventId | None:

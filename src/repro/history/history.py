@@ -313,7 +313,7 @@ class History:
                 n += 1
                 agent = f"{base}-{n}"
             self._checkout_agents.add(agent)
-        doc = Document(agent, coalesce_local_runs=self.oplog.coalesce_local_runs)
+        doc = Document(agent)
         doc.apply_remote_events(events)
         return doc
 

@@ -18,12 +18,12 @@ The buffer is transport-agnostic: the in-process network simulator, the relay
 server and the gossip topology in :mod:`repro.network.simulator` all push
 events through it.
 
-Deliveries can be **batched**: constructed with a ``deliver_batch`` callback,
-the buffer hands everything a top-level call makes deliverable — a whole
-network tick's messages plus any unblocking cascades — to the consumer in one
-causally ordered list.  A replica's merge engine integrates such a list as a
-single merge, so a relay hub fanning in one event per peer per tick pays one
-``integrate`` per batch instead of one per event.
+Deliveries are **batched**: the buffer hands everything a top-level call makes
+deliverable — a whole network tick's messages plus any unblocking cascades —
+to its ``deliver_batch`` callback in one causally ordered list.  A replica's
+merge engine integrates such a list as a single merge, so a relay hub fanning
+in one event per peer per tick pays one ``integrate`` per batch instead of one
+per event.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class DeliveryStats:
     delivered: int = 0
     duplicates: int = 0
     buffered_high_water: int = 0
-    #: Delivery batches handed to ``deliver_batch`` (stays 0 with a per-event
-    #: ``deliver`` callback).  ``delivered / batches`` is the fan-in
-    #: amortisation a batching consumer (the merge engine) enjoys.
+    #: Delivery batches handed to ``deliver_batch``.  ``delivered / batches``
+    #: is the fan-in amortisation a batching consumer (the merge engine)
+    #: enjoys.
     batches: int = 0
 
 
@@ -57,29 +57,16 @@ class CausalBuffer:
     """Re-orders incoming events so that parents are delivered before children.
 
     Args:
-        deliver: per-event delivery callback (the original interface).
-        deliver_batch: batch delivery callback.  When given it *replaces*
-            ``deliver``: every top-level call into the buffer
-            (:meth:`receive`, :meth:`receive_batch`,
-            :meth:`mark_known_spans`) hands **all** events it makes
-            deliverable — including whole unblocking cascades — to
-            ``deliver_batch`` in one causally ordered list.  A consumer that
-            pays per integration (the merge engine costs one merge per
-            batch) therefore pays once per network tick, not once per event:
-            the relay-hub fan-in amortisation.
-
-    Exactly one of the two callbacks must be provided.
+        deliver_batch: delivery callback.  Every top-level call into the
+            buffer (:meth:`receive_batch`, :meth:`mark_known_spans`) hands
+            **all** events it makes deliverable — including whole unblocking
+            cascades — to ``deliver_batch`` in one causally ordered list.  A
+            consumer that pays per integration (the merge engine costs one
+            merge per batch) therefore pays once per network tick, not once
+            per event: the relay-hub fan-in amortisation.
     """
 
-    def __init__(
-        self,
-        deliver: Callable[[RemoteEvent], None] | None = None,
-        *,
-        deliver_batch: Callable[[list[RemoteEvent]], None] | None = None,
-    ) -> None:
-        if (deliver is None) == (deliver_batch is None):
-            raise ValueError("provide exactly one of deliver / deliver_batch")
-        self._deliver = deliver
+    def __init__(self, *, deliver_batch: Callable[[list[RemoteEvent]], None]) -> None:
         self._deliver_batch = deliver_batch
         #: Per-agent coverage of character ids already delivered (or locally
         #: generated).  Span-based so that re-carved runs dedup correctly.
@@ -98,23 +85,13 @@ class CausalBuffer:
             spans = self._known[agent] = SpanSet()
         return spans
 
-    def mark_known(self, event_ids: Iterable[EventId]) -> int:
-        """Tell the buffer about single-character ids the replica already has.
-
-        Forwards to :meth:`mark_known_spans`, so buffered events that only
-        waited on the marked ids are flushed (previously they stayed parked
-        until some unrelated delivery touched the same span); returns how
-        many got delivered.
-        """
-        return self.mark_known_spans((event_id, 1) for event_id in event_ids)
-
     def mark_known_spans(self, spans: Iterable[tuple[EventId, int]]) -> int:
         """Tell the buffer about known id runs (locally generated events, or
         events ingested out of band, e.g. a state-transfer sync).
 
         Buffered events that only waited on the marked spans become
-        deliverable and are flushed (as a single batch in batching mode);
-        returns how many got delivered.
+        deliverable and are flushed as a single batch; returns how many got
+        delivered.
         """
         ready: list[RemoteEvent] = []
         for start_id, length in spans:
@@ -133,20 +110,16 @@ class CausalBuffer:
         spans = self._known.get(event.id.agent)
         return spans is not None and spans.covers(event.id.seq, event.op.length)
 
-    def receive(self, event: RemoteEvent) -> int:
-        """Accept one event from the network; returns how many got delivered.
+    def _receive_collect(self, event: RemoteEvent) -> list[RemoteEvent]:
+        """Accept one event, returning what it makes deliverable (itself plus
+        any unblocked cascade) instead of dispatching it, so
+        :meth:`receive_batch` can flush once.
 
         An event whose characters are all known is a duplicate regardless of
         how its sender carved the run; a partially known run is *not* — it is
         passed through and the event graph's split-on-ingest keeps only the
-        new characters.  Everything the event makes deliverable (itself plus
-        any unblocked cascade) goes out as one batch in batching mode.
+        new characters.
         """
-        return self._dispatch(self._receive_collect(event))
-
-    def _receive_collect(self, event: RemoteEvent) -> list[RemoteEvent]:
-        """The receive logic, returning deliverable events instead of
-        dispatching them (so :meth:`receive_batch` can flush once)."""
         self.stats.received += 1
         pending = self._pending.get(event.id)
         if self._covers(event) or (
@@ -182,10 +155,10 @@ class CausalBuffer:
         return self._collect_cascade(event)
 
     def receive_batch(self, events: Iterable[RemoteEvent]) -> int:
-        """Accept several events at once (e.g. everything a network tick
+        """Accept events from the network (e.g. everything a network tick
         delivered); returns how many got delivered.
 
-        In batching mode everything the whole batch makes deliverable reaches
+        Everything the whole batch makes deliverable reaches
         ``deliver_batch`` as **one** call — this is the per-tick amortisation
         a relay hub's fan-in relies on (one merge-engine integration per
         batch, not per event).
@@ -243,14 +216,10 @@ class CausalBuffer:
         return out
 
     def _dispatch(self, events: list[RemoteEvent]) -> int:
-        """Hand delivered events to the consumer: one ``deliver_batch`` call
-        in batching mode, per-event ``deliver`` calls otherwise."""
+        """Hand delivered events to the consumer in one ``deliver_batch``
+        call."""
         if not events:
             return 0
-        if self._deliver_batch is not None:
-            self.stats.batches += 1
-            self._deliver_batch(events)
-        else:
-            for event in events:
-                self._deliver(event)
+        self.stats.batches += 1
+        self._deliver_batch(events)
         return len(events)

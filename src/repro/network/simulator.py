@@ -26,6 +26,7 @@ from typing import Iterable
 from ..core.document import Document
 from ..core.oplog import RemoteEvent
 from ..faults import FaultInjector, FaultPlan
+from .causal_broadcast import CausalBuffer
 
 __all__ = [
     "Message",
@@ -49,18 +50,19 @@ class Message:
 
 
 class SimulatedReplica:
-    """A replica participating in a simulated editing session."""
+    """A replica participating in a simulated editing session.
 
-    def __init__(
-        self,
-        name: str,
-        simulator: "NetworkSimulator",
-        document_options: dict | None = None,
-    ) -> None:
+    Its causal buffer hands everything one top-level call makes deliverable
+    (a tick's worth of messages, unblocking cascades, flushes after an
+    out-of-band sync) to the document as a **single**
+    ``apply_remote_events`` batch — one merge-engine integration per batch.
+    """
+
+    def __init__(self, name: str, simulator: "NetworkSimulator") -> None:
         self.name = name
         self.simulator = simulator
-        self.document = Document(name, **(document_options or {}))
-        self.buffer = CausalBufferAdapter(self)
+        self.document = Document(name)
+        self.buffer = CausalBuffer(deliver_batch=self._apply_batch)
         self.online = True
         self.forward = False
         self.received_events = 0
@@ -94,11 +96,8 @@ class SimulatedReplica:
         # coalescing a local edit may have extended an existing event, and
         # only the new suffix should travel.
         events = self.document.oplog.export_since_seq(self.name, before_seq)
-        self.buffer.mark_local(events)
+        self.buffer.mark_known_spans((e.id, e.op.length) for e in events)
         self.simulator.broadcast(self.name, events)
-
-    def deliver(self, event: RemoteEvent) -> None:
-        self.buffer.receive(event)
 
     def deliver_batch(self, events: list[RemoteEvent]) -> None:
         """Deliver every message one network tick produced for this replica.
@@ -121,38 +120,9 @@ class SimulatedReplica:
         """
         return self.buffer.receive_batch(events)
 
-
-class CausalBufferAdapter:
-    """Glue between the network, the causal buffer and the document.
-
-    The buffer runs in batching mode: everything one top-level call makes
-    deliverable (a tick's worth of messages, unblocking cascades, flushes
-    after an out-of-band sync) reaches the document as a **single**
-    ``apply_remote_events`` batch — one merge-engine integration per batch.
-    """
-
-    def __init__(self, replica: SimulatedReplica) -> None:
-        from .causal_broadcast import CausalBuffer
-
-        self.replica = replica
-        self.buffer = CausalBuffer(deliver_batch=self._apply_batch)
-
-    def mark_local(self, events: Iterable[RemoteEvent]) -> None:
-        self.buffer.mark_known_spans((e.id, e.op.length) for e in events)
-
-    def receive(self, event: RemoteEvent) -> None:
-        self.buffer.receive(event)
-
-    def receive_batch(self, events: Iterable[RemoteEvent]) -> int:
-        return self.buffer.receive_batch(events)
-
     def _apply_batch(self, events: list[RemoteEvent]) -> None:
-        self.replica.document.apply_remote_events(events)
-        self.replica.received_events += len(events)
-
-    @property
-    def pending(self) -> int:
-        return self.buffer.pending_count
+        self.document.apply_remote_events(events)
+        self.received_events += len(events)
 
 
 class NetworkSimulator:
@@ -162,7 +132,6 @@ class NetworkSimulator:
         self,
         default_latency: float = 0.05,
         *,
-        document_options: dict | None = None,
         faults: FaultPlan | FaultInjector | None = None,
     ) -> None:
         """
@@ -176,7 +145,6 @@ class NetworkSimulator:
         """
         self.default_latency = default_latency
         self.faults = faults.injector() if isinstance(faults, FaultPlan) else faults
-        self.document_options = dict(document_options or {})
         self.replicas: dict[str, SimulatedReplica] = {}
         self.links: dict[tuple[str, str], float] = {}
         self.partitioned: set[tuple[str, str]] = set()
@@ -192,7 +160,7 @@ class NetworkSimulator:
     def add_replica(self, name: str) -> SimulatedReplica:
         if name in self.replicas:
             raise ValueError(f"duplicate replica name {name!r}")
-        replica = SimulatedReplica(name, self, self.document_options)
+        replica = SimulatedReplica(name, self)
         self.replicas[name] = replica
         self._offline_queues[name] = []
         self._held_for_offline[name] = []
@@ -345,13 +313,10 @@ def full_mesh(
     names: Iterable[str],
     latency: float = 0.05,
     *,
-    document_options: dict | None = None,
     faults: "FaultPlan | FaultInjector | None" = None,
 ) -> NetworkSimulator:
     """A peer-to-peer topology: every replica talks to every other replica."""
-    simulator = NetworkSimulator(
-        default_latency=latency, document_options=document_options, faults=faults
-    )
+    simulator = NetworkSimulator(default_latency=latency, faults=faults)
     names = list(names)
     for name in names:
         simulator.add_replica(name)
@@ -365,15 +330,13 @@ def star(
     hub: str,
     leaves: Iterable[str],
     latency: float = 0.05,
-    *,
-    document_options: dict | None = None,
 ) -> NetworkSimulator:
     """A relay-server topology: all traffic flows through ``hub``.
 
     The hub is itself a replica (a store-and-forward server holding the event
     graph); leaves only exchange events with the hub, which re-broadcasts them.
     """
-    simulator = NetworkSimulator(default_latency=latency, document_options=document_options)
+    simulator = NetworkSimulator(default_latency=latency)
     hub_replica = simulator.add_replica(hub)
     hub_replica.forward = True
     for leaf in leaves:
@@ -389,7 +352,6 @@ def live_session(
     seed: int = 0,
     latency: float = 0.02,
     concurrency: float = 0.25,
-    document_options: dict | None = None,
 ) -> NetworkSimulator:
     """Drive a realistic *live* editing session and return the quiesced network.
 
@@ -404,7 +366,7 @@ def live_session(
 
     rng = random.Random(seed)
     names = list(names)
-    sim = full_mesh(names, latency=latency, document_options=document_options)
+    sim = full_mesh(names, latency=latency)
     words = ["alpha ", "beta ", "gamma ", "delta ", "epsilon ", "zeta "]
     for _ in range(rounds):
         editors = [rng.choice(names)]

@@ -80,7 +80,6 @@ class CollabServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        document_options: dict | None = None,
         data_dir: str | None = None,
         durability: DurabilityOptions | None = None,
         faults: FaultPlan | FaultInjector | None = None,
@@ -110,7 +109,6 @@ class CollabServer:
         """
         self.host = host
         self.port = port
-        self.document_options = dict(document_options or {})
         self.data_dir = data_dir
         self.durability = durability or DurabilityOptions()
         self.faults = faults.injector() if isinstance(faults, FaultPlan) else faults
@@ -242,7 +240,6 @@ class CollabServer:
             )
         return DocumentRoom(
             name,
-            self.document_options,
             document=document,
             storage=storage,
             faults=self.faults,
@@ -257,9 +254,7 @@ class CollabServer:
         for name, path in list_room_directories(self.data_dir):
             if name in self.rooms:
                 continue
-            document, info = recover_document(
-                path, f"server::{name}", self.document_options
-            )
+            document, info = recover_document(path, f"server::{name}")
             self.recovery[name] = info
             self.rooms[name] = self._make_room(name, document=document)
 

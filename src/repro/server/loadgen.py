@@ -177,12 +177,11 @@ class _ReplicaCore:
         agent: str,
         *,
         document: Document | None = None,
-        document_options: dict | None = None,
         sent_times: dict[EventId, float] | None = None,
         latency_samples: list[float] | None = None,
     ) -> None:
         self.agent = agent
-        self.document = document or Document(agent, **(document_options or {}))
+        self.document = document or Document(agent)
         self.buffer = CausalBuffer(deliver_batch=self._apply_batch)
         # A reconnecting client reuses its document: everything already in
         # the graph is known to the (fresh) buffer.

@@ -228,7 +228,6 @@ class DocumentRoom:
     def __init__(
         self,
         name: str,
-        document_options: dict | None = None,
         *,
         document: Document | None = None,
         storage: RoomStorage | None = None,
@@ -238,7 +237,7 @@ class DocumentRoom:
     ) -> None:
         self.name = name
         if document is None:
-            document = Document(f"server::{name}", **(document_options or {}))
+            document = Document(f"server::{name}")
         self.document = document
         self.storage = storage
         self.faults = faults

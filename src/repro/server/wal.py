@@ -485,11 +485,7 @@ class RoomStorage:
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def recover_document(
-    directory: str,
-    agent: str,
-    document_options: dict | None = None,
-) -> "tuple[Document, RecoveryInfo]":
+def recover_document(directory: str, agent: str) -> "tuple[Document, RecoveryInfo]":
     """Rebuild a room's server replica from snapshot + WAL tail.
 
     The snapshot is **adopted**: its decoded graph becomes the replica's
@@ -504,18 +500,15 @@ def recover_document(
     """
     from ..core.document import Document
 
-    options = document_options or {}
     info = RecoveryInfo()
     try:
         with open(os.path.join(directory, SNAPSHOT_FILENAME), "rb") as fh:
             snapshot_data = fh.read()
     except FileNotFoundError:
-        document = Document(agent, **options)
+        document = Document(agent)
     else:
         decoded = decode_file(snapshot_data)
-        document = Document(
-            agent, graph=decoded.graph, text=decoded.snapshot, **options
-        )
+        document = Document(agent, graph=decoded.graph, text=decoded.snapshot)
         info.snapshot_loaded = True
         info.snapshot_events = len(decoded.graph)
         info.snapshot_text_verified = decoded.snapshot is not None

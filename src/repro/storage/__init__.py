@@ -1,4 +1,4 @@
-"""Persistent storage: columnar event-graph files, snapshots, compression.
+"""Persistent storage: columnar event-graph files, version handles, compression.
 
 One file format (``docs/SPEC.md``): the random-access columnar container
 (:mod:`repro.storage.container`) with per-column zlib and CRCs, selective
@@ -19,13 +19,7 @@ from .container import (
     encode_event_graph_v3,
     parse_header,
 )
-from .snapshot import (
-    Snapshot,
-    decode_snapshot,
-    decode_version,
-    encode_snapshot,
-    encode_version,
-)
+from .snapshot import decode_version, encode_version
 from .varint import (
     ByteReader,
     ByteWriter,
@@ -44,19 +38,16 @@ __all__ = [
     "DecodedFile",
     "LazyDecodedFile",
     "ReadStats",
-    "Snapshot",
     "StorageError",
     "compress",
     "decompress",
     "decode_event_graph_v3",
     "decode_file",
-    "decode_snapshot",
     "decode_svarint",
     "decode_text",
     "decode_uvarint",
     "decode_version",
     "encode_event_graph_v3",
-    "encode_snapshot",
     "encode_svarint",
     "encode_uvarint",
     "encode_version",

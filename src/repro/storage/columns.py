@@ -118,7 +118,7 @@ def encode_content_column(
         return "".join([op.content for op in ops]).encode("utf-8")
     survived = _surviving_insertions(graph)
     return "".join(
-        "".join(c for c, keep in zip(ops[index].content, mask) if keep)
+        "".join(c for c, keep in zip(ops[index].content, mask) if keep)  # lint: disable=per-char-hot-path -- Pruned mode computes a per-character survival mask; the output is O(surviving chars) by definition, and encode runs once per snapshot, off the merge hot path.
         for index, mask in survived.items()
     ).encode("utf-8")
 
@@ -141,7 +141,7 @@ def _surviving_insertions(graph: EventGraph) -> dict[int, list[bool]]:
     for event in graph.events():
         if event.op.is_insert:
             survived[event.index] = [
-                event.id_at(k) not in deleted_ids for k in range(event.op.length)
+                event.id_at(k) not in deleted_ids for k in range(event.op.length)  # lint: disable=per-char-hot-path -- Pruned mode tests each character id against the deleted set to build the survival mask; inherently per-char, runs once per encode, off the merge hot path.
             ]
     return survived
 
@@ -157,7 +157,7 @@ def _fill_pruned_content(graph: EventGraph, surviving_content: str) -> None:
         chars = [
             next(content_iter, PRUNED_CHAR) if keep else PRUNED_CHAR for keep in mask
         ]
-        object.__setattr__(event.op, "content", "".join(chars))
+        object.__setattr__(event.op, "content", "".join(chars))  # lint: disable=frozen-dataclass-mutation -- Pruned decode back-fills surviving characters into ops after construction; the graph is private to the decoder at that point, no holder can observe the mutation.
 
 
 # ----------------------------------------------------------------------

@@ -20,12 +20,12 @@ deflated with stdlib ``zlib`` (stored raw when that does not shrink it) and
 CRC-framed, so a reader can
 
 * **selectively read** just the columns it needs — :func:`decode_text`
-  reconstructs the current document text from the snapshot column (or, for
-  linear histories, from the ops+content columns via span replay) without
+  returns the current document text from the snapshot column without
   materialising a single :class:`~repro.core.event_graph.EventGraph` event;
 * **lazily hydrate** the rest — :class:`LazyDecodedFile` parses the header up
   front and decodes the history columns (parents, agents, ids) only on first
-  :attr:`~LazyDecodedFile.graph` / :attr:`~LazyDecodedFile.history` access,
+  :attr:`~LazyDecodedFile.graph` / :attr:`~LazyDecodedFile.history` access
+  (or :attr:`~LazyDecodedFile.text` of a file without a snapshot column),
   with byte-read accounting (:class:`ReadStats`) so tests can assert exactly
   which blocks were touched;
 * **fail loudly** — every malformed input raises :class:`StorageError` with a
@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.event_graph import EventGraph
-from ..core.ids import OpKind
 from ..core.walker import EgWalker
 from . import compression
 from .columns import (
@@ -423,103 +422,15 @@ decode_file = decode_event_graph_v3
 # Selective reads
 # ----------------------------------------------------------------------
 def decode_text(data: bytes) -> str:
-    """Reconstruct the current document text from a file without
-    materialising the causal graph.
+    """The current document text, read from the file's snapshot column
+    without materialising the causal graph.
 
-    Fast path: the snapshot column.  Fallback: for linear histories (the
-    parents column records zero exceptions), replay the ops column over the
-    content column span-by-span.  Anything else raises
+    A file without a snapshot column raises
     ``StorageError("text-requires-graph")`` — use :class:`LazyDecodedFile`
-    (whose :attr:`~LazyDecodedFile.text` hydrates as a last resort) or
-    :func:`decode_file` for those.
+    (whose :attr:`~LazyDecodedFile.text` hydrates the graph and replays it)
+    or :func:`decode_file` for those.
     """
     return LazyDecodedFile(data).selective_text()
-
-
-def _replay_linear_text(
-    ops: tuple[bytes, list[int], list[int]], content: bytes, pruned: bool
-) -> str:
-    """Replay a linear history's ops over its content column, span-wise.
-
-    The document is held as a list of ``[event_index, offset, length]`` spans
-    into the insertion events; every edit splices whole spans (splitting at
-    most two at the boundaries), so the cost is O(spans), never O(chars).
-    """
-    spans: list[list[int]] = []
-    kinds, positions, lengths = ops
-    for index, (kind, pos, length) in enumerate(zip(kinds, positions, lengths)):
-        if kind == OpKind.INSERT:
-            _splice_spans(spans, pos, 0, [index, 0, length])
-        else:
-            _splice_spans(spans, pos, length, None)
-
-    text = content.decode("utf-8")
-    if not pruned:
-        # Full content: event i's text starts at the running total of all
-        # earlier insertions' lengths.
-        starts: dict[int, int] = {}
-        total = 0
-        for index, (kind, length) in enumerate(zip(kinds, lengths)):
-            if kind == OpKind.INSERT:
-                starts[index] = total
-                total += length
-        return "".join(
-            text[starts[event] + offset : starts[event] + offset + length]
-            for event, offset, length in spans
-        )
-
-    # Pruned content is the *surviving* characters concatenated in event
-    # order — exactly the final document's spans sorted by (event, offset),
-    # so assigning the pruned text to that ordering reconstructs each chunk.
-    order = sorted(range(len(spans)), key=lambda i: (spans[i][0], spans[i][1]))
-    chunks: list[str] = [""] * len(spans)
-    cursor = 0
-    for span_index in order:
-        length = spans[span_index][2]
-        chunks[span_index] = text[cursor : cursor + length]
-        cursor += length
-    if cursor != len(text):
-        raise StorageError(
-            "column-decode",
-            f"pruned content has {len(text)} chars, final document needs {cursor}",
-        )
-    return "".join(chunks)
-
-
-def _splice_spans(
-    spans: list[list[int]], pos: int, delete_length: int, insert: list[int] | None
-) -> None:
-    """Splice the span list at document position ``pos``: remove
-    ``delete_length`` characters, then insert ``insert`` (if any)."""
-    i = 0
-    covered = 0
-    while i < len(spans) and covered + spans[i][2] <= pos:
-        covered += spans[i][2]
-        i += 1
-    if covered < pos:
-        if i >= len(spans):
-            raise StorageError("column-decode", "ops column edits past document end")
-        # Split the span containing ``pos``.
-        event, offset, length = spans[i]
-        left = pos - covered
-        spans[i : i + 1] = [[event, offset, left], [event, offset + left, length - left]]
-        i += 1
-        covered = pos
-
-    remaining = delete_length
-    while remaining > 0:
-        if i >= len(spans):
-            raise StorageError("column-decode", "ops column deletes past document end")
-        event, offset, length = spans[i]
-        if length <= remaining:
-            del spans[i]
-            remaining -= length
-        else:
-            spans[i] = [event, offset + remaining, length - remaining]
-            remaining = 0
-
-    if insert is not None:
-        spans.insert(i, list(insert))
 
 
 # ----------------------------------------------------------------------
@@ -530,12 +441,12 @@ class LazyDecodedFile:
 
     Construction parses (and CRC-verifies) only the header; each column block
     is sliced, CRC-checked, and decompressed at most once, on first use.
-    :attr:`text` resolves through the cheap columns when it can; the history
-    columns (parents, agents, ids) are decoded only when :attr:`graph` or
-    :attr:`history` force full hydration — exactly once, however often they
-    are touched.  :meth:`document` builds a second, private graph from the
-    same cached payloads (a graph a document adopts has exactly one owner).
-    :attr:`stats` records what was read.
+    :attr:`text` reads the snapshot column when the file has one; the history
+    columns (parents, agents, ids) are decoded only when :attr:`graph`,
+    :attr:`history` or a snapshot-free :attr:`text` force full hydration —
+    exactly once, however often they are touched.  :meth:`document` builds a
+    second, private graph from the same cached payloads (a graph a document
+    adopts has exactly one owner).  :attr:`stats` records what was read.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -584,34 +495,25 @@ class LazyDecodedFile:
 
     # ------------------------------------------------------------------
     def selective_text(self) -> str:
-        """Current text from the cheap columns only; raises
-        ``StorageError("text-requires-graph")`` when they do not suffice."""
+        """Current text from the snapshot column only; raises
+        ``StorageError("text-requires-graph")`` for a file without one."""
         snapshot = self.snapshot
-        if snapshot is not None:
-            return snapshot
-        # Zero exceptions to "parent = previous event" is the single byte 00.
-        if self.column_payload(COL_PARENTS) != b"\x00":
+        if snapshot is None:
             raise StorageError(
                 "text-requires-graph",
-                "no snapshot column and the history is not linear; "
-                "decode the graph to compute the text",
+                "no snapshot column; decode the graph to compute the text",
             )
-        ops = self._decode_ops()
-        content = self.column_payload(COL_CONTENT)
-        return _replay_linear_text(ops, content, self.pruned)
+        return snapshot
 
     @property
     def text(self) -> str:
-        """Current document text: selectively when possible, hydrating the
-        graph as a last resort (concurrent history without a snapshot)."""
-        if self._text is not None:
-            return self._text
-        try:
-            self._text = self.selective_text()
-        except StorageError as exc:
-            if exc.code != "text-requires-graph":
-                raise
-            self._text = EgWalker(self.graph).replay_text()
+        """Current document text: the snapshot column, or — for a file
+        without one — a replay of the hydrated graph."""
+        if self._text is None:
+            snapshot = self.snapshot
+            self._text = (
+                snapshot if snapshot is not None else EgWalker(self.graph).replay_text()
+            )
         return self._text
 
     # ------------------------------------------------------------------

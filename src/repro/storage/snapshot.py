@@ -1,60 +1,22 @@
-"""Cached document snapshots and persisted version handles (§4.3).
-
-Eg-walker and OT can load a document orders of magnitude faster than CRDTs
-because the steady state they need is just the plain text (plus the version it
-corresponds to); the event graph stays on disk until a concurrent merge needs
-it.  A snapshot file is therefore essentially a text file with a tiny header
-recording the frontier, which is exactly what this module writes and reads.
+"""Persisted version handles: bookmarks, review anchors, named checkpoints.
 
 Versions are stored **id-based** (:class:`repro.history.Version`): each id
-names the last character covered on its branch, so a decoded snapshot's
-version resolves correctly against any replica's graph no matter how that
-replica carved the same history into runs, and no matter how much was edited
-since.  :func:`encode_version` / :func:`decode_version` expose the same
-compact wire form for saved version handles on their own (bookmarks, review
-anchors, named checkpoints).
+names the last character covered on its branch, so a decoded handle resolves
+correctly against any replica's graph no matter how that replica carved the
+same history into runs, and no matter how much was edited since.  (The cached
+document text lives in the event-graph file's snapshot column,
+:mod:`repro.storage.container`.)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..core.ids import EventId
 from ..history.version import Version
 from .varint import ByteReader, ByteWriter
 
-__all__ = [
-    "Snapshot",
-    "encode_snapshot",
-    "decode_snapshot",
-    "encode_version",
-    "decode_version",
-]
+__all__ = ["encode_version", "decode_version"]
 
-_MAGIC = b"EGSN"
 _VERSION_MAGIC = b"EGVR"
-
-
-@dataclass(frozen=True, slots=True)
-class Snapshot:
-    """The cached document state: its text and the version it reflects."""
-
-    text: str
-    version: Version
-
-
-def _write_version(writer: ByteWriter, version: Version) -> None:
-    writer.write_uvarint(len(version.ids))
-    for agent, seq in version.ids:
-        writer.write_string(agent)
-        writer.write_uvarint(seq)
-
-
-def _read_version(reader: ByteReader) -> Version:
-    count = reader.read_uvarint()
-    return Version(
-        EventId(reader.read_string(), reader.read_uvarint()) for _ in range(count)
-    )
 
 
 def encode_version(version: Version) -> bytes:
@@ -66,7 +28,10 @@ def encode_version(version: Version) -> bytes:
     """
     writer = ByteWriter()
     writer.write_bytes(_VERSION_MAGIC)
-    _write_version(writer, version)
+    writer.write_uvarint(len(version.ids))
+    for agent, seq in version.ids:
+        writer.write_string(agent)
+        writer.write_uvarint(seq)
     return writer.getvalue()
 
 
@@ -79,21 +44,7 @@ def decode_version(data: bytes) -> Version:
     reader = ByteReader(data)
     if reader.read_bytes(4) != _VERSION_MAGIC:
         raise ValueError("not an encoded version handle")
-    return _read_version(reader)
-
-
-def encode_snapshot(snapshot: Snapshot) -> bytes:
-    writer = ByteWriter()
-    writer.write_bytes(_MAGIC)
-    _write_version(writer, snapshot.version)
-    writer.write_string(snapshot.text)
-    return writer.getvalue()
-
-
-def decode_snapshot(data: bytes) -> Snapshot:
-    reader = ByteReader(data)
-    if reader.read_bytes(4) != _MAGIC:
-        raise ValueError("not a snapshot file")
-    version = _read_version(reader)
-    text = reader.read_string()
-    return Snapshot(text=text, version=version)
+    count = reader.read_uvarint()
+    return Version(
+        EventId(reader.read_string(), reader.read_uvarint()) for _ in range(count)
+    )

@@ -1,7 +1,6 @@
-"""Tests for repro.analysis: each rule's fixtures, the filtering layers
-(suppressions, baseline), the driver/CLI plumbing — and the meta-test that
-lints this very repository, pinning "zero non-baselined findings" as an
-invariant of the tree itself.
+"""Tests for repro.analysis: each rule's fixtures, the suppression layer,
+the driver/CLI plumbing — and the meta-test that lints this very repository,
+pinning "zero findings" as an invariant of the tree itself.
 """
 
 from pathlib import Path
@@ -9,8 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
     Finding,
     all_rules,
     analyze_source,
@@ -28,10 +25,10 @@ SERVER_PATH = "src/repro/server/fixture.py"
 NEUTRAL_PATH = "src/repro/fixture.py"
 
 
-def lint(source, path=NEUTRAL_PATH, rule=None, baseline=None):
+def lint(source, path=NEUTRAL_PATH, rule=None):
     """Lint a snippet under a virtual path, optionally with a single rule."""
     rules = [get_rule(rule)] if rule else None
-    return analyze_source(source, path, rules=rules, baseline=baseline)
+    return analyze_source(source, path, rules=rules)
 
 
 def rule_names(result):
@@ -507,51 +504,6 @@ class TestSuppressions:
         assert len(result.findings) == 1
 
 
-class TestBaseline:
-    SRC = "def f(a=[]):\n    pass\n"
-
-    def _finding(self):
-        return lint(self.SRC, rule="mutable-default-arg").findings[0]
-
-    def test_baselined_finding_does_not_fail(self):
-        baseline = Baseline.from_findings([self._finding()], justification="ok")
-        result = lint(self.SRC, rule="mutable-default-arg", baseline=baseline)
-        assert result.findings == [] and len(result.baselined) == 1
-
-    def test_fingerprint_survives_line_moves(self):
-        moved = "import os\n\n\n" + self.SRC  # three lines of drift above
-        baseline = Baseline.from_findings([self._finding()], justification="ok")
-        result = lint(moved, rule="mutable-default-arg", baseline=baseline)
-        assert result.findings == []
-
-    def test_entries_are_consumed_multiset_style(self):
-        doubled = "def f(a=[]):\n    pass\ndef g(a=[]):\n    pass\n"
-        one = lint(doubled, rule="mutable-default-arg", baseline=None).findings[0]
-        baseline = Baseline.from_findings([one], justification="ok")
-        result = lint(doubled, rule="mutable-default-arg", baseline=baseline)
-        # Two identical offending lines, one entry: exactly one still fails.
-        assert len(result.findings) == 1 and len(result.baselined) == 1
-
-    def test_stale_entries_are_reported(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("def f(a=None):\n    pass\n")
-        baseline = Baseline(
-            [BaselineEntry("mutable-default-arg", str(clean), "cafe" * 4, "old")]
-        )
-        result = run_analysis([clean], baseline=baseline)
-        assert result.findings == []
-        assert len(result.stale_baseline) == 1
-
-    def test_roundtrips_through_json(self, tmp_path):
-        baseline = Baseline.from_findings([self._finding()], justification="why")
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert [e.as_dict() for e in loaded.entries] == [
-            e.as_dict() for e in baseline.entries
-        ]
-
-
 class TestDriverAndCli:
     def test_parse_error_is_a_loud_finding(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -564,8 +516,8 @@ class TestDriverAndCli:
         dirty.write_text("def f(a=[]):\n    pass\n")
         clean = tmp_path / "clean.py"
         clean.write_text("def f(a=None):\n    pass\n")
-        assert cli_main([str(clean), "--no-baseline"]) == 0
-        assert cli_main([str(dirty), "--no-baseline"]) == 1
+        assert cli_main([str(clean)]) == 0
+        assert cli_main([str(dirty)]) == 1
         assert cli_main([str(tmp_path / "missing.py")]) == 2
         assert cli_main(["--select", "no-such-rule", str(clean)]) == 2
         capsys.readouterr()
@@ -573,7 +525,7 @@ class TestDriverAndCli:
     def test_cli_select_and_ignore(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("def f(a=[]):\n    pass\n")
-        args = [str(dirty), "--no-baseline"]
+        args = [str(dirty)]
         assert cli_main(args + ["--select", "slots-attribute-escape"]) == 0
         assert cli_main(args + ["--ignore", "mutable-default-arg"]) == 0
         capsys.readouterr()
@@ -583,7 +535,7 @@ class TestDriverAndCli:
 
         dirty = tmp_path / "dirty.py"
         dirty.write_text("def f(a=[]):\n    pass\n")
-        assert cli_main([str(dirty), "--no-baseline", "--format", "json"]) == 1
+        assert cli_main([str(dirty), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert [f["rule"] for f in payload["findings"]] == ["mutable-default-arg"]
@@ -596,28 +548,17 @@ class TestDriverAndCli:
 
 
 class TestRepositoryIsClean:
-    """The meta-test: the linter, with the committed baseline, must pass over
-    the tree itself.  A new violation anywhere fails here first."""
+    """The meta-test: the linter must pass over the tree itself, every
+    accepted finding suppressed inline with its justification.  A new
+    violation anywhere fails here first."""
 
-    def test_source_tree_has_no_unbaselined_findings(self, monkeypatch):
+    def test_source_tree_has_no_findings(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
         targets = [Path(p) for p in ("src", "tests", "benchmarks", "examples")]
-        result = run_analysis([p for p in targets if p.exists()], baseline=baseline)
+        result = run_analysis([p for p in targets if p.exists()])
         rendered = "\n".join(f.render() for f in result.findings)
-        assert result.ok, f"unbaselined findings:\n{rendered}"
-
-    def test_committed_baseline_has_no_stale_or_todo_entries(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
-        assert all(
-            e.justification and "TODO" not in e.justification
-            for e in baseline.entries
-        ), "every baseline entry needs a real one-line justification"
-        targets = [Path(p) for p in ("src", "tests", "benchmarks", "examples")]
-        result = run_analysis([p for p in targets if p.exists()], baseline=baseline)
-        stale = "\n".join(e.fingerprint for e in result.stale_baseline)
-        assert not result.stale_baseline, f"stale baseline entries:\n{stale}"
+        assert result.findings == [], f"findings:\n{rendered}"
+        assert not (REPO_ROOT / "analysis-baseline.json").exists()
 
 
 class TestTypingGate:

@@ -59,12 +59,26 @@ class TestAdapters:
         texts = {adapter.name: adapter.merge(trace).text for adapter in ALL_ADAPTERS()}
         assert len(set(texts.values())) == 1
 
-    def test_egwalker_snapshot_fast_load(self, tiny_traces):
+    def test_egwalker_load_reads_only_the_snapshot_column(self, tiny_traces, monkeypatch):
+        """Fig. 8's Eg-walker load is the cached text: a file with a snapshot
+        column loads without materialising a single event."""
+        from repro.storage import container
+
         adapter = EgWalkerAdapter()
-        trace = tiny_traces["S1"]
+        trace = tiny_traces["C1"]
         outcome = adapter.merge(trace)
-        snapshot = adapter.save_snapshot_only(outcome, trace)
-        assert adapter.load_snapshot(snapshot) == outcome.text
+        saved = adapter.save(trace, outcome)
+        loaded = []
+        real = container.LazyDecodedFile.__init__
+
+        def spy(self, data):
+            real(self, data)
+            loaded.append(self)
+
+        monkeypatch.setattr(container.LazyDecodedFile, "__init__", spy)
+        assert adapter.load(saved) == outcome.text
+        assert [reader.stats.events_materialised for reader in loaded] == [0]
+        assert set(loaded[0].stats.column_reads) == {"snapshot"}
 
     def test_egwalker_pruned_save_is_smaller(self, tiny_traces):
         adapter = EgWalkerAdapter()

@@ -72,13 +72,6 @@ class TestLocalEditing:
         doc.insert(0, "x")
         assert doc.local_version == (1,)
 
-    def test_local_run_coalescing_can_be_disabled(self):
-        doc = Document("alice", coalesce_local_runs=False)
-        doc.insert(0, "ab")
-        doc.insert(2, "cd")
-        assert doc.local_version == (1,)
-        assert len(doc.oplog) == 2
-
 
 class TestMerging:
     def test_one_way_merge(self):
@@ -347,10 +340,14 @@ class TestVersionHandles:
             assert doc.checkout(handle).text == doc.text_at(handle)
 
     def test_local_index_versions_convert_through_version_of(self):
-        doc = Document("solo", coalesce_local_runs=False)
+        doc = Document("solo")
         doc.insert(0, "one")
         after_one = doc.local_version
-        doc.insert(3, " two")
+        # A second event after it (a continuing local insert would extend
+        # the first run in place instead).
+        doc.apply_remote_events(
+            [RemoteEvent(EventId("other", 0), (EventId("solo", 2),), insert_op(3, " two"))]
+        )
         assert doc.history.version_of(doc.local_version) == doc.version()
         assert doc.text_at(doc.history.version_of(after_one)) == "one"
 
@@ -374,14 +371,49 @@ class TestVersionHandles:
 class TestOptionSurface:
     """One merge path: the walker configuration is not a replica option."""
 
-    def test_document_options_are_coalescing_and_adoption(self):
+    def test_document_options_are_adoption_only(self):
         params = inspect.signature(Document).parameters
         keyword_only = {
             name for name, p in params.items() if p.kind is p.KEYWORD_ONLY
         }
-        assert keyword_only == {"coalesce_local_runs", "graph", "text"}
+        assert keyword_only == {"graph", "text"}
+        assert list(inspect.signature(Document.from_bytes).parameters) == ["data", "agent"]
+        assert list(inspect.signature(OpLog).parameters) == ["agent", "graph"]
         with pytest.raises(TypeError):
             Document("alice", backend="list")  # type: ignore[call-arg]
+
+    def test_causal_buffer_takes_only_deliver_batch(self):
+        from repro.network import CausalBuffer
+
+        assert list(inspect.signature(CausalBuffer).parameters) == ["deliver_batch"]
+        for name in ("receive", "mark_known"):
+            assert not hasattr(CausalBuffer, name)
+
+    def test_replica_factories_take_no_document_options(self):
+        from repro.network.simulator import (
+            NetworkSimulator,
+            SimulatedReplica,
+            full_mesh,
+            live_session,
+            star,
+        )
+        from repro.server.app import CollabServer
+        from repro.server.loadgen import _ReplicaCore
+        from repro.server.session import DocumentRoom
+        from repro.server.wal import recover_document
+
+        for factory in (
+            CollabServer,
+            DocumentRoom,
+            recover_document,
+            _ReplicaCore,
+            SimulatedReplica,
+            NetworkSimulator,
+            full_mesh,
+            star,
+            live_session,
+        ):
+            assert "document_options" not in inspect.signature(factory).parameters, factory
 
     def test_merge_engine_takes_no_options(self):
         params = inspect.signature(MergeEngine).parameters
@@ -443,18 +475,17 @@ class TestAdoption:
         return graph, alice.text, alice
 
     @staticmethod
-    def _type_two_runs(doc: Document, coalesce: bool) -> None:
-        """Two continuing inserts on an adopted replica: one event or two,
-        per its own coalescing setting."""
+    def _type_two_runs(doc: Document) -> None:
+        """Two continuing inserts on an adopted replica coalesce into one
+        event."""
         before = len(doc.oplog)
         doc.insert(0, "reader ")
         doc.insert(7, "was here. ")
-        assert len(doc.oplog) == before + (1 if coalesce else 2)
+        assert len(doc.oplog) == before + 1
 
-    @pytest.mark.parametrize("coalesce", [True, False])
-    def test_adopts_graph_and_text_without_merging(self, coalesce):
+    def test_adopts_graph_and_text_without_merging(self):
         graph, text, source = self._stored()
-        doc = Document("reader", graph=graph, text=text, coalesce_local_runs=coalesce)
+        doc = Document("reader", graph=graph, text=text)
         assert doc.oplog.graph is graph
         assert doc.text == text
         assert doc.merge_stats.merges == 0
@@ -462,22 +493,21 @@ class TestAdoption:
         assert not doc.engine.has_resident_state
         assert doc.version() == source.version()
         # Editable and mergeable straight away, in both directions.
-        self._type_two_runs(doc, coalesce)
+        self._type_two_runs(doc)
         source.insert(len(source.text), " source went on.")
         doc.merge(source)
         source.merge(doc)
         assert doc.text == source.text
 
-    @pytest.mark.parametrize("coalesce", [True, False])
-    def test_graph_without_text_is_replayed_in_place(self, coalesce):
+    def test_graph_without_text_is_replayed_in_place(self):
         graph, text, _ = self._stored()
-        doc = Document("reader", graph=graph, coalesce_local_runs=coalesce)
+        doc = Document("reader", graph=graph)
         assert doc.oplog.graph is graph
         assert doc.text == text
         assert doc.merge_stats.merges == 1
         assert doc.merge_stats.events_integrated == len(graph)
         assert not doc.engine.has_resident_state
-        self._type_two_runs(doc, coalesce)
+        self._type_two_runs(doc)
         assert doc.text == "reader was here. " + text
         assert doc.text == EgWalker(graph).replay_text()
 

@@ -92,27 +92,27 @@ class TestFrontier:
     def test_version_id_round_trip(self):
         graph = linear_graph("abc", agent="alice")
         ids = graph.ids_from_version(graph.frontier)
-        assert graph.version_from_ids(ids) == graph.frontier
+        assert tuple(sorted({graph.index_of(i) for i in ids})) == graph.frontier
 
 
 class TestRemoteEventsAndMerge:
-    def test_add_remote_event_is_idempotent(self):
+    def test_remote_run_is_idempotent(self):
         graph = linear_graph("ab")
-        result = graph.add_remote_event(EventId("a", 0), (), insert_op(0, "a"))
+        result = graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "a"))])
         assert result == []
         assert len(graph) == 2
 
-    def test_add_remote_event_conflicting_content_rejected(self):
+    def test_remote_run_conflicting_content_rejected(self):
         graph = EventGraph()
         graph.add_local_event("a", insert_op(0, "abc"))
         # Exact redelivery of the whole run is idempotent ...
-        assert graph.add_remote_event(EventId("a", 0), (), insert_op(0, "abc")) == []
+        assert graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))]) == []
         # ... and so is redelivery of a re-carved sub-run ...
-        assert graph.add_remote_event(EventId("a", 1), (), insert_op(1, "bc")) == []
+        assert graph.ingest_runs([(EventId("a", 1), (), insert_op(1, "bc"))]) == []
         # ... but the same ids carrying different content is the one truly
         # illegal divergence.
         with pytest.raises(ValueError, match="different content"):
-            graph.add_remote_event(EventId("a", 1), (), insert_op(1, "zz"))
+            graph.ingest_runs([(EventId("a", 1), (), insert_op(1, "zz"))])
 
     def test_merge_from_conflicting_content_rejected(self):
         ours = EventGraph()
@@ -130,10 +130,10 @@ class TestRemoteEventsAndMerge:
         with pytest.raises(ValueError, match="different content"):
             ours.merge_from(theirs)
 
-    def test_add_remote_event_with_missing_parent_raises(self):
+    def test_remote_run_with_missing_parent_raises(self):
         graph = EventGraph()
         with pytest.raises(KeyError):
-            graph.add_remote_event(EventId("b", 0), [EventId("missing", 0)], insert_op(0, "x"))
+            graph.ingest_runs([(EventId("b", 0), [EventId("missing", 0)], insert_op(0, "x"))])
 
     def test_merge_from_unions_graphs(self):
         base = linear_graph("ab", agent="alice")
@@ -164,7 +164,8 @@ class TestRunCarvingInterop:
     def test_remote_run_extending_stored_prefix_adds_suffix_only(self):
         graph = EventGraph()
         graph.add_event(EventId("a", 0), (), insert_op(0, "ab"), parents_are_indices=True)
-        added = graph.add_remote_event(EventId("a", 0), (), insert_op(0, "abcde"))
+        new = graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abcde"))])
+        added = [graph[i] for i in new]
         # Only the unseen suffix becomes a new event, chained onto the prefix.
         assert [(e.id, e.op.content) for e in added] == [(EventId("a", 2), "cde")]
         assert graph.parents_of(added[0].index) == (0,)
@@ -186,7 +187,7 @@ class TestRunCarvingInterop:
         graph = EventGraph()
         graph.add_event(EventId("x", 0), (), insert_op(0, "abcd"), parents_are_indices=True)
         # A peer that only ever saw "ab" replies concurrently with the "cd" half.
-        added = graph.add_remote_event(EventId("y", 0), (EventId("x", 1),), insert_op(2, "Y"))
+        added = graph.ingest_runs([(EventId("y", 0), (EventId("x", 1),), insert_op(2, "Y"))])
         assert len(added) == 1
         # The stored run was split at the dependency boundary ...
         assert [e.id for e in graph.events()] == [
@@ -257,7 +258,7 @@ class TestRunCarvingInterop:
         graph.add_event(EventId("a", 0), (), insert_op(0, "abc"), parents_are_indices=True)
         assert graph.dependency_id(0) == EventId("a", 2)
         assert graph.ids_from_version((0,)) == (EventId("a", 2),)
-        assert graph.version_from_ids([EventId("a", 2)]) == (0,)
+        assert graph.index_of(EventId("a", 2)) == 0
 
     def test_dependency_index_splits_only_on_mid_run_reference(self):
         graph = EventGraph()
@@ -436,7 +437,7 @@ class TestBulkConstruction:
 
 
 class TestFreshAppend:
-    """``ingest_run``'s branch for a run that is wholly new and whose parents
+    """``ingest_runs``' branch for a run that is wholly new and whose parents
     name whole stored runs: the same graph as the general (overlap-walking,
     splitting) path builds, and the same refusals."""
 
@@ -509,14 +510,14 @@ class TestFreshAppend:
     @staticmethod
     def _abc() -> EventGraph:
         graph = EventGraph()
-        graph.ingest_run(EventId("a", 0), (), insert_op(0, "abc"))
+        graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))])
         return graph
 
     def test_redelivery_is_a_no_op_and_a_conflict_is_refused(self):
         graph = self._abc()
-        assert graph.ingest_run(EventId("a", 0), (), insert_op(0, "abc")) == []
+        assert graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))]) == []
         with pytest.raises(ValueError, match="different content"):
-            graph.ingest_run(EventId("a", 0), (), insert_op(0, "abX"))
+            graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abX"))])
         with pytest.raises(ValueError, match="duplicate"):
             graph.add_event(EventId("a", 1), (0,), insert_op(0, "x"), parents_are_indices=True)
         assert self._shape(graph) == [("a:0", (), "abc")]
@@ -524,40 +525,48 @@ class TestFreshAppend:
     def test_unknown_parent_is_a_key_error_and_adds_nothing(self):
         graph = self._abc()
         with pytest.raises(KeyError, match="zz:4"):
-            graph.ingest_run(EventId("b", 0), (EventId("a", 2), EventId("zz", 4)), insert_op(0, "x"))
+            graph.ingest_runs(
+                [(EventId("b", 0), (EventId("a", 2), EventId("zz", 4)), insert_op(0, "x"))]
+            )
         assert self._shape(graph) == [("a:0", (), "abc")]
         assert graph.next_seq_for("b") == 0
 
     def test_mid_run_parent_splits_then_appends(self):
         graph = self._abc()
-        (added,) = graph.ingest_run(EventId("b", 0), (EventId("a", 1),), insert_op(0, "x"))
-        assert added.index == 2
+        (added,) = graph.ingest_runs([(EventId("b", 0), (EventId("a", 1),), insert_op(0, "x"))])
+        assert added == 2
         assert self._shape(graph) == [("a:0", (), "ab"), ("a:2", (0,), "c"), ("b:0", (0,), "x")]
         assert graph.frontier == (1, 2)
 
     def test_two_parent_ids_inside_one_stored_run(self):
         graph = self._abc()
-        graph.ingest_run(EventId("b", 0), (EventId("a", 1), EventId("a", 2)), insert_op(0, "x"))
+        graph.ingest_runs(
+            [(EventId("b", 0), (EventId("a", 1), EventId("a", 2)), insert_op(0, "x"))]
+        )
         assert self._shape(graph)[-1] == ("b:0", (0, 1), "x")
         # The same last character named twice is one parent, not two.
         graph = self._abc()
-        graph.ingest_run(EventId("b", 0), (EventId("a", 2), EventId("a", 2)), insert_op(0, "x"))
+        graph.ingest_runs(
+            [(EventId("b", 0), (EventId("a", 2), EventId("a", 2)), insert_op(0, "x"))]
+        )
         assert self._shape(graph) == [("a:0", (), "abc"), ("b:0", (0,), "x")]
 
     def test_parents_are_stored_sorted_whatever_order_they_arrive_in(self):
         graph = self._abc()
-        graph.ingest_run(EventId("b", 0), (), insert_op(0, "x"))
-        graph.ingest_run(EventId("c", 0), (EventId("b", 0), EventId("a", 2)), insert_op(0, "y"))
+        graph.ingest_runs([(EventId("b", 0), (), insert_op(0, "x"))])
+        graph.ingest_runs(
+            [(EventId("c", 0), (EventId("b", 0), EventId("a", 2)), insert_op(0, "y"))]
+        )
         assert graph.parents_of(2) == (0, 1)
         assert graph.frontier == (2,)
 
     def test_a_seq_gap_is_appended_and_filled_later(self):
         graph = self._abc()
-        graph.ingest_run(EventId("a", 5), (EventId("a", 2),), insert_op(5, "fg"))
+        graph.ingest_runs([(EventId("a", 5), (EventId("a", 2),), insert_op(5, "fg"))])
         assert graph.next_seq_for("a") == 7
         # Below the agent's next seq now: the general path fills the gap and
         # recognises the part it already holds.
-        graph.ingest_run(EventId("a", 3), (EventId("a", 2),), insert_op(3, "defg"))
+        graph.ingest_runs([(EventId("a", 3), (EventId("a", 2),), insert_op(3, "defg"))])
         assert self._shape(graph) == [
             ("a:0", (), "abc"),
             ("a:5", (0,), "fg"),
@@ -575,6 +584,6 @@ class TestFreshAppend:
         graph = EventGraph()
         listener = Listener()
         graph.add_listener(listener)
-        graph.ingest_run(EventId("a", 0), (), insert_op(0, "abc"))
-        graph.ingest_run(EventId("b", 0), (EventId("a", 2),), insert_op(0, "x"))
+        graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))])
+        graph.ingest_runs([(EventId("b", 0), (EventId("a", 2),), insert_op(0, "x"))])
         assert listener.heard == [("a:0", 0, ()), ("b:0", 1, (0,))]

@@ -124,14 +124,11 @@ def run_session(
 ) -> None:
     rng = random.Random(seed)
     names = [f"r{i}" for i in range(replicas)]
-    # Sender-side run coalescing alternates by seed, so both the extended
-    # and the one-event-per-edit encodings are fuzzed at no extra cost.
-    document_options = {"coalesce_local_runs": seed % 2 == 0}
     if topology == "star":
-        sim = star("hub", names, latency=0.01, document_options=document_options)
+        sim = star("hub", names, latency=0.01)
         all_names = ["hub", *names]
     else:
-        sim = full_mesh(names, latency=0.01, document_options=document_options)
+        sim = full_mesh(names, latency=0.01)
         all_names = names
     partitioned: set[frozenset[str]] = set()
     #: Version-stability snapshots: (replica name, saved handle, saved text).

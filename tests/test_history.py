@@ -257,13 +257,6 @@ class TestCheckout:
         doc.merge(reloaded)
         assert "X" in doc.text and "Y" in doc.text
 
-    def test_checkout_inherits_configuration(self):
-        # Run coalescing is the one replica option; the default is on.
-        doc = Document("alice", coalesce_local_runs=False)
-        doc.insert(0, "abc")
-        branch = doc.checkout(doc.version())
-        assert branch.oplog.coalesce_local_runs is False
-
 
 class TestHandleStability:
     def test_survives_in_place_run_extension(self):

@@ -188,9 +188,11 @@ class TestQuiescentMergeCost:
     def test_batch_that_is_not_a_tail_is_refused(self):
         """There is no second merge path to fall back to: new events that
         do not end the local order break an invariant, and say so."""
-        doc = Document("alice", coalesce_local_runs=False)
+        doc = Document("alice")
         doc.insert(0, "ab")
-        doc.insert(2, "cd")
+        doc.apply_remote_events(
+            [RemoteEvent(EventId("bob", 0), (EventId("alice", 1),), insert_op(2, "cd"))]
+        )
         assert len(doc.oplog.graph) == 2
         with pytest.raises(AssertionError, match="not a tail"):
             doc.engine.integrate([0])
@@ -210,16 +212,17 @@ class TestSequentialFastPath:
         assert bob.text == "hello"
 
     def test_fast_path_batches_rope_edits_through_coalescer(self):
-        alice = Document("alice", coalesce_local_runs=False)
+        alice = Document("alice")
         for i in range(6):
-            alice.insert(len(alice.text), "ab")  # six separate run events
+            # Six separate run events (a local insert would extend one run).
+            alice.oplog.graph.add_local_event("alice", insert_op(2 * i, "ab"))
         bob = Document("bob")
         ops = bob.merge(alice)
         # Six sequential insert runs coalesce into one rope edit.
         assert len(ops) == 1
         assert ops[0].content == "ab" * 6
         assert bob.merge_stats.fast_path_events == 6
-        assert bob.text == alice.text
+        assert bob.text == "ab" * 6
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +257,7 @@ class TestBatchPrefixPeeling:
         )
 
     def test_critical_run_end(self):
-        doc = Document("alice", coalesce_local_runs=False)
+        doc = Document("alice")
         for i in range(4):
             doc.insert(0, "x")  # linear: every position is a cut
         tracker = doc.engine.tracker

@@ -20,52 +20,52 @@ def remote_event(agent, seq, parents, pos, char):
 class TestCausalBuffer:
     def test_in_order_delivery(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         e1 = remote_event("a", 0, [], 0, "x")
         e2 = remote_event("a", 1, [e1.id], 1, "y")
-        assert buffer.receive(e1) == 1
-        assert buffer.receive(e2) == 1
+        assert buffer.receive_batch([e1]) == 1
+        assert buffer.receive_batch([e2]) == 1
         assert [e.id for e in delivered] == [e1.id, e2.id]
 
     def test_out_of_order_delivery_is_held_back(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         e1 = remote_event("a", 0, [], 0, "x")
         e2 = remote_event("a", 1, [e1.id], 1, "y")
         e3 = remote_event("a", 2, [e2.id], 2, "z")
-        assert buffer.receive(e3) == 0
-        assert buffer.receive(e2) == 0
+        assert buffer.receive_batch([e3]) == 0
+        assert buffer.receive_batch([e2]) == 0
         assert buffer.pending_count == 2
         # The missing root arrives: everything cascades out in causal order.
-        assert buffer.receive(e1) == 3
+        assert buffer.receive_batch([e1]) == 3
         assert [e.id.seq for e in delivered] == [0, 1, 2]
         assert buffer.pending_count == 0
 
     def test_duplicates_are_dropped(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         e1 = remote_event("a", 0, [], 0, "x")
-        buffer.receive(e1)
-        buffer.receive(e1)
+        buffer.receive_batch([e1])
+        buffer.receive_batch([e1])
         assert len(delivered) == 1
         assert buffer.stats.duplicates == 1
 
     def test_mark_known_suppresses_local_events(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         e1 = remote_event("a", 0, [], 0, "x")
-        buffer.mark_known([e1.id])
+        buffer.mark_known_spans([(e1.id, 1)])
         e2 = remote_event("b", 0, [e1.id], 1, "y")
-        assert buffer.receive(e2) == 1
-        assert buffer.receive(e1) == 0  # already known
+        assert buffer.receive_batch([e2]) == 1
+        assert buffer.receive_batch([e1]) == 0  # already known
 
     def test_stats_track_high_water_mark(self):
-        buffer = CausalBuffer(lambda event: None)
+        buffer = CausalBuffer(deliver_batch=lambda batch: None)
         e1 = remote_event("a", 0, [], 0, "x")
         e2 = remote_event("a", 1, [e1.id], 1, "y")
         e3 = remote_event("a", 2, [e2.id], 2, "z")
-        buffer.receive(e3)
-        buffer.receive(e2)
+        buffer.receive_batch([e3])
+        buffer.receive_batch([e2])
         assert buffer.stats.buffered_high_water == 2
 
 
@@ -79,51 +79,51 @@ class TestSpanAwareBuffer:
 
     def test_recarved_redelivery_is_duplicate(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
-        buffer.receive(self.run_event("a", 0, [], 0, "abcd"))
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
+        buffer.receive_batch([self.run_event("a", 0, [], 0, "abcd")])
         # The same characters again, carved as two runs: both are duplicates.
-        assert buffer.receive(self.run_event("a", 0, [], 0, "ab")) == 0
-        assert buffer.receive(self.run_event("a", 2, [EventId("a", 1)], 2, "cd")) == 0
+        assert buffer.receive_batch([self.run_event("a", 0, [], 0, "ab")]) == 0
+        assert buffer.receive_batch([self.run_event("a", 2, [EventId("a", 1)], 2, "cd")]) == 0
         assert buffer.stats.duplicates == 2
         assert len(delivered) == 1
 
     def test_partially_known_run_passes_through(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
-        buffer.receive(self.run_event("a", 0, [], 0, "ab"))
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
+        buffer.receive_batch([self.run_event("a", 0, [], 0, "ab")])
         # A coarser carving that extends the known prefix is not a duplicate:
         # the graph's split-on-ingest keeps only the new characters.
-        assert buffer.receive(self.run_event("a", 0, [], 0, "abcd")) == 1
+        assert buffer.receive_batch([self.run_event("a", 0, [], 0, "abcd")]) == 1
         assert len(delivered) == 2
 
     def test_mid_run_parent_reference_counts_as_known(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
-        buffer.receive(self.run_event("a", 0, [], 0, "abcd"))
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
+        buffer.receive_batch([self.run_event("a", 0, [], 0, "abcd")])
         # A peer that saw only "ab" depends on the mid-run character (a, 1).
-        assert buffer.receive(self.run_event("b", 0, [EventId("a", 1)], 2, "x")) == 1
+        assert buffer.receive_batch([self.run_event("b", 0, [EventId("a", 1)], 2, "x")]) == 1
 
     def test_coarser_carving_replaces_buffered_finer_carving(self):
         """A coarser run arriving while a finer carving of the same run is
         buffered must not be dropped as a duplicate — its extra characters
         would be lost."""
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         parent = EventId("p", 0)
-        assert buffer.receive(self.run_event("a", 0, [parent], 0, "ab")) == 0
-        assert buffer.receive(self.run_event("a", 0, [parent], 0, "abcd")) == 0
+        assert buffer.receive_batch([self.run_event("a", 0, [parent], 0, "ab")]) == 0
+        assert buffer.receive_batch([self.run_event("a", 0, [parent], 0, "abcd")]) == 0
         assert buffer.pending_count == 1
         # The reverse direction (finer after coarser) *is* a duplicate.
-        assert buffer.receive(self.run_event("a", 0, [parent], 0, "ab")) == 0
+        assert buffer.receive_batch([self.run_event("a", 0, [parent], 0, "ab")]) == 0
         assert buffer.stats.duplicates == 1
-        buffer.receive(self.run_event("p", 0, [], 0, "!"))
+        buffer.receive_batch([self.run_event("p", 0, [], 0, "!")])
         assert [e.op.content for e in delivered] == ["!", "abcd"]
 
     def test_mark_known_spans_flushes_waiting_events(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         held = self.run_event("b", 0, [EventId("a", 3)], 4, "x")
-        assert buffer.receive(held) == 0
+        assert buffer.receive_batch([held]) == 0
         assert buffer.pending_count == 1
         # The parent span arrives out of band (e.g. a direct graph sync).
         assert buffer.mark_known_spans([(EventId("a", 0), 4)]) == 1
@@ -212,10 +212,10 @@ class TestBatchedDelivery:
         e1 = RemoteEvent(EventId("a", 0), (), insert_op(0, "x"))
         e2 = RemoteEvent(EventId("a", 1), (EventId("a", 0),), insert_op(1, "y"))
         e3 = RemoteEvent(EventId("a", 2), (EventId("a", 1),), insert_op(2, "z"))
-        assert buffer.receive(e3) == 0
-        assert buffer.receive(e2) == 0
+        assert buffer.receive_batch([e3]) == 0
+        assert buffer.receive_batch([e2]) == 0
         # e1 unblocks the whole chain: one batch carries all three, in order.
-        assert buffer.receive(e1) == 3
+        assert buffer.receive_batch([e1]) == 3
         assert len(batches) == 1
         assert [e.id.seq for e in batches[0]] == [0, 1, 2]
         assert buffer.stats.batches == 1
@@ -230,12 +230,6 @@ class TestBatchedDelivery:
         ]
         assert buffer.receive_batch(events) == 3
         assert len(batches) == 1 and buffer.stats.batches == 1
-
-    def test_exactly_one_callback_required(self):
-        with pytest.raises(ValueError):
-            CausalBuffer()
-        with pytest.raises(ValueError):
-            CausalBuffer(lambda e: None, deliver_batch=lambda b: None)
 
     def test_hub_fan_in_pays_one_integrate_per_tick(self):
         """Relay-hub amortisation: many leaves editing in the same latency
@@ -255,12 +249,12 @@ class TestBatchedDelivery:
         # 30 events arrived at the hub; without batching that is >= 30 merges.
         assert stats.events_integrated >= 30
         assert stats.merges <= 10
-        assert hub.buffer.buffer.stats.batches == hub.document.merge_stats.merges
+        assert hub.buffer.stats.batches == hub.document.merge_stats.merges
 
 
 class TestReconnectReplayDedup:
     """A reconnecting peer replays spans the receiver may already have; every
-    fully-covered event must be a clean no-op (``receive`` returns 0, nothing
+    fully-covered event must be a clean no-op (``receive_batch`` returns 0, nothing
     is re-dispatched, nothing leaks into the pending buffer)."""
 
     def run_event(self, agent, seq, parents, pos, content):
@@ -270,10 +264,10 @@ class TestReconnectReplayDedup:
 
     def test_covered_receive_is_clean_noop(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         event = self.run_event("a", 0, [], 0, "hello")
-        assert buffer.receive(event) == 1
-        assert buffer.receive(event) == 0
+        assert buffer.receive_batch([event]) == 1
+        assert buffer.receive_batch([event]) == 0
         assert len(delivered) == 1
         assert buffer.stats.duplicates == 1
         assert buffer.pending_count == 0
@@ -299,7 +293,7 @@ class TestReconnectReplayDedup:
         """A fresh buffer (new connection) seeded with the replica's known
         spans treats the replayed overlap exactly like the old buffer did."""
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         # The replica already holds "abc" + "xy" from before the reconnect.
         buffer.mark_known_spans([(EventId("a", 0), 3), (EventId("b", 0), 2)])
         replay = [
@@ -307,7 +301,7 @@ class TestReconnectReplayDedup:
             self.run_event("b", 0, [EventId("a", 2)], 3, "xy"),
             self.run_event("a", 3, [EventId("b", 1)], 5, "de"),
         ]
-        assert sum(buffer.receive(e) for e in replay) == 1
+        assert sum(buffer.receive_batch([e]) for e in replay) == 1
         assert [e.id for e in delivered] == [EventId("a", 3)]
         assert buffer.stats.duplicates == 2
         assert buffer.pending_count == 0
@@ -317,38 +311,38 @@ class TestReconnectReplayDedup:
         runs (sender-side coalescing after the reconnect): coverage is by
         character span, so every re-carving of known spans is a no-op."""
         delivered = []
-        buffer = CausalBuffer(delivered.append)
-        buffer.receive(self.run_event("a", 0, [], 0, "ab"))
-        buffer.receive(self.run_event("a", 2, [EventId("a", 1)], 2, "cd"))
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
+        buffer.receive_batch([self.run_event("a", 0, [], 0, "ab")])
+        buffer.receive_batch([self.run_event("a", 2, [EventId("a", 1)], 2, "cd")])
         # Replayed as one coalesced run: fully covered by the two finer runs.
-        assert buffer.receive(self.run_event("a", 0, [], 0, "abcd")) == 0
+        assert buffer.receive_batch([self.run_event("a", 0, [], 0, "abcd")]) == 0
         # Replayed as a mid-run suffix: also fully covered.
-        assert buffer.receive(self.run_event("a", 1, [EventId("a", 0)], 1, "bcd")) == 0
+        assert buffer.receive_batch([self.run_event("a", 1, [EventId("a", 0)], 1, "bcd")]) == 0
         assert buffer.stats.duplicates == 2
         assert len(delivered) == 2
         assert buffer.pending_count == 0
 
     def test_recarved_overlap_with_new_tail_passes_once(self):
         delivered = []
-        buffer = CausalBuffer(delivered.append)
-        buffer.receive(self.run_event("a", 0, [], 0, "abcd"))
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
+        buffer.receive_batch([self.run_event("a", 0, [], 0, "abcd")])
         # Replay extends the run: only the tail is new, delivered exactly once.
         extended = self.run_event("a", 0, [], 0, "abcdef")
-        assert buffer.receive(extended) == 1
-        assert buffer.receive(extended) == 0
+        assert buffer.receive_batch([extended]) == 1
+        assert buffer.receive_batch([extended]) == 0
         assert len(delivered) == 2
         assert buffer.stats.duplicates == 1
 
     def test_mark_known_flushes_waiting_events(self):
-        """``mark_known`` must flush events that were only waiting on the
-        marked ids, like ``mark_known_spans`` does — otherwise a session
-        seeded after the events arrived parks them forever."""
+        """Marking single-character ids known must flush events that were
+        only waiting on them — otherwise a session seeded after the events
+        arrived parks them forever."""
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         held = self.run_event("b", 0, [EventId("a", 1)], 2, "z")
-        assert buffer.receive(held) == 0
+        assert buffer.receive_batch([held]) == 0
         assert buffer.pending_count == 1
-        assert buffer.mark_known([EventId("a", 0), EventId("a", 1)]) == 1
+        assert buffer.mark_known_spans([(EventId("a", 0), 1), (EventId("a", 1), 1)]) == 1
         assert [e.id for e in delivered] == [held.id]
         assert buffer.pending_count == 0
 
@@ -356,13 +350,13 @@ class TestReconnectReplayDedup:
         """A replayed copy of an event that is still buffered (parent missing
         at both arrivals) is delivered exactly once when the parent lands."""
         delivered = []
-        buffer = CausalBuffer(delivered.append)
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
         parent = self.run_event("p", 0, [], 0, "!")
         child = self.run_event("a", 0, [parent.id], 1, "qq")
-        assert buffer.receive(child) == 0
-        assert buffer.receive(child) == 0  # replayed while still pending
+        assert buffer.receive_batch([child]) == 0
+        assert buffer.receive_batch([child]) == 0  # replayed while still pending
         assert buffer.pending_count == 1
-        assert buffer.receive(parent) == 2
+        assert buffer.receive_batch([parent]) == 2
         assert [e.id for e in delivered] == [parent.id, child.id]
         assert buffer.stats.duplicates == 1
         assert buffer.pending_count == 0

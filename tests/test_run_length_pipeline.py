@@ -102,20 +102,21 @@ class TestRunCharEquivalence:
 class TestRunComplexity:
     def test_sequential_run_trace_creates_o_runs_events_and_records(self):
         """A run-encoded sequential trace: O(runs) events, O(runs) peak records."""
-        doc = Document("alice", coalesce_local_runs=False)
-        runs = 0
+        graph = EventGraph()
+        runs = length = 0
         for i in range(50):
-            doc.insert(len(doc.text), f"sentence number {i}. ")
+            sentence = f"sentence number {i}. "
+            graph.add_local_event("alice", insert_op(length, sentence))
+            length += len(sentence)
             runs += 1
         for _ in range(10):
-            doc.delete(0, 8)
+            graph.add_local_event("alice", delete_op(0, 8))
             runs += 1
-        graph = doc.oplog.graph
         chars = graph.num_chars
         assert len(graph) == runs
         assert chars > 10 * runs  # the trace really is run-dominated
 
-        # With sender-side coalescing (the default) the same session shrinks
+        # A Document's sender-side coalescing shrinks the same session
         # further: the 50 continuing inserts fold into one run event and the
         # 10 same-index deletes into another — O(runs) *at the source*.
         coalesced = Document("alice")
@@ -125,7 +126,7 @@ class TestRunComplexity:
             coalesced.delete(0, 8)
         assert len(coalesced.oplog.graph) == 2
         assert coalesced.oplog.graph.num_chars == chars
-        assert coalesced.text == doc.text
+        assert coalesced.text == EgWalker(graph).replay_text()
 
         # Even with the state-clearing optimisation disabled (so nothing is
         # ever thrown away), the internal state holds O(runs) span records,

@@ -1,4 +1,4 @@
-"""Tests for the storage layer: varints, compression, columnar encoding, snapshots."""
+"""Tests for the storage layer: varints, compression, columnar encoding, version handles."""
 
 import random
 
@@ -11,17 +11,14 @@ from repro.core.walker import EgWalker
 from repro.history import Version
 from repro.storage import (
     ContainerOptions,
-    Snapshot,
     StorageError,
     compress,
     decode_file,
-    decode_snapshot,
     decode_svarint,
     decode_uvarint,
     decode_version,
     decompress,
     encode_event_graph_v3,
-    encode_snapshot,
     encode_svarint,
     encode_uvarint,
     encode_version,
@@ -259,8 +256,12 @@ class TestSplitRunStorage:
         # A peer that saw only "hello" replies concurrently -> the stored
         # insert run splits at the dependency boundary; a peer that saw only
         # part of the delete splits that run too.
-        graph.add_remote_event(EventId("b", 0), (EventId("a", 4),), insert_op(5, "XY"))
-        graph.add_remote_event(EventId("c", 0), (EventId("a", 12),), insert_op(2, "z"))
+        graph.ingest_runs(
+            [
+                (EventId("b", 0), (EventId("a", 4),), insert_op(5, "XY")),
+                (EventId("c", 0), (EventId("a", 12),), insert_op(2, "z")),
+            ]
+        )
         assert len(graph) > 4  # the splits really happened
         return graph
 
@@ -323,22 +324,7 @@ class TestSplitRunStorage:
         assert EgWalker(decoded.graph).replay_text() == text
 
 
-class TestSnapshots:
-    def test_snapshot_round_trip(self):
-        snapshot = Snapshot(
-            text="hello wörld", version=Version((EventId("a", 3), EventId("b", 7)))
-        )
-        decoded = decode_snapshot(encode_snapshot(snapshot))
-        assert decoded == snapshot
-
-    def test_empty_snapshot(self):
-        snapshot = Snapshot(text="", version=Version())
-        assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
-
-    def test_wrong_magic_rejected(self):
-        with pytest.raises(ValueError):
-            decode_snapshot(b"XXXXwhatever")
-
+class TestVersionHandles:
     def test_version_handle_round_trip(self):
         version = Version((EventId("a", 3), EventId("b", 7)))
         assert decode_version(encode_version(version)) == version

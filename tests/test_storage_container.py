@@ -351,7 +351,7 @@ def test_unknown_columns_are_skipped():
     extended = _append_column(data, column_id=99, payload=b"future payload")
     decoded = decode_event_graph_v3(extended)
     assert_graphs_equivalent(decoded.graph, graph)
-    # ...and its block is never read by a selective text load.
+    # ...and its block is never read, not even by a text load that hydrates.
     lazy = LazyDecodedFile(extended)
     assert lazy.text == graph_text(graph)
     assert "column-99" not in lazy.stats.column_reads
@@ -360,13 +360,6 @@ def test_unknown_columns_are_skipped():
 # ----------------------------------------------------------------------
 # Selective reads
 # ----------------------------------------------------------------------
-def test_decode_text_linear_without_snapshot():
-    doc = _linear_document()
-    for options in (ContainerOptions(), ContainerOptions(prune_deleted_content=True)):
-        data = encode_event_graph_v3(doc.oplog.graph, options)
-        assert decode_text(data) == doc.text
-
-
 def test_decode_text_concurrent_requires_graph():
     graph = fixture_graphs()["two_branch"]
     data = encode_event_graph_v3(graph)
@@ -402,19 +395,6 @@ def test_cold_text_touches_only_snapshot_column():
     assert lazy.stats.events_materialised == 0
     assert lazy.stats.hydrations == 0
     assert lazy.stats.bytes_read < len(data)
-
-
-def test_cold_text_without_snapshot_touches_only_cheap_columns():
-    doc = _linear_document()
-    data = encode_event_graph_v3(doc.oplog.graph)
-    lazy = LazyDecodedFile(data)
-    assert lazy.text == doc.text
-    # Linear replay needs ops+content, plus the parents column's one-byte
-    # exception count to prove linearity; the history columns stay untouched.
-    assert set(lazy.stats.column_reads) <= {"ops", "content", "parents"}
-    assert lazy.stats.column_reads.get("agents", 0) == 0
-    assert lazy.stats.column_reads.get("ids", 0) == 0
-    assert lazy.stats.events_materialised == 0
 
 
 def test_first_history_access_hydrates_exactly_once():
@@ -462,20 +442,6 @@ def test_document_and_history_load_from_bytes():
     assert doc.text.startswith("still editable: ")
     history = History.from_bytes(data)
     assert history.text_at(Version.frontier(history.graph)) == text
-
-
-@pytest.mark.parametrize("coalesce", [True, False])
-def test_loaded_document_keeps_its_coalescing_setting(coalesce):
-    graph = fixture_graphs()["two_branch"]
-    data = encode_event_graph_v3(graph)
-    doc = Document.from_bytes(data, "reader", coalesce_local_runs=coalesce)
-    assert doc.oplog.coalesce_local_runs is coalesce
-    before = len(doc.oplog)
-    doc.insert(0, "ab")
-    doc.insert(2, "cd")
-    assert len(doc.oplog) == before + (1 if coalesce else 2)
-    # A checkout of the loaded replica inherits the setting in turn.
-    assert doc.checkout(doc.version()).oplog.coalesce_local_runs is coalesce
 
 
 # ----------------------------------------------------------------------
