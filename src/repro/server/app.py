@@ -144,9 +144,8 @@ class CollabServer:
             await server.wait_closed()
             raise RuntimeError("server already started")
         self._server = server
-        # Resolving port=0 to the ephemerally bound port: the write is derived
-        # from this call's own socket, and re-entry is guarded above.
-        self.port = server.sockets[0].getsockname()[1]  # lint: disable=await-state-race
+        # Resolving port=0 to the ephemerally bound port.
+        self.port = server.sockets[0].getsockname()[1]  # lint: disable=await-state-race -- derived from this call's own socket; re-entry is guarded above
         # Background maintenance: the reaper reclaims abandoned long-poll
         # sessions even on an idle server; the group-commit task is the
         # durability heartbeat (fsync + compaction checks) for "group" mode.

@@ -540,6 +540,15 @@ class TestDriverAndCli:
         assert payload["ok"] is False
         assert [f["rule"] for f in payload["findings"]] == ["mutable-default-arg"]
 
+    def test_baseline_flags_are_usage_errors(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def f(a=None):\n    pass\n")
+        for flag in ("--baseline=baseline.json", "--no-baseline", "--write-baseline"):
+            with pytest.raises(SystemExit) as info:
+                cli_main([str(clean), flag])
+            assert info.value.code == 2, flag
+        capsys.readouterr()
+
     def test_cli_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
@@ -559,6 +568,47 @@ class TestRepositoryIsClean:
         rendered = "\n".join(f.render() for f in result.findings)
         assert result.findings == [], f"findings:\n{rendered}"
         assert not (REPO_ROOT / "analysis-baseline.json").exists()
+
+    def test_every_named_suppression_carries_its_reason(self):
+        import io
+        import tokenize
+
+        bare = []
+        for root in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((REPO_ROOT / root).rglob("*.py")):
+                source = path.read_text(encoding="utf-8")
+                tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+                for token in tokens:
+                    if token.type != tokenize.COMMENT or "lint: disable=" not in token.string:
+                        continue
+                    reason = token.string.partition(" -- ")[2].strip()
+                    if not reason:
+                        bare.append(f"{path.relative_to(REPO_ROOT)}:{token.start[0]}")
+        assert bare == [], "suppressions without a reason:\n" + "\n".join(bare)
+
+    @pytest.mark.parametrize(
+        "rule,snippet",
+        [
+            ("per-char-hot-path", "zip(ops[index].content, mask)"),
+            ("per-char-hot-path", "event.id_at(k) not in deleted_ids"),
+            ("frozen-dataclass-mutation", 'object.__setattr__(event.op, "content"'),
+        ],
+        ids=["surviving-content-join", "survival-mask", "pruned-content-backfill"],
+    )
+    def test_accepted_storage_finding_is_suppressed_inline(self, rule, snippet, monkeypatch):
+        """The pruned-mode helpers' three accepted findings: each is silenced
+        on its own line, by name, with the reason it is accepted."""
+        monkeypatch.chdir(REPO_ROOT)
+        path = Path("src/repro/storage/columns.py")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        result = run_analysis([path])
+        assert result.findings == []
+        (finding,) = [
+            f for f in result.suppressed if f.rule == rule and snippet in lines[f.line - 1]
+        ]
+        directive = lines[finding.line - 1].partition("# lint: ")[2]
+        assert directive.startswith(f"disable={rule} -- ")
+        assert len(directive.partition(" -- ")[2]) > 40
 
 
 class TestTypingGate:

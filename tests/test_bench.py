@@ -59,15 +59,17 @@ class TestAdapters:
         texts = {adapter.name: adapter.merge(trace).text for adapter in ALL_ADAPTERS()}
         assert len(set(texts.values())) == 1
 
-    def test_egwalker_load_reads_only_the_snapshot_column(self, tiny_traces, monkeypatch):
-        """Fig. 8's Eg-walker load is the cached text: a file with a snapshot
-        column loads without materialising a single event."""
+    def test_egwalker_snapshot_fast_load(self, tiny_traces):
+        adapter = EgWalkerAdapter()
+        trace = tiny_traces["S1"]
+        outcome = adapter.merge(trace)
+        assert adapter.load(adapter.save(trace, outcome)) == outcome.text
+
+    @staticmethod
+    def _spy_on_loads(monkeypatch):
+        """Record every LazyDecodedFile the adapter opens."""
         from repro.storage import container
 
-        adapter = EgWalkerAdapter()
-        trace = tiny_traces["C1"]
-        outcome = adapter.merge(trace)
-        saved = adapter.save(trace, outcome)
         loaded = []
         real = container.LazyDecodedFile.__init__
 
@@ -76,9 +78,29 @@ class TestAdapters:
             loaded.append(self)
 
         monkeypatch.setattr(container.LazyDecodedFile, "__init__", spy)
+        return loaded
+
+    def test_egwalker_load_reads_only_the_snapshot_column(self, tiny_traces, monkeypatch):
+        """Fig. 8's Eg-walker load is the cached text: a file with a snapshot
+        column loads without materialising a single event."""
+        adapter = EgWalkerAdapter()
+        trace = tiny_traces["C1"]
+        outcome = adapter.merge(trace)
+        saved = adapter.save(trace, outcome)
+        loaded = self._spy_on_loads(monkeypatch)
         assert adapter.load(saved) == outcome.text
         assert [reader.stats.events_materialised for reader in loaded] == [0]
         assert set(loaded[0].stats.column_reads) == {"snapshot"}
+
+    def test_egwalker_load_without_snapshot_replays_the_graph(self, tiny_traces, monkeypatch):
+        adapter = EgWalkerAdapter(cache_final_doc=False)
+        trace = tiny_traces["C1"]
+        outcome = adapter.merge(trace)
+        saved = adapter.save(trace, outcome)
+        loaded = self._spy_on_loads(monkeypatch)
+        assert adapter.load(saved) == outcome.text
+        assert [reader.stats.hydrations for reader in loaded] == [1]
+        assert "snapshot" not in loaded[0].stats.column_reads
 
     def test_egwalker_pruned_save_is_smaller(self, tiny_traces):
         adapter = EgWalkerAdapter()

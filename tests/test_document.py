@@ -456,18 +456,22 @@ class TestAdoption:
     replica without being re-ingested (the path every load goes through)."""
 
     @staticmethod
-    def _stored():
-        """A two-branch history as a decoder would hand it over: a private
-        graph (bulk-built from columns) and the text at its frontier."""
+    def _stored(concurrent: bool):
+        """A two-branch (or a linear) history as a decoder would hand it
+        over: a private graph (bulk-built from columns) and the text at its
+        frontier."""
         from repro.core.event_graph import EventGraph
 
         alice, bob = Document("alice"), Document("bob")
         alice.insert(0, "shared base. ")
         bob.merge(alice)
         alice.insert(len(alice.text), "alice's end.")
-        bob.insert(0, "bob's start. ")
-        bob.delete(0, 3)
-        alice.merge(bob)
+        if concurrent:
+            bob.insert(0, "bob's start. ")
+            bob.delete(0, 3)
+            alice.merge(bob)
+        else:
+            alice.delete(0, 3)
         events = alice.oplog.graph.events()
         graph = EventGraph.from_columns(
             [e.id for e in events], [e.parents for e in events], [e.op for e in events]
@@ -483,8 +487,9 @@ class TestAdoption:
         doc.insert(7, "was here. ")
         assert len(doc.oplog) == before + 1
 
-    def test_adopts_graph_and_text_without_merging(self):
-        graph, text, source = self._stored()
+    @pytest.mark.parametrize("concurrent", [True, False])
+    def test_adopts_graph_and_text_without_merging(self, concurrent):
+        graph, text, source = self._stored(concurrent)
         doc = Document("reader", graph=graph, text=text)
         assert doc.oplog.graph is graph
         assert doc.text == text
@@ -499,8 +504,9 @@ class TestAdoption:
         source.merge(doc)
         assert doc.text == source.text
 
-    def test_graph_without_text_is_replayed_in_place(self):
-        graph, text, _ = self._stored()
+    @pytest.mark.parametrize("concurrent", [True, False])
+    def test_graph_without_text_is_replayed_in_place(self, concurrent):
+        graph, text, _ = self._stored(concurrent)
         doc = Document("reader", graph=graph)
         assert doc.oplog.graph is graph
         assert doc.text == text

@@ -96,13 +96,21 @@ class TestFrontier:
 
 
 class TestRemoteEventsAndMerge:
-    def test_remote_run_is_idempotent(self):
+    def test_add_remote_event_is_idempotent(self):
         graph = linear_graph("ab")
         result = graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "a"))])
         assert result == []
         assert len(graph) == 2
 
-    def test_remote_run_conflicting_content_rejected(self):
+    def test_ingest_runs_is_the_one_remote_entry_point(self):
+        for name in ("add_remote_event", "ingest_run"):
+            assert not hasattr(EventGraph, name), name
+        graph = linear_graph("ab")
+        # New events come back as local indices, not Event views.
+        assert graph.ingest_runs([(EventId("b", 0), (EventId("a", 1),), insert_op(2, "c"))]) == [2]
+        assert graph.parents_of(2) == (1,)
+
+    def test_add_remote_event_conflicting_content_rejected(self):
         graph = EventGraph()
         graph.add_local_event("a", insert_op(0, "abc"))
         # Exact redelivery of the whole run is idempotent ...
@@ -130,7 +138,7 @@ class TestRemoteEventsAndMerge:
         with pytest.raises(ValueError, match="different content"):
             ours.merge_from(theirs)
 
-    def test_remote_run_with_missing_parent_raises(self):
+    def test_add_remote_event_with_missing_parent_raises(self):
         graph = EventGraph()
         with pytest.raises(KeyError):
             graph.ingest_runs([(EventId("b", 0), [EventId("missing", 0)], insert_op(0, "x"))])

@@ -80,8 +80,7 @@ class TestHandleIndirection:
         assert graph.index_of_handle(handles[1]) == 2
         assert graph.index_of_handle(handles[2]) == 3
         for handle, saved in zip(handles, saved_ids):
-            # Whitebox: this test pins the column layout itself.
-            assert graph._h_id[handle] == saved  # lint: disable=column-encapsulation
+            assert graph._h_id[handle] == saved  # lint: disable=column-encapsulation -- whitebox: this test pins the column layout itself
         # The right half is a fresh handle directly after the left.
         assert right.index == 1 and right.id == EventId("a", 4)
         assert right.parents == (0,)

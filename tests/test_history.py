@@ -257,6 +257,17 @@ class TestCheckout:
         doc.merge(reloaded)
         assert "X" in doc.text and "Y" in doc.text
 
+    def test_checkout_coalesces_local_runs(self):
+        doc = Document("alice")
+        doc.insert(0, "abc")
+        branch = doc.checkout(doc.version())
+        before = len(branch.oplog)
+        branch.insert(3, "de")
+        branch.insert(5, "fg")
+        assert len(branch.oplog) == before + 1
+        doc.merge(branch)
+        assert doc.text == "abcdefg"
+
 
 class TestHandleStability:
     def test_survives_in_place_run_extension(self):

@@ -231,6 +231,22 @@ class TestBatchedDelivery:
         assert buffer.receive_batch(events) == 3
         assert len(batches) == 1 and buffer.stats.batches == 1
 
+    def test_deliver_batch_is_a_required_keyword(self):
+        with pytest.raises(TypeError):
+            CausalBuffer()  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            CausalBuffer(lambda batch: None)  # type: ignore[misc]
+
+    def test_single_event_receives_dispatch_one_batch_each(self):
+        batches = []
+        buffer = CausalBuffer(deliver_batch=batches.append)
+        e1 = RemoteEvent(EventId("a", 0), (), insert_op(0, "x"))
+        e2 = RemoteEvent(EventId("a", 1), (EventId("a", 0),), insert_op(1, "y"))
+        assert buffer.receive_batch([e1]) == 1
+        assert buffer.receive_batch([e2]) == 1
+        assert [[e.id for e in batch] for batch in batches] == [[e1.id], [e2.id]]
+        assert buffer.stats.batches == 2
+
     def test_hub_fan_in_pays_one_integrate_per_tick(self):
         """Relay-hub amortisation: many leaves editing in the same latency
         window must cost the hub one merge per advance() tick, not one per

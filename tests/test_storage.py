@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.document import Document
 from repro.core.event_graph import EventGraph
 from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.walker import EgWalker
@@ -324,7 +325,9 @@ class TestSplitRunStorage:
         assert EgWalker(decoded.graph).replay_text() == text
 
 
-class TestVersionHandles:
+class TestSnapshots:
+    """Version handles: a saved frontier, resolvable on any replica."""
+
     def test_version_handle_round_trip(self):
         version = Version((EventId("a", 3), EventId("b", 7)))
         assert decode_version(encode_version(version)) == version
@@ -333,6 +336,26 @@ class TestVersionHandles:
     def test_version_handle_wrong_magic_rejected(self):
         with pytest.raises(ValueError):
             decode_version(b"XXXXwhatever")
+
+    def test_version_handle_round_trips_unicode_agents(self):
+        version = Version((EventId("wörld", 0), EventId("日本", 12)))
+        assert decode_version(encode_version(version)) == version
+
+    def test_truncated_version_handle_rejected(self):
+        data = encode_version(Version((EventId("a", 3), EventId("bob", 300))))
+        for cut in range(len(data)):
+            with pytest.raises(ValueError):
+                decode_version(data[:cut])
+
+    def test_version_handle_resolves_on_a_reloaded_replica(self):
+        doc = Document("alice")
+        doc.insert(0, "hello")
+        handle = encode_version(doc.version())
+        doc.insert(5, " world")
+        doc.delete(0, 1)
+        reloaded = Document.from_bytes(encode_event_graph_v3(doc.oplog.graph), "bob")
+        assert reloaded.text == doc.text
+        assert reloaded.text_at(decode_version(handle)) == "hello"
 
 
 class TestEncodingProperty:

@@ -360,6 +360,18 @@ def test_unknown_columns_are_skipped():
 # ----------------------------------------------------------------------
 # Selective reads
 # ----------------------------------------------------------------------
+def test_decode_text_linear_without_snapshot():
+    """The snapshot column is the one cached text: a linear file without it
+    is refused by the selective read and served by a hydrating load."""
+    doc = _linear_document()
+    for options in (ContainerOptions(), ContainerOptions(prune_deleted_content=True)):
+        data = encode_event_graph_v3(doc.oplog.graph, options)
+        with pytest.raises(StorageError) as info:
+            decode_text(data)
+        assert info.value.code == "text-requires-graph"
+        assert LazyDecodedFile(data).text == doc.text
+
+
 def test_decode_text_concurrent_requires_graph():
     graph = fixture_graphs()["two_branch"]
     data = encode_event_graph_v3(graph)
@@ -395,6 +407,22 @@ def test_cold_text_touches_only_snapshot_column():
     assert lazy.stats.events_materialised == 0
     assert lazy.stats.hydrations == 0
     assert lazy.stats.bytes_read < len(data)
+
+
+def test_cold_text_without_snapshot_hydrates_the_graph_once():
+    doc = _linear_document()
+    data = encode_event_graph_v3(doc.oplog.graph)
+    lazy = LazyDecodedFile(data)
+    assert lazy.text == doc.text
+    assert lazy.stats.hydrations == 1
+    assert lazy.stats.events_materialised == len(doc.oplog.graph)
+    reads = dict(lazy.stats.column_reads)
+    assert "snapshot" not in reads
+    # The text is cached, and the graph it was replayed from is reused.
+    assert lazy.text == doc.text
+    _ = lazy.graph
+    assert lazy.stats.hydrations == 1
+    assert lazy.stats.column_reads == reads
 
 
 def test_first_history_access_hydrates_exactly_once():
@@ -442,6 +470,16 @@ def test_document_and_history_load_from_bytes():
     assert doc.text.startswith("still editable: ")
     history = History.from_bytes(data)
     assert history.text_at(Version.frontier(history.graph)) == text
+
+
+def test_loaded_document_coalesces_local_runs():
+    graph = fixture_graphs()["two_branch"]
+    doc = Document.from_bytes(encode_event_graph_v3(graph), "reader")
+    before = len(doc.oplog)
+    doc.insert(0, "ab")
+    doc.insert(2, "cd")
+    assert len(doc.oplog) == before + 1
+    assert doc.text == "abcd" + graph_text(graph)
 
 
 # ----------------------------------------------------------------------
