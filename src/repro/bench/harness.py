@@ -36,6 +36,7 @@ from ..core.ids import EventId, insert_op
 from ..core.oplog import RemoteEvent, graph_to_remote_events
 from ..core.walker import EgWalker
 from ..crdt.ref_crdt import RefCRDTDocument
+from ..network.replica import Replica
 from ..ot.ot_replica import OTDocument
 from ..traces.datasets import PAPER_TABLE1, TRACE_NAMES, load_all_traces
 from ..traces.generator import generate_async, generate_concurrent
@@ -379,19 +380,17 @@ def run_scaling(branch_sizes: Sequence[int] = (250, 500, 1000, 2000)) -> list[di
 # ----------------------------------------------------------------------
 # Live merge latency: per-merge cost vs. history length (merge engine)
 # ----------------------------------------------------------------------
-def _ship_keystroke(editor: Document, watcher: Document, mark: int) -> tuple[float, int]:
+def _ship_keystroke(editor: Replica, watcher: Document) -> float:
     """One keystroke on the editor, delivered to the watcher as a delta.
 
-    Returns the watcher's merge latency in seconds and the new export mark.
-    With sender-side run coalescing the keystroke usually *extends* an event
-    in place, so only the one-character suffix travels — the live-wire shape.
+    Returns the watcher's merge latency in seconds.  With sender-side run
+    coalescing the keystroke usually *extends* an event in place, so only the
+    one-character suffix travels — the live-wire shape.
     """
-    editor.insert(len(editor.text), "x")
-    delta = editor.oplog.export_since_seq(editor.agent, mark)
-    mark = editor.oplog.graph.next_seq_for(editor.agent)
+    delta = editor.local_insert(len(editor.text), "x")
     start = time.perf_counter()
     watcher.apply_remote_events(delta)
-    return time.perf_counter() - start, mark
+    return time.perf_counter() - start
 
 
 def run_merge_latency(
@@ -411,16 +410,15 @@ def run_merge_latency(
     if checkpoints is None:
         checkpoints = [max_events // 8, max_events // 4, max_events // 2, max_events]
     rows: list[dict[str, object]] = []
-    editor = Document("editor")
+    editor = Replica(Document("editor"))
     watcher = Document("watcher")
-    mark = 0
     intruder_seq = 0
     for checkpoint in checkpoints:
         while len(watcher.oplog.graph) < checkpoint - 1:
-            _, mark = _ship_keystroke(editor, watcher, mark)
+            _ship_keystroke(editor, watcher)
 
         history = len(watcher.oplog.graph)
-        seq_seconds, mark = _ship_keystroke(editor, watcher, mark)
+        seq_seconds = _ship_keystroke(editor, watcher)
         rows.append(
             {
                 "delivery": "sequential",
@@ -456,11 +454,8 @@ def run_merge_latency(
         # Re-quiesce: the editor pulls everything (intruder included) and
         # types once — that event dominates all heads, forming a fresh
         # critical version, so the next checkpoint starts in the steady state.
-        editor.merge(watcher)
-        editor.insert(len(editor.text), ". ")
-        delta = editor.oplog.export_since_seq(editor.agent, mark)
-        mark = editor.oplog.graph.next_seq_for(editor.agent)
-        watcher.apply_remote_events(delta)
+        editor.receive(watcher.events_since(editor.document.version()))
+        watcher.apply_remote_events(editor.local_insert(len(editor.text), ". "))
 
     stats = watcher.merge_stats
     rows.append(

@@ -282,10 +282,12 @@ class History:
     def checkout(self, version: Version, *, agent: str | None = None) -> "Document":
         """Materialise ``version`` as a fresh, independent :class:`Document`.
 
-        The new replica contains exactly ``Events(version)`` (exported in
-        portable form and re-ingested, so its run carving is self-consistent)
-        and can edit and merge like any other replica — a branch rooted at a
-        historical version.  It inherits the owner's run-coalescing setting.
+        The new replica contains exactly ``Events(version)`` and can edit and
+        merge like any other replica — a branch rooted at a historical
+        version.  The closure's columns are **adopted**: ``to_columns`` over
+        it, parents renumbered to positions in the closure, one
+        ``EventGraph.from_columns`` and ``Document(agent, graph=…)``, which
+        replays the sub-graph in place.  No event is re-ingested.
         O(|Events(version)|).
 
         Args:
@@ -305,7 +307,11 @@ class History:
         from ..core.document import Document
 
         closure = sorted(self.causal.ancestors(self.resolve(version)))
-        events = self.oplog.export_events(closure)
+        ids, parents, ops = self.graph.to_columns(closure)
+        # The closure holds every ancestor of its events, in local (topological)
+        # order: each parent is in it, and renumbering keeps each tuple sorted.
+        position = {index: pos for pos, index in enumerate(closure)}
+        parents = [tuple(position[p] for p in refs) for refs in parents]
         if agent is None:
             base = f"{self.oplog.agent or 'history'}-checkout"
             agent, n = base, 1
@@ -313,9 +319,7 @@ class History:
                 n += 1
                 agent = f"{base}-{n}"
             self._checkout_agents.add(agent)
-        doc = Document(agent)
-        doc.apply_remote_events(events)
-        return doc
+        return Document(agent, graph=EventGraph.from_columns(ids, parents, ops))
 
 
 #: Above this many character pairs (``len(a) * len(b)``) the quadratic

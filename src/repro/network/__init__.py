@@ -1,6 +1,8 @@
-"""Replication substrate: causal broadcast over a simulated network."""
+"""Replication substrate: causal broadcast, the replica built on it, and a
+simulated network of replicas."""
 
 from .causal_broadcast import CausalBuffer, DeliveryStats
+from .replica import Replica
 from .simulator import Message, NetworkSimulator, SimulatedReplica, full_mesh, star
 
 __all__ = [
@@ -8,6 +10,7 @@ __all__ = [
     "DeliveryStats",
     "Message",
     "NetworkSimulator",
+    "Replica",
     "SimulatedReplica",
     "full_mesh",
     "star",

@@ -9,8 +9,11 @@ integration tests can exercise realistic concurrency patterns:
 * :class:`NetworkSimulator` keeps a virtual clock and a priority queue of
   in-flight messages; per-link latency and partitions control which messages
   are delivered when.
-* :class:`SimulatedReplica` wires a :class:`~repro.core.document.Document`
-  into the network through a :class:`~repro.network.causal_broadcast.CausalBuffer`.
+* :class:`SimulatedReplica` is a :class:`~repro.network.replica.Replica` (a
+  :class:`~repro.core.document.Document` behind its inbound
+  :class:`~repro.network.causal_broadcast.CausalBuffer`) plugged into the
+  simulated links; the server's rooms and clients are built on the same
+  replica.
 * Topologies: :func:`full_mesh` (peer-to-peer gossip to every peer) and
   :func:`star` (a relay server that forwards events, like a typical
   centralised deployment).
@@ -26,7 +29,7 @@ from typing import Iterable
 from ..core.document import Document
 from ..core.oplog import RemoteEvent
 from ..faults import FaultInjector, FaultPlan
-from .causal_broadcast import CausalBuffer
+from .replica import Replica
 
 __all__ = [
     "Message",
@@ -49,38 +52,28 @@ class Message:
     event: RemoteEvent = field(compare=False)
 
 
-class SimulatedReplica:
-    """A replica participating in a simulated editing session.
+class SimulatedReplica(Replica):
+    """A :class:`Replica` taking part in a simulated editing session.
 
-    Its causal buffer hands everything one top-level call makes deliverable
-    (a tick's worth of messages, unblocking cascades, flushes after an
-    out-of-band sync) to the document as a **single**
-    ``apply_remote_events`` batch — one merge-engine integration per batch.
+    The network hands it each tick's messages as one :meth:`~Replica.receive`
+    call, so the document integrates whatever that makes deliverable as a
+    **single** batch — the relay-hub fan-in amortisation.  A state-transfer
+    sync outside the broadcast flow is a ``receive`` call too.
     """
 
     def __init__(self, name: str, simulator: "NetworkSimulator") -> None:
+        super().__init__(Document(name))
         self.name = name
         self.simulator = simulator
-        self.document = Document(name)
-        self.buffer = CausalBuffer(deliver_batch=self._apply_batch)
         self.online = True
         self.forward = False
-        self.received_events = 0
 
     # -- local editing --------------------------------------------------
     def insert(self, pos: int, content: str) -> None:
-        before_seq = self.document.oplog.graph.next_seq_for(self.name)
-        self.document.insert(pos, content)
-        self._broadcast_delta(before_seq)
+        self.simulator.broadcast(self.name, self.local_insert(pos, content))
 
     def delete(self, pos: int, length: int = 1) -> None:
-        before_seq = self.document.oplog.graph.next_seq_for(self.name)
-        self.document.delete(pos, length)
-        self._broadcast_delta(before_seq)
-
-    @property
-    def text(self) -> str:
-        return self.document.text
+        self.simulator.broadcast(self.name, self.local_delete(pos, length))
 
     # -- network --------------------------------------------------------
     def set_online(self, online: bool) -> None:
@@ -90,39 +83,6 @@ class SimulatedReplica:
         if online and was_offline:
             self.simulator.flush_offline_queue(self.name)
             self.simulator.release_held_messages(self.name)
-
-    def _broadcast_delta(self, before_seq: int) -> None:
-        # Export by id span, not by event index: with sender-side run
-        # coalescing a local edit may have extended an existing event, and
-        # only the new suffix should travel.
-        events = self.document.oplog.export_since_seq(self.name, before_seq)
-        self.buffer.mark_known_spans((e.id, e.op.length) for e in events)
-        self.simulator.broadcast(self.name, events)
-
-    def deliver_batch(self, events: list[RemoteEvent]) -> None:
-        """Deliver every message one network tick produced for this replica.
-
-        The causal buffer hands whatever becomes deliverable to the document
-        as a single batch, so the merge engine pays one ``integrate`` per
-        tick — the relay-hub fan-in amortisation.
-        """
-        self.buffer.receive_batch(events)
-
-    def sync_direct(self, events: Iterable[RemoteEvent]) -> int:
-        """Ingest a batch of events outside the broadcast flow.
-
-        Models a state-transfer style sync (e.g. downloading a peer's event
-        graph, possibly carved into different runs than the broadcast copies).
-        The batch goes through the causal buffer so delivery bookkeeping stays
-        consistent with the graph — later broadcast deliveries of the same
-        characters dedup, and buffered events waiting on the synced spans are
-        flushed.  Returns how many events were delivered to the document.
-        """
-        return self.buffer.receive_batch(events)
-
-    def _apply_batch(self, events: list[RemoteEvent]) -> None:
-        self.document.apply_remote_events(events)
-        self.received_events += len(events)
 
 
 class NetworkSimulator:
@@ -258,7 +218,7 @@ class NetworkSimulator:
         """Advance virtual time, delivering every message that comes due.
 
         Messages due within this tick are grouped **per recipient** and
-        handed over as one batch each (:meth:`SimulatedReplica.deliver_batch`),
+        handed over as one batch each (:meth:`Replica.receive`),
         so a replica that many peers — or a forwarding hub — send to in the
         same window integrates the whole tick in one merge instead of one
         merge per message.  Store-and-forward relaying still happens per
@@ -288,7 +248,7 @@ class NetworkSimulator:
                     if a == message.recipient and b != message.sender:
                         self._enqueue(a, b, message.event)
         for name, events in batches.items():
-            self.replicas[name].deliver_batch(events)
+            self.replicas[name].receive(events)
         self.now = deadline
         return delivered
 

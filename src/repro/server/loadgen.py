@@ -1,11 +1,10 @@
 """Load-generator clients: trace replay and live sessions over real sockets.
 
-Every client is a *full replica*: it owns a
-:class:`~repro.core.document.Document` and a client-side
-:class:`~repro.network.causal_broadcast.CausalBuffer`, mirrors the network
-simulator's broadcast discipline (``export_since_seq`` suffix deltas, local
-spans marked known before sending) and converges byte-identically with the
-server and every other client.  Two drivers:
+Every client is a *full replica* — a :class:`~repro.network.replica.Replica`,
+like the network simulator's peers and the server's rooms: local edits ship
+their exported suffix, already known to the client's inbound buffer, and the
+client converges byte-identically with the server and every other client.
+Two drivers:
 
 * :func:`run_loadgen` — a **live session**: N concurrent WebSocket (or
   long-polling) clients edit deterministically pseudo-randomly, presence
@@ -36,9 +35,9 @@ from typing import Any, Iterable, Iterator
 from ..core.document import Document
 from ..core.event_graph import expand_to_chars
 from ..core.ids import EventId
-from ..core.oplog import RemoteEvent
+from ..core.oplog import RemoteEvent, graph_to_remote_events
 from ..core.walker import EgWalker
-from ..network.causal_broadcast import CausalBuffer
+from ..network.replica import Replica
 from ..traces.trace import Trace
 from .protocol import (
     PROTOCOL_VERSION,
@@ -49,7 +48,7 @@ from .protocol import (
     hello_frame,
     presence_frame,
 )
-from .wire import WebSocketConnection, connect_websocket, read_http_request
+from .wire import WebSocketConnection, connect_websocket
 
 __all__ = [
     "LoadgenResult",
@@ -169,23 +168,40 @@ async def http_request(
             pass
 
 
-class _ReplicaCore:
-    """The replica-side state shared by both transports."""
+class _ReplicaCore(Replica):
+    """A client replica: what both transports share.
+
+    The connection state, the editing calls and the backoff-and-replay
+    reconnect live here.  A transport adds its dialling (``_open_session``:
+    connect and ``hello`` with the current version), its receive loop
+    (``_receive_loop``), ``_ship`` (send one frame, raising
+    ``ConnectionError``/``OSError`` when the connection is gone) and
+    ``close``.
+    """
 
     def __init__(
         self,
+        host: str,
+        port: int,
+        doc: str,
         agent: str,
         *,
+        reconnect: ReconnectPolicy | None = None,
         document: Document | None = None,
         sent_times: dict[EventId, float] | None = None,
         latency_samples: list[float] | None = None,
     ) -> None:
-        self.agent = agent
-        self.document = document or Document(agent)
-        self.buffer = CausalBuffer(deliver_batch=self._apply_batch)
-        # A reconnecting client reuses its document: everything already in
-        # the graph is known to the (fresh) buffer.
-        self.buffer.mark_known_spans(self.document.oplog.graph.id_spans())
+        # A reconnecting client may reuse its document: everything already
+        # in the graph is known to the (fresh) inbound buffer.
+        super().__init__(Document(agent) if document is None else document)
+        self.host = host
+        self.port = port
+        self.doc = doc
+        self.reconnect = reconnect
+        self.session_id: str | None = None
+        self._closing = False
+        self._receive_task: asyncio.Task | None = None
+        self._reconnect_rng = random.Random(zlib.crc32(agent.encode("utf-8")))
         self.sent_times = sent_times
         self.latency_samples = latency_samples
         self.presence_seen: dict[str, tuple] = {}
@@ -198,16 +214,9 @@ class _ReplicaCore:
         self.reconnects = 0
         self.delta_arrived = asyncio.Event()
 
-    def _apply_batch(self, events: list[RemoteEvent]) -> None:
-        self.document.apply_remote_events(events)
-
-    @property
-    def text(self) -> str:
-        return self.document.text
-
-    @property
-    def pending_count(self) -> int:
-        return self.buffer.pending_count
+    async def connect(self) -> None:
+        await self._open_session()
+        self._receive_task = asyncio.create_task(self._receive_loop())
 
     def handle_frame(self, frame: dict[str, Any]) -> None:
         if frame["type"] == "delta":
@@ -218,7 +227,7 @@ class _ReplicaCore:
                     t0 = self.sent_times.get(event.id)
                     if t0 is not None:
                         self.latency_samples.append(now - t0)
-            self.buffer.receive_batch(events)
+            self.receive(events)
             self.delta_arrived.set()
         elif frame["type"] == "presence":
             self.presence_seen[frame["agent"]] = tuple(frame["cursor"])
@@ -227,85 +236,6 @@ class _ReplicaCore:
             self.errors.append(frame)
         elif frame["type"] == "bye":
             self.byes.append(frame)
-
-    def take_local_edit(self, before_seq: int) -> list[RemoteEvent]:
-        """Export (and account) the suffix a local edit produced."""
-        events = self.document.oplog.export_since_seq(self.agent, before_seq)
-        self.buffer.mark_known_spans((e.id, e.op.length) for e in events)
-        if self.sent_times is not None:
-            now = time.perf_counter()
-            for event in events:
-                self.sent_times[event.id] = now
-        self.run_events_sent += len(events)
-        return events
-
-
-class CollabClient(_ReplicaCore):
-    """A WebSocket collaboration client (the fast path).
-
-    With a :class:`ReconnectPolicy` the client is *self-healing*: a dropped
-    socket (cut, crash, shed) triggers jittered-backoff redials from the
-    read loop, resuming from the last locally applied version.
-    """
-
-    transport = "ws"
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        doc: str,
-        agent: str,
-        *,
-        reconnect: ReconnectPolicy | None = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(agent, **kwargs)
-        self.host = host
-        self.port = port
-        self.doc = doc
-        self.reconnect = reconnect
-        self.session_id: str | None = None
-        self.ws: WebSocketConnection | None = None
-        self._reader_task: asyncio.Task | None = None
-        self._closing = False
-        self._reconnect_rng = random.Random(zlib.crc32(agent.encode("utf-8")))
-
-    async def connect(self) -> None:
-        await self._open_session()
-        self._reader_task = asyncio.create_task(self._read_loop())
-
-    async def _open_session(self) -> None:
-        """Dial, ``hello`` with the current version, await ``welcome``."""
-        self.ws = await connect_websocket(self.host, self.port, "/v1/ws")
-        await self.ws.send_text(
-            encode_frame(hello_frame(self.doc, self.agent, self.document.version().as_tuples()))
-        )
-        welcome = decode_frame(await self._recv_required())
-        if welcome["type"] == "error":
-            raise ConnectionError(f"server rejected hello: {welcome}")
-        assert welcome["type"] == "welcome" and welcome["protocol"] == PROTOCOL_VERSION
-        self.session_id = welcome["session"]
-
-    async def _recv_required(self) -> str:
-        text = await self.ws.recv_text()
-        if text is None:
-            raise ConnectionError("server closed the connection during the handshake")
-        return text
-
-    async def _read_loop(self) -> None:
-        while True:
-            try:
-                text = await self.ws.recv_text()
-            except ConnectionError:
-                text = None
-            if text is None:
-                if self._closing or self.reconnect is None:
-                    return
-                if not await self._redial():
-                    return
-                continue
-            self.handle_frame(decode_frame(text))
 
     async def _redial(self) -> bool:
         """Jittered-backoff reconnect; returns False when attempts run out
@@ -323,48 +253,102 @@ class CollabClient(_ReplicaCore):
             # The hello's version already fetched the missed suffix; replay
             # our complete history so a crashed server recovers anything it
             # lost (span dedup makes the overlap a clean no-op).
-            replay = self.document.oplog.export_since_seq(self.agent, 0)
+            replay = self.own_history()
             if replay:
                 try:
-                    await self.ws.send_text(encode_frame(delta_frame(replay)))
-                except ConnectionError:
+                    await self._ship(delta_frame(replay))
+                except (ConnectionError, OSError):
                     continue
             return True
         return False
 
-    # -- editing -------------------------------------------------------
-    async def insert(self, pos: int, content: str) -> None:
-        before = self.document.oplog.graph.next_seq_for(self.agent)
-        self.document.insert(pos, content)
-        await self._send_events(self.take_local_edit(before))
-
-    async def delete(self, pos: int, length: int = 1) -> None:
-        before = self.document.oplog.graph.next_seq_for(self.agent)
-        self.document.delete(pos, length)
-        await self._send_events(self.take_local_edit(before))
-
-    async def send_events(self, events: Iterable[RemoteEvent]) -> None:
-        await self._send_events(list(events))
-
-    async def _send_events(self, events: list[RemoteEvent]) -> None:
-        if not events:
+    async def _stop_receiving(self, timeout: float) -> None:
+        """Let the receive loop see ``_closing`` and end; cancel it after
+        ``timeout`` seconds."""
+        if self._receive_task is None:
             return
         try:
-            await self.ws.send_text(encode_frame(delta_frame(events)))
-        except ConnectionError:
+            await asyncio.wait_for(self._receive_task, timeout=timeout)
+        except asyncio.TimeoutError:
+            self._receive_task.cancel()
+            try:
+                await self._receive_task
+            except asyncio.CancelledError:
+                pass
+
+    # -- editing -------------------------------------------------------
+    async def insert(self, pos: int, content: str) -> None:
+        await self.send_events(self.local_insert(pos, content))
+
+    async def delete(self, pos: int, length: int = 1) -> None:
+        await self.send_events(self.local_delete(pos, length))
+
+    async def send_events(self, events: Iterable[RemoteEvent]) -> None:
+        """Ship events this replica already holds as one ``delta`` frame."""
+        events = list(events)
+        if not events:
+            return
+        if self.sent_times is not None:
+            now = time.perf_counter()
+            for event in events:
+                self.sent_times[event.id] = now
+        self.run_events_sent += len(events)
+        await self._send(delta_frame(events))
+
+    async def _send(self, frame: dict[str, Any]) -> None:
+        try:
+            await self._ship(frame)
+        except (ConnectionError, OSError):
             if self.reconnect is None:
                 raise
-            # Lost with the connection; the reconnect replay re-ships them.
+            # Lost with the connection; the reconnect replay re-ships
+            # deltas, and presence is ephemeral.
+
+
+class CollabClient(_ReplicaCore):
+    """A WebSocket collaboration client (the fast path).
+
+    With a :class:`ReconnectPolicy` the client is *self-healing*: a dropped
+    socket (cut, crash, shed) triggers jittered-backoff redials from the
+    read loop, resuming from the last locally applied version.
+    """
+
+    transport = "ws"
+    ws: WebSocketConnection | None = None
+
+    async def _open_session(self) -> None:
+        """Dial, ``hello`` with the current version, await ``welcome``."""
+        self.ws = await connect_websocket(self.host, self.port, "/v1/ws")
+        await self._ship(hello_frame(self.doc, self.agent, self.document.version().as_tuples()))
+        welcome = decode_frame(await self._recv_required())
+        if welcome["type"] == "error":
+            raise ConnectionError(f"server rejected hello: {welcome}")
+        assert welcome["type"] == "welcome" and welcome["protocol"] == PROTOCOL_VERSION
+        self.session_id = welcome["session"]
+
+    async def _recv_required(self) -> str:
+        text = await self.ws.recv_text()
+        if text is None:
+            raise ConnectionError("server closed the connection during the handshake")
+        return text
+
+    async def _receive_loop(self) -> None:
+        while True:
+            try:
+                text = await self.ws.recv_text()
+            except ConnectionError:
+                text = None
+            if text is None:
+                if self._closing or self.reconnect is None or not await self._redial():
+                    return
+                continue
+            self.handle_frame(decode_frame(text))
+
+    async def _ship(self, frame: dict[str, Any]) -> None:
+        await self.ws.send_text(encode_frame(frame))
 
     async def send_presence(self) -> None:
-        try:
-            await self.ws.send_text(
-                encode_frame(presence_frame(self.agent, self.document.version().as_tuples()))
-            )
-        except ConnectionError:
-            if self.reconnect is None:
-                raise
-            # Presence is ephemeral: a cursor lost to a dead socket is moot.
+        await self._send(presence_frame(self.agent, self.document.version().as_tuples()))
 
     async def send_raw(self, text: str) -> None:
         await self.ws.send_text(text)
@@ -373,18 +357,10 @@ class CollabClient(_ReplicaCore):
         self._closing = True
         if self.ws is not None and send_bye and not self.ws.closed:
             try:
-                await self.ws.send_text(encode_frame(bye_frame()))
+                await self._ship(bye_frame())
             except ConnectionError:
                 pass
-        if self._reader_task is not None:
-            try:
-                await asyncio.wait_for(self._reader_task, timeout=1.0)
-            except asyncio.TimeoutError:
-                self._reader_task.cancel()
-                try:
-                    await self._reader_task
-                except asyncio.CancelledError:
-                    pass
+        await self._stop_receiving(timeout=1.0)
         if self.ws is not None:
             await self.ws.close()
 
@@ -407,23 +383,10 @@ class PollClient(_ReplicaCore):
         agent: str,
         *,
         poll_wait: float = 0.25,
-        reconnect: ReconnectPolicy | None = None,
-        **kwargs,
+        **kwargs: Any,
     ) -> None:
-        super().__init__(agent, **kwargs)
-        self.host = host
-        self.port = port
-        self.doc = doc
+        super().__init__(host, port, doc, agent, **kwargs)
         self.poll_wait = poll_wait
-        self.reconnect = reconnect
-        self.session_id: str | None = None
-        self._poll_task: asyncio.Task | None = None
-        self._stopping = False
-        self._reconnect_rng = random.Random(zlib.crc32(agent.encode("utf-8")))
-
-    async def connect(self) -> None:
-        await self._open_session()
-        self._poll_task = asyncio.create_task(self._poll_loop())
 
     async def _open_session(self) -> None:
         status, payload = await http_request(
@@ -446,8 +409,8 @@ class PollClient(_ReplicaCore):
             raise ConnectionError("connect response carried no welcome frame")
         self.session_id = session_id
 
-    async def _poll_loop(self) -> None:
-        while not self._stopping:
+    async def _receive_loop(self) -> None:
+        while not self._closing:
             status, payload = await http_request(
                 self.host,
                 self.port,
@@ -455,86 +418,31 @@ class PollClient(_ReplicaCore):
                 f"/v1/poll?session={self.session_id}&wait={self.poll_wait}",
             )
             if status != 200:
-                if self._stopping or self.reconnect is None:
-                    return
-                if not await self._redial():
+                if self._closing or self.reconnect is None or not await self._redial():
                     return
                 continue
             for raw in payload["frames"]:
                 self.handle_frame(decode_frame(json.dumps(raw)))
 
-    async def _redial(self) -> bool:
-        """Jittered-backoff re-``connect``; resumes from the local version
-        and replays local history (deduplicated server-side)."""
-        assert self.reconnect is not None
-        for delay in self.reconnect.delays(self._reconnect_rng):
-            await asyncio.sleep(delay)
-            if self._stopping:
-                return False
-            try:
-                await self._open_session()
-                self.reconnects += 1
-                replay = self.document.oplog.export_since_seq(self.agent, 0)
-                if replay:
-                    await self._send_frames([delta_frame(replay)])
-                return True
-            except (ConnectionError, OSError):
-                continue
-        return False
-
-    async def _send_frames(self, frames: list[dict[str, Any]]) -> None:
-        try:
-            status, payload = await http_request(
-                self.host,
-                self.port,
-                "POST",
-                f"/v1/send?session={self.session_id}",
-                {"frames": frames},
-            )
-        except (ConnectionError, OSError):
-            if self.reconnect is None:
-                raise
-            # Server unreachable (crash window); reconnect replay re-ships.
-            return
-        if status != 200:
-            if self.reconnect is not None:
-                # Dead session (cut / shed / restart): the poll loop's redial
-                # re-establishes and replays; this upload is not lost.
-                return
+    async def _ship(self, frame: dict[str, Any]) -> None:
+        status, payload = await http_request(
+            self.host,
+            self.port,
+            "POST",
+            f"/v1/send?session={self.session_id}",
+            {"frames": [frame]},
+        )
+        # With a reconnect policy a dead session (cut / shed / restart) is
+        # the poll loop's to redial, and the redial's replay re-ships this
+        # upload; without one the refusal is the caller's to see.
+        if status != 200 and self.reconnect is None:
             self.errors.append(payload if isinstance(payload, dict) else {"code": str(status)})
 
-    async def insert(self, pos: int, content: str) -> None:
-        before = self.document.oplog.graph.next_seq_for(self.agent)
-        self.document.insert(pos, content)
-        events = self.take_local_edit(before)
-        if events:
-            await self._send_frames([delta_frame(events)])
-
-    async def delete(self, pos: int, length: int = 1) -> None:
-        before = self.document.oplog.graph.next_seq_for(self.agent)
-        self.document.delete(pos, length)
-        events = self.take_local_edit(before)
-        if events:
-            await self._send_frames([delta_frame(events)])
-
-    async def send_events(self, events: Iterable[RemoteEvent]) -> None:
-        events = list(events)
-        if events:
-            await self._send_frames([delta_frame(events)])
-
     async def close(self, *, send_bye: bool = True) -> None:
-        self._stopping = True
+        self._closing = True
         if send_bye and self.session_id is not None:
-            await self._send_frames([bye_frame()])
-        if self._poll_task is not None:
-            try:
-                await asyncio.wait_for(self._poll_task, timeout=self.poll_wait + 1.0)
-            except asyncio.TimeoutError:
-                self._poll_task.cancel()
-                try:
-                    await self._poll_task
-                except asyncio.CancelledError:
-                    pass
+            await self._send(bye_frame())
+        await self._stop_receiving(timeout=self.poll_wait + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -694,14 +602,7 @@ async def run_trace_replay(
     """
     doc = doc or f"trace-{trace.name}"
     graph = trace.graph
-    all_events = [
-        RemoteEvent(
-            id=event.id,
-            parents=tuple(graph.dependency_id(p) for p in event.parents),
-            op=event.op,
-        )
-        for event in graph.events()
-    ]
+    all_events = graph_to_remote_events(graph)
     oracle_text = EgWalker(expand_to_chars(graph)).replay_text()
     by_author: dict[str, list[RemoteEvent]] = {}
     for event in all_events:
@@ -728,11 +629,9 @@ async def run_trace_replay(
                 else:
                     break
             if ready:
-                # Originate: ingest locally (marking the spans known to the
-                # client buffer) and ship the batch in one delta frame.
-                client.buffer.mark_known_spans((e.id, e.op.length) for e in ready)
-                client.document.apply_remote_events(ready)
-                client.run_events_sent += len(ready)
+                # Originate: the author's own events enter its replica like
+                # any delivery, then ship in one delta frame.
+                client.receive(ready)
                 await client.send_events(ready)
                 await asyncio.sleep(0)
             else:

@@ -1,8 +1,8 @@
 """Server-side state: documents as rooms, connections as sessions.
 
-A :class:`DocumentRoom` owns one live server replica
-(:class:`~repro.core.document.Document`) plus an **inbound**
-:class:`~repro.network.causal_broadcast.CausalBuffer`: every delta a client
+A :class:`DocumentRoom` is the server's :class:`~repro.network.replica.Replica`:
+one live :class:`~repro.core.document.Document` behind an **inbound**
+:class:`~repro.network.causal_broadcast.CausalBuffer`.  Every delta a client
 uploads goes through the buffer, which re-orders out-of-causal-order arrivals,
 drops duplicates (reconnect replays, however they are re-carved) and hands the
 document one causally ordered batch per upload — the same amortisation the
@@ -36,6 +36,7 @@ from ..core.oplog import RemoteEvent
 from ..faults import InjectedCrash
 from ..history import Version
 from ..network.causal_broadcast import CausalBuffer
+from ..network.replica import Replica
 from .protocol import bye_frame, delta_frame, presence_frame, welcome_frame
 from .wal import RoomStorage
 
@@ -208,8 +209,13 @@ class Session:
             self._wakeup.set()
 
 
-class DocumentRoom:
+class DocumentRoom(Replica):
     """One hosted document plus everything connected to it.
+
+    The room is the server's :class:`~repro.network.replica.Replica`: uploads
+    from every session funnel through its inbound buffer (:meth:`receive_delta`),
+    so the document sees causally ordered, deduplicated batches, and
+    :meth:`deliver` logs each batch and fans it out.
 
     Args:
         document: a pre-built server replica (the recovery path passes the
@@ -235,10 +241,8 @@ class DocumentRoom:
         on_crash: Callable[[], None] | None = None,
         max_queued_frames: int = 0,
     ) -> None:
+        super().__init__(Document(f"server::{name}") if document is None else document)
         self.name = name
-        if document is None:
-            document = Document(f"server::{name}")
-        self.document = document
         self.storage = storage
         self.faults = faults
         self.on_crash = on_crash
@@ -247,15 +251,6 @@ class DocumentRoom:
         #: Last announced cursor per agent (id-frontier positions).
         self.presence: dict[str, tuple[EventId, ...]] = {}
         self.stats = RoomStats()
-        #: Inbound causal buffer: uploads from every session funnel through
-        #: here, so the document sees causally ordered, deduplicated batches.
-        self.inbound = CausalBuffer(deliver_batch=self._ingest)
-        # A room can be created over a pre-loaded document; everything already
-        # in the graph counts as known.
-        self._seed_inbound()
-
-    def _seed_inbound(self) -> None:
-        self.inbound.mark_known_spans(self.document.oplog.graph.id_spans())
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -325,11 +320,11 @@ class DocumentRoom:
         session.last_seen = time.monotonic()
         session.mark_uploaded(events)
         before = self.inbound.stats.duplicates
-        delivered = self.inbound.receive_batch(events)
+        delivered = self.receive(events)
         self.stats.duplicates_dropped += self.inbound.stats.duplicates - before
         return delivered
 
-    def _ingest(self, events: list[RemoteEvent]) -> None:
+    def deliver(self, events: list[RemoteEvent]) -> None:
         """Inbound-buffer delivery: apply one causally ordered batch to the
         server replica, WAL-append it, then fan it out to every session's
         outbound buffer.
@@ -341,7 +336,7 @@ class DocumentRoom:
         the batch, ``torn-wal`` truncates its record mid-write, ``after-wal``
         crashes with the record intact.
         """
-        self.document.apply_remote_events(events)
+        super().deliver(events)
         self.stats.events_ingested += len(events)
         self.stats.chars_ingested += sum(e.op.length for e in events)
         crash = self.faults.crash_due() if self.faults is not None else None
@@ -370,17 +365,13 @@ class DocumentRoom:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def text(self) -> str:
-        return self.document.text
-
     def version(self) -> Version:
         return self.document.version()
 
     def buffer_pending(self) -> dict[str, int]:
         """Parked-event counts for the leak check: all zero once the room has
         quiesced (no in-flight uploads, every session caught up)."""
-        pending = {"inbound": self.inbound.pending_count}
+        pending = {"inbound": self.pending_count}
         for session in self.sessions.values():
             pending[f"outbound:{session.id}"] = session.pending_count
         return pending

@@ -19,9 +19,10 @@ durability falls out of the storage layer this repo already has:
   its own snapshot column, so a recovered room serves without a replay) via
   an atomic temp-file-plus-``os.replace``, and the log is reset.  A crash between the
   snapshot replace and the log reset merely leaves duplicate spans in the
-  log — recovery routes every WAL batch through a
-  :class:`~repro.network.causal_broadcast.CausalBuffer` seeded with the
-  snapshot's id spans, which dedups them exactly like a reconnect replay.
+  log — recovery hands every WAL batch to a
+  :class:`~repro.network.replica.Replica` over the adopted snapshot, whose
+  inbound buffer knows the snapshot's id spans and so dedups them exactly
+  like a reconnect replay.
 * :func:`recover_document` adopts the snapshot (its graph and its text, no
   re-ingest, no re-merge) and applies only the WAL tail, tolerating a
   truncated or corrupt final record: the scan stops at the first frame that
@@ -36,16 +37,14 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
+from ..core.document import Document
 from ..core.ids import EventId, delete_op, insert_op
 from ..core.oplog import RemoteEvent, graph_to_remote_events
-from ..network.causal_broadcast import CausalBuffer
+from ..network.replica import Replica
 from ..storage.container import ContainerOptions, decode_file, encode_event_graph_v3
 from ..storage.varint import ByteReader, ByteWriter, decode_uvarint
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Document imports rope etc.)
-    from ..core.document import Document
 
 __all__ = [
     "DurabilityOptions",
@@ -428,7 +427,7 @@ class RoomStorage:
             self.stats.fsyncs += 1
             self._dirty = False
 
-    def maybe_compact(self, document: "Document") -> bool:
+    def maybe_compact(self, document: Document) -> bool:
         """Compact when the WAL exceeds the configured thresholds."""
         if (
             self.wal.size < self.options.compact_min_bytes
@@ -438,7 +437,7 @@ class RoomStorage:
         self.compact(document)
         return True
 
-    def compact(self, document: "Document") -> None:
+    def compact(self, document: Document) -> None:
         """Write a full snapshot (graph + final text) and reset the WAL.
 
         The snapshot lands via temp-file + ``os.replace`` so a crash during
@@ -463,7 +462,7 @@ class RoomStorage:
         self._dirty = False
         self.stats.compactions += 1
 
-    def close(self, *, document: "Document | None" = None) -> None:
+    def close(self, *, document: Document | None = None) -> None:
         """Clean shutdown: final sync (and snapshot, when configured)."""
         if self._closed:
             return
@@ -485,21 +484,19 @@ class RoomStorage:
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def recover_document(directory: str, agent: str) -> "tuple[Document, RecoveryInfo]":
+def recover_document(directory: str, agent: str) -> tuple[Document, RecoveryInfo]:
     """Rebuild a room's server replica from snapshot + WAL tail.
 
     The snapshot is **adopted**: its decoded graph becomes the replica's
     graph and its snapshot column the text — nothing is re-ingested or
     re-merged (a snapshot file without the column is replayed in place).
-    Only the WAL tail goes through ``apply_remote_events``, routed through a
-    :class:`CausalBuffer` seeded with the snapshot's id spans, so duplicate
-    spans (a crash between snapshot replace and WAL reset, or overlapping
-    re-carved runs) dedup exactly like reconnect replays do on the live
-    path.  A torn or corrupt final record is discarded and reported, never
-    decoded.
+    Only the WAL tail is applied, received by one
+    :class:`~repro.network.replica.Replica` over the adopted document (its
+    inbound buffer knows the snapshot's id spans), so duplicate spans (a
+    crash between snapshot replace and WAL reset, or overlapping re-carved
+    runs) dedup exactly like reconnect replays do on the live path.  A torn
+    or corrupt final record is discarded and reported, never decoded.
     """
-    from ..core.document import Document
-
     info = RecoveryInfo()
     try:
         with open(os.path.join(directory, SNAPSHOT_FILENAME), "rb") as fh:
@@ -513,14 +510,13 @@ def recover_document(directory: str, agent: str) -> "tuple[Document, RecoveryInf
         info.snapshot_events = len(decoded.graph)
         info.snapshot_text_verified = decoded.snapshot is not None
 
-    buffer = CausalBuffer(deliver_batch=document.apply_remote_events)
-    buffer.mark_known_spans(document.oplog.graph.id_spans())
+    replica = Replica(document)
     payloads, torn_bytes = WriteAheadLog.scan(os.path.join(directory, WAL_FILENAME))
     info.torn_bytes_dropped = torn_bytes
     for payload in payloads:
         batch = decode_wal_record(payload)
-        buffer.receive_batch(batch)
+        replica.receive(batch)
         info.wal_records += 1
         info.wal_events += len(batch)
-    info.pending_after_recovery = buffer.pending_count
+    info.pending_after_recovery = replica.pending_count
     return document, info

@@ -171,7 +171,7 @@ class TestPartitionHeal:
         assert sim.converged(), sim.all_texts()
         text = sim.replicas["a"].text
         assert text == oracle_text(sim.replicas["a"].document)
-        assert all(r.buffer.pending_count == 0 for r in sim.replicas.values())
+        assert all(r.inbound.pending_count == 0 for r in sim.replicas.values())
 
     def test_random_drops_heal_by_repeated_anti_entropy(self):
         plan = FaultPlan(seed=17, drop=0.25, duplicate=0.15, delay=0.3, max_delay=0.2)

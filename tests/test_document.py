@@ -390,6 +390,7 @@ class TestOptionSurface:
             assert not hasattr(CausalBuffer, name)
 
     def test_replica_factories_take_no_document_options(self):
+        from repro.network import Replica
         from repro.network.simulator import (
             NetworkSimulator,
             SimulatedReplica,
@@ -406,6 +407,7 @@ class TestOptionSurface:
             CollabServer,
             DocumentRoom,
             recover_document,
+            Replica,
             _ReplicaCore,
             SimulatedReplica,
             NetworkSimulator,
@@ -414,6 +416,11 @@ class TestOptionSurface:
             live_session,
         ):
             assert "document_options" not in inspect.signature(factory).parameters, factory
+
+    def test_replica_takes_only_its_document(self):
+        from repro.network import Replica
+
+        assert list(inspect.signature(Replica).parameters) == ["document"]
 
     def test_merge_engine_takes_no_options(self):
         params = inspect.signature(MergeEngine).parameters

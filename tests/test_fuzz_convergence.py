@@ -177,7 +177,7 @@ def run_session(
             events = sim.replicas[a].document.oplog.export_events()
             recarved = random_recarve(rng, events)
             prefix = recarved[: rng.randint(0, len(recarved))]
-            sim.replicas[b].sync_direct(prefix)
+            sim.replicas[b].receive(prefix)
         sim.advance(rng.random() * 0.03)
 
     for name in all_names:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.causal_graph import CausalGraph
 from repro.core.document import Document
-from repro.core.event_graph import expand_to_chars
+from repro.core.event_graph import EventGraph, expand_to_chars
 from repro.core.ids import EventId
 from repro.core.oplog import recarve_events
 from repro.core.walker import EgWalker
@@ -256,6 +256,29 @@ class TestCheckout:
         reloaded.merge(again)
         doc.merge(reloaded)
         assert "X" in doc.text and "Y" in doc.text
+
+    def test_checkout_adopts_the_closure_without_re_ingesting(self, monkeypatch):
+        alice, base, branch_a, branch_b = diamond_documents()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checkout re-ingested its events")
+
+        branches = []
+        with monkeypatch.context() as patch:
+            patch.setattr(EventGraph, "ingest_runs", refuse)
+            for n, version in enumerate((base, branch_a, branch_b, alice.version())):
+                branch = alice.checkout(version, agent=f"branch{n}")
+                assert branch.text == alice.text_at(version)
+                assert branch.version() == version
+                branches.append(branch)
+        # The adopted branches edit, merge back and converge with the owner.
+        for branch in branches:
+            branch.insert(0, f"<{branch.agent}>")
+            alice.merge(branch)
+        for branch in branches:
+            branch.merge(alice)
+            assert branch.text == alice.text
+        assert alice.text == EgWalker(expand_to_chars(alice.oplog.graph)).replay_text()
 
     def test_checkout_coalesces_local_runs(self):
         doc = Document("alice")

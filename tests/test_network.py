@@ -1,12 +1,17 @@
-"""Tests for the replication substrate: causal broadcast and the network simulator."""
+"""Tests for the replication substrate: causal broadcast, the replica built on
+it, and the network simulator."""
 
 import random
 
 import pytest
 
+from repro.core.document import Document
+from repro.core.event_graph import expand_to_chars
 from repro.core.ids import EventId, insert_op
-from repro.core.oplog import RemoteEvent
-from repro.network import CausalBuffer, NetworkSimulator, full_mesh, star
+from repro.core.oplog import RemoteEvent, graph_to_remote_events, recarve_events
+from repro.core.walker import EgWalker
+from repro.network import CausalBuffer, NetworkSimulator, Replica, full_mesh, star
+from repro.storage.container import ContainerOptions, encode_event_graph_v3
 
 
 def remote_event(agent, seq, parents, pos, char):
@@ -265,7 +270,7 @@ class TestBatchedDelivery:
         # 30 events arrived at the hub; without batching that is >= 30 merges.
         assert stats.events_integrated >= 30
         assert stats.merges <= 10
-        assert hub.buffer.stats.batches == hub.document.merge_stats.merges
+        assert hub.inbound.stats.batches == hub.document.merge_stats.merges
 
 
 class TestReconnectReplayDedup:
@@ -376,3 +381,112 @@ class TestReconnectReplayDedup:
         assert [e.id for e in delivered] == [parent.id, child.id]
         assert buffer.stats.duplicates == 1
         assert buffer.pending_count == 0
+
+
+class TestReplica:
+    """The rule every replica rests on: its inbound buffer knows exactly what
+    its graph covers — seeded from the graph, and each local edit's exported
+    suffix marked known before it leaves."""
+
+    @staticmethod
+    def _peer_delivery(rng, peer):
+        """A peer's history as the network might hand it over: some of it
+        (what is missing parks the rest), re-carved, shuffled, with
+        duplicates."""
+        keep = rng.random()
+        events = graph_to_remote_events(peer.document.oplog.graph)
+        events = [e for e in events if rng.random() < keep]
+        events = recarve_events(
+            events,
+            splits=lambda e: [k for k in range(1, e.op.length) if rng.random() < 0.3],
+            merge_adjacent=rng.random() < 0.5,
+        )
+        events += rng.sample(events, min(len(events), rng.randint(0, 3)))
+        rng.shuffle(events)
+        return events
+
+    @staticmethod
+    def _edit(rng, replica):
+        length = len(replica.text)
+        if length > 6 and rng.random() < 0.3:
+            return replica.local_delete(rng.randrange(length - 3), rng.randint(1, 3))
+        word = rng.choice(["ab", "cde", "f", "ghij"])
+        return replica.local_insert(rng.randint(0, length), word)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_buffer_knows_exactly_what_the_graph_covers(self, seed):
+        rng = random.Random(seed)
+        replica = Replica(Document("r"))
+        peers = [Replica(Document(f"p{i}")) for i in range(3)]
+        probes = 0
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.3:
+                self._edit(rng, replica)
+            elif roll < 0.5:
+                self._edit(rng, rng.choice(peers))
+            elif roll < 0.8:
+                replica.receive(self._peer_delivery(rng, rng.choice(peers)))
+            elif roll < 0.92:
+                rng.choice(peers).receive(
+                    graph_to_remote_events(replica.document.oplog.graph)
+                )
+            else:
+                # Restart from a stored file: a replica over a loaded document.
+                document = replica.document
+                data = encode_event_graph_v3(
+                    document.oplog.graph,
+                    ContainerOptions(include_snapshot=True, final_text=document.text),
+                )
+                replica = Replica(Document.from_bytes(data, "r"))
+
+            graph = replica.document.oplog.graph
+            assert replica.receive(graph_to_remote_events(graph)) == 0
+            newest = graph.next_seq_for("r") - 1
+            if newest >= 0:
+                parked = replica.pending_count
+                parents = (EventId("r", newest),)
+                if probes:
+                    parents += (EventId("probe", probes - 1),)
+                probe = RemoteEvent(EventId("probe", probes), parents, insert_op(0, "?"))
+                probes += 1
+                assert replica.receive([probe]) == 1
+                assert replica.pending_count == parked
+
+        for peer in peers:
+            replica.receive(graph_to_remote_events(peer.document.oplog.graph))
+        assert replica.pending_count == 0
+        full = graph_to_remote_events(replica.document.oplog.graph)
+        for peer in peers:
+            peer.receive(full)
+            assert peer.pending_count == 0
+            assert peer.text == replica.text
+        oracle = EgWalker(expand_to_chars(replica.document.oplog.graph)).replay_text()
+        assert replica.text == oracle
+
+    def test_local_edits_return_the_suffix_to_send(self):
+        replica = Replica(Document("r"))
+        first = replica.local_insert(0, "abc")
+        second = replica.local_insert(3, "de")
+        # Run coalescing extended the first event; only the new suffix ships.
+        assert [(e.id, e.op.length) for e in first] == [(EventId("r", 0), 3)]
+        assert [(e.id, e.op.length) for e in second] == [(EventId("r", 3), 2)]
+        assert replica.own_history() == graph_to_remote_events(replica.document.oplog.graph)
+        deleted = replica.local_delete(0, 2)
+        assert [(e.id, e.op.length) for e in deleted] == [(EventId("r", 5), 2)]
+        assert replica.text == "cde"
+        assert replica.agent == "r"
+
+    def test_subclasses_extend_deliver(self):
+        batches = []
+
+        class Logged(Replica):
+            def deliver(self, events):
+                super().deliver(events)
+                batches.append(len(events))
+
+        author = Replica(Document("a"))
+        events = author.local_insert(0, "x") + author.local_insert(0, "y")
+        logged = Logged(Document("b"))
+        assert logged.receive(list(reversed(events))) == 2
+        assert batches == [2] and logged.text == author.text

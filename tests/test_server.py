@@ -338,10 +338,10 @@ class TestBackgroundMaintenance:
                 room = server.room("d")
                 assert len(room.sessions) == 1
                 # Vanish: kill the poll loop, never send a bye.
-                poll._stopping = True
-                poll._poll_task.cancel()
+                poll._closing = True
+                poll._receive_task.cancel()
                 try:
-                    await poll._poll_task
+                    await poll._receive_task
                 except asyncio.CancelledError:
                     pass
                 assert await wait_until(
