@@ -23,8 +23,8 @@ outbound buffers are the server's own:
   trace-suite sessions over real sockets and measures delivery latency.
 * :mod:`repro.server.wal` — crash-safe durable rooms: a varint-framed,
   CRC-guarded write-ahead log per room with group-commit fsync, snapshot
-  compaction and torn-tail-tolerant recovery (the WAL tail is received by a
-  ``Replica`` over the adopted snapshot).
+  compaction and torn-tail-tolerant recovery (the WAL tail is received as
+  one batch by a ``Replica`` over the adopted snapshot).
 
 Run a standalone server with ``python -m repro.server``.
 """

@@ -19,14 +19,19 @@ durability falls out of the storage layer this repo already has:
   its own snapshot column, so a recovered room serves without a replay) via
   an atomic temp-file-plus-``os.replace``, and the log is reset.  A crash between the
   snapshot replace and the log reset merely leaves duplicate spans in the
-  log — recovery hands every WAL batch to a
+  log — recovery hands the WAL tail to a
   :class:`~repro.network.replica.Replica` over the adopted snapshot, whose
   inbound buffer knows the snapshot's id spans and so dedups them exactly
   like a reconnect replay.
 * :func:`recover_document` adopts the snapshot (its graph and its text, no
-  re-ingest, no re-merge) and applies only the WAL tail, tolerating a
-  truncated or corrupt final record: the scan stops at the first frame that
-  does not parse and verify, and reports how many tail bytes were dropped.
+  re-ingest, no re-merge) and applies only the WAL tail — every intact
+  record, concatenated in log order, as **one** batch and so one merge —
+  tolerating a truncated or corrupt final record: the scan stops at the
+  first frame that does not parse and verify, and reports how many tail
+  bytes were dropped.  Recovery only reads; reopening the log for append is
+  what cuts the torn tail off, so records appended after a restart stay
+  readable, and a log in a format this version cannot read is refused
+  rather than appended to.
 
 Room names are arbitrary strings; on disk each room lives in a directory
 named by the UTF-8 hex of its name (reversible, filesystem-safe).
@@ -216,22 +221,27 @@ def decode_wal_record(payload: bytes) -> list[RemoteEvent]:
     agents = [reader.read_string() for _ in range(reader.read_uvarint())]
     count = reader.read_uvarint()
     events: list[RemoteEvent] = []
-    for _ in range(count):
-        event_id = EventId(agents[reader.read_uvarint()], reader.read_uvarint())
-        parent_count = reader.read_uvarint()
-        parents = tuple(
-            EventId(agents[reader.read_uvarint()], reader.read_uvarint())
-            for _ in range(parent_count)
-        )
-        kind = reader.read_uvarint()
-        pos = reader.read_svarint()
-        if kind == 0:
-            op = insert_op(pos, reader.read_string())
-        elif kind == 1:
-            op = delete_op(pos, reader.read_uvarint())
-        else:
-            raise ValueError(f"unknown op kind {kind} in WAL record")
-        events.append(RemoteEvent(id=event_id, parents=parents, op=op))
+    try:
+        for _ in range(count):
+            event_id = EventId(agents[reader.read_uvarint()], reader.read_uvarint())
+            parent_count = reader.read_uvarint()
+            parents = tuple(
+                EventId(agents[reader.read_uvarint()], reader.read_uvarint())
+                for _ in range(parent_count)
+            )
+            kind = reader.read_uvarint()
+            pos = reader.read_svarint()
+            if kind == 0:
+                op = insert_op(pos, reader.read_string())
+            elif kind == 1:
+                op = delete_op(pos, reader.read_uvarint())
+            else:
+                raise ValueError(f"unknown op kind {kind} in WAL record")
+            events.append(RemoteEvent(id=event_id, parents=parents, op=op))
+    except IndexError as exc:
+        raise ValueError(
+            f"agent index outside the WAL record's table of {len(agents)}"
+        ) from exc
     if not reader.at_end():
         raise ValueError("trailing bytes after WAL record payload")
     return events
@@ -253,7 +263,8 @@ def _file_header() -> bytes:
     return writer.getvalue()
 
 
-_HEADER_LEN = len(_file_header())
+_FILE_HEADER = _file_header()
+_HEADER_LEN = len(_FILE_HEADER)
 
 
 class WriteAheadLog:
@@ -263,15 +274,42 @@ class WriteAheadLog:
     crashed *process* loses nothing that :meth:`append_record` returned
     from; :meth:`sync` is the machine-crash durability point the fsync
     policy controls.
+
+    Opening an existing log cuts it back to its last intact frame (a torn
+    tail left by a crash) and fsyncs the cut before anything is appended;
+    otherwise new records would land behind bytes :meth:`scan` stops at, and
+    the next recovery would lose them.  A file this format cannot read is
+    refused with :class:`ValueError` rather than appended to.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._fd = os.open(path, os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
-        self.size = os.fstat(self._fd).st_size
-        if self.size == 0:
-            self.size += os.write(self._fd, _file_header())
         self._closed = False
+        try:
+            self.size = self._cut_to_intact_end()
+        except BaseException:
+            self.close()
+            raise
+
+    def _cut_to_intact_end(self) -> int:
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        if data.startswith(_FILE_HEADER):
+            end = _intact_frames(data)[1]
+        elif _FILE_HEADER.startswith(data):
+            end = 0  # new, or a crash while its header was being written
+        else:
+            raise ValueError(
+                f"{self.path}: not a write-ahead log this version can append to "
+                f"(header {data[:_HEADER_LEN]!r}, expected {_FILE_HEADER!r})"
+            )
+        if end < len(data):
+            os.ftruncate(self._fd, end)
+            os.fsync(self._fd)
+        if end == 0:
+            end = os.write(self._fd, _FILE_HEADER)
+        return end
 
     def append_record(self, payload: bytes, *, partial: int | None = None) -> int:
         """Append one framed record; returns bytes written.
@@ -308,41 +346,41 @@ class WriteAheadLog:
 
         Returns ``(payloads, torn_bytes)``: the scan stops at the first
         frame that is truncated or fails its CRC, and ``torn_bytes`` is how
-        much tail was discarded (0 for a clean log).  A missing or
-        header-less file yields no records.
+        much tail was discarded (0 for a clean log).  A missing file yields
+        no records; a file without this format's header yields none and
+        reports all of its bytes as discarded.
         """
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
         except FileNotFoundError:
             return [], 0
-        if len(data) < _HEADER_LEN or data[: len(_WAL_MAGIC)] != _WAL_MAGIC:
+        if not data.startswith(_FILE_HEADER):
             return [], len(data)
+        payloads, end = _intact_frames(data)
+        return payloads, len(data) - end
+
+
+def _intact_frames(data: bytes) -> tuple[list[bytes], int]:
+    """The record payloads behind a valid header, up to the first frame that
+    is truncated or fails its CRC, and the offset just past the last intact
+    one."""
+    payloads: list[bytes] = []
+    offset = _HEADER_LEN
+    while offset < len(data):
         try:
-            version, offset = decode_uvarint(data, len(_WAL_MAGIC))
+            length, pos = decode_uvarint(data, offset)
         except ValueError:
-            return [], len(data)
-        if version != _WAL_FORMAT:
-            return [], len(data) - len(_WAL_MAGIC)
-        payloads: list[bytes] = []
-        while offset < len(data):
-            start = offset
-            try:
-                length, pos = decode_uvarint(data, offset)
-            except ValueError:
-                break
-            end = pos + length + _CRC_BYTES
-            if end > len(data):
-                break
-            payload = data[pos : pos + length]
-            crc = int.from_bytes(data[pos + length : end], "little")
-            if zlib.crc32(payload) != crc:
-                break
-            payloads.append(payload)
-            offset = end
-        else:
-            start = len(data)
-        return payloads, len(data) - start if offset < len(data) else 0
+            break
+        end = pos + length + _CRC_BYTES
+        if end > len(data):
+            break
+        payload = data[pos : pos + length]
+        if zlib.crc32(payload) != int.from_bytes(data[pos + length : end], "little"):
+            break
+        payloads.append(payload)
+        offset = end
+    return payloads, offset
 
 
 # ----------------------------------------------------------------------
@@ -490,12 +528,16 @@ def recover_document(directory: str, agent: str) -> tuple[Document, RecoveryInfo
     The snapshot is **adopted**: its decoded graph becomes the replica's
     graph and its snapshot column the text — nothing is re-ingested or
     re-merged (a snapshot file without the column is replayed in place).
-    Only the WAL tail is applied, received by one
-    :class:`~repro.network.replica.Replica` over the adopted document (its
-    inbound buffer knows the snapshot's id spans), so duplicate spans (a
+    Only the WAL tail is applied: every intact record is decoded and the
+    records, concatenated in log order (causal order, since each was
+    appended as it was delivered), are received as one batch by one
+    :class:`~repro.network.replica.Replica` over the adopted document — one
+    buffer pass and one merge however many records the tail holds.  Its
+    inbound buffer knows the snapshot's id spans, so duplicate spans (a
     crash between snapshot replace and WAL reset, or overlapping re-carved
     runs) dedup exactly like reconnect replays do on the live path.  A torn
-    or corrupt final record is discarded and reported, never decoded.
+    or corrupt final record is discarded and reported, never decoded.  The
+    directory is only read.
     """
     info = RecoveryInfo()
     try:
@@ -513,10 +555,11 @@ def recover_document(directory: str, agent: str) -> tuple[Document, RecoveryInfo
     replica = Replica(document)
     payloads, torn_bytes = WriteAheadLog.scan(os.path.join(directory, WAL_FILENAME))
     info.torn_bytes_dropped = torn_bytes
-    for payload in payloads:
-        batch = decode_wal_record(payload)
-        replica.receive(batch)
-        info.wal_records += 1
-        info.wal_events += len(batch)
+    info.wal_records = len(payloads)
+    # Records were appended in delivery order, so their concatenation is
+    # causally ordered: the whole tail is one batch and one merge.
+    tail = [event for payload in payloads for event in decode_wal_record(payload)]
+    info.wal_events = len(tail)
+    replica.receive(tail)
     info.pending_after_recovery = replica.pending_count
     return document, info

@@ -21,6 +21,7 @@ from repro.server import (
     run_loadgen,
 )
 from repro.server.loadgen import CollabClient, PollClient
+from repro.server.wal import recover_document, room_directory
 
 
 def run(coro):
@@ -115,6 +116,78 @@ class TestCrashRestart:
             await b.close()
             await restarted.stop()
             assert_no_leaked_sessions(restarted)
+
+        run(scenario())
+
+    def test_second_crash_keeps_edits_acknowledged_after_torn_restart(self, tmp_path):
+        """Torn-WAL crash, restart, reconnect replays plus new edits, then an
+        ``after-wal`` crash: the second recovery must hold everything the
+        restarted room ingested, not stop at the first crash's torn bytes."""
+
+        async def scenario():
+            always = DurabilityOptions(fsync_policy="always")
+            data_dir = str(tmp_path)
+            server = CollabServer(
+                data_dir=data_dir,
+                durability=always,
+                faults=FaultPlan(seed=11, crash_after_ingests=4, crash_point="torn-wal"),
+            )
+            await server.start()
+            port = server.port
+            a = CollabClient("127.0.0.1", port, "d", "alice", reconnect=FAST_RECONNECT)
+            b = CollabClient("127.0.0.1", port, "d", "bob", reconnect=FAST_RECONNECT)
+            await a.connect()
+            await b.connect()
+            for i, client in enumerate((a, b, a, b)):  # 4th ingest tears
+                await client.insert(0, f"w{i} ")
+                await asyncio.sleep(0.05)
+            assert await wait_until(lambda: server._crash_task is not None)
+            await server._crash_task
+            first_crash_text = server.room("d").document.text
+
+            # Restart: the reconnect replay restores the torn record (one
+            # ingest), then new edits until the after-wal crash fires.
+            second = CollabServer(
+                port=port,
+                data_dir=data_dir,
+                durability=always,
+                faults=FaultPlan(seed=12, crash_after_ingests=4, crash_point="after-wal"),
+            )
+            await second.start()
+            assert second.recovery["d"].torn_bytes_dropped > 0
+            room = second.room("d")
+            assert await wait_until(lambda: room.document.text == first_crash_text)
+            for i, client in enumerate((a, b, a, b, a)):
+                if second._crash_task is not None:
+                    break
+                await client.insert(0, f"x{i} ")
+                assert await wait_until(
+                    lambda: f"x{i} " in room.document.text or second._crash_task is not None
+                )
+            assert await wait_until(lambda: second._crash_task is not None)
+            await second._crash_task
+            assert second.faults.stats.crashes == 1
+            crashed_doc = room.document
+
+            # Recovery only reads, so probe what the next start will see.
+            probe, info = recover_document(room_directory(data_dir, "d"), "probe")
+            assert info.torn_bytes_dropped == 0
+            assert info.pending_after_recovery == 0
+            assert crashed_doc.events_since(probe.version()) == []
+            assert probe.text == crashed_doc.text
+
+            third = CollabServer(port=port, data_dir=data_dir)
+            await third.start()
+            recovered_doc = third.room("d").document
+            assert await wait_until(
+                lambda: a.text == b.text == recovered_doc.text
+                and crashed_doc.events_since(recovered_doc.version()) == []
+            )
+            assert_converged(third, "d", a, b)
+            await a.close()
+            await b.close()
+            await third.stop()
+            assert_no_leaked_sessions(third)
 
         run(scenario())
 

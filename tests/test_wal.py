@@ -9,12 +9,16 @@ tail record must recover exactly the longest valid record prefix.
 
 import asyncio
 import os
+import random
 
 import pytest
 
 from repro.core.document import Document
+from repro.core.event_graph import expand_to_chars
+from repro.core.walker import EgWalker
 from repro.server import CollabServer, DurabilityOptions, ReconnectPolicy
 from repro.server.loadgen import CollabClient
+from repro.server.session import DocumentRoom
 from repro.server.wal import (
     RecoveryInfo,
     RoomStorage,
@@ -69,6 +73,15 @@ class TestRecordCodec:
         with pytest.raises(ValueError):
             decode_wal_record(payload + b"\x00")
 
+    def test_agent_index_outside_table_rejected(self):
+        payload = bytearray(encode_wal_record(make_events()[1]))
+        # Layout: 1 agent, "alice" (length 5), 1 event, then the event's
+        # agent index — point it past the one-entry table.
+        assert payload[:8] == b"\x01\x05alice\x01"
+        payload[8] = 1
+        with pytest.raises(ValueError, match="agent index"):
+            decode_wal_record(bytes(payload))
+
 
 class TestWriteAheadLog:
     def test_append_scan_round_trip(self, tmp_path):
@@ -102,6 +115,41 @@ class TestWriteAheadLog:
         payloads, torn = WriteAheadLog.scan(path)
         assert payloads == [b"good"]
         assert torn > 0
+
+    def test_reopen_cuts_torn_tail(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        wal = WriteAheadLog(path)
+        wal.append_record(b"kept")
+        intact = wal.size
+        wal.append_record(b"torn record", partial=5)
+        wal.close()
+        wal = WriteAheadLog(path)  # reopening for append cuts the torn bytes
+        assert wal.size == os.path.getsize(path) == intact
+        wal.append_record(b"after restart")
+        wal.close()
+        assert WriteAheadLog.scan(path) == ([b"kept", b"after restart"], 0)
+
+    @pytest.mark.parametrize("header", [b"EGWL\x02", b"EGWL\x80", b"not a wal at all"])
+    def test_reopen_refuses_unreadable_file(self, tmp_path, header):
+        path = tmp_path / "wal.log"
+        path.write_bytes(header + b"\x05hello")
+        with pytest.raises(ValueError) as excinfo:
+            WriteAheadLog(str(path))
+        message = str(excinfo.value)
+        assert str(path) in message and repr(header[:5]) in message
+        # Refused, not touched: the bytes are still there for an operator.
+        assert path.read_bytes() == header + b"\x05hello"
+
+    @pytest.mark.parametrize("prefix", [b"E", b"EGWL"])
+    def test_reopen_rewrites_partial_header(self, tmp_path, prefix):
+        """A crash while the file was being created leaves a prefix of the
+        header: that is a new log, not a foreign one."""
+        path = tmp_path / "wal.log"
+        path.write_bytes(prefix)
+        wal = WriteAheadLog(str(path))
+        wal.append_record(b"first")
+        wal.close()
+        assert WriteAheadLog.scan(str(path)) == ([b"first"], 0)
 
     def test_reset_truncates_to_header(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -228,7 +276,7 @@ class TestRoomStorage:
         assert info.snapshot_events == 1 and info.wal_records == 2
         stats = recovered.merge_stats
         assert stats.events_integrated == info.wal_events == 2
-        assert stats.merges == 2
+        assert stats.merges == 1
         # Still a full replica: a new concurrent edit converges both ways.
         recovered.insert(0, "after recovery. ")
         alice.insert(0, "meanwhile. ")
@@ -267,6 +315,14 @@ class TestRoomStorage:
         # The WAL was reset: recovery runs on the snapshot alone.
         _, info = recover_document(directory, "server")
         assert info.snapshot_loaded and info.wal_records == 0
+
+    def test_server_refuses_room_with_unreadable_wal(self, tmp_path):
+        directory = room_directory(str(tmp_path), "doc")
+        os.makedirs(directory)
+        with open(os.path.join(directory, "wal.log"), "wb") as fh:
+            fh.write(b"EGWL\x02" + frame_record(b"a newer format"))
+        with pytest.raises(ValueError, match="wal.log"):
+            run(CollabServer(data_dir=str(tmp_path)).start())
 
 
 class TestTornWriteRecovery:
@@ -352,6 +408,70 @@ class TestTornWriteRecovery:
         # The restored tail is durable again: a *second* recovery sees it.
         recovered, _ = recover_document(directory, "server")
         assert recovered.text == "three two one "
+
+
+class TestRecoveryMergesTailOnce:
+    def test_tail_of_concurrent_records_is_one_merge(self, tmp_path):
+        """Two authors typing concurrently, one WAL record per delivered
+        batch: recovery decodes the whole tail and merges it in one call."""
+        directory = room_directory(str(tmp_path), "doc")
+        storage = RoomStorage(directory, options=DurabilityOptions(compact_on_close=False))
+        server = Document("server")
+        authors = [Document("alice"), Document("bob")]
+        rng = random.Random(7)
+        records = 0
+        for round_ in range(30):
+            for author in authors:
+                before = author.oplog.graph.next_seq_for(author.agent)
+                author.insert(rng.randint(0, len(author.text)), f"{author.agent[0]}{round_} ")
+                batch = list(author.oplog.export_since_seq(author.agent, before))
+                server.apply_remote_events(batch)
+                storage.append(batch)
+                records += 1
+            if round_ % 5 == 4:  # the authors sync now and then
+                alice, bob = authors
+                alice.apply_remote_events(bob.events_since(alice.version()))
+                bob.apply_remote_events(alice.events_since(bob.version()))
+        storage.abandon()
+
+        recovered, info = recover_document(directory, "server")
+        assert records >= 50
+        assert info.wal_records == records
+        assert info.pending_after_recovery == 0
+        assert recovered.merge_stats.merges == 1
+        assert recovered.text == server.text
+        assert recovered.text == EgWalker(expand_to_chars(recovered.oplog.graph)).replay_text()
+
+
+class TestDoubleCrash:
+    def test_edits_after_torn_tail_restart_survive_second_crash(self, tmp_path):
+        """Restarting after a torn write must not leave the torn bytes in
+        front of what the restarted room appends."""
+        directory = room_directory(str(tmp_path), "doc")
+        options = DurabilityOptions(compact_on_close=False)
+        author = Document("alice")
+        storage = RoomStorage(directory, options=options)
+        for word, torn in (("one ", False), ("two ", True)):
+            before = author.oplog.graph.next_seq_for("alice")
+            author.insert(len(author.text), word)
+            storage.append(list(author.oplog.export_since_seq("alice", before)), torn=torn)
+        storage.abandon()  # crash
+
+        recovered, info = recover_document(directory, "server")
+        assert recovered.text == "one " and info.torn_bytes_dropped > 0
+        room = DocumentRoom(
+            "doc", document=recovered, storage=RoomStorage(directory, options=options)
+        )
+        replay = author.oplog.export_since_seq("alice", 0)
+        before = author.oplog.graph.next_seq_for("alice")
+        author.insert(len(author.text), "three")
+        room.receive(replay + author.oplog.export_since_seq("alice", before))
+        assert room.text == author.text == "one two three"
+        room.storage.abandon()  # crash again
+
+        recovered, info = recover_document(directory, "server")
+        assert recovered.text == "one two three"
+        assert info.torn_bytes_dropped == 0
 
 
 class TestRecoveryInfo:
