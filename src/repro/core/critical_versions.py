@@ -63,24 +63,43 @@ def critical_cut_positions(graph: EventGraph, order: Sequence[int]) -> dict[int,
     Only events inside ``order`` are considered; parents outside the subset
     are ignored, which is what partial replay needs (§3.6): criticality there
     is relative to the replayed range.
+
+    Parents are read in bulk (:meth:`EventGraph.to_columns`).  A prefix
+    ``range(k)`` of the local order (what :meth:`CriticalCutTracker.rebuild`
+    passes) is its own position map, and a chain step (a one-head frontier
+    that the event names) moves that head without touching the frontier
+    set, so a sequential history allocates nothing per event.
     """
-    position = {idx: i for i, idx in enumerate(order)}
+    prefix = isinstance(order, range) and order.start == 0 and order.step == 1
+    position = None if prefix else {idx: i for i, idx in enumerate(order)}
+    _, parent_columns, _ = graph.to_columns(order)
     alive: list[int] = []
     #: Heads (as positions) of every multi-head prefix frontier seen.
     heads: dict[int, frozenset[int]] = {}
+    #: The prefix frontier: ``single`` while it is one head, else ``frontier``.
     frontier: set[int] = set()
-    for i, idx in enumerate(order):
-        parents = [position[p] for p in graph.parents_of(idx) if p in position]
-        top = max(parents) if parents else -1
+    single = -1
+    for i, parents in enumerate(parent_columns):
+        if position is not None:
+            parents = tuple([position[p] for p in parents if p in position])
+            top = max(parents) if parents else -1
+        else:
+            top = parents[-1] if parents else -1
         while alive and alive[-1] > top:
             alive.pop()
         if top in heads and alive and alive[-1] == top and not heads[top].issubset(parents):
             alive.pop()
         alive.append(i)
-        frontier.difference_update(parents)
-        frontier.add(i)
-        if len(frontier) > 1:
-            heads[i] = frozenset(frontier)
+        if single < 0 or top != single:
+            if single >= 0:
+                frontier = {single}
+            frontier.difference_update(parents)
+            frontier.add(i)
+            if len(frontier) > 1:
+                heads[i] = frozenset(frontier)
+                single = -1
+                continue
+        single = i
     return {
         c: tuple(sorted(order[h] for h in heads[c])) if c in heads else (order[c],)
         for c in alive

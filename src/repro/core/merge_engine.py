@@ -23,7 +23,7 @@ the engine maintains everything a merge needs *incrementally*:
   **sequential fast path**: their operations apply verbatim to the text,
   batched through :func:`~repro.core.walker.coalesce_ops`, and the walker is
   never touched (§3.5's transform-free case, done without even computing a
-  replay order);
+  replay order); history replays read the same run the same way;
 * when concurrency *is* in play, the walker's internal state stays resident
   between merges (a :class:`WalkerCheckpoint`): the next merge
   retreats/advances/applies only the new events against the live state
@@ -116,6 +116,9 @@ class MergeEngineStats:
     #: version is itself a critical version has an empty window — O(new
     #: events) walker work, which ``last_history_events_touched`` proves.
     history_replays: int = 0
+    #: History events read verbatim instead, no walker: the run of critical
+    #: versions after the root or a tracked critical version (§3.5).
+    history_fast_path_events: int = 0
     history_window_events: int = 0
     history_new_events: int = 0
     last_history_events_touched: int = 0
@@ -322,38 +325,32 @@ class MergeEngine:
         tracker = self.tracker
         stats = self.stats
         n = len(graph)
-        new_events = list(range(first_new, n))
 
         # Sequential fast path: every new event whose parent version *and*
         # own version are critical applies verbatim (§3.5) — no walker, no
-        # replay order, no state.  The run is measured from the cut just
-        # before the batch, which must have survived the new events (the
-        # batch's tail is always a cut, and proves nothing about its head).
-        # With batched delivery a single batch can hold a sequential prefix
-        # followed by a concurrent tail, so the critical run is peeled off
-        # the front and only the tail (if any) goes through the replay
-        # machinery below.
-        parent_pos = first_new - 1 if first_new > 0 else 0
-        run_end = tracker.critical_run_end(parent_pos)
-        if run_end >= first_new:
-            prefix = list(range(first_new, run_end + 1))
-            self._drop_checkpoint()  # a critical version formed at run_end
-            prefix_ops = list(map(graph.op_of, prefix))
-            ops = coalesce_ops(prefix_ops)
+        # replay order, no state.  With batched delivery a single batch can
+        # hold a sequential prefix followed by a concurrent tail, so the
+        # critical run is peeled off the front and only the tail (if any)
+        # goes through the replay machinery below.
+        run, run_ops = self._critical_run(first_new, n - 1)
+        if run:
+            self._drop_checkpoint()  # a critical version formed at the run's end
+            ops = coalesce_ops(run_ops)
             self._apply_to_rope(ops)
-            stats.fast_path_events += len(prefix)
-            stats.fast_path_chars += sum(op.length for op in prefix_ops)
-            if run_end == n - 1:
+            stats.fast_path_events += len(run)
+            stats.fast_path_chars += sum(op.length for op in run_ops)
+            if run[-1] == n - 1:
                 # The whole batch was sequential.
                 stats.fast_path_merges += 1
-                stats.last_merge_events_touched = len(prefix)
+                stats.last_merge_events_touched = len(run)
                 return ops
             # Concurrent tail: integrate it from the critical version the
-            # prefix just formed (base = run_end, empty window).
-            rest = self._integrate_incremental(run_end + 1)
-            stats.last_merge_events_touched += len(prefix)
+            # run just formed (base = the run's end, empty window).
+            rest = self._integrate_incremental(run[-1] + 1)
+            stats.last_merge_events_touched += len(run)
             return ops + rest
 
+        new_events = list(range(first_new, n))
         # Replay base: the latest critical cut before the new events — a
         # binary search over the tracked cuts, not a graph scan.
         cut = tracker.latest_cut_before(first_new)
@@ -443,24 +440,43 @@ class MergeEngine:
                 (so the result builds the text at ``to_version`` from ``""``).
             to_version: local-index version to reach.
 
-        The replay base is the latest critical version contained in
-        ``from_version`` (a binary-search-backed lookup on the engine's
-        :class:`CriticalCutTracker`).  The window
-        ``Events(from) - Events(base)`` is replayed silently to rebuild the
-        walker state the new events need, then ``Events(to) - Events(from)``
-        replays with operations emitted — the §3.6 merge procedure pointed at
-        history instead of at the live frontier.  Cost: O(window + new)
-        walker work; when ``from_version`` is itself a critical version the
-        window is empty and the cost is O(new events) exactly
+        When ``from_version`` is the root or a tracked critical version (all
+        of its heads), the run of critical versions after it applies verbatim
+        (§3.5): up to ``max(to_version)`` its events' own operations are the
+        answer — no sort, diff, cut pass or walker
+        (``stats.history_fast_path_events``); on a linear history that is all
+        of it, O(k).  What is left replays through the walker from the run's
+        last cut.  Its replay base is the latest critical version contained
+        in the from version (a binary search on the engine's
+        :class:`CriticalCutTracker`); the window ``Events(from) -
+        Events(base)`` replays silently to rebuild the walker state, then
+        ``Events(to) - Events(from)`` replays with operations emitted — the
+        §3.6 merge procedure pointed at history.  Cost: O(window + new)
+        walker work, O(new events) when the from version is critical
         (``stats.last_history_events_touched`` records it).
 
         Returns:
-            The transformed operations, coalesced into maximal runs; applying
-            them in order to the text at ``from_version`` yields the text at
+            The operations, coalesced into maximal runs; applying them in
+            order to the text at ``from_version`` yields the text at
             ``to_version``.
         """
         graph = self.oplog.graph
         stats = self.stats
+        last = max(to_version, default=-1)
+        # A version whose own top is its replay base covers exactly the
+        # local-order prefix through that top: the run may start after it.
+        top = from_version[-1] if from_version else -1
+        run = range(0)
+        run_ops: list[Operation] = []
+        if top < 0 or self._history_cut(from_version) == top:
+            run, run_ops = self._critical_run(top + 1, last)
+        stats.history_fast_path_events += len(run)
+        stats.last_history_events_touched = len(run)
+        if run:
+            if run[-1] == last:
+                # Every event of ``to_version`` sits at or before ``last``.
+                return coalesce_ops(run_ops)
+            from_version = (run[-1],)
         causal = self.walker.causal
         cut = self._history_cut(from_version)
         base_version = self.tracker.version_at(cut)
@@ -478,8 +494,10 @@ class MergeEngine:
         stats.history_replays += 1
         stats.history_window_events += len(window)
         stats.history_new_events += len(new_events)
-        stats.last_history_events_touched = len(window) + len(new_events)
-        return coalesce_ops(op for entry in result.transformed for op in entry.ops)
+        stats.last_history_events_touched += len(window) + len(new_events)
+        return coalesce_ops(
+            [*run_ops, *(op for entry in result.transformed for op in entry.ops)]
+        )
 
     def _history_cut(self, version: Version) -> int | None:
         """The latest critical cut contained in ``version`` (replay base).
@@ -521,6 +539,21 @@ class MergeEngine:
     # ------------------------------------------------------------------
     # Helpers / introspection
     # ------------------------------------------------------------------
+    def _critical_run(self, first: int, last: int) -> tuple[range, list[Operation]]:
+        """The §3.5 verbatim run from local position ``first`` (through
+        ``last`` at most), for merges and history alike: the events whose
+        parent version and own version are both critical, measured from the
+        cut at ``first - 1`` (checked, not assumed: a batch's tail cut is
+        transient).  Their operations, returned uncoalesced, apply as they
+        are to the text of the local-order prefix before ``first``.
+        O(log cuts + run length).
+        """
+        if first > last:
+            return range(0), []
+        end = min(self.tracker.critical_run_end(first - 1 if first > 0 else 0), last)
+        run = range(first, end + 1)
+        return run, list(map(self.oplog.graph.op_of, run))
+
     def _apply_to_rope(self, ops: list[Operation]) -> None:
         rope = self.rope
         for op in ops:

@@ -30,6 +30,7 @@ operation                                             cost
 ``diff(a, b)``, concurrent / backwards                O(|text_a|·|text_b|)
 ``text_at(v)``, forward of the last ``text_at``       O(W + k) walker work
 ``text_at(v)``, cold                                  O(|Events(v)|)
+``text_at``/``diff`` on a run of critical versions    O(k), no walker
 ====================================================  ==================
 """
 
@@ -236,6 +237,8 @@ class History:
         history forward), only the events between the two are replayed —
         from the nearest critical version, exactly like a live merge (§3.6).
         A cold lookup replays ``Events(version)`` once and primes the cache.
+        Along a run of critical versions (a linear stretch of history) the
+        events' own operations are read back verbatim, with no walker (§3.5).
 
         Returns:
             The document text at ``version`` (independent of later edits,
@@ -266,9 +269,11 @@ class History:
         silently and only ``Events(b) - Events(a)`` emit operations — O(W + k)
         walker work, and O(k) when ``a`` is itself a critical version (the
         replay base *is* ``a``; ``MergeEngineStats.last_history_events_touched``
-        proves it).  For concurrent or backwards pairs there is no replayable
-        event set, so the texts are materialised and a character-level diff is
-        emitted instead (O(|text_a|·|text_b|) worst case; counted in
+        proves it), and no walker work at all while the events after ``a``
+        form a run of critical versions (``history_fast_path_events``).  For
+        concurrent or backwards pairs there is no replayable event set, so
+        the texts are materialised and a character-level diff is emitted
+        instead (O(|text_a|·|text_b|) worst case; counted in
         ``MergeEngineStats.history_text_diffs``).
         """
         ia, ib = self.resolve_all(a, b)

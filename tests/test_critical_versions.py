@@ -181,6 +181,11 @@ class TestDefinitionEquivalence:
         # ... and relative to a sub-order (what a partial replay asks).
         sub = sort_branch_aware(graph, order)[len(order) // 3 :]
         assert critical_cut_positions(graph, sub) == critical_by_definition(graph, sub)
+        # A prefix ``range`` is read without a position map.
+        k = rng.randint(0, len(graph))
+        assert critical_cut_positions(graph, range(k)) == critical_by_definition(
+            graph, list(range(k))
+        )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_tracker_under_splits_and_extensions(self, seed):
@@ -203,7 +208,10 @@ class TestDefinitionEquivalence:
                     EventId(agent, graph.next_seq_for(agent)), graph.frontier,
                     insert_op(0, "mm"), parents_are_indices=True,
                 )
-            assert tracked(tracker) == critical_by_definition(graph, list(range(len(graph))))
+            expected = critical_by_definition(graph, list(range(len(graph))))
+            assert tracked(tracker) == expected
+            # A late rebuild reads the split graph's parent columns in bulk.
+            assert tracked(CriticalCutTracker(graph, attach=False)) == expected
 
 
 class TestTrackerSplits:

@@ -11,6 +11,8 @@ per-character :func:`expand_to_chars` oracle.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.causal_graph import CausalGraph
@@ -427,6 +429,125 @@ class TestMultiHeadCriticalVersions:
         self.check_everything(history, alice, restored)
         history.diff(restored["both1"], restored["both2"])
         assert history.engine.stats.last_history_events_touched == 2
+
+
+def linear_document(events: int) -> Document:
+    """One author's seeded edits at random places — inserts and deletes, one
+    run event each, so every prefix version of the history is critical."""
+    rng = random.Random(0x11EA)
+    doc = Document("alice")
+    while len(doc.oplog.graph) < events:
+        if doc.text and rng.random() < 0.3:
+            pos = rng.randrange(len(doc.text))
+            doc.delete(pos, min(rng.randint(1, 3), len(doc.text) - pos))
+        else:
+            doc.insert(rng.randint(0, len(doc.text)), rng.choice(["ab", "xyz", "q"]))
+    return doc
+
+
+def refuse_walker(monkeypatch) -> None:
+    def transform(*args, **kwargs):
+        raise AssertionError("the walker replayed a verbatim run")
+
+    monkeypatch.setattr(EgWalker, "transform", transform)
+
+
+class TestLinearTimeTravel:
+    """On a run of critical versions, ``text_at`` / ``diff`` return the
+    events' own operations (§3.5): no walker, however long the history."""
+
+    @pytest.mark.parametrize("reopen", [False, True], ids=["live", "from_bytes"])
+    def test_linear_time_travel_uses_no_walker(self, reopen, monkeypatch):
+        doc = linear_document(240)
+        if reopen:  # the tracker then comes from a late rebuild
+            doc = Document.from_bytes(encode_event_graph_v3(doc.oplog.graph), "reader")
+        versions = doc.versions()
+        n = len(versions)
+        middle, a, b = n // 2, n // 5, 4 * n // 5
+        expected = {i: oracle_text_at(doc, versions[i]) for i in (middle, a, b)}
+        stats = doc.merge_stats
+        refuse_walker(monkeypatch)
+
+        assert doc.text_at(versions[middle]) == expected[middle]  # cold
+        assert stats.history_fast_path_events == middle + 1
+        ops = doc.diff(versions[a], versions[b])
+        assert stats.history_fast_path_events == middle + 1 + (b - a)
+        assert stats.last_history_events_touched == b - a
+        assert apply_ops(expected[a], ops) == expected[b]
+        assert stats.history_replays == 0 and stats.history_window_events == 0
+
+
+def linear_bubble_linear() -> tuple[Document, dict[str, Version], dict[str, int]]:
+    """alice types alone, then alice and bob type at once and merge, then
+    alice types alone again.  Also returns the local-order boundaries: the
+    linear stretch is ``[0, fork)``, the bubble ``[fork, join)`` and its
+    closing two-head critical version sits at the cut after ``join - 1``."""
+    alice, bob = Document("alice"), Document("bob")
+    for i in range(6):
+        alice.insert(0, f"s{i} ")  # cursor at 0: one run event each
+    alice.delete(1, 2)
+    saved = {"linear": alice.version()}
+    fork = len(alice.oplog.graph)
+    bob.merge(alice)
+    for i in range(3):
+        alice.insert(0, f"a{i} ")
+        bob.insert(len(bob.text), f"b{i} ")
+    saved["a"], saved["b"] = alice.version(), bob.version()
+    alice.merge(bob)
+    saved["both"] = alice.version()
+    join = len(alice.oplog.graph)
+    for i in range(5):
+        alice.insert(0, f"t{i} ")
+    alice.delete(0, 3)
+    saved["end"] = alice.version()
+    assert len(saved["both"]) == 2
+    return alice, saved, {"fork": fork, "join": join}
+
+
+class TestCriticalRunBoundaries:
+    """The verbatim run of a history replay stops at the first cut that is
+    not critical and never starts from one head of a multi-head version."""
+
+    def check_against_oracle(self, doc: Document, saved: dict[str, Version]) -> None:
+        history = History.from_bytes(encode_event_graph_v3(doc.oplog.graph))
+        for version in [*doc.versions(), *saved.values()]:
+            expected = oracle_text_at(doc, version)
+            for h in (doc.history, history):
+                assert h.text_at(version) == expected
+                assert apply_ops("", h.diff(ROOT, version)) == expected
+                assert apply_ops(expected, h.diff(version, saved["end"])) == doc.text
+
+    @pytest.mark.parametrize("split", [False, True], ids=["as_typed", "split_in_linear_stretch"])
+    def test_run_stops_at_the_bubble_and_restarts_after_it(self, split, monkeypatch):
+        doc, saved, at = linear_bubble_linear()
+        if split:
+            # An interop re-carving splits a run of the linear stretch: both
+            # halves stay critical, so the run from the root grows by one.
+            doc.oplog.graph.split_event(2, 1)
+            at = {name: position + 1 for name, position in at.items()}
+        self.check_against_oracle(doc, saved)
+        stats = doc.merge_stats
+
+        before, window = stats.history_fast_path_events, stats.history_window_events
+        doc.diff(ROOT, saved["end"])  # verbatim up to the fork, walker after it
+        assert stats.history_fast_path_events - before == at["fork"]
+        assert stats.history_window_events == window
+
+        # One head of the two-head version (bob's, the cut's own event, or
+        # alice's) does not contain the other: no verbatim run starts there.
+        for name in ("a", "b"):
+            before = stats.history_fast_path_events
+            ops = doc.diff(saved[name], saved["end"])
+            assert stats.history_fast_path_events == before, name
+            assert apply_ops(oracle_text_at(doc, saved[name]), ops) == doc.text
+
+        # From the whole two-head version the tail is one verbatim run.
+        both = oracle_text_at(doc, saved["both"])
+        refuse_walker(monkeypatch)
+        before = stats.history_fast_path_events
+        ops = doc.diff(saved["both"], saved["end"])
+        assert stats.history_fast_path_events - before == len(doc.oplog.graph) - at["join"]
+        assert apply_ops(both, ops) == doc.text
 
 
 class TestDiffQuadraticGuard:
