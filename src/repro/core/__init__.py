@@ -13,7 +13,6 @@ from .merge_engine import MergeEngine, MergeEngineStats, WalkerCheckpoint
 from .oplog import OpLog, RemoteEvent
 from .order_statistic_tree import TreeSequence
 from .records import CrdtRecord, PlaceholderPiece
-from .sequence import ListSequence
 from .topo_sort import (
     is_topological_order,
     sort_branch_aware,
@@ -33,7 +32,6 @@ __all__ = [
     "EventGraph",
     "EventId",
     "InternalState",
-    "ListSequence",
     "MergeEngine",
     "MergeEngineStats",
     "Operation",

@@ -2,10 +2,10 @@
 
 The :class:`InternalState` holds the sequence of record runs the walker uses
 to transform operations, together with the map from event ids to records (the
-paper's second B-tree, maintained by the sequence backend as an id range
-index).  It exposes exactly the three methods of §3.2 — ``apply``, ``retreat``
-and ``advance`` (here split into insert/delete flavours of apply) — plus
-``clear`` for the state-clearing optimisation of §3.5.
+paper's second B-tree, maintained by the sequence as an id range index).  It
+exposes exactly the three methods of §3.2 — ``apply``, ``retreat`` and
+``advance`` (here split into insert/delete flavours of apply) — plus ``clear``
+for the state-clearing optimisation of §3.5.
 
 All methods are **run-native**: one call applies/retreats/advances a whole run
 event, touching O(spans) items instead of O(chars).  Record runs are split
@@ -31,9 +31,12 @@ insertion time (its *origins*), and a small scan over the other concurrent
 records placed at the same gap decides a consistent total order regardless of
 the order in which the events are replayed.
 
-The sequence itself is provided by a pluggable backend (list or
-order-statistic tree, see :mod:`repro.core.sequence`), so this module contains
-only algorithmic logic and no data-structure code.
+The sequence itself is the order-statistic tree of
+:mod:`repro.core.order_statistic_tree`, so this module contains only
+algorithmic logic and no data-structure code.  The integration rule is
+checked against an independent implementation of the same rule,
+:class:`repro.crdt.SimpleListCRDT`, which shadows every replica of the
+convergence fuzzer.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .ids import EventId
+from .order_statistic_tree import TreeSequence
 from .records import (
     INSERTED,
     NOT_YET_INSERTED,
@@ -51,13 +55,7 @@ from .records import (
     OriginRef,
     PlaceholderPiece,
 )
-from .sequence import (
-    SYNTHETIC_AGENT,
-    Cursor,
-    ListSequence,
-    SequenceBackend,
-    carved_record_id,
-)
+from .sequence import SYNTHETIC_AGENT, Cursor, carved_record_id
 
 __all__ = ["InternalState", "DeleteSegment"]
 
@@ -82,10 +80,10 @@ class DeleteSegment:
 
 
 class InternalState:
-    """The walker's transient CRDT state over a pluggable sequence backend.
+    """The walker's transient CRDT state over its item sequence.
 
     Args:
-        backend: the item sequence (list or order-statistic tree).
+        sequence: the item sequence; an empty tree by default.
         merge_spans: re-merge adjacent same-state spans after state changes
             (the inverse of lazy splitting).  On by default; the CRDT
             converters disable it because they read each event's record (with
@@ -93,9 +91,9 @@ class InternalState:
     """
 
     def __init__(
-        self, backend: SequenceBackend | None = None, *, merge_spans: bool = True
+        self, sequence: TreeSequence | None = None, *, merge_spans: bool = True
     ) -> None:
-        self.sequence: SequenceBackend = backend if backend is not None else ListSequence()
+        self.sequence = sequence if sequence is not None else TreeSequence(0)
         self.merge_spans = merge_spans
         #: Number of span coalesces performed (cumulative across clears).
         self.spans_merged = 0

@@ -11,12 +11,12 @@ prepare-visible and effect-visible characters in its subtree, so that
 * updating a record's state only requires fixing the counters on the path to
   the root.
 
-:class:`TreeSequence` implements the :class:`~repro.core.sequence.SequenceBackend`
-contract on top of such a tree.  Items (record runs and placeholder pieces)
-live in the leaves; each item keeps a back-pointer to its leaf (the paper's
-second B-tree maps event ids to records — here the shared id range index of
-:class:`~repro.core.sequence.SequenceBackend` stores the record object and
-uses the back-pointer, which is updated whenever leaves split, exactly as
+:class:`TreeSequence` is the walker's item sequence, built on such a tree.
+Items (record runs and placeholder pieces) live in the leaves; each item
+keeps a back-pointer to its leaf (the paper's second B-tree maps event ids to
+records — here the id range index of
+:class:`~repro.core.sequence.RecordIndex` stores the record object and uses
+the back-pointer, which is updated whenever leaves split, exactly as
 described in §3.4).
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterator
 
+from .ids import EventId
 from .records import (
     INSERTED,
     CrdtRecord,
@@ -33,7 +34,7 @@ from .records import (
     PlaceholderPiece,
     placeholder_origin,
 )
-from .sequence import Cursor, SequenceBackend, _ref_to_unit
+from .sequence import Cursor, RecordIndex, _ref_to_unit
 
 __all__ = ["TreeSequence"]
 
@@ -85,8 +86,8 @@ class _Internal:
         self.eff = sum(c.eff for c in self.children)
 
 
-class TreeSequence(SequenceBackend):
-    """Order-statistic B+-tree implementation of the internal-state sequence."""
+class TreeSequence(RecordIndex):
+    """The internal-state item sequence as an order-statistic B+-tree."""
 
     def __init__(self, placeholder_length: int = 0) -> None:
         super().__init__()
@@ -101,6 +102,7 @@ class TreeSequence(SequenceBackend):
     # Construction / reset
     # ------------------------------------------------------------------
     def clear(self, placeholder_length: int) -> None:
+        """Reset to a single placeholder of ``placeholder_length`` units."""
         leaf = _Leaf()
         self._root = leaf
         self._first_leaf = leaf
@@ -127,7 +129,20 @@ class TreeSequence(SequenceBackend):
             self._piece_bases.insert(idx, piece.base)
             self._pieces[piece.base] = piece
 
+    def resolve_ref(self, ref: OriginRef) -> tuple[Item, int]:
+        """Resolve an origin reference to the (item, unit offset) holding it."""
+        if isinstance(ref, EventId):
+            return self.record_at(ref)
+        if isinstance(ref, tuple) and len(ref) == 2 and ref[0] == "ph":
+            original_offset = ref[1]
+            carved = self.carved_record_at(original_offset)
+            if carved is not None:
+                return carved
+            return self.resolve_placeholder(original_offset)
+        raise TypeError(f"cannot resolve origin reference {ref!r}")
+
     def resolve_placeholder(self, original_offset: int) -> tuple[PlaceholderPiece, int]:
+        """The placeholder piece currently holding an original offset."""
         idx = bisect.bisect_right(self._piece_bases, original_offset) - 1
         if idx < 0:
             raise KeyError(f"placeholder offset {original_offset} not found")
@@ -140,6 +155,7 @@ class TreeSequence(SequenceBackend):
     # Lookups
     # ------------------------------------------------------------------
     def find_visible_unit(self, prepare_pos: int) -> tuple[Item, int]:
+        """The unit that is the ``prepare_pos``-th prepare-visible unit."""
         if prepare_pos < 0 or prepare_pos >= self._root.prep:
             raise IndexError(
                 f"delete position {prepare_pos} beyond prepare-visible length "
@@ -163,6 +179,7 @@ class TreeSequence(SequenceBackend):
         raise RuntimeError("prepare counters out of sync")  # pragma: no cover
 
     def find_insert_cursor(self, prepare_pos: int) -> Cursor:
+        """Leftmost gap with exactly ``prepare_pos`` prepare-visible units before it."""
         if prepare_pos == 0:
             first_item = self._first_item()
             return Cursor(first_item, 0) if first_item is not None else Cursor(None)
@@ -180,6 +197,7 @@ class TreeSequence(SequenceBackend):
         return Cursor(nxt, 0) if nxt is not None else Cursor(None)
 
     def origin_left_of_cursor(self, cursor: Cursor) -> OriginRef:
+        """Id-based reference to the unit immediately before ``cursor`` (None = start)."""
         if cursor.item is not None and cursor.offset > 0:
             return _ref_to_unit(cursor.item, cursor.offset - 1)
         prev = (
@@ -192,6 +210,8 @@ class TreeSequence(SequenceBackend):
         return _ref_to_unit(prev, prev.length - 1)
 
     def next_existing_in_prepare(self, cursor: Cursor) -> OriginRef:
+        """Reference to the first unit at/after ``cursor`` that exists in the
+        prepare version (``s_p >= 1`` or placeholder); None = document end."""
         if cursor.at_end:
             return None
         item: Item | None = cursor.item
@@ -206,13 +226,26 @@ class TreeSequence(SequenceBackend):
             first = False
         return None
 
+    def unit_position_of_ref(self, ref: OriginRef) -> int:
+        """Absolute unit index of an origin reference."""
+        item, offset = self.resolve_ref(ref)
+        return self.unit_position_of_item(item, offset)
+
     def unit_position_of_item(self, item: Item, offset: int = 0) -> int:
+        """Number of units strictly before the given unit."""
         return self._position_of_item(item, offset, effect=False, units=True)
 
     def effect_position_of_item(self, item: Item, offset: int = 0) -> int:
+        """Number of effect-visible units strictly before the given unit.
+
+        ``offset`` is a unit offset within ``item`` and must only be non-zero
+        for items that are effect-visible (placeholders or undeleted records),
+        where unit offsets and effect offsets coincide.
+        """
         return self._position_of_item(item, offset, effect=True, units=False)
 
     def iter_items_from_cursor(self, cursor: Cursor) -> Iterator[Item]:
+        """Items from the cursor's item (inclusive) to the end of the sequence."""
         if cursor.at_end:
             return
         leaf = cursor.item.leaf
@@ -233,6 +266,8 @@ class TreeSequence(SequenceBackend):
     # Mutation
     # ------------------------------------------------------------------
     def insert_record_at_cursor(self, cursor: Cursor, record: CrdtRecord) -> None:
+        """Insert ``record`` at the gap identified by ``cursor`` (splitting the
+        item the cursor points into when the gap is strictly inside it)."""
         if cursor.at_end:
             self._append_record(record)
             return
@@ -248,6 +283,7 @@ class TreeSequence(SequenceBackend):
         self._insert_before(cursor.item, record)
 
     def insert_record_before_item(self, target: Item | None, record: CrdtRecord) -> None:
+        """Insert ``record`` immediately before ``target`` (None = append)."""
         if target is None:
             self._append_record(record)
             return
@@ -256,6 +292,8 @@ class TreeSequence(SequenceBackend):
     def convert_placeholder_run(
         self, piece: PlaceholderPiece, offset: int, record: CrdtRecord
     ) -> None:
+        """Replace ``record.length`` placeholder units starting at ``offset``
+        with ``record`` (splitting the piece as needed)."""
         if offset + record.length > piece.length:
             raise ValueError("carved run exceeds the placeholder piece")
         if record.ph_base is None:
@@ -264,6 +302,11 @@ class TreeSequence(SequenceBackend):
         self.register_record(record)
 
     def split_record(self, record: CrdtRecord, offset: int) -> CrdtRecord:
+        """Split ``record`` before character ``offset``; return the right half.
+
+        Aggregate counts are unchanged; the right half is registered with the
+        id index (and the carved index, for carved runs).
+        """
         leaf: _Leaf = record.leaf  # type: ignore[assignment]
         idx = leaf.items.index(record)
         right = record.split(offset)
@@ -278,6 +321,14 @@ class TreeSequence(SequenceBackend):
         return right
 
     def merge_into_left(self, left: CrdtRecord, right: CrdtRecord) -> None:
+        """Coalesce ``right`` (the item directly after ``left``) into ``left``.
+
+        The inverse of :meth:`split_record`: ``right`` is removed from the
+        sequence and its indices, and ``left`` grows to cover its characters.
+        The caller guarantees mergeability (:meth:`CrdtRecord.can_merge_with`),
+        which makes the operation lossless — a later split at the same
+        boundary reconstructs byte-identical records.
+        """
         # Remove the right half from its leaf first (its counters still
         # describe it), then grow the left half and credit its leaf.  The two
         # may live in different leaves; a leaf left empty stays in the tree
@@ -295,6 +346,7 @@ class TreeSequence(SequenceBackend):
         self._bubble_add(left.leaf, units, prep, eff)  # type: ignore[arg-type]
 
     def neighbours(self, item: Item) -> tuple[Item | None, Item | None]:
+        """The items directly before and after ``item`` (``None`` at an end)."""
         items = item.leaf.items  # type: ignore[union-attr]
         idx = items.index(item)
         return (
@@ -303,6 +355,7 @@ class TreeSequence(SequenceBackend):
         )
 
     def update_item_counts(self, item: Item, d_prepare: int, d_effect: int) -> None:
+        """Notify the tree that ``item``'s visibility counters changed."""
         if d_prepare == 0 and d_effect == 0:
             return
         leaf: _Leaf = item.leaf  # type: ignore[assignment]
@@ -321,12 +374,15 @@ class TreeSequence(SequenceBackend):
         return self._root.total
 
     def prepare_length(self) -> int:
+        """Total prepare-visible units (document length in the prepare version)."""
         return self._root.prep
 
     def effect_length(self) -> int:
+        """Total effect-visible units (document length in the effect version)."""
         return self._root.eff
 
     def memory_items(self) -> int:
+        """Number of items currently held (used by the memory benchmarks)."""
         return self._item_count
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Several layers of the pipeline need the same structure: values are registered
 under an integer start key, each value covers a contiguous half-open range of
 keys (its *length*), and lookups resolve any key to the covering value plus an
 offset.  The event graph uses it per agent to map ``seq`` ids to run events;
-the internal-state sequence backends use it to map character ids to record
+the internal-state sequence uses it to map character ids to record
 spans and original placeholder offsets to carved records.
 
 Registration is O(log n) via bisect.  Ranges are usually *refined* — a split

@@ -81,8 +81,8 @@ class CrdtRecord:
             first character within the *original* placeholder; ``None`` for
             ordinary insertions.  Kept so ``('ph', offset)`` origin references
             keep resolving after the carve (and after later splits).
-        leaf: back-pointer maintained by the tree sequence backend so a record
-            can be located in O(log n); unused by the list backend.
+        leaf: back-pointer maintained by the tree sequence so a record can
+            be located in O(log n).
     """
 
     id: EventId
@@ -212,7 +212,7 @@ class PlaceholderPiece:
     leaf: object = None
 
     #: A placeholder is visible in both versions: the two constants let the
-    #: backends' counting loops read every item's state the same way.
+    #: tree's counting loops read every item's state the same way.
     prepare_state = INSERTED
     ever_deleted = False
 

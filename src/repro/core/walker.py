@@ -39,7 +39,6 @@ from .event_graph import EventGraph, Version
 from .ids import Operation, OpKind, delete_op, insert_op
 from .internal_state import InternalState
 from .order_statistic_tree import TreeSequence
-from .sequence import ListSequence
 from .topo_sort import sort_branch_aware, sort_interleaved, sort_local_order
 
 __all__ = ["EgWalker", "ReplayResult", "TransformedOp", "WalkerStats", "coalesce_ops"]
@@ -152,11 +151,13 @@ _SORTERS: dict[str, Callable[[EventGraph, Iterable[int]], list[int]]] = {
 class EgWalker:
     """Replays event graphs into transformed operations.
 
+    The internal state lives in the order-statistic tree of §3.4.  Its
+    ordering of concurrent insertions is checked against an independent
+    implementation of the same YjsMod rule: :class:`repro.crdt.SimpleListCRDT`
+    shadows every replica of the convergence fuzzer.
+
     Args:
         graph: the event graph to replay from.
-        backend: ``"tree"`` (default) uses the order-statistic B-tree of §3.4;
-            ``"list"`` uses a flat list with linear scans (the simple variant
-            used as a correctness oracle).
         enable_clearing: enable the critical-version optimisations of §3.5
             (state clearing plus the transform-free fast path).  Disabling
             this reproduces the "opt disabled" series of Figure 9.
@@ -169,17 +170,13 @@ class EgWalker:
         self,
         graph: EventGraph,
         *,
-        backend: str = "tree",
         enable_clearing: bool = True,
         sort_strategy: str = "branch_aware",
     ) -> None:
-        if backend not in ("tree", "list"):
-            raise ValueError(f"unknown backend {backend!r}")
         if sort_strategy not in _SORTERS:
             raise ValueError(f"unknown sort strategy {sort_strategy!r}")
         self.graph = graph
         self.causal = CausalGraph(graph)
-        self.backend = backend
         self.enable_clearing = enable_clearing
         self.sort_strategy = sort_strategy
         self.last_stats: WalkerStats | None = None
@@ -244,7 +241,7 @@ class EgWalker:
             order = list(order)
 
         if state is None:
-            state = InternalState(self._make_backend(base_doc_length))
+            state = InternalState(TreeSequence(base_doc_length))
         sequence = state.sequence
         use_clearing = self.enable_clearing if clearing is None else clearing
         cuts: dict[int, Version] = {}
@@ -394,9 +391,3 @@ class EgWalker:
         """
         subset = self.causal.ancestors(version)
         return self.replay_text(subset)
-
-    # ------------------------------------------------------------------
-    def _make_backend(self, placeholder_length: int) -> TreeSequence | ListSequence:
-        if self.backend == "tree":
-            return TreeSequence(placeholder_length)
-        return ListSequence(placeholder_length)

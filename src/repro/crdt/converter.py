@@ -26,7 +26,6 @@ from ..core.causal_graph import CausalGraph
 from ..core.event_graph import EventGraph
 from ..core.ids import EventId
 from ..core.internal_state import InternalState
-from ..core.order_statistic_tree import TreeSequence
 from ..core.records import OriginRef
 from ..core.topo_sort import sort_branch_aware
 from .list_crdt import CrdtDeleteOp, CrdtInsertOp, CrdtOp
@@ -57,7 +56,7 @@ def event_graph_to_crdt_ops(graph: EventGraph) -> list[CrdtOp]:
     # Span re-merging is disabled: each event's record (with that event's own
     # origins) is read back right after applying it, and a merge would replace
     # those origins with the absorbing run's.
-    state = InternalState(TreeSequence(0), merge_spans=False)
+    state = InternalState(merge_spans=False)
     order = sort_branch_aware(graph, range(len(graph)))
 
     ops: list[CrdtOp] = []

@@ -26,7 +26,6 @@ from ..core.causal_graph import CausalGraph
 from ..core.event_graph import EventGraph
 from ..core.ids import EventId
 from ..core.internal_state import InternalState
-from ..core.order_statistic_tree import TreeSequence
 from ..core.records import CrdtRecord, OriginRef
 from ..core.topo_sort import sort_branch_aware
 from ..storage.varint import ByteReader, ByteWriter
@@ -70,7 +69,7 @@ class RefCRDTDocument:
         causal = CausalGraph(graph)
         # Like the converter, the materialisation step reads per-run origins
         # out of the final record sequence, so spans must not be re-merged.
-        state = InternalState(TreeSequence(0), merge_spans=False)
+        state = InternalState(merge_spans=False)
         order = sort_branch_aware(graph, range(len(graph)))
         # Per-character content of every insert run, keyed by the run's first
         # character id (content of character (agent, seq+k) is content[k]).

@@ -87,8 +87,7 @@ def test_every_walker_configuration_agrees(script):
                 doc.merge(other)
     graph = docs[0].oplog.graph
     texts = {
-        EgWalker(graph, backend=backend, enable_clearing=clearing).replay_text()
-        for backend in ("list", "tree")
+        EgWalker(graph, enable_clearing=clearing).replay_text()
         for clearing in (True, False)
     }
     assert len(texts) == 1

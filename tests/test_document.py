@@ -6,9 +6,12 @@ import warnings
 import pytest
 
 from repro.core.document import Document
+from repro.core.event_graph import EventGraph
 from repro.core.ids import EventId, insert_op
+from repro.core.internal_state import InternalState
 from repro.core.merge_engine import MergeEngine
 from repro.core.oplog import OpLog, RemoteEvent
+from repro.core.order_statistic_tree import TreeSequence
 from repro.core.walker import EgWalker
 from repro.history import Version
 
@@ -381,6 +384,11 @@ class TestOptionSurface:
         assert list(inspect.signature(OpLog).parameters) == ["agent", "graph"]
         with pytest.raises(TypeError):
             Document("alice", backend="list")  # type: ignore[call-arg]
+        # One sequence implementation: the walker has no backend option and
+        # the internal state starts on the tree.
+        with pytest.raises(TypeError):
+            EgWalker(EventGraph(), backend="list")  # type: ignore[call-arg]
+        assert isinstance(InternalState().sequence, TreeSequence)
 
     def test_causal_buffer_takes_only_deliver_batch(self):
         from repro.network import CausalBuffer
@@ -426,12 +434,12 @@ class TestOptionSurface:
         params = inspect.signature(MergeEngine).parameters
         assert list(params) == ["oplog", "rope"]
 
-    def test_walker_keeps_the_reference_and_figure_knobs(self):
+    def test_walker_keeps_only_the_figure_knobs(self):
         params = inspect.signature(EgWalker).parameters
         keyword_only = {
             name for name, p in params.items() if p.kind is p.KEYWORD_ONLY
         }
-        assert keyword_only == {"backend", "enable_clearing", "sort_strategy"}
+        assert keyword_only == {"enable_clearing", "sort_strategy"}
 
     def test_index_based_snapshot_shims_are_gone(self):
         for name in ("remote_version", "text_at_remote", "history_versions"):
@@ -441,9 +449,8 @@ class TestOptionSurface:
 
 
 class TestWalkerConfigurationsOnDocuments:
-    @pytest.mark.parametrize("backend", ["list", "tree"])
     @pytest.mark.parametrize("clearing", [True, False])
-    def test_document_options_converge(self, backend, clearing):
+    def test_document_options_converge(self, clearing):
         alice = Document("alice")
         bob = Document("bob")
         alice.insert(0, "Helo")
@@ -454,7 +461,7 @@ class TestWalkerConfigurationsOnDocuments:
         bob.merge(alice)
         assert alice.text == bob.text == "Hello!"
         for doc in (alice, bob):
-            walker = EgWalker(doc.oplog.graph, backend=backend, enable_clearing=clearing)
+            walker = EgWalker(doc.oplog.graph, enable_clearing=clearing)
             assert walker.replay_text() == "Hello!"
 
 
@@ -467,8 +474,6 @@ class TestAdoption:
         """A two-branch (or a linear) history as a decoder would hand it
         over: a private graph (bulk-built from columns) and the text at its
         frontier."""
-        from repro.core.event_graph import EventGraph
-
         alice, bob = Document("alice"), Document("bob")
         alice.insert(0, "shared base. ")
         bob.merge(alice)

@@ -45,7 +45,7 @@ def sequential_graph(chunks: list[str], agent: str = "a") -> EventGraph:
 
 def oracle_text(document: Document) -> str:
     expanded = expand_to_chars(document.oplog.graph)
-    return EgWalker(expanded, backend="list", enable_clearing=False).replay_text()
+    return EgWalker(expanded, enable_clearing=False).replay_text()
 
 
 class TestHandleIndirection:

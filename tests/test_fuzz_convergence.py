@@ -20,18 +20,31 @@ with a mix of
   partial-overlap ingestion everywhere that event travels — the
   split-on-ingest paths this fuzzer exists to hammer.
 
+Every replica that edits carries a **shadow**: a
+:class:`~repro.crdt.SimpleListCRDT` (YATA/YjsMod with linear scans, sharing no
+code with the walker) under the replica's agent name.  Each local edit is
+applied to the :class:`Document` first and then to the shadow, which
+generates its own id-based ops from its own view of the text; the ops go into
+a per-session pool keyed by character id, and their ids must be exactly the
+ids of the exported events.  Before each edit the shadow catches up on every
+id of its replica's graph (in local order) and must then hold the replica's
+text.  A wrong ordering rule that every replica applies alike still converges
+— only an oracle that does not share the rule can see it.
+
 Sessions run on a full mesh and on a star (relay) topology: after healing
 everything and draining the network, every replica must hold the same text,
-and that text must match the per-character
-:func:`~repro.core.event_graph.expand_to_chars` oracle replayed with the
-simple list backend.
+that text must be the text of a shadow fed exactly the ops of the replica's
+graph, and it must match the per-character
+:func:`~repro.core.event_graph.expand_to_chars` replay (the check on
+run-length encoding).
 
 On top of convergence, every session exercises the **version stability**
 property of the id-based history subsystem: replicas save
 ``document.version()`` handles (with the text they stood for) at random
 points mid-session, and at the end — after all the in-place run extensions,
 interop splits and re-carved syncs above — ``text_at(saved)`` must reproduce
-the saved text exactly, must agree with the per-character oracle, saved
+the saved text exactly, must equal a shadow fed exactly the events of the
+saved version (and the per-character replay), saved
 handles must round-trip through the storage codec, and ``diff`` between a
 replica's consecutive saves must transform one saved text into the next.
 
@@ -48,8 +61,8 @@ which adopts the decoded graph and the snapshot text instead of re-ingesting
 and re-merging them — must agree with a twin that ingests the same events
 through ``apply_remote_events`` on every event, the frontier, the critical
 cuts and their versions and the text, must hold no walker state, and 20
-further fuzzed edits exchanged between the two must converge to the
-per-character oracle.  Files without a snapshot column (the pruned one among
+further fuzzed edits exchanged between the two — shadowed like every other
+edit — must converge to the shadow's text.  Files without a snapshot column (the pruned one among
 them) take the in-place replay fallback.
 
 Each session also checks **handle stability** of the columnar event graph:
@@ -68,13 +81,18 @@ modest count, nightly jobs can crank it up.
 from __future__ import annotations
 
 import random
+from typing import Callable, Iterable, Iterator
 
+from repro.core.causal_graph import CausalGraph
 from repro.core.critical_versions import critical_cut_positions
 from repro.core.document import Document
-from repro.core.event_graph import expand_to_chars
-from repro.core.oplog import graph_to_remote_events, recarve_events
+from repro.core.event_graph import EventGraph, expand_to_chars
+from repro.core.ids import EventId
+from repro.core.oplog import RemoteEvent, graph_to_remote_events, recarve_events
 from repro.core.walker import EgWalker
+from repro.crdt import CrdtOp, SimpleListCRDT
 from repro.history import History, Version, apply_ops
+from repro.network import Replica
 from repro.network.simulator import full_mesh, star
 from repro.storage import (
     ContainerOptions,
@@ -89,18 +107,93 @@ BASE_SEED = 0xE6_2024
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-def oracle_text(document: Document) -> str:
-    """The document text according to the per-character oracle."""
-    expanded = expand_to_chars(document.oplog.graph)
-    return EgWalker(expanded, backend="list", enable_clearing=False).replay_text()
+def char_ids(graph: EventGraph) -> Iterator[EventId]:
+    """Every character id of ``graph``, in local (causal) order."""
+    for event in graph.events():
+        for offset in range(event.op.length):
+            yield event.id.advance(offset)
 
 
-def oracle_text_at(document: Document, version: Version) -> str:
-    """The text at ``version`` according to the per-character oracle."""
+class Shadows:
+    """The session's :class:`SimpleListCRDT` shadow replicas and their op pool."""
+
+    def __init__(self, context: str) -> None:
+        self.context = context
+        #: Every op a shadow generated this session, by character id.
+        self.pool: dict[EventId, CrdtOp] = {}
+        self._shadows: dict[str, SimpleListCRDT] = {}
+
+    def text_of(self, ids: Iterable[EventId]) -> str:
+        """The text of a fresh shadow fed exactly the ops of ``ids``."""
+        shadow = SimpleListCRDT("oracle")
+        shadow.apply_all(self.pool[i] for i in ids)
+        return shadow.text()
+
+    def insert(self, replica: Replica, pos: int, content: str) -> list[RemoteEvent]:
+        return self._edit(
+            replica,
+            lambda: replica.local_insert(pos, content),
+            lambda shadow: shadow.local_insert(pos, content),
+        )
+
+    def delete(self, replica: Replica, pos: int, length: int) -> list[RemoteEvent]:
+        return self._edit(
+            replica,
+            lambda: replica.local_delete(pos, length),
+            lambda shadow: shadow.local_delete(pos, length),
+        )
+
+    def _edit(
+        self,
+        replica: Replica,
+        edit: Callable[[], list[RemoteEvent]],
+        shadow_edit: Callable[[SimpleListCRDT], list[CrdtOp]],
+    ) -> list[RemoteEvent]:
+        document = replica.document
+        shadow = self._shadows.setdefault(replica.agent, SimpleListCRDT(replica.agent))
+        shadow.apply_all(self.pool[i] for i in char_ids(document.oplog.graph))
+        assert shadow.text() == document.text, (
+            f"replica {replica.agent} disagrees with its shadow ({self.context})"
+        )
+        # The Document first: it refuses an out-of-range edit before the
+        # shadow sees it.
+        exported = edit()
+        ops = shadow_edit(shadow)
+        exported_ids = [e.id.advance(k) for e in exported for k in range(e.op.length)]
+        assert [op.id for op in ops] == exported_ids, (
+            f"shadow op ids differ from the exported event ids ({self.context})"
+        )
+        for op in ops:
+            assert op.id not in self.pool, f"id {op.id} generated twice ({self.context})"
+            self.pool[op.id] = op
+        return exported
+
+
+def oracle_text(shadows: Shadows, document: Document) -> str:
+    """The document text per the shadow oracle: a fresh shadow fed exactly
+    the ops of the document's graph."""
+    return shadows.text_of(char_ids(document.oplog.graph))
+
+
+def per_char_text(document: Document) -> str:
+    """The per-character replay of the document's graph (the check on
+    run-length encoding)."""
     expanded = expand_to_chars(document.oplog.graph)
-    indices = tuple(sorted({expanded.index_of(eid) for eid in version.ids}))
-    walker = EgWalker(expanded, backend="list", enable_clearing=False)
-    return walker.text_at_version(indices)
+    return EgWalker(expanded, enable_clearing=False).replay_text()
+
+
+def oracle_text_at(shadows: Shadows, document: Document, version: Version) -> str:
+    """:func:`oracle_text` at ``version``: a shadow fed exactly its events."""
+    expanded = expand_to_chars(document.oplog.graph)
+    heads = tuple(sorted({expanded.index_of(eid) for eid in version.ids}))
+    events = sorted(CausalGraph(expanded).ancestors(heads))
+    text = shadows.text_of(expanded.id_of(i) for i in events)
+    per_char = EgWalker(expanded, enable_clearing=False).text_at_version(heads)
+    assert per_char == text, (
+        f"per-character replay at a version disagrees with the shadow "
+        f"({shadows.context})"
+    )
+    return text
 
 
 def random_recarve(rng: random.Random, events):
@@ -130,6 +223,8 @@ def run_session(
     else:
         sim = full_mesh(names, latency=0.01)
         all_names = names
+    context = f"seed {seed}, {topology}"
+    shadows = Shadows(context)
     partitioned: set[frozenset[str]] = set()
     #: Version-stability snapshots: (replica name, saved handle, saved text).
     saved_versions: list[tuple[str, Version, str]] = []
@@ -150,10 +245,12 @@ def run_session(
         if roll < 0.45 or not replica.text:
             pos = rng.randint(0, len(replica.text))
             length = rng.randint(1, 6)
-            replica.insert(pos, "".join(rng.choice(ALPHABET) for _ in range(length)))
+            content = "".join(rng.choice(ALPHABET) for _ in range(length))
+            sim.broadcast(replica.name, shadows.insert(replica, pos, content))
         elif roll < 0.62:
             pos = rng.randrange(len(replica.text))
-            replica.delete(pos, min(rng.randint(1, 4), len(replica.text) - pos))
+            length = min(rng.randint(1, 4), len(replica.text) - pos)
+            sim.broadcast(replica.name, shadows.delete(replica, pos, length))
         elif roll < 0.72 and topology == "mesh":
             a, b = rng.sample(names, 2)
             key = frozenset((a, b))
@@ -197,14 +294,17 @@ def run_session(
         f"replicas diverged (seed {seed}, {topology}): {texts}"
     )
     expected = next(iter(texts.values()))
+    # Every replica — the hub too — holds the text of a shadow fed exactly
+    # the ops of its graph.
     for name, replica in sim.replicas.items():
-        assert oracle_text(replica.document) == expected, (
-            f"replica {name} disagrees with the per-character oracle "
-            f"(seed {seed}, {topology})"
+        assert oracle_text(shadows, replica.document) == expected, (
+            f"replica {name} disagrees with the shadow oracle ({context})"
+        )
+        assert per_char_text(replica.document) == expected, (
+            f"replica {name} disagrees with the per-character replay ({context})"
         )
 
     # --- version stability: saved handles still mean what they meant -------
-    context = f"seed {seed}, {topology}"
     per_replica: dict[str, list[tuple[Version, str]]] = {}
     for owner, version, text in saved_versions:
         document = sim.replicas[owner].document
@@ -213,9 +313,9 @@ def run_session(
             f"text_at(saved version) diverged from the text the replica held "
             f"when the handle was taken ({context}, owner {owner})"
         )
-        assert reconstructed == oracle_text_at(document, version), (
-            f"text_at(saved version) disagrees with the per-character oracle "
-            f"({context}, owner {owner})"
+        assert reconstructed == oracle_text_at(shadows, document, version), (
+            f"text_at(saved version) disagrees with a shadow fed exactly the "
+            f"events of the version ({context}, owner {owner})"
         )
         # The handle resolves on *every* replica (all have converged), not
         # just the one that took it.
@@ -310,7 +410,7 @@ def run_session(
     recarved_doc.apply_remote_events(
         random_recarve(rng, sample.oplog.export_events())
     )
-    assert recarved_doc.text == expected, (
+    assert recarved_doc.text == expected == oracle_text(shadows, recarved_doc), (
         f"re-carved interop copy diverged before the round trip ({context})"
     )
     # ...of which the snapshot-bearing file joins the adoption property.
@@ -322,9 +422,7 @@ def run_session(
 
     # --- adopted ≡ re-ingested ----------------------------------------------
     for number, data in enumerate(files):
-        _assert_adopted_equals_reingested(
-            data, expected, f"{context}, file {number}", rng
-        )
+        _assert_adopted_equals_reingested(data, expected, number, shadows, rng)
 
 
 def _column_payloads(data: bytes) -> list[tuple[int, bytes]]:
@@ -368,12 +466,14 @@ def _assert_v3_round_trip(graph, expected_text: str, context: str) -> list[bytes
 
 
 def _assert_adopted_equals_reingested(
-    data: bytes, expected_text: str, context: str, rng: random.Random
+    data: bytes, expected_text: str, number: int, shadows: Shadows, rng: random.Random
 ) -> None:
     """``Document.from_bytes`` (adoption) ≡ ingesting the same file's events."""
+    context = f"{shadows.context}, file {number}"
     decoded = decode_file(data)
-    adopted = Document.from_bytes(data, "adopted")
-    twin = Document("twin")
+    # Agents are unique per file: their shadowed edits share the session pool.
+    adopted = Document.from_bytes(data, f"adopted{number}")
+    twin = Document(f"twin{number}")
     twin.apply_remote_events(graph_to_remote_events(decoded.graph))
 
     stats = adopted.merge_stats
@@ -409,22 +509,30 @@ def _assert_adopted_equals_reingested(
         ), f"critical version at cut {cut} differs ({context})"
 
     # 20 further edits, exchanged now and then so both sides see concurrency.
+    # They happen outside the simulator, so each side gets its own shadow.
     pair = (adopted, twin)
+    editors = (Replica(adopted), Replica(twin))
     for step in range(20):
-        document = pair[rng.randrange(2)]
-        if not document.text or rng.random() < 0.65:
-            pos = rng.randint(0, len(document.text))
+        editor = editors[rng.randrange(2)]
+        text = editor.text
+        if not text or rng.random() < 0.65:
+            pos = rng.randint(0, len(text))
             length = rng.randint(1, 4)
-            document.insert(pos, "".join(rng.choice(ALPHABET) for _ in range(length)))
+            content = "".join(rng.choice(ALPHABET) for _ in range(length))
+            shadows.insert(editor, pos, content)
         else:
-            pos = rng.randrange(len(document.text))
-            document.delete(pos, min(rng.randint(1, 3), len(document.text) - pos))
+            pos = rng.randrange(len(text))
+            shadows.delete(editor, pos, min(rng.randint(1, 3), len(text) - pos))
         if step == 19 or rng.random() < 0.3:
             for sender, receiver in (pair, pair[::-1]):
                 receiver.apply_remote_events(sender.events_since(receiver.version()))
-    assert adopted.text == twin.text == oracle_text(adopted), (
-        f"edits on top of an adopted document diverged ({context})"
-    )
+    assert (
+        oracle_text(shadows, adopted)
+        == per_char_text(adopted)
+        == adopted.text
+        == twin.text
+        == oracle_text(shadows, twin)
+    ), f"edits on top of an adopted document diverged ({context})"
 
 
 def test_convergence_fuzz(fuzz_iterations):

@@ -34,7 +34,7 @@ def oracle_text_at(document: Document, version: Version) -> str:
     """Reconstruct ``version`` on the per-character oracle graph."""
     expanded = expand_to_chars(document.oplog.graph)
     indices = tuple(sorted({expanded.index_of(eid) for eid in version.ids}))
-    walker = EgWalker(expanded, backend="list", enable_clearing=False)
+    walker = EgWalker(expanded, enable_clearing=False)
     return walker.text_at_version(indices)
 
 

@@ -32,7 +32,7 @@ from repro.traces.generator import generate_concurrent
 
 def oracle_text(document: Document) -> str:
     expanded = expand_to_chars(document.oplog.graph)
-    return EgWalker(expanded, backend="list", enable_clearing=False).replay_text()
+    return EgWalker(expanded, enable_clearing=False).replay_text()
 
 
 # ----------------------------------------------------------------------

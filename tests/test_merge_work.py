@@ -10,7 +10,6 @@ for overlap (in comments, measured on this history).
 """
 
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 
@@ -18,7 +17,7 @@ from repro.core.document import Document
 from repro.core.event_graph import EventGraph
 from repro.core.oplog import graph_to_remote_events
 from repro.core.order_statistic_tree import TreeSequence
-from repro.core.sequence import ListSequence, SequenceBackend
+from repro.core.sequence import RecordIndex
 from repro.core.walker import EgWalker
 from repro.traces.generator import generate_async
 
@@ -48,7 +47,7 @@ def _counting(monkeypatch, calls: Counter, owner: type, name: str) -> None:
 
 def test_lookups_per_event(history, monkeypatch):
     calls: Counter = Counter()
-    _counting(monkeypatch, calls, SequenceBackend, "record_at_seq")
+    _counting(monkeypatch, calls, RecordIndex, "record_at_seq")
     _counting(monkeypatch, calls, TreeSequence, "neighbours")
     _counting(monkeypatch, calls, EventGraph, "_locate_handle")
     document = Document("work")
@@ -61,15 +60,7 @@ def test_lookups_per_event(history, monkeypatch):
     assert calls["_locate_handle"] / EVENTS <= 2.5  # 2.0 (a parent, the added span); was 4.0
 
 
-def test_both_backends_do_the_same_work(history):
+def test_a_fresh_replay_gives_the_merged_text(history):
     document = Document("work")
     document.apply_remote_events(history)
-    stats = {}
-    for backend in ("tree", "list"):
-        walker = EgWalker(document.oplog.graph, backend=backend)
-        text = walker.replay_text()
-        stats[backend] = asdict(walker.last_stats)
-        stats[backend]["text"] = text
-    assert stats["tree"] == stats["list"]
-    assert stats["tree"]["text"] == document.text
-    assert ListSequence.neighbours is not SequenceBackend.neighbours
+    assert EgWalker(document.oplog.graph).replay_text() == document.text

@@ -8,8 +8,7 @@ These tests pin down the two sides of that claim for this reproduction:
 * **Equivalence** — replaying a trace as run events produces byte-identical
   documents (and final lengths) to the expanded per-character oracle
   (:func:`repro.core.event_graph.expand_to_chars`), across all sort
-  strategies, both sequence backends, and with the §3.5 optimisations on and
-  off.
+  strategies and with the §3.5 optimisations on and off.
 * **Complexity** — a run-encoded sequential trace creates O(runs) events and
   O(runs) peak CRDT records, not O(chars).
 
@@ -28,23 +27,19 @@ from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.internal_state import InternalState
 from repro.core.order_statistic_tree import TreeSequence
 from repro.core.records import INSERTED, CrdtRecord, PlaceholderPiece
-from repro.core.sequence import ListSequence
 from repro.core.walker import EgWalker, coalesce_ops
+from repro.crdt import SimpleListCRDT, event_graph_to_crdt_ops
 from repro.traces.generator import (
     generate_async,
     generate_concurrent,
     generate_sequential,
 )
 
-BACKENDS = ["list", "tree"]
 SORT_STRATEGIES = ["branch_aware", "local", "interleaved"]
 
 
-def make_state(
-    backend: str, placeholder: int = 0, *, merge_spans: bool = True
-) -> InternalState:
-    sequence = TreeSequence(placeholder) if backend == "tree" else ListSequence(placeholder)
-    return InternalState(sequence, merge_spans=merge_spans)
+def make_state(placeholder: int = 0, *, merge_spans: bool = True) -> InternalState:
+    return InternalState(TreeSequence(placeholder), merge_spans=merge_spans)
 
 
 # ----------------------------------------------------------------------
@@ -55,22 +50,18 @@ class TestRunCharEquivalence:
         "trace_fixture",
         ["small_sequential_trace", "small_concurrent_trace", "small_async_trace"],
     )
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("sort_strategy", SORT_STRATEGIES)
     def test_run_replay_matches_per_char_oracle(
-        self, trace_fixture, backend, sort_strategy, request
+        self, trace_fixture, sort_strategy, request
     ):
         trace = request.getfixturevalue(trace_fixture)
         graph = trace.graph
         oracle_graph = expand_to_chars(graph)
         assert oracle_graph.num_chars == graph.num_chars
-        oracle = EgWalker(
-            oracle_graph, backend="list", enable_clearing=False
-        ).replay_text()
+        oracle = EgWalker(oracle_graph, enable_clearing=False).replay_text()
         for enable_clearing in (True, False):
             walker = EgWalker(
                 graph,
-                backend=backend,
                 sort_strategy=sort_strategy,
                 enable_clearing=enable_clearing,
             )
@@ -79,13 +70,27 @@ class TestRunCharEquivalence:
             assert text == oracle
             assert result.final_length == len(oracle)
 
+    @pytest.mark.parametrize(
+        "trace_fixture",
+        ["small_sequential_trace", "small_concurrent_trace", "small_async_trace"],
+    )
+    @pytest.mark.parametrize("sort_strategy", SORT_STRATEGIES)
+    def test_run_replay_matches_the_list_crdt(self, trace_fixture, sort_strategy, request):
+        """Whatever the sort order, the run replay gives the text of the
+        independent list CRDT fed the graph's id-based ops: concurrent runs
+        are ordered by that CRDT's own YjsMod integration, not the walker's."""
+        graph = request.getfixturevalue(trace_fixture).graph
+        replica = SimpleListCRDT("oracle")
+        replica.apply_all(event_graph_to_crdt_ops(graph))
+        walker = EgWalker(graph, sort_strategy=sort_strategy)
+        assert walker.replay_text() == replica.text()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_concurrent_traces_match_oracle(self, seed):
         trace = generate_concurrent("rle", target_events=160, seed=100 + seed)
         graph = trace.graph
-        oracle = EgWalker(expand_to_chars(graph), backend="list").replay_text()
-        for backend in BACKENDS:
-            assert EgWalker(graph, backend=backend).replay_text() == oracle
+        oracle = EgWalker(expand_to_chars(graph)).replay_text()
+        assert EgWalker(graph).replay_text() == oracle
 
     def test_expansion_is_identity_on_per_char_graphs(self, figure4_graph):
         expanded = expand_to_chars(figure4_graph)
@@ -132,14 +137,13 @@ class TestRunComplexity:
         # ever thrown away), the internal state holds O(runs) span records,
         # not O(chars): each insert run is one record and each delete run
         # splits at most two of them.
-        for backend in BACKENDS:
-            walker = EgWalker(graph, backend=backend, enable_clearing=False)
-            walker.replay_text()
-            stats = walker.last_stats
-            assert stats.events_processed == runs
-            assert stats.chars_processed == chars
-            assert stats.peak_records <= 3 * runs
-            assert stats.peak_records < chars / 3
+        walker = EgWalker(graph, enable_clearing=False)
+        walker.replay_text()
+        stats = walker.last_stats
+        assert stats.events_processed == runs
+        assert stats.chars_processed == chars
+        assert stats.peak_records <= 3 * runs
+        assert stats.peak_records < chars / 3
 
     def test_fast_path_counts_runs_and_chars(self, small_sequential_trace):
         graph = small_sequential_trace.graph
@@ -212,9 +216,9 @@ class TestRunTransformedOutput:
 # Placeholder carving and state clearing across boundaries (§3.5–3.6)
 # ----------------------------------------------------------------------
 class TestPlaceholderRunCarving:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delete_run_inside_placeholder_carves_one_record(self, backend):
-        state = make_state(backend, placeholder=20)
+    @pytest.mark.parametrize("merge_spans", [True, False])
+    def test_delete_run_inside_placeholder_carves_one_record(self, merge_spans):
+        state = make_state(placeholder=20, merge_spans=merge_spans)
         segments = state.apply_delete(EventId("a", 0), 5, 6)
         assert [(s.length, s.effect_pos) for s in segments] == [(6, 5)]
         assert state.prepare_length() == 14
@@ -225,12 +229,11 @@ class TestPlaceholderRunCarving:
         assert record.ever_deleted and record.length == 6
         assert record.ph_base == 5
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_adjacent_carves_by_separate_deletes_re_merge(self, backend):
+    def test_adjacent_carves_by_separate_deletes_re_merge(self):
         """Carved runs are keyed by their original placeholder offset, so two
         deletes carving adjacent spans coalesce into one record — with
         counter-allocated synthetic ids they never could (the PR 2 leftover)."""
-        state = make_state(backend, placeholder=20)
+        state = make_state(placeholder=20)
         state.apply_delete(EventId("a", 0), 5, 3)  # carves ph 5..7
         assert state.record_count() == 3  # left ph + carve + right ph
         # A second delete at the same prepare index eats the next 3 chars
@@ -250,11 +253,11 @@ class TestPlaceholderRunCarving:
         assert state.prepare_length() == 14
         assert state.effect_length() == 14
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delete_run_spanning_placeholder_and_record_boundary(self, backend):
+    @pytest.mark.parametrize("merge_spans", [True, False])
+    def test_delete_run_spanning_placeholder_and_record_boundary(self, merge_spans):
         """One delete run covers placeholder chars, an inserted run, and more
         placeholder chars — it must carve/split into per-boundary segments."""
-        state = make_state(backend, placeholder=10)
+        state = make_state(placeholder=10, merge_spans=merge_spans)
         # An insert run in the middle of the placeholder: [0..4] R(5) [5..9]
         state.apply_insert(EventId("ins", 0), 5, 3)
         assert state.prepare_length() == 13
@@ -269,11 +272,10 @@ class TestPlaceholderRunCarving:
         record = state.record_for(EventId("ins", 0))
         assert record.length == 3 and record.ever_deleted
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delete_run_spanning_boundary_via_walker(self, backend):
+    def test_delete_run_spanning_boundary_via_walker(self):
         """The same §3.6 scenario end-to-end: a remote delete run spanning the
         base-version placeholder and a freshly merged insert run — merged by
-        documents, then replayed by the walker on each backend (its state
+        documents, then replayed by the walker (its state
         clears to a placeholder after the critical first run)."""
         alice = Document("alice")
         alice.insert(0, "0123456789")
@@ -284,19 +286,17 @@ class TestPlaceholderRunCarving:
         alice.merge(bob)
         bob.merge(alice)
         assert alice.text == bob.text == "012XYZ789"
-        oracle = EgWalker(
-            expand_to_chars(alice.oplog.graph), backend="list"
-        ).replay_text()
+        oracle = EgWalker(expand_to_chars(alice.oplog.graph)).replay_text()
         assert alice.text == oracle
-        walker = EgWalker(alice.oplog.graph, backend=backend)
+        walker = EgWalker(alice.oplog.graph)
         assert walker.replay_text() == oracle
         assert walker.last_stats.state_clears >= 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_retreat_and_advance_of_split_runs(self, backend):
+    @pytest.mark.parametrize("merge_spans", [True, False])
+    def test_retreat_and_advance_of_split_runs(self, merge_spans):
         """Retreating a run whose record was split by a later delete touches
         every fragment exactly once."""
-        state = make_state(backend)
+        state = make_state(merge_spans=merge_spans)
         state.apply_insert(EventId("a", 0), 0, 8)
         state.apply_delete(EventId("b", 0), 2, 3)  # splits the run into 3 spans
         assert state.prepare_length() == 5
@@ -311,9 +311,9 @@ class TestPlaceholderRunCarving:
         # Effect state is unchanged by retreat/advance.
         assert state.effect_length() == 5
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_insert_into_middle_of_run_splits_it(self, backend):
-        state = make_state(backend)
+    @pytest.mark.parametrize("merge_spans", [True, False])
+    def test_insert_into_middle_of_run_splits_it(self, merge_spans):
+        state = make_state(merge_spans=merge_spans)
         state.apply_insert(EventId("a", 0), 0, 6)
         assert state.record_count() == 1
         # A (concurrent) insert between characters 2 and 3 of the run.
@@ -337,20 +337,18 @@ class TestPlaceholderRunCarving:
             if i % 3 == 2:
                 doc.delete(0, 3)
         graph = doc.oplog.graph
-        oracle = EgWalker(expand_to_chars(graph), backend="list").replay_text()
-        for backend in BACKENDS:
-            walker = EgWalker(graph, backend=backend, enable_clearing=True)
-            assert walker.replay_text() == oracle
-            assert walker.last_stats.state_clears >= 0
+        oracle = EgWalker(expand_to_chars(graph)).replay_text()
+        walker = EgWalker(graph, enable_clearing=True)
+        assert walker.replay_text() == oracle
+        assert walker.last_stats.state_clears >= 0
 
 
 # ----------------------------------------------------------------------
 # Span re-merging: splits are undone once concurrency resolves
 # ----------------------------------------------------------------------
 class TestSpanReMerging:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fragments_only_merge_when_effect_states_match(self, backend):
-        state = make_state(backend)
+    def test_fragments_only_merge_when_effect_states_match(self):
+        state = make_state()
         state.apply_insert(EventId("a", 0), 0, 8)
         state.apply_delete(EventId("b", 0), 2, 3)  # splits into kept|deleted|kept
         assert state.record_count() == 3
@@ -362,12 +360,11 @@ class TestSpanReMerging:
         assert state.spans_merged == 0
         assert state.prepare_length() == 8
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_overlapping_concurrent_deletes_re_merge_the_run(self, backend):
+    def test_overlapping_concurrent_deletes_re_merge_the_run(self):
         """Once a concurrent delete sweeps over the fragments a first delete
         left behind, every fragment has the same state again and the run
         coalesces back into O(1) spans."""
-        state = make_state(backend)
+        state = make_state()
         state.apply_insert(EventId("a", 0), 0, 8)
         state.apply_delete(EventId("b", 0), 2, 3)
         state.retreat(EventId("b", 0), is_insert=False)
@@ -387,12 +384,11 @@ class TestSpanReMerging:
         assert state.effect_length() == 0
         assert state.record_count() == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_adjacent_deleted_fragments_coalesce(self, backend):
+    def test_adjacent_deleted_fragments_coalesce(self):
         """Single-character deletes at the same index chew through a run but
         leave O(1) spans, not O(chars): each new Del fragment merges into the
         previous one."""
-        state = make_state(backend)
+        state = make_state()
         state.apply_insert(EventId("a", 0), 0, 10)
         for k in range(6):
             state.apply_delete(EventId("d", k), 2)
@@ -400,28 +396,25 @@ class TestSpanReMerging:
         assert state.record_count() == 3
         assert state.prepare_length() == 4
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_graph_split_runs_coalesce_into_one_record(self, backend):
+    def test_graph_split_runs_coalesce_into_one_record(self):
         """Two id-contiguous events (a run split at the graph level) replay
         into a single internal-state record."""
-        state = make_state(backend)
+        state = make_state()
         state.apply_insert(EventId("a", 0), 0, 3)
         state.apply_insert(EventId("a", 3), 3, 4)
         assert state.record_count() == 1
         record = state.record_for(EventId("a", 5))
         assert record.id == EventId("a", 0) and record.length == 7
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_merging_can_be_disabled(self, backend):
-        state = make_state(backend, merge_spans=False)
+    def test_merging_can_be_disabled(self):
+        state = make_state(merge_spans=False)
         state.apply_insert(EventId("a", 0), 0, 8)
         state.apply_delete(EventId("b", 0), 2, 3)
         state.retreat(EventId("b", 0), is_insert=False)
         assert state.record_count() == 3
         assert state.spans_merged == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_walker_stats_show_final_spans_below_peak(self, backend):
+    def test_walker_stats_show_final_spans_below_peak(self):
         """The acceptance trace: concurrency fragments the state, quiescence
         re-merges it — the final span count drops back below the peak."""
         graph = EventGraph()
@@ -454,11 +447,11 @@ class TestSpanReMerging:
 
         # Span merging is a property of the internal state, so the split-only
         # ablation hands the walker a state built with ``merge_spans=False``.
-        walker = EgWalker(graph, backend=backend, enable_clearing=False)
+        walker = EgWalker(graph, enable_clearing=False)
 
         def replay_in_order(merge_spans):
             result = walker.transform(
-                order=order, state=make_state(backend, merge_spans=merge_spans)
+                order=order, state=make_state(merge_spans=merge_spans)
             )
             buffer: list[str] = []
             for entry in result.transformed:
@@ -471,7 +464,7 @@ class TestSpanReMerging:
 
         # Clearing is disabled so the whole session runs against live CRDT
         # state (the regime span re-merging exists for).
-        oracle = EgWalker(expand_to_chars(graph), backend="list").replay_text()
+        oracle = EgWalker(expand_to_chars(graph)).replay_text()
         merged_text, merged = replay_in_order(True)
         plain_text, plain = replay_in_order(False)
         assert merged_text == plain_text == oracle
@@ -498,7 +491,7 @@ class TestSpanReMerging:
                 window,
                 base_version=(run.index,),
                 order=window,
-                state=make_state(backend, 40, merge_spans=merging),
+                state=make_state(40, merge_spans=merging),
             )
         assert [t.ops for t in results[True].transformed] == [
             t.ops for t in results[False].transformed
@@ -555,9 +548,8 @@ class TestRangeMaps:
         assert not graph.contains_id(EventId("a", 33))
         assert graph.index_of(EventId("a", 10)) == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_internal_state_record_spans_follow_splits(self, backend):
-        state = make_state(backend)
+    def test_internal_state_record_spans_follow_splits(self):
+        state = make_state()
         state.apply_insert(EventId("a", 0), 0, 10)
         state.apply_delete(EventId("b", 0), 4, 2)
         spans = state.sequence.record_spans(EventId("a", 0), 10)

@@ -96,9 +96,9 @@ class TestRequirement1c:
 class TestListOrderConsistency:
     """Requirement 1b/2: pairs of surviving characters keep one global order."""
 
-    def _character_order(self, graph, backend, clearing):
+    def _character_order(self, graph, clearing):
         """Map each surviving character's id to its document index."""
-        walker = EgWalker(graph, backend=backend, enable_clearing=clearing)
+        walker = EgWalker(graph, enable_clearing=clearing)
         result = walker.transform()
         # Replay the transformed ops over a buffer of character ids to learn
         # where each inserted character ended up (and which ones survived).
@@ -108,8 +108,7 @@ class TestListOrderConsistency:
     def test_all_configurations_produce_the_same_list_order(self, trace_fixture, request):
         trace = request.getfixturevalue(trace_fixture)
         orders = {
-            tuple(self._character_order(trace.graph, backend, clearing))
-            for backend in ("list", "tree")
+            tuple(self._character_order(trace.graph, clearing))
             for clearing in (True, False)
         }
         assert len(orders) == 1
@@ -120,7 +119,7 @@ class TestListOrderConsistency:
         the order seen at that version (prefix-consistency of the list order)."""
         trace = request.getfixturevalue(trace_fixture)
         graph = trace.graph
-        final_order = self._character_order(graph, "tree", True)
+        final_order = self._character_order(graph, True)
         final_positions = {event_id: i for i, event_id in enumerate(final_order)}
         walker = EgWalker(graph)
         causal = CausalGraph(graph)

@@ -11,10 +11,10 @@ from repro.core.topo_sort import is_topological_order, sort_branch_aware
 from repro.core.walker import EgWalker
 
 WALKER_CONFIGS = [
-    {"backend": "tree", "enable_clearing": True},
-    {"backend": "tree", "enable_clearing": False},
-    {"backend": "list", "enable_clearing": True},
-    {"backend": "list", "enable_clearing": False},
+    {"enable_clearing": True},
+    {"enable_clearing": False},
+    {"enable_clearing": True, "sort_strategy": "local"},
+    {"enable_clearing": False, "sort_strategy": "interleaved"},
 ]
 
 
@@ -124,11 +124,8 @@ class TestTraceEquivalence:
     )
     def test_all_configs_agree(self, trace_fixture, request):
         trace = request.getfixturevalue(trace_fixture)
-        texts = {
-            (cfg["backend"], cfg["enable_clearing"]): EgWalker(trace.graph, **cfg).replay_text()
-            for cfg in WALKER_CONFIGS
-        }
-        assert len(set(texts.values())) == 1
+        texts = {EgWalker(trace.graph, **cfg).replay_text() for cfg in WALKER_CONFIGS}
+        assert len(texts) == 1
 
     @pytest.mark.parametrize(
         "trace_fixture",
@@ -195,8 +192,9 @@ class TestPartialReplayAndHistory:
         assert {entry.event_index for entry in result.transformed} == {4, 5}
 
     def test_invalid_backend_rejected(self, figure2_graph):
-        with pytest.raises(ValueError):
-            EgWalker(figure2_graph, backend="hash-table")
+        # The tree is the only sequence: there is no backend option at all.
+        with pytest.raises(TypeError):
+            EgWalker(figure2_graph, backend="hash-table")  # type: ignore[call-arg]
 
     def test_invalid_sort_strategy_rejected(self, figure2_graph):
         with pytest.raises(ValueError):
