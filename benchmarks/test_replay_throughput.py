@@ -77,9 +77,9 @@ def test_concurrent_trace_releases_its_state_between_exchanges(throughput_rows):
     drops the resident state there and starts the next exchange with a small
     fresh replay, so a closed session holds no walker state at all (§3.5's
     "memory is just the text").  That the drops are never paid for with
-    re-replayed history is the window bound below; that splits and
-    extensions inside an exchange patch the state instead of dropping it is
-    pinned in ``tests/test_event_handles.py``."""
+    re-replayed history is the window bound below; that a split or extension
+    inside an exchange drops the state too, and the next merge replays
+    afresh, is pinned in ``tests/test_event_handles.py``."""
     row = _row(throughput_rows, "C2")
     assert row["resident_state_after_close"] is False
     assert row["checkpoints_dropped"] >= row["fresh_replays"] - 1 > 0
@@ -87,8 +87,7 @@ def test_concurrent_trace_releases_its_state_between_exchanges(throughput_rows):
 
 def test_window_replay_stays_proportional_to_new_events(throughput_rows):
     """The redundant-work bound: total window events replayed across the
-    whole C2 session must stay below the new events integrated.  (Before
-    checkpoint patching the ratio was ~16x the other way.)"""
+    whole C2 session must stay below the new events integrated."""
     row = _row(throughput_rows, "C2")
     assert row["replayed_window_events"] <= row["replayed_new_events"]
 

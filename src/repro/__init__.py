@@ -42,7 +42,7 @@ from .core import (
     insert_op,
 )
 from .history import ROOT, History, Version, apply_ops
-from .rope import GapBuffer, Rope
+from .rope import Rope
 
 __version__ = "1.0.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "Event",
     "EventGraph",
     "EventId",
-    "GapBuffer",
     "History",
     "Operation",
     "OpKind",

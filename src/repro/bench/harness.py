@@ -563,7 +563,6 @@ def run_replay_throughput(
             "replayed_new_events": stats.replayed_new_events,
             "checkpoints_kept": stats.checkpoints_kept,
             "checkpoints_dropped": stats.checkpoints_dropped,
-            "checkpoints_patched": stats.checkpoints_patched,
         }
         # The session closes: someone who has seen everything types once
         # more.  The event names every head of the last exchange, which

@@ -215,54 +215,6 @@ class InternalState:
         self._coalesce_records(touched)
         return segments
 
-    def extend_delete(self, event_id: EventId, pos: int, length: int = 1) -> list[DeleteSegment]:
-        """Fold ``length`` more characters into an already-applied delete run.
-
-        Sender-side coalescing (:meth:`EventGraph.extend_event`) grows a
-        delete run in place; a resident walker state that already applied the
-        run folds the continuation in here instead of being discarded.  The
-        continuation deletes at the *same* prepare position (each character
-        lands on the run's index once its predecessors are gone), and its
-        target spans are appended to the event's existing target list — the
-        result is indistinguishable from the run having been applied at full
-        length.
-        """
-        existing = self._delete_targets.pop(event_id)
-        segments = self.apply_delete(event_id, pos, length)
-        self._delete_targets[event_id] = existing + self._delete_targets[event_id]
-        return segments
-
-    def split_delete_targets(self, event_id: EventId, offset: int) -> None:
-        """Re-key an applied delete run's targets after a graph-level split.
-
-        When the event graph splits the delete run ``event_id`` before its
-        ``offset``-th character (interop re-carving), future retreats and
-        advances address the two halves as separate events ``event_id`` and
-        ``event_id.advance(offset)``.  The stored target spans map one-to-one,
-        in order, onto the run's characters, so the list is cut at the
-        cumulative length ``offset`` (splitting a span if the boundary lands
-        inside it — target ids are contiguous within a span, for carved
-        records too) and re-keyed under both halves.  Record state is
-        untouched: records are keyed by character ids, which a graph split
-        does not change.
-        """
-        targets = self._delete_targets.pop(event_id)
-        left: list[tuple[EventId, int]] = []
-        right: list[tuple[EventId, int]] = []
-        consumed = 0
-        for target_id, target_len in targets:
-            if consumed >= offset:
-                right.append((target_id, target_len))
-            elif consumed + target_len <= offset:
-                left.append((target_id, target_len))
-            else:
-                take = offset - consumed
-                left.append((target_id, take))
-                right.append((target_id.advance(take), target_len - take))
-            consumed += target_len
-        self._delete_targets[event_id] = left
-        self._delete_targets[event_id.advance(offset)] = right
-
     # ------------------------------------------------------------------
     # retreat / advance
     # ------------------------------------------------------------------

@@ -27,9 +27,9 @@ the engine maintains everything a merge needs *incrementally*:
 * when concurrency *is* in play, the walker's internal state stays resident
   between merges (a :class:`WalkerCheckpoint`): the next merge
   retreats/advances/applies only the new events against the live state
-  instead of re-replaying the whole post-cut window.  Interop splits and
-  in-place run extensions are folded into the resident state surgically
-  (``checkpoints_patched``) rather than invalidating it.  The checkpoint is
+  instead of re-replaying the whole post-cut window.  An interop split or
+  in-place run extension inside that window drops the checkpoint (the next
+  merge rebuilds it from the latest critical version, §3.6); otherwise it is
   dropped once a later critical version has *survived* a delivery: the
   frontier a batch leaves behind is always a critical version, but a
   transient one — the next concurrent delivery routinely names only some of
@@ -97,16 +97,11 @@ class MergeEngineStats:
     replayed_window_events: int = 0
     replayed_new_events: int = 0
     #: Checkpoint lifecycle: kept = a live state survived the merge; dropped
-    #: = a critical version that survived a delivery (or an in-place
-    #: extension the state could not absorb) retired it, returning the
+    #: = a critical version that survived a delivery (or a split or in-place
+    #: extension inside the state's window) retired it, returning the
     #: replica to text-only memory.
     checkpoints_kept: int = 0
     checkpoints_dropped: int = 0
-    #: Checkpoints surgically patched in place instead of dropped: interop
-    #: splits and in-place run extensions landing inside the resident window
-    #: are folded into the live state (see the listener hooks), so a
-    #: concurrent episode survives re-carvings without re-replaying it.
-    checkpoints_patched: int = 0
     #: Work profile of the most recent merge.
     last_merge_events_touched: int = 0
     #: History queries (``text_at`` / ``diff``) answered by a walker replay:
@@ -180,12 +175,6 @@ class MergeEngine:
         #: causal-graph view update in place, so there is nothing to rebuild.
         self.walker = EgWalker(oplog.graph)
         self._ckpt: WalkerCheckpoint | None = None
-        #: Version -> replay-base cut memo for :meth:`_history_cut`, tagged
-        #: with the graph length it was computed at.  Any append or split
-        #: changes the length (and may re-point local indices or un-make
-        #: cuts), which discards the whole memo; in-place extensions change
-        #: neither indices nor cuts, so the memo survives them.
-        self._history_cut_memo: tuple[int, dict[Version, int | None]] = (-1, {})
         self.tracker = CriticalCutTracker(oplog.graph)
         oplog.graph.add_listener(self)
 
@@ -193,87 +182,20 @@ class MergeEngine:
     # Graph listener hooks (checkpoint invalidation)
     # ------------------------------------------------------------------
     def event_split(self, index: int) -> None:
-        """An interop re-carving split the run at ``index`` in place.
-
-        Called by the event graph (listener hook).  A split is a semantic
-        no-op and the state's records are keyed by character ids (which a
-        split never changes), so the resident checkpoint is *patched*, never
-        dropped:
-
-        * split inside the covered window: only the per-event bookkeeping is
-          re-keyed — a delete run's target list is cut at the split boundary
-          (:meth:`InternalState.split_delete_targets`); insert runs need
-          nothing (their spans split lazily on demand).  Tracked positions at
-          or above the split shift up by one.
-        * split at or below the base: no state is involved; just re-index the
-          tracked positions.
-        * split above ``through``: the state does not cover the run; nothing
-          to do.
-
-        O(checkpoint prepare-version heads + split run's target spans).
-        """
+        """Listener hook: an interop re-carving split the run at ``index``.
+        A split inside or below the resident window changes what the
+        checkpoint is keyed by (a delete run's targets, local indices), so
+        the checkpoint is dropped."""
         ckpt = self._ckpt
-        if ckpt is None:
-            return
-        base = -1 if ckpt.base_cut is None else ckpt.base_cut
-        if index >= ckpt.through:
-            return
-        if base < index:
-            # The split run is folded into the live state.  Its records stay
-            # valid verbatim; a delete run's retreat/advance bookkeeping is
-            # keyed by the event's first-char id, so it is re-keyed under the
-            # two halves' ids.
-            graph = self.oplog.graph
-            left_op = graph.op_of(index)
-            if left_op.is_delete:
-                ckpt.state.split_delete_targets(graph.id_of(index), left_op.length)
-            self.stats.checkpoints_patched += 1
-        else:
-            ckpt.base_cut = base + 1
-        # Tracked positions at or above the split shift up by one; a version
-        # naming the whole split run now names its right half (which implies
-        # the left transitively).
-        ckpt.through += 1
-        ckpt.prepare_version = tuple(
-            p + 1 if p >= index else p for p in ckpt.prepare_version
-        )
+        if ckpt is not None and index < ckpt.through:
+            self._drop_checkpoint()
 
     def event_extended(self, index: int, added_length: int) -> None:
-        """The frontier run grew in place (sender-side coalescing).
-
-        Listener hook.  When the checkpoint's prepare version is exactly the
-        extended run — the common live-typing shape: the local user keeps
-        typing at the sole frontier head while remote concurrency is resident
-        — the continuation is folded straight into the live state
-        (:meth:`InternalState.apply_insert` of the run's next characters /
-        :meth:`InternalState.extend_delete`), which is indistinguishable from
-        the run having been applied at its full length: the sole-frontier
-        precondition of :meth:`EventGraph.extend_event` guarantees no other
-        event was prepared after the run, so origins and positions are
-        unaffected.  The document text was already updated by the local-edit
-        path, so only the state needs the fold.
-
-        If retreats are active (the prepare version is not the extended run
-        alone), the state cannot absorb the continuation in place and the
-        checkpoint is dropped — the rare case.  O(1) + O(spans folded).
-        """
+        """Listener hook: the run at ``index`` grew in place (sender-side
+        coalescing).  The checkpoint is dropped if its state applied the run."""
         ckpt = self._ckpt
-        if ckpt is None or index >= ckpt.through:
-            return
-        if ckpt.prepare_version != (index,):
+        if ckpt is not None and index < ckpt.through:
             self._drop_checkpoint()
-            return
-        graph = self.oplog.graph
-        event_id = graph.id_of(index)
-        op = graph.op_of(index)  # already extended; recover the old length
-        old_length = op.length - added_length
-        if op.is_insert:
-            ckpt.state.apply_insert(
-                event_id.advance(old_length), op.pos + old_length, added_length
-            )
-        else:
-            ckpt.state.extend_delete(event_id, op.pos, added_length)
-        self.stats.checkpoints_patched += 1
 
     # ------------------------------------------------------------------
     # The merge entry point
@@ -513,27 +435,15 @@ class MergeEngine:
         qualifies iff ``version`` names every one of its heads (a version
         naming one head of a two-head critical version does not contain the
         other).  So the answer is one binary search over the tracked cuts
-        plus that containment test, O(log cuts), memoised per version while
-        the graph is unchanged
-        (history browsing hits the same versions repeatedly — ``text_at``
-        then ``diff`` then ``events_between`` — and each hit is an O(1) dict
-        lookup on the version tuple).  ``None`` (replay from the root) when
-        no cut qualifies.
+        plus that containment test, O(log cuts).  ``None`` (replay from the
+        root) when no cut qualifies.
         """
         if not version:
             return None
-        n = len(self.oplog.graph)
-        memo_n, memo = self._history_cut_memo
-        if memo_n != n:
-            memo = {}
-            self._history_cut_memo = (n, memo)
-        if version in memo:
-            return memo[version]
         top = version[-1]
         cut = self.tracker.latest_cut_before(top + 1)
         if cut == top and not set(self.tracker.version_at(top)) <= set(version):
             cut = self.tracker.latest_cut_before(top)
-        memo[version] = cut
         return cut
 
     # ------------------------------------------------------------------

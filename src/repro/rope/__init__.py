@@ -1,5 +1,5 @@
-"""Text-buffer substrate: rope and gap buffer document representations."""
+"""Text-buffer substrate: the rope document representation."""
 
-from .rope import GapBuffer, Rope
+from .rope import Rope
 
-__all__ = ["Rope", "GapBuffer"]
+__all__ = ["Rope"]

@@ -9,15 +9,14 @@ Python (string slicing inside a chunk is a fast C operation).
 
 The structure is deliberately simple rather than a full balanced rope: the
 benchmark traces top out at a few hundred kilobytes of text, where chunk
-scanning is already far from the bottleneck.  A :class:`GapBuffer` variant is
-also provided for comparison and for the text-buffer micro-benchmarks.
+scanning is already far from the bottleneck.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-__all__ = ["Rope", "GapBuffer"]
+__all__ = ["Rope"]
 
 #: Target chunk size in characters.  Chunks split at twice this size.
 CHUNK_SIZE = 2048
@@ -165,46 +164,3 @@ class Rope:
             return
         pieces = [chunk[i : i + CHUNK_SIZE] for i in range(0, len(chunk), CHUNK_SIZE)]
         self._chunks[idx : idx + 1] = pieces
-
-
-class GapBuffer:
-    """A classic gap buffer, efficient when edits cluster around a cursor."""
-
-    def __init__(self, text: str = "") -> None:
-        self._before: list[str] = list(text)
-        self._after: list[str] = []
-
-    def __len__(self) -> int:
-        return len(self._before) + len(self._after)
-
-    def __str__(self) -> str:
-        return "".join(self._before) + "".join(reversed(self._after))
-
-    def _move_gap(self, pos: int) -> None:
-        if pos < 0 or pos > len(self):
-            raise IndexError(f"position {pos} out of range (length {len(self)})")
-        while len(self._before) > pos:
-            self._after.append(self._before.pop())
-        while len(self._before) < pos:
-            self._before.append(self._after.pop())
-
-    def insert(self, pos: int, text: str) -> None:
-        self._move_gap(pos)
-        self._before.extend(text)
-
-    def delete(self, pos: int, length: int = 1) -> str:
-        if pos + length > len(self):
-            raise IndexError(
-                f"delete of {length} at {pos} out of range (length {len(self)})"
-            )
-        self._move_gap(pos)
-        removed = [self._after.pop() for _ in range(length)]
-        return "".join(removed)
-
-    def char_at(self, pos: int) -> str:
-        if pos < len(self._before):
-            return self._before[pos]
-        idx = len(self) - 1 - pos
-        if idx < 0 or idx >= len(self._after):
-            raise IndexError(f"position {pos} out of range (length {len(self)})")
-        return self._after[idx]

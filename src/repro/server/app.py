@@ -156,10 +156,16 @@ class CollabServer:
             )
         return self
 
-    async def stop(self) -> None:
-        # Detach before the first await: a stop() that suspended holding the
-        # server reference used to null self._server on resume, clobbering
-        # (and leaking) a server started concurrently in the meantime.
+    async def _close_listener(self) -> None:
+        """First step of :meth:`stop` and :meth:`crash`: detach the listener
+        and the background tasks, cancel the reaper and committer, close the
+        listening socket.
+
+        Everything is detached before the first await: a teardown that
+        suspended holding the server reference used to null
+        ``self._server`` on resume, clobbering (and leaking) a server started
+        concurrently in the meantime.
+        """
         server, self._server = self._server, None
         reaper, self._reaper_task = self._reaper_task, None
         committer, self._commit_task = self._commit_task, None
@@ -171,10 +177,16 @@ class CollabServer:
         if server is not None:
             server.close()
             await server.wait_closed()
+
+    async def _cancel_connections(self) -> None:
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+
+    async def stop(self) -> None:
+        await self._close_listener()
+        await self._cancel_connections()
         for room in self.rooms.values():
             for session in list(room.sessions.values()):
                 room.disconnect(session)
@@ -192,27 +204,14 @@ class CollabServer:
         ``write`` calls already handed the OS survives for the next
         :meth:`start`; everything else is lost, exactly like a real crash.
         """
-        server, self._server = self._server, None
-        reaper, self._reaper_task = self._reaper_task, None
-        committer, self._commit_task = self._commit_task, None
-        background = [t for t in (reaper, committer) if t is not None]
-        for task in background:
-            task.cancel()
-        if background:
-            await asyncio.gather(*background, return_exceptions=True)
-        if server is not None:
-            server.close()
-            await server.wait_closed()
+        await self._close_listener()
         for room in self.rooms.values():
             if room.storage is not None:
                 room.storage.abandon()
             for session in list(room.sessions.values()):
                 room.disconnect(session)
         self._sessions.clear()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._cancel_connections()
 
     def _begin_crash(self) -> None:
         """Injected-crash callback (sync): schedule the abrupt teardown."""

@@ -16,9 +16,10 @@ relies on:
   re-spread when many splits land between the same two events;
 * the tracker's handle-keyed cut list matches a from-scratch
   :func:`critical_cut_positions` rebuild after any split pattern;
-* the merge engine's resident checkpoint is surgically *patched* (never
-  dropped) when an interop split or an in-place extension lands inside the
-  window it covers, and the patched state still converges with a fresh
+* the merge engine's resident checkpoint is *dropped* when an interop split
+  or an in-place extension lands inside (or below) the window it covers,
+  kept when the change lands above it, and the next merge — a fresh replay
+  from the latest critical version, or a resume — converges with a fresh
   observer replica and the per-character oracle.
 """
 
@@ -187,11 +188,31 @@ def _remote(graph_id, parents, op):
     return RemoteEvent(id=graph_id, parents=tuple(parents), op=op)
 
 
-class TestCheckpointPatching:
-    def test_insert_split_inside_window_patches_checkpoint(self):
-        # carol holds only a prefix of alice's run, edits on top of it, and
-        # bob — whose resident checkpoint covers the full run — must split
-        # the run *inside the resident window* without dropping the state.
+class ResidentStateAtSplits:
+    """Graph listener registered after the document's merge engine: records
+    whether walker state was resident right after the engine's split hook
+    ran (the merge that carried the split may build new state afterwards)."""
+
+    def __init__(self, document: Document) -> None:
+        self.engine = document.engine
+        self.resident: list[bool] = []
+        document.oplog.graph.add_listener(self)
+
+    def event_split(self, index: int) -> None:
+        self.resident.append(self.engine.has_resident_state)
+
+
+def assert_converged(document: Document) -> None:
+    observer = Document("observer")
+    observer.merge(document)
+    assert observer.text == document.text == oracle_text(document)
+
+
+class TestCheckpointDrop:
+    def test_insert_split_inside_window_drops_checkpoint(self):
+        # carol holds only a prefix of alice's run and edits on top of it;
+        # bob's resident checkpoint covers the full run, so carol's event
+        # splits the run *inside the resident window*.
         alice = Document("alice")
         bob = Document("bob")
         carol = Document("carol")
@@ -201,26 +222,24 @@ class TestCheckpointPatching:
         bob.insert(0, "Z")  # concurrent with everything of alice
         bob.merge(alice)
         assert bob.engine.has_resident_state
+        probe = ResidentStateAtSplits(bob)
         stats_before = bob.merge_stats.snapshot()
         carol.insert(3, "Q")  # parent references mid-run character "c"
         bob.merge(carol)
         stats = bob.merge_stats
-        assert stats.checkpoints_patched > stats_before["checkpoints_patched"]
-        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
-        assert stats.resumed_merges == stats_before["resumed_merges"] + 1
-        # Convergence against a fresh replica fed the same histories, and
-        # against the per-character oracle.
-        observer = Document("observer")
-        observer.merge(bob)
-        assert observer.text == bob.text == oracle_text(bob)
+        assert probe.resident == [False]
+        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"] + 1
+        # The merge that carried the split replays from the critical version.
+        assert stats.fresh_replays == stats_before["fresh_replays"] + 1
+        assert stats.resumed_merges == stats_before["resumed_merges"]
+        assert_converged(bob)
         carol.merge(bob)
         alice.merge(bob)
         assert carol.text == alice.text == bob.text
 
-    def test_delete_split_inside_window_rekeys_delete_targets(self):
-        # Same shape, but the split run is a *delete* run: the resident
-        # state's retreat/advance bookkeeping must be re-keyed under the two
-        # halves' ids (split_delete_targets), not thrown away.
+    def test_delete_split_inside_window_drops_checkpoint(self):
+        # Same shape, but the split run is a *delete* run, whose applied
+        # targets the resident state keys by the whole run's id.
         alice = Document("alice")
         bob = Document("bob")
         carol = Document("carol")
@@ -235,18 +254,44 @@ class TestCheckpointPatching:
         bob.insert(6, "Z")  # concurrent, forces walker state on merge
         bob.merge(alice)
         assert bob.engine.has_resident_state
+        probe = ResidentStateAtSplits(bob)
         stats_before = bob.merge_stats.snapshot()
         carol.insert(0, "Q")  # parent references the delete run mid-way
         bob.merge(carol)
         stats = bob.merge_stats
-        assert stats.checkpoints_patched > stats_before["checkpoints_patched"]
-        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
-        observer = Document("observer")
-        observer.merge(bob)
-        assert observer.text == bob.text == oracle_text(bob)
+        assert probe.resident == [False]
+        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"] + 1
+        assert stats.fresh_replays == stats_before["fresh_replays"] + 1
+        assert stats.resumed_merges == stats_before["resumed_merges"]
+        assert_converged(bob)
         alice.merge(bob)
         carol.merge(bob)
         assert alice.text == carol.text == bob.text
+
+    def test_split_below_base_cut_drops_checkpoint(self):
+        # The checkpoint's base is the critical cut after "abcd"; splitting
+        # that run re-points the indices the base and window are kept at.
+        # A peer's reference into the run would also un-make the base cut,
+        # so the (semantically no-op) re-carving is made directly.
+        doc = Document("local")
+        doc.apply_remote_events([_remote(EventId("a", 0), (), insert_op(0, "abcd"))])
+        doc.apply_remote_events(
+            [
+                _remote(EventId("x", 0), (EventId("a", 3),), insert_op(4, "X")),
+                _remote(EventId("y", 0), (EventId("a", 3),), insert_op(4, "Y")),
+            ]
+        )
+        assert doc.engine.has_resident_state
+        stats_before = doc.merge_stats.snapshot()
+        doc.oplog.graph.split_event(0, 2)
+        stats = doc.merge_stats
+        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"] + 1
+        assert not doc.engine.has_resident_state
+        late = _remote(EventId("x", 1), (EventId("x", 0),), insert_op(5, "E"))
+        doc.apply_remote_events([late])
+        assert stats.fresh_replays == stats_before["fresh_replays"] + 1
+        assert stats.resumed_merges == stats_before["resumed_merges"]
+        assert_converged(doc)
 
     def _seed_resident_sole_frontier(self, kind: str) -> Document:
         """A document whose resident checkpoint covers its own agent's run
@@ -270,40 +315,80 @@ class TestCheckpointPatching:
         assert doc.engine.has_resident_state
         return doc
 
-    def test_insert_extension_folds_into_resident_state(self):
+    def test_insert_extension_drops_checkpoint(self):
         doc = self._seed_resident_sole_frontier("insert")
         stats_before = doc.merge_stats.snapshot()
         # The local user keeps typing: the edit extends the resident join
-        # run in place, and the live state absorbs it instead of dropping.
+        # run in place, which retires the state that applied it.
         doc.insert(1, "y")
         stats = doc.merge_stats
-        assert stats.checkpoints_patched == stats_before["checkpoints_patched"] + 1
-        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
-        assert doc.engine.has_resident_state
+        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"] + 1
+        assert not doc.engine.has_resident_state
         assert len(doc.oplog.graph) == 3  # extended in place, no new event
-        # A further concurrent remote event resumes against the patched
-        # state; the result must match a fresh observer and the oracle.
+        # A further concurrent remote event replays the window afresh,
+        # reading the extended run at its full length.
         late = _remote(EventId("remote", 2), (EventId("remote", 1),), insert_op(2, "E"))
         doc.apply_remote_events([late])
-        assert stats.resumed_merges == stats_before["resumed_merges"] + 1
-        observer = Document("observer")
-        observer.merge(doc)
-        assert observer.text == doc.text == oracle_text(doc)
+        assert stats.fresh_replays == stats_before["fresh_replays"] + 1
+        assert stats.resumed_merges == stats_before["resumed_merges"]
+        assert_converged(doc)
 
-    def test_delete_extension_folds_into_resident_state(self):
+    def test_delete_extension_drops_checkpoint(self):
         doc = self._seed_resident_sole_frontier("delete")
         stats_before = doc.merge_stats.snapshot()
         doc.delete(0, 1)  # extends the resident delete run in place
         stats = doc.merge_stats
-        assert stats.checkpoints_patched == stats_before["checkpoints_patched"] + 1
-        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
+        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"] + 1
+        assert not doc.engine.has_resident_state
         assert len(doc.oplog.graph) == 3
         late = _remote(EventId("remote", 2), (EventId("remote", 1),), insert_op(0, "E"))
         doc.apply_remote_events([late])
+        assert stats.fresh_replays == stats_before["fresh_replays"] + 1
+        assert stats.resumed_merges == stats_before["resumed_merges"]
+        assert_converged(doc)
+
+
+    def _seed_resident_with_local_gap(self) -> tuple[Document, Document]:
+        """bob holds walker state for alice's run concurrent with his "Z",
+        then types "xy" on top: a local run above the resident window."""
+        alice = Document("alice")
+        bob = Document("bob")
+        alice.insert(0, "abc")
+        bob.insert(0, "Z")
+        bob.merge(alice)
+        assert bob.engine.has_resident_state
+        bob.insert(4, "xy")
+        return alice, bob
+
+    def test_split_above_window_keeps_checkpoint(self):
+        alice, bob = self._seed_resident_with_local_gap()
+        stats_before = bob.merge_stats.snapshot()
+        bob.oplog.graph.split_event(len(bob.oplog.graph) - 1, 1)
+        stats = bob.merge_stats
+        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
+        assert bob.engine.has_resident_state
+        # alice's next edit is concurrent with bob's: the merge resumes the
+        # state, folding in both halves of the split run as gap events.
+        alice.insert(3, "d")
+        bob.merge(alice)
         assert stats.resumed_merges == stats_before["resumed_merges"] + 1
-        observer = Document("observer")
-        observer.merge(doc)
-        assert observer.text == doc.text == oracle_text(doc)
+        assert stats.replayed_window_events == stats_before["replayed_window_events"] + 2
+        assert_converged(bob)
+
+    def test_extension_above_window_keeps_checkpoint(self):
+        alice, bob = self._seed_resident_with_local_gap()
+        stats_before = bob.merge_stats.snapshot()
+        bob.insert(6, "z")  # extends bob's own run in place
+        stats = bob.merge_stats
+        assert len(bob.oplog.graph) == 3
+        assert stats.checkpoints_dropped == stats_before["checkpoints_dropped"]
+        assert bob.engine.has_resident_state
+        alice.insert(3, "d")
+        bob.merge(alice)
+        assert stats.resumed_merges == stats_before["resumed_merges"] + 1
+        assert stats.replayed_window_events == stats_before["replayed_window_events"] + 1
+        assert_converged(bob)
+        assert bob.text == "abcdZxyz"
 
 
 class TestStorageRoundTrip:

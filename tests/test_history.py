@@ -18,8 +18,8 @@ import pytest
 from repro.core.causal_graph import CausalGraph
 from repro.core.document import Document
 from repro.core.event_graph import EventGraph, expand_to_chars
-from repro.core.ids import EventId
-from repro.core.oplog import recarve_events
+from repro.core.ids import EventId, insert_op
+from repro.core.oplog import RemoteEvent, recarve_events
 from repro.core.walker import EgWalker
 from repro.history import ROOT, History, Version, apply_ops
 from repro.storage import (
@@ -548,6 +548,30 @@ class TestCriticalRunBoundaries:
         ops = doc.diff(saved["both"], saved["end"])
         assert stats.history_fast_path_events - before == len(doc.oplog.graph) - at["join"]
         assert apply_ops(both, ops) == doc.text
+
+
+    def test_replay_base_follows_a_cut_unmade_by_a_later_event(self):
+        doc = Document("reader")
+        doc.apply_remote_events([RemoteEvent(EventId("a", 0), (), insert_op(0, "ab"))])
+        doc.apply_remote_events(
+            [RemoteEvent(EventId("b", 0), (EventId("a", 1),), insert_op(2, "cd"))]
+        )
+        at_b = doc.version()
+        doc.apply_remote_events(
+            [RemoteEvent(EventId("c", 0), (EventId("b", 1),), insert_op(4, "ef"))]
+        )
+        at_c = doc.version()
+        stats = doc.merge_stats
+        ops = doc.diff(at_b, at_c)  # from a critical version: verbatim
+        assert (stats.history_fast_path_events, stats.history_replays) == (1, 0)
+        # A late event forking off "a" un-makes the cuts after "b" and "c":
+        # the same query now replays from the cut after "a".
+        doc.apply_remote_events(
+            [RemoteEvent(EventId("d", 0), (EventId("a", 1),), insert_op(2, "X"))]
+        )
+        assert doc.diff(at_b, at_c) == ops
+        assert (stats.history_replays, stats.history_window_events) == (1, 1)
+        assert apply_ops(oracle_text_at(doc, at_b), ops) == oracle_text_at(doc, at_c)
 
 
 class TestDiffQuadraticGuard:

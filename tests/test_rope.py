@@ -1,11 +1,11 @@
-"""Tests for the rope / gap buffer text substrates."""
+"""Tests for the rope text substrate."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rope import GapBuffer, Rope
+from repro.rope import Rope
 from repro.rope.rope import CHUNK_SIZE
 
 
@@ -79,33 +79,12 @@ class TestRopeBasics:
         assert len(rope) == 5 * CHUNK_SIZE
 
 
-class TestGapBuffer:
-    def test_basic_editing(self):
-        buf = GapBuffer("hello")
-        buf.insert(5, " world")
-        assert str(buf) == "hello world"
-        assert buf.delete(0, 6) == "hello "
-        assert str(buf) == "world"
-
-    def test_char_at(self):
-        buf = GapBuffer("abc")
-        buf.insert(1, "X")
-        assert [buf.char_at(i) for i in range(4)] == ["a", "X", "b", "c"]
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            GapBuffer("ab").delete(1, 5)
-        with pytest.raises(IndexError):
-            GapBuffer("ab").insert(5, "x")
-
-
 class TestDifferentialAgainstString:
-    @pytest.mark.parametrize("cls", [Rope, GapBuffer])
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_edit_sequences(self, cls, seed):
+    def test_random_edit_sequences(self, seed):
         rng = random.Random(seed)
         reference = ""
-        buffer = cls("")
+        buffer = Rope("")
         for _ in range(400):
             if not reference or rng.random() < 0.65:
                 pos = rng.randint(0, len(reference))

@@ -14,7 +14,13 @@ import pytest
 
 from repro.core.ids import EventId, insert_op
 from repro.core.oplog import RemoteEvent
-from repro.server import CollabServer, DocumentRoom, run_loadgen, run_trace_replay
+from repro.server import (
+    CollabServer,
+    DocumentRoom,
+    DurabilityOptions,
+    run_loadgen,
+    run_trace_replay,
+)
 from repro.server.loadgen import CollabClient, PollClient, http_request
 from repro.traces.datasets import get_trace
 
@@ -305,6 +311,57 @@ class TestLifecycleRaces:
             await asyncio.gather(server.stop(), server.stop(), server.stop())
             with pytest.raises(OSError):
                 await http_request(server.host, server.port, "GET", "/v1/stats")
+
+        run(scenario())
+
+    def test_restart_during_suspended_crash_is_not_clobbered(self):
+        # crash() shares stop()'s first step, so it too detaches the
+        # listener before suspending.
+        async def scenario():
+            server = CollabServer()
+            await server.start()
+            crash_task = asyncio.create_task(server.crash())
+            await asyncio.sleep(0)
+            await server.start()
+            await crash_task
+            status, payload = await http_request(
+                server.host, server.port, "GET", "/v1/stats"
+            )
+            assert status == 200 and isinstance(payload, dict)
+            await server.stop()
+
+        run(scenario())
+
+    def test_concurrent_crashes_are_idempotent(self):
+        async def scenario():
+            server = CollabServer()
+            await server.start()
+            await asyncio.gather(server.crash(), server.crash(), server.crash())
+            with pytest.raises(OSError):
+                await http_request(server.host, server.port, "GET", "/v1/stats")
+
+        run(scenario())
+
+    @pytest.mark.parametrize("teardown", ["stop", "crash"])
+    def test_teardown_cancels_background_tasks(self, teardown, tmp_path):
+        async def scenario():
+            server = CollabServer(
+                data_dir=str(tmp_path),
+                durability=DurabilityOptions(fsync_policy="group", group_interval=0.02),
+            )
+            await server.start()
+            background = [server._reaper_task, server._commit_task]
+            assert all(task is not None and not task.done() for task in background)
+            await getattr(server, teardown)()
+            assert all(task.cancelled() for task in background)
+            assert server._reaper_task is None and server._commit_task is None
+            with pytest.raises(OSError):
+                await http_request(server.host, server.port, "GET", "/v1/stats")
+            # Nothing the teardown left behind stands in the way of a restart.
+            await server.start()
+            status, _ = await http_request(server.host, server.port, "GET", "/v1/stats")
+            assert status == 200
+            await server.stop()
 
         run(scenario())
 
