@@ -18,32 +18,8 @@ import argparse
 import sys
 
 from ..traces.datasets import default_scale, load_all_traces
-from .harness import (
-    run_clearing_ablation,
-    run_cold_load,
-    run_file_size_full,
-    run_file_size_pruned,
-    run_memory,
-    run_merge_latency,
-    run_merge_time,
-    run_scaling,
-    run_sort_order_ablation,
-    run_table1,
-)
+from .harness import EXPERIMENTS
 from .report import format_results, results_to_json
-
-_EXPERIMENTS = {
-    "table1": ("table1_trace_stats", lambda traces: run_table1(traces)),
-    "fig8": ("fig8_merge_and_load_time", lambda traces: run_merge_time(traces)),
-    "fig9": ("fig9_clearing_optimisation", lambda traces: run_clearing_ablation(traces)),
-    "fig10": ("fig10_memory", lambda traces: run_memory(traces)),
-    "fig11": ("fig11_file_size_full", lambda traces: run_file_size_full(traces)),
-    "fig12": ("fig12_file_size_pruned", lambda traces: run_file_size_pruned(traces)),
-    "x1": ("x1_sort_order", lambda traces: run_sort_order_ablation(traces)),
-    "x2": ("x2_scaling", lambda traces: run_scaling()),
-    "x3": ("x3_merge_latency", lambda traces: run_merge_latency()),
-    "x5": ("x5_cold_load", lambda traces: run_cold_load(traces)),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,16 +27,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--experiments",
         default="all",
-        help="comma-separated subset of: " + ", ".join(_EXPERIMENTS) + " (default: all)",
+        help="comma-separated subset of: " + ", ".join(EXPERIMENTS) + " (default: all)",
     )
     parser.add_argument("--json", metavar="PATH", help="also write results as JSON")
     args = parser.parse_args(argv)
 
     if args.experiments == "all":
-        selected = list(_EXPERIMENTS)
+        selected = list(EXPERIMENTS)
     else:
         selected = [name.strip() for name in args.experiments.split(",") if name.strip()]
-        unknown = [name for name in selected if name not in _EXPERIMENTS]
+        unknown = [name for name in selected if name not in EXPERIMENTS]
         if unknown:
             parser.error(f"unknown experiments: {', '.join(unknown)}")
 
@@ -71,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results = {}
     for name in selected:
-        key, runner = _EXPERIMENTS[name]
+        key, runner = EXPERIMENTS[name]
         print(f"Running {name} ...", flush=True)
         results[key] = runner(traces)
 

@@ -19,8 +19,9 @@ outbound buffers are the server's own:
 * :mod:`repro.server.app` — :class:`CollabServer`, the asyncio server that
   speaks WebSockets on the fast path and degrades to HTTP long-polling
   (cursor presence disabled there, like sysreptor's fallback).
-* :mod:`repro.server.loadgen` — a load-generator client that replays
-  trace-suite sessions over real sockets and measures delivery latency.
+* :mod:`repro.server.loadgen` — load-generator clients that drive live
+  sessions and replay trace-suite sessions over real sockets, reporting
+  convergence and parked events.
 * :mod:`repro.server.wal` — crash-safe durable rooms: a varint-framed,
   CRC-guarded write-ahead log per room with group-commit fsync, snapshot
   compaction and torn-tail-tolerant recovery (the WAL tail is received as
@@ -34,7 +35,6 @@ from .loadgen import (
     LoadgenResult,
     ReconnectPolicy,
     run_loadgen,
-    run_loadgen_sync,
     run_trace_replay,
 )
 from .protocol import ProtocolError, decode_frame, encode_frame
@@ -55,6 +55,5 @@ __all__ = [
     "RoomStorage",
     "recover_document",
     "run_loadgen",
-    "run_loadgen_sync",
     "run_trace_replay",
 ]

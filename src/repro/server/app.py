@@ -243,6 +243,7 @@ class CollabServer:
             faults=self.faults,
             on_crash=self._begin_crash,
             max_queued_frames=self.max_queued_frames,
+            poll_session_timeout=self.poll_session_timeout,
         )
 
     def _recover_rooms(self) -> None:

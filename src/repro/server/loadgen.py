@@ -7,10 +7,9 @@ client converges byte-identically with the server and every other client.
 Two drivers:
 
 * :func:`run_loadgen` — a **live session**: N concurrent WebSocket (or
-  long-polling) clients edit deterministically pseudo-randomly, presence
-  frames ride along, and every delivered event is timestamped against its
-  send time.  Produces sustained edits/sec and delivery-latency percentiles
-  — the numbers ``BENCH_server_latency.json`` reports per client count.
+  long-polling) clients edit deterministically pseudo-randomly while
+  presence frames ride along.  Timing it is the benchmark's job
+  (``benchmarks/spine``), not the loadgen's.
 * :func:`run_trace_replay` — replays a trace-suite session (S3, C2, ...):
   each trace author becomes a client that feeds its own events through the
   socket as soon as their causal parents are visible in its replica, so the
@@ -18,8 +17,9 @@ Two drivers:
   Convergence is asserted against the **per-character oracle**
   (:func:`~repro.core.event_graph.expand_to_chars` + a reference replay).
 
-All drivers return a :class:`LoadgenResult` whose ``leaks`` field aggregates
-every buffer's parked-event count — zero after quiescence, by construction.
+Both drivers return a :class:`LoadgenResult` whose ``leaks`` field maps
+every buffer to its parked-event count — zero after quiescence, by
+construction.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Any, Iterable, Iterator
 
 from ..core.document import Document
 from ..core.event_graph import expand_to_chars
-from ..core.ids import EventId
 from ..core.oplog import RemoteEvent, graph_to_remote_events
 from ..core.walker import EgWalker
 from ..network.replica import Replica
@@ -56,7 +55,6 @@ __all__ = [
     "CollabClient",
     "PollClient",
     "run_loadgen",
-    "run_loadgen_sync",
     "run_trace_replay",
     "http_request",
 ]
@@ -92,40 +90,17 @@ class ReconnectPolicy:
 
 @dataclass
 class LoadgenResult:
-    """One load-generation run, as a JSON-friendly result row."""
+    """The outcome of one load-generation run."""
 
     mode: str
     transport: str
     clients: int
     edits: int
     run_events_sent: int
-    seconds: float
-    edits_per_sec: float
-    latency_p50_ms: float
-    latency_p99_ms: float
-    latency_samples: int
     converged: bool
     final_text_len: int
     presence_received: int
     leaks: dict[str, int] = field(default_factory=dict)
-
-    def as_row(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "transport": self.transport,
-            "clients": self.clients,
-            "edits": self.edits,
-            "run_events_sent": self.run_events_sent,
-            "seconds": round(self.seconds, 4),
-            "edits_per_sec": round(self.edits_per_sec, 1),
-            "latency_p50_ms": round(self.latency_p50_ms, 3),
-            "latency_p99_ms": round(self.latency_p99_ms, 3),
-            "latency_samples": self.latency_samples,
-            "converged": self.converged,
-            "final_text_len": self.final_text_len,
-            "presence_received": self.presence_received,
-            "leaked_events": sum(self.leaks.values()),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +163,6 @@ class _ReplicaCore(Replica):
         *,
         reconnect: ReconnectPolicy | None = None,
         document: Document | None = None,
-        sent_times: dict[EventId, float] | None = None,
-        latency_samples: list[float] | None = None,
     ) -> None:
         # A reconnecting client may reuse its document: everything already
         # in the graph is known to the (fresh) inbound buffer.
@@ -202,8 +175,6 @@ class _ReplicaCore(Replica):
         self._closing = False
         self._receive_task: asyncio.Task | None = None
         self._reconnect_rng = random.Random(zlib.crc32(agent.encode("utf-8")))
-        self.sent_times = sent_times
-        self.latency_samples = latency_samples
         self.presence_seen: dict[str, tuple] = {}
         self.presence_received = 0
         self.errors: list[dict[str, Any]] = []
@@ -220,14 +191,7 @@ class _ReplicaCore(Replica):
 
     def handle_frame(self, frame: dict[str, Any]) -> None:
         if frame["type"] == "delta":
-            events = frame["events"]
-            if self.latency_samples is not None and self.sent_times is not None:
-                now = time.perf_counter()
-                for event in events:
-                    t0 = self.sent_times.get(event.id)
-                    if t0 is not None:
-                        self.latency_samples.append(now - t0)
-            self.receive(events)
+            self.receive(frame["events"])
             self.delta_arrived.set()
         elif frame["type"] == "presence":
             self.presence_seen[frame["agent"]] = tuple(frame["cursor"])
@@ -288,10 +252,6 @@ class _ReplicaCore(Replica):
         events = list(events)
         if not events:
             return
-        if self.sent_times is not None:
-            now = time.perf_counter()
-            for event in events:
-                self.sent_times[event.id] = now
         self.run_events_sent += len(events)
         await self._send(delta_frame(events))
 
@@ -448,14 +408,6 @@ class PollClient(_ReplicaCore):
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def _percentile(samples: list[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
 async def _await_convergence(
     clients: list[_ReplicaCore], host: str, port: int, doc: str, timeout: float
 ) -> tuple[bool, str]:
@@ -496,7 +448,7 @@ async def run_loadgen(
     seed: int = 0,
     convergence_timeout: float = 30.0,
 ) -> LoadgenResult:
-    """Drive a live session against a running server and measure it.
+    """Drive a live session against a running server.
 
     Args:
         clients: concurrent clients (each a full replica on its own socket).
@@ -511,8 +463,6 @@ async def run_loadgen(
         A :class:`LoadgenResult`; ``converged`` is the byte-identical check
         and ``leaks`` maps every causal buffer to its parked-event count.
     """
-    sent_times: dict[EventId, float] = {}
-    latency_samples: list[float] = []
     pool: list[_ReplicaCore] = []
     for i in range(clients):
         kind = (
@@ -520,16 +470,7 @@ async def run_loadgen(
             if transport == "poll" or (transport == "mixed" and i == 0)
             else CollabClient
         )
-        pool.append(
-            kind(
-                host,
-                port,
-                doc,
-                f"lg{i}",
-                sent_times=sent_times,
-                latency_samples=latency_samples,
-            )
-        )
+        pool.append(kind(host, port, doc, f"lg{i}"))
     for client in pool:
         await client.connect()
 
@@ -546,10 +487,7 @@ async def run_loadgen(
                 await client.send_presence()
             await asyncio.sleep(edit_interval)
 
-    t0 = time.perf_counter()
     await asyncio.gather(*(drive(client, i) for i, client in enumerate(pool)))
-    edit_seconds = time.perf_counter() - t0
-
     converged, final_text = await _await_convergence(
         pool, host, port, doc, convergence_timeout
     )
@@ -557,29 +495,17 @@ async def run_loadgen(
     for client in pool:
         await client.close()
 
-    total_edits = clients * edits_per_client
     return LoadgenResult(
         mode="live",
         transport=transport,
         clients=clients,
-        edits=total_edits,
+        edits=clients * edits_per_client,
         run_events_sent=sum(c.run_events_sent for c in pool),
-        seconds=edit_seconds,
-        edits_per_sec=total_edits / edit_seconds if edit_seconds > 0 else 0.0,
-        latency_p50_ms=_percentile(latency_samples, 0.50) * 1000,
-        latency_p99_ms=_percentile(latency_samples, 0.99) * 1000,
-        latency_samples=len(latency_samples),
         converged=converged,
         final_text_len=len(final_text),
         presence_received=sum(c.presence_received for c in pool),
         leaks=leaks,
     )
-
-
-def run_loadgen_sync(host: str, port: int, **kwargs) -> LoadgenResult:
-    """Synchronous wrapper around :func:`run_loadgen` (for scripts/benchmarks
-    that manage their own server out of process)."""
-    return asyncio.run(run_loadgen(host, port, **kwargs))
 
 
 async def run_trace_replay(
@@ -639,11 +565,9 @@ async def run_trace_replay(
                 client.delta_arrived.clear()
                 await asyncio.wait_for(client.delta_arrived.wait(), timeout=10.0)
 
-    t0 = time.perf_counter()
     await asyncio.gather(
         *(feed(client, by_author[client.agent]) for client in pool)
     )
-    feed_seconds = time.perf_counter() - t0
 
     converged, final_text = await _await_convergence(
         pool, host, port, doc, convergence_timeout
@@ -653,18 +577,12 @@ async def run_trace_replay(
     for client in pool:
         await client.close()
 
-    total_events = len(all_events)
     return LoadgenResult(
         mode=f"trace:{trace.name}",
         transport=transport,
         clients=len(pool),
-        edits=total_events,
+        edits=len(all_events),
         run_events_sent=sum(c.run_events_sent for c in pool),
-        seconds=feed_seconds,
-        edits_per_sec=total_events / feed_seconds if feed_seconds > 0 else 0.0,
-        latency_p50_ms=0.0,
-        latency_p99_ms=0.0,
-        latency_samples=0,
         converged=converged,
         final_text_len=len(final_text),
         presence_received=0,

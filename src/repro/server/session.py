@@ -229,6 +229,8 @@ class DocumentRoom(Replica):
             this to its abrupt-teardown path.
         max_queued_frames: per-session backpressure cap (see
             :class:`Session`).
+        poll_session_timeout: idle seconds after which a long-poll session
+            is reaped (the server passes its own setting).
     """
 
     def __init__(
@@ -240,6 +242,7 @@ class DocumentRoom(Replica):
         faults: Any | None = None,
         on_crash: Callable[[], None] | None = None,
         max_queued_frames: int = 0,
+        poll_session_timeout: float = POLL_SESSION_TIMEOUT,
     ) -> None:
         super().__init__(Document(f"server::{name}") if document is None else document)
         self.name = name
@@ -247,6 +250,7 @@ class DocumentRoom(Replica):
         self.faults = faults
         self.on_crash = on_crash
         self.max_queued_frames = max_queued_frames
+        self.poll_session_timeout = poll_session_timeout
         self.sessions: dict[str, Session] = {}
         #: Last announced cursor per agent (id-frontier positions).
         self.presence: dict[str, tuple[EventId, ...]] = {}
@@ -258,7 +262,7 @@ class DocumentRoom(Replica):
     def connect(self, agent: str, transport: str, version_ids: Iterable[EventId]) -> Session:
         """Open a session: seed its dedup state from the client's version and
         queue ``welcome`` + catch-up ``delta`` + current presence frames."""
-        self.reap_idle_sessions()
+        self.reap_idle_sessions(self.poll_session_timeout)
         session = Session(
             self, agent, transport, max_queued_frames=self.max_queued_frames
         )
@@ -284,7 +288,7 @@ class DocumentRoom(Replica):
         session.close()
         self.presence.pop(session.agent, None)
 
-    def reap_idle_sessions(self, timeout: float = POLL_SESSION_TIMEOUT) -> list[Session]:
+    def reap_idle_sessions(self, timeout: float) -> list[Session]:
         """Drop long-poll sessions that stopped polling (vanished clients).
 
         Returns the reaped sessions so the server can purge its own routing

@@ -415,7 +415,7 @@ class TestDurableLoadgen:
                     edit_interval=0.0,
                     transport="mixed",
                 )
-                assert result.converged, result.as_row()
+                assert result.converged, result
                 final_text = server.room("loadgen").document.text
                 stats = server.room("loadgen").storage.stats
                 assert stats.records_appended > 0

@@ -1,14 +1,18 @@
 """End-to-end tests for the collaboration server, over real sockets.
 
 Each test spins up a :class:`~repro.server.CollabServer` on an ephemeral
-loopback port inside ``asyncio.run`` and drives it with the loadgen clients —
-the same code paths the benchmark and the CI smoke job exercise, at small
-scale.  (The room summary's gauges are also checked in process, on a bare
-:class:`~repro.server.DocumentRoom`.)
+loopback port inside ``asyncio.run`` and drives it with the loadgen clients.
+The load gates are here too: convergence with nothing left parked at every
+fan-out of a live sweep, an A1 trace-suite session replayed by 8+ WebSocket
+clients against the per-character oracle, and the same live load with the
+WAL off, group-committed and fsynced per delta.  They assert outcomes and
+counters, never a timing.  (The room summary's gauges and the idle-session
+reaper are also checked in process, on the room itself.)
 """
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -37,6 +41,14 @@ async def wait_until(predicate, timeout=8.0, interval=0.01):
             return True
         await asyncio.sleep(interval)
     return predicate()
+
+
+#: Edits each client makes in the fan-out and durability gates.
+EDITS_PER_CLIENT = 30
+
+
+def assert_nothing_parked(result):
+    assert all(count == 0 for count in result.leaks.values()), result.leaks
 
 
 def assert_no_leaks(server, doc, *clients):
@@ -259,14 +271,35 @@ class TestLoadgen:
                     edit_interval=0.0,
                     transport="mixed",
                 )
-                assert result.converged, result.as_row()
-                assert result.leaks == {} or all(
-                    v == 0 for v in result.leaks.values()
-                ), result.leaks
+                assert result.converged, result
+                assert_nothing_parked(result)
                 assert result.edits == 24
-                assert result.latency_samples > 0
 
         run(scenario())
+
+    @pytest.mark.parametrize("clients", [2, 4, 8])
+    def test_live_sessions_converge_at_every_fanout(self, clients):
+        """Every client and the server replica converge byte-identically,
+        and no causal buffer (the room's inbound, any session's outbound,
+        any client's) still parks an event after quiesce."""
+
+        async def scenario():
+            async with CollabServer() as server:
+                return await run_loadgen(
+                    server.host,
+                    server.port,
+                    doc=f"live-{clients}",
+                    clients=clients,
+                    edits_per_client=EDITS_PER_CLIENT,
+                    edit_interval=0.002,
+                    transport="ws",
+                )
+
+        result = run(scenario())
+        assert result.converged, result
+        assert result.clients == clients
+        assert result.edits == clients * EDITS_PER_CLIENT
+        assert_nothing_parked(result)
 
     def test_trace_replay_matches_per_character_oracle(self):
         trace = get_trace("C2", 0.04)
@@ -274,10 +307,76 @@ class TestLoadgen:
         async def scenario():
             async with CollabServer() as server:
                 result = await run_trace_replay(server.host, server.port, trace)
-                assert result.converged, result.as_row()
-                assert all(v == 0 for v in result.leaks.values()), result.leaks
+                assert result.converged, result
+                assert_nothing_parked(result)
 
         run(scenario())
+
+    def test_trace_replay_with_eight_plus_ws_clients(self):
+        """The A1 trace-suite session (8 authors at this scale), one
+        WebSocket client per author, converges on the per-character oracle."""
+        trace = get_trace("A1", 0.1)
+
+        async def scenario():
+            async with CollabServer() as server:
+                return await run_trace_replay(server.host, server.port, trace)
+
+        result = run(scenario())
+        assert result.clients >= 8, result
+        assert result.converged, result
+        assert_nothing_parked(result)
+
+
+class TestDurabilityModes:
+    """The same live load with the WAL off, with fsync batched by the
+    group-commit loop, and with an fsync per ingested delta."""
+
+    MODES = ("off", "group", "always")
+
+    @pytest.fixture(scope="class")
+    def outcomes(self, tmp_path_factory):
+        """Mode -> (loadgen result, the room's WAL stats or ``None``)."""
+
+        async def drive(mode):
+            options = {}
+            if mode != "off":
+                options = dict(
+                    data_dir=str(tmp_path_factory.mktemp(mode)),
+                    durability=DurabilityOptions(fsync_policy=mode, group_interval=0.01),
+                )
+            async with CollabServer(**options) as server:
+                result = await run_loadgen(
+                    server.host,
+                    server.port,
+                    doc="ablation",
+                    clients=4,
+                    edits_per_client=EDITS_PER_CLIENT,
+                    edit_interval=0.002,
+                    transport="ws",
+                )
+                storage = server.room("ablation").storage
+                return result, None if storage is None else storage.stats.as_dict()
+
+        return {mode: run(drive(mode)) for mode in self.MODES}
+
+    def test_every_mode_converges(self, outcomes):
+        """Durability never costs correctness."""
+        for mode, (result, _) in outcomes.items():
+            assert result.converged, (mode, result)
+            assert_nothing_parked(result)
+
+    def test_wal_accounting(self, outcomes):
+        """Both durable modes persisted every ingested delta, and
+        fsync-per-delta paid at least one fsync per record, and at least as
+        many as the group-commit loop."""
+        assert outcomes["off"][1] is None
+        group, always = outcomes["group"][1], outcomes["always"][1]
+        for wal in (group, always):
+            assert wal["records_appended"] > 0, wal
+            assert wal["events_appended"] > 0, wal
+            assert wal["torn_writes"] == 0, wal
+        assert always["fsyncs"] >= always["records_appended"], always
+        assert always["fsyncs"] >= group["fsyncs"], (always, group)
 
 
 class TestLifecycleRaces:
@@ -409,6 +508,23 @@ class TestBackgroundMaintenance:
                 assert room.document.text == "left behind"
 
         run(scenario())
+
+    def test_joining_a_room_reaps_with_the_server_timeout(self):
+        """A join sweeps idle poll sessions too, and it must use the
+        server's ``poll_session_timeout`` as the periodic reaper does."""
+        server = CollabServer(poll_session_timeout=300)
+        room = server.room("d")
+        idle = room.connect("a", "poll", ())
+        idle.last_seen = time.monotonic() - 120
+        server._reap_once()
+        assert not idle.closed
+        room.connect("b", "ws", ())
+        assert not idle.closed and idle.id in room.sessions
+        # Past the server's timeout, the join does reap it.
+        idle.last_seen = time.monotonic() - 400
+        room.connect("c", "ws", ())
+        assert idle.closed and idle.id not in room.sessions
+        assert room.stats.sessions_reaped == 1
 
     def test_abandoned_final_flush_frames_are_counted(self):
         """A WebSocket reader that disconnects while its outbound queue is

@@ -52,6 +52,7 @@ from repro.storage.container import (
     parse_header,
 )
 from repro.storage.varint import ByteWriter
+from repro.traces.datasets import TRACE_NAMES, get_trace
 from repro.traces.generator import generate_concurrent, generate_sequential
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "storage_v3")
@@ -392,21 +393,45 @@ def test_decode_text_prefers_snapshot_column():
 # ----------------------------------------------------------------------
 # Lazy hydration accounting
 # ----------------------------------------------------------------------
-def test_cold_text_touches_only_snapshot_column():
-    graph = fixture_graphs()["conc_trace"]
-    text = graph_text(graph)
+#: The cold reads run on a small fixture and on every trace-suite session
+#: (at ``REPRO_TRACE_SCALE``), each persisted the way an evicted document
+#: is: deleted content pruned, the text in a snapshot column.
+COLD_INPUTS = ("conc_trace", *TRACE_NAMES)
+
+
+def _evicted(name: str) -> tuple[EventGraph, str, bytes]:
+    if name in TRACE_NAMES:
+        trace = get_trace(name)
+        graph, text = trace.graph, trace.final_text
+    else:
+        graph = fixture_graphs()[name]
+        text = graph_text(graph)
     data = encode_event_graph_v3(
         graph,
         ContainerOptions(
             prune_deleted_content=True, include_snapshot=True, final_text=text
         ),
     )
+    return graph, text, data
+
+
+@pytest.mark.parametrize("name", COLD_INPUTS)
+def test_cold_text_touches_only_snapshot_column(name):
+    """Current text without materialising a single event, reading a
+    fraction of the file; the full decode it is measured against
+    materialises every event."""
+    graph, text, data = _evicted(name)
     lazy = LazyDecodedFile(data)
     assert lazy.text == text
     assert set(lazy.stats.column_reads) == {"snapshot"}
     assert lazy.stats.events_materialised == 0
     assert lazy.stats.hydrations == 0
-    assert lazy.stats.bytes_read < len(data)
+    assert lazy.stats.bytes_read / len(data) < 0.9
+
+    full = LazyDecodedFile(data)
+    _ = full.graph
+    assert full.stats.events_materialised == len(graph)
+    assert full.stats.bytes_read >= lazy.stats.bytes_read
 
 
 def test_cold_text_without_snapshot_hydrates_the_graph_once():
@@ -425,12 +450,9 @@ def test_cold_text_without_snapshot_hydrates_the_graph_once():
     assert lazy.stats.column_reads == reads
 
 
-def test_first_history_access_hydrates_exactly_once():
-    graph = fixture_graphs()["conc_trace"]
-    text = graph_text(graph)
-    data = encode_event_graph_v3(
-        graph, ContainerOptions(include_snapshot=True, final_text=text)
-    )
+@pytest.mark.parametrize("name", COLD_INPUTS)
+def test_first_history_access_hydrates_exactly_once(name):
+    graph, text, data = _evicted(name)
     lazy = LazyDecodedFile(data)
     assert lazy.text == text
     assert lazy.stats.hydrations == 0
@@ -453,11 +475,17 @@ def test_first_history_access_hydrates_exactly_once():
 
     # A document adopts a graph of its own (one owner per adopted graph):
     # a second, private hydration from the cached payloads -- no block is
-    # read or decompressed twice.
-    _ = lazy.document("reader")
+    # read or decompressed twice.  Load is a decode: nothing is merged, no
+    # walker state is built, and the document takes a local edit.
+    document = lazy.document("reader")
     assert lazy.stats.hydrations == 2
     assert lazy.stats.column_reads == first_reads
     assert lazy.stats.events_materialised == 2 * len(graph)
+    assert document.merge_stats.merges == 0
+    assert document.merge_stats.events_integrated == 0
+    assert not document.engine.has_resident_state
+    document.insert(0, "x")
+    assert document.text == "x" + text
 
 
 def test_document_and_history_load_from_bytes():
