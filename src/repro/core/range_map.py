@@ -134,6 +134,14 @@ class SpanSet:
         if length <= 0:
             return
         end = start + length
+        ends = self._ends
+        if not ends or start > ends[-1]:
+            self._starts.append(start)  # past the last run: a new tail run
+            ends.append(end)
+            return
+        if start == ends[-1]:
+            ends[-1] = end  # the next ids after the last run: extend it
+            return
         # Runs that touch [start, end) get absorbed: the first candidate is
         # the last run starting at or before `end`, then walk left.
         lo = bisect.bisect_left(self._ends, start)

@@ -97,10 +97,7 @@ class CausalBuffer:
         for start_id, length in spans:
             self._known_spans(start_id.agent).add(start_id.seq, length)
             ready.extend(self._collect_ready(start_id.agent, start_id.seq, length))
-        batch: list[RemoteEvent] = []
-        for event in ready:
-            batch.extend(self._collect_cascade(event))
-        return self._dispatch(batch)
+        return self._dispatch(self._collect_cascade(ready[::-1]))  # first ready first
 
     def _knows(self, event_id: EventId) -> bool:
         spans = self._known.get(event_id.agent)
@@ -110,10 +107,14 @@ class CausalBuffer:
         spans = self._known.get(event.id.agent)
         return spans is not None and spans.covers(event.id.seq, event.op.length)
 
-    def _receive_collect(self, event: RemoteEvent) -> list[RemoteEvent]:
-        """Accept one event, returning what it makes deliverable (itself plus
-        any unblocked cascade) instead of dispatching it, so
+    def _receive_collect(self, event: RemoteEvent, out: list[RemoteEvent]) -> None:
+        """Accept one event, appending what it makes deliverable (itself plus
+        any unblocked cascade) to ``out`` instead of dispatching it, so
         :meth:`receive_batch` can flush once.
+
+        One pass: the author's span set is looked up once, coverage and
+        parents are checked once, and a deliverable event is marked known
+        inline; the cascade runs only when something waits on the author.
 
         An event whose characters are all known is a duplicate regardless of
         how its sender carved the run; a partially known run is *not* — it is
@@ -121,38 +122,50 @@ class CausalBuffer:
         new characters.
         """
         self.stats.received += 1
-        pending = self._pending.get(event.id)
-        if self._covers(event) or (
-            pending is not None and pending.op.length >= event.op.length
+        event_id = event.id
+        agent, seq = event_id
+        length = event.op.length
+        spans = self._known_spans(agent)
+        pending = self._pending.get(event_id) if self._pending else None
+        if spans.covers(seq, length) or (
+            pending is not None and pending.op.length >= length
         ):
             self.stats.duplicates += 1
-            return []
-        missing = [p for p in event.parents if not self._knows(p)]
+            return
+        missing = [
+            p
+            for p in event.parents
+            if not (spans.contains(p.seq) if p.agent == agent else self._knows(p))
+        ]
         if not missing and pending is not None:
             # A deliverable coarser carving supersedes the buffered finer
             # one: drop the stale entry now, or it lingers as a phantom
             # pending event (a leak) until some parent span is re-touched.
-            del self._pending[event.id]
+            del self._pending[event_id]
         if missing:
             if pending is not None:
                 # A coarser carving of an already-buffered run (same first
                 # character, so the same original edit and the same parents):
                 # keep the longer event; the existing waiter registrations
                 # still apply.
-                self._pending[event.id] = event
-                return []
-            self._pending[event.id] = event
+                self._pending[event_id] = event
+                return
+            self._pending[event_id] = event
             for parent in missing:
                 waiters = self._waiting_on.setdefault(parent, [])
                 if not waiters:
                     bisect.insort(
                         self._waiting_seqs.setdefault(parent.agent, []), parent.seq
                     )
-                waiters.append(event.id)
+                waiters.append(event_id)
             if len(self._pending) > self.stats.buffered_high_water:
                 self.stats.buffered_high_water = len(self._pending)
-            return []
-        return self._collect_cascade(event)
+            return
+        out.append(event)
+        spans.add(seq, length)
+        self.stats.delivered += 1
+        if self._waiting_seqs.get(agent):
+            out.extend(self._collect_cascade(self._collect_ready(agent, seq, length)))
 
     def receive_batch(self, events: Iterable[RemoteEvent]) -> int:
         """Accept events from the network (e.g. everything a network tick
@@ -165,7 +178,7 @@ class CausalBuffer:
         """
         batch: list[RemoteEvent] = []
         for event in events:
-            batch.extend(self._receive_collect(event))
+            self._receive_collect(event, batch)
         return self._dispatch(batch)
 
     @property
@@ -197,20 +210,20 @@ class CausalBuffer:
                     ready.append(waiting)
         return ready
 
-    def _collect_cascade(self, event: RemoteEvent) -> list[RemoteEvent]:
-        """Mark ``event`` and everything it unblocks delivered; return them
-        in causal order (the dispatch to the consumer happens at the
-        top-level entry point, once per call)."""
+    def _collect_cascade(self, stack: list[RemoteEvent]) -> list[RemoteEvent]:
+        """Mark the deliverable events on ``stack`` (last first) and
+        everything they unblock delivered; return them in causal order (the
+        dispatch to the consumer happens at the top-level entry point, once
+        per call)."""
         out: list[RemoteEvent] = []
-        queue = [event]
-        while queue:
-            current = queue.pop()
+        while stack:
+            current = stack.pop()
             if self._covers(current):
                 continue
             out.append(current)
             self._known_spans(current.id.agent).add(current.id.seq, current.op.length)
             self.stats.delivered += 1
-            queue.extend(
+            stack.extend(
                 self._collect_ready(current.id.agent, current.id.seq, current.op.length)
             )
         return out

@@ -24,11 +24,23 @@ Frame types
 ``ack``       server → client (long-poll only): receipt for a ``send`` body.
 ``bye``       either direction: clean session teardown.
 
+Events
+------
+
+A ``delta`` event is the paper's ``(id, parents, op)`` as one positional
+array, ``[agent, seq, parents, pos, body]``: a string ``body`` is an insert of
+that text at ``pos``, an int ``body >= 1`` deletes that many characters.
+``parents`` is ``0`` when the event's only parent is its author's previous
+character ``[agent, seq - 1]`` — the common case of someone typing on; the
+storage format likewise leaves out a parent that is the previous event (§4,
+``docs/SPEC.md`` §5.3) — and otherwise the list of ``[agent, seq]`` parent
+ids.
+
 Malformed input raises :class:`ProtocolError`, which carries the machine
 readable ``code`` used in ``error`` frames.  Decoding is strict — unknown
-frame types, missing fields, malformed id pairs and oversized frames are all
-rejected — because the server feeds decoded events straight into the event
-graph.
+frame types, missing fields, malformed ids and events, and frames over
+:data:`MAX_FRAME_BYTES` of UTF-8 are all rejected — because the server feeds
+decoded events straight into the event graph.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Sequence
 
-from ..core.ids import EventId, Operation, delete_op, insert_op
+from ..core.ids import EventId, delete_op, insert_op
 from ..core.oplog import RemoteEvent
 
 __all__ = [
@@ -58,7 +70,7 @@ __all__ = [
 
 #: Bumped when the frame schema changes incompatibly; ``hello`` carries it and
 #: the server rejects mismatches with a structured error.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one encoded frame.  Large edits are shipped as multiple
 #: delta frames by the sender; a frame above this is rejected, not buffered.
@@ -95,18 +107,12 @@ class ProtocolError(ValueError):
 # ----------------------------------------------------------------------
 # Event codec (RemoteEvent <-> JSON)
 # ----------------------------------------------------------------------
-def encode_event(event: RemoteEvent) -> dict[str, Any]:
-    """One portable run event as a JSON-safe dict."""
-    op = event.op
-    if op.is_insert:
-        op_obj: dict[str, Any] = {"kind": "ins", "pos": op.pos, "content": op.content}
-    else:
-        op_obj = {"kind": "del", "pos": op.pos, "len": op.length}
-    return {
-        "id": [event.id.agent, event.id.seq],
-        "parents": [[p.agent, p.seq] for p in event.parents],
-        "op": op_obj,
-    }
+def encode_event(event: RemoteEvent) -> list[Any]:
+    """One portable run event as ``[agent, seq, parents, pos, body]``."""
+    eid, parents, op = event.id, event.parents, event.op
+    implied = len(parents) == 1 and parents[0] == (eid.agent, eid.seq - 1)
+    wire_parents = 0 if implied else [[p.agent, p.seq] for p in parents]
+    return [eid.agent, eid.seq, wire_parents, op.pos, op.content or op.length]
 
 
 def _decode_id(obj: Any, *, what: str) -> EventId:
@@ -114,49 +120,38 @@ def _decode_id(obj: Any, *, what: str) -> EventId:
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
         or not isinstance(obj[0], str)
-        or not isinstance(obj[1], int)
-        or isinstance(obj[1], bool)
+        or type(obj[1]) is not int
         or obj[1] < 0
     ):
-        raise ProtocolError("bad-id", f"{what} must be a [agent, seq>=0] pair, got {obj!r}")
+        raise ProtocolError("bad-id", f"{what} must be a [agent, seq>=0] pair, got {obj!r:.80}")
     return EventId(obj[0], obj[1])
 
 
-def _decode_op(obj: Any) -> Operation:
-    if not isinstance(obj, dict):
-        raise ProtocolError("bad-op", f"op must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    pos = obj.get("pos")
-    if not isinstance(pos, int) or isinstance(pos, bool) or pos < 0:
-        raise ProtocolError("bad-op", f"op.pos must be an int >= 0, got {pos!r}")
+def decode_event(obj: Any) -> RemoteEvent:
+    """Decode one positional event; raises :class:`ProtocolError` on any
+    violation."""
+    if not isinstance(obj, list) or len(obj) != 5:
+        raise ProtocolError(
+            "bad-event", f"event must be [agent, seq, parents, pos, body], got {obj!r:.80}"
+        )
+    agent, seq, parents, pos, body = obj
+    if not isinstance(agent, str) or type(seq) is not int or seq < 0:
+        raise ProtocolError("bad-id", f"event id must be agent, seq>=0, got {obj[:2]!r:.80}")
+    if parents == 0 and type(parents) is int:
+        if seq == 0:
+            raise ProtocolError("bad-id", "a seq 0 event has no previous character to imply")
+        parent_ids: tuple[EventId, ...] = (EventId(agent, seq - 1),)
+    elif isinstance(parents, list):
+        parent_ids = tuple(_decode_id(p, what="event parent") for p in parents)
+    else:
+        raise ProtocolError("bad-event", f"event parents must be 0 or a list, got {parents!r:.80}")
+    if type(pos) is not int or type(body) not in (str, int):
+        raise ProtocolError("bad-op", f"op needs an int pos and a str/int body, got {obj!r:.80}")
     try:
-        if kind == "ins":
-            content = obj.get("content")
-            if not isinstance(content, str) or not content:
-                raise ProtocolError("bad-op", "insert op needs non-empty string content")
-            return insert_op(pos, content)
-        if kind == "del":
-            length = obj.get("len")
-            if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-                raise ProtocolError("bad-op", f"delete op needs len >= 1, got {length!r}")
-            return delete_op(pos, length)
+        op = insert_op(pos, body) if type(body) is str else delete_op(pos, body)
     except ValueError as exc:  # Operation's own validation
         raise ProtocolError("bad-op", str(exc)) from exc
-    raise ProtocolError("bad-op", f"op.kind must be 'ins' or 'del', got {kind!r}")
-
-
-def decode_event(obj: Any) -> RemoteEvent:
-    """Decode one event dict; raises :class:`ProtocolError` on any violation."""
-    if not isinstance(obj, dict):
-        raise ProtocolError("bad-event", f"event must be an object, got {type(obj).__name__}")
-    parents = obj.get("parents")
-    if not isinstance(parents, list):
-        raise ProtocolError("bad-event", "event.parents must be a list")
-    return RemoteEvent(
-        id=_decode_id(obj.get("id"), what="event.id"),
-        parents=tuple(_decode_id(p, what="event parent") for p in parents),
-        op=_decode_op(obj.get("op")),
-    )
+    return RemoteEvent(EventId(agent, seq), parent_ids, op)
 
 
 def _decode_version(obj: Any, *, what: str) -> tuple[EventId, ...]:
@@ -226,9 +221,12 @@ def bye_frame(reason: str | None = None, resume: bool = False) -> dict[str, Any]
 # ----------------------------------------------------------------------
 # Codec
 # ----------------------------------------------------------------------
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def encode_frame(frame: dict[str, Any]) -> str:
     """Serialise one frame for the wire (compact JSON)."""
-    return json.dumps(frame, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(frame)
 
 
 def decode_frame(text: str | bytes) -> dict[str, Any]:
@@ -242,7 +240,10 @@ def decode_frame(text: str | bytes) -> dict[str, Any]:
         ProtocolError: on oversized input, invalid JSON, unknown frame types,
             missing fields or malformed ids/operations.
     """
-    if len(text) > MAX_FRAME_BYTES:
+    size = len(text)
+    if isinstance(text, str) and size > MAX_FRAME_BYTES // 4:
+        size = len(text.encode("utf-8", "surrogatepass"))  # <= 4 bytes a char
+    if size > MAX_FRAME_BYTES:
         raise ProtocolError("frame-too-large", f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
         frame = json.loads(text)

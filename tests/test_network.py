@@ -10,8 +10,10 @@ from repro.core.event_graph import expand_to_chars
 from repro.core.ids import EventId, insert_op
 from repro.core.oplog import RemoteEvent, graph_to_remote_events, recarve_events
 from repro.core.walker import EgWalker
+from repro.core.range_map import SpanSet
 from repro.network import CausalBuffer, NetworkSimulator, Replica, full_mesh, star
 from repro.storage.container import ContainerOptions, encode_event_graph_v3
+from repro.traces.generator import generate_concurrent
 
 
 def remote_event(agent, seq, parents, pos, char):
@@ -134,6 +136,85 @@ class TestSpanAwareBuffer:
         assert buffer.mark_known_spans([(EventId("a", 0), 4)]) == 1
         assert buffer.pending_count == 0
         assert [e.id for e in delivered] == [held.id]
+
+
+class TestSpanSetModel:
+    """``SpanSet`` against a plain ``set`` of its members."""
+
+    @staticmethod
+    def runs(members):
+        """Maximal runs of consecutive members: what a canonical SpanSet holds."""
+        return sum(1 for k in members if k - 1 not in members)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_set_of_members(self, seed):
+        rng = random.Random(seed)
+        spans, model = SpanSet(), set()
+        tail = 0
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.35:  # the last run's end, or a gap past it
+                start = tail + (0 if rng.random() < 0.6 else rng.randint(1, 4))
+            elif roll < 0.7:  # fill or straddle a gap between runs
+                start = rng.randrange(tail + 2)
+            else:  # anywhere, possibly covering several runs at once
+                start = rng.randrange(tail + 8)
+            length = rng.randint(0, 9)
+            spans.add(start, length)
+            model.update(range(start, start + length))
+            tail = max(model, default=0) + 1
+            assert len(spans) == self.runs(model)
+            for key in range(-1, tail + 2):
+                assert spans.contains(key) == (key in model)
+            for _ in range(4):
+                lo, length = rng.randrange(-1, tail + 2), rng.randint(1, 6)
+                assert spans.covers(lo, length) == model.issuperset(range(lo, lo + length))
+
+
+class TestShuffledDelivery:
+    """Any network order, multiplicity and carving of a history releases all
+    of it, in causal order, with nothing left parked."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_releases_the_history_in_causal_order(self, seed):
+        rng = random.Random(seed)
+        trace = generate_concurrent("shuffle", target_events=120, seed=seed)
+        history = graph_to_remote_events(trace.graph)
+        deliveries = []
+        for _ in range(3):  # three carvings of the history, interleaved
+            deliveries += recarve_events(
+                history,
+                splits=lambda e: [k for k in range(1, e.op.length) if rng.random() < 0.3],
+                merge_adjacent=rng.random() < 0.5,
+            )
+        deliveries += rng.sample(deliveries, 20)
+        rng.shuffle(deliveries)
+
+        released = []
+        buffer = CausalBuffer(deliver_batch=released.extend)
+        while deliveries:
+            cut = rng.randint(1, 12)
+            buffer.receive_batch(deliveries[:cut])
+            deliveries = deliveries[cut:]
+        assert buffer.pending_count == 0
+
+        known = {}
+        for event in released:  # every parent was released before its child
+            for parent in event.parents:
+                assert parent.seq in known.get(parent.agent, ()), (event, parent)
+            known.setdefault(event.id.agent, set()).update(
+                range(event.id.seq, event.id.seq + event.op.length)
+            )
+        expected = {}
+        for event in history:
+            expected.setdefault(event.id.agent, set()).update(
+                range(event.id.seq, event.id.seq + event.op.length)
+            )
+        assert known == expected
+        assert buffer.stats.delivered == len(released)
+        document = Document("reader")
+        document.apply_remote_events(released)
+        assert document.text == trace.final_text
 
 
 class TestNetworkSimulator:

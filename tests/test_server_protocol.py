@@ -10,14 +10,16 @@ import json
 import pytest
 
 from repro.core.ids import EventId, delete_op, insert_op
-from repro.core.oplog import RemoteEvent
+from repro.core.oplog import RemoteEvent, graph_to_remote_events
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     bye_frame,
+    decode_event,
     decode_frame,
     delta_frame,
+    encode_event,
     encode_frame,
     error_frame,
     hello_frame,
@@ -33,6 +35,7 @@ from repro.server.wire import (
     parse_ws_frame_header,
     websocket_accept_key,
 )
+from repro.traces.generator import generate_concurrent, generate_sequential
 
 
 def sample_events():
@@ -116,37 +119,113 @@ class TestMalformedFrames:
         frame["protocol"] = PROTOCOL_VERSION + 1
         self.expect("bad-protocol-version", json.dumps(frame))
 
+    def expect_event(self, code, event):
+        frame = delta_frame([])
+        frame["events"] = [event]
+        self.expect(code, json.dumps(frame))
+
     def test_bad_id_shapes(self):
-        for bad in (["alice"], ["alice", -1], ["alice", 1.5], [0, 1], "alice:0"):
-            frame = delta_frame([])
-            frame["events"] = [{"id": bad, "parents": [], "op": {"kind": "ins", "pos": 0, "content": "x"}}]
-            self.expect("bad-id", json.dumps(frame))
+        # The event's own id is its first two slots; a parent id is a pair.
+        for agent, seq in (("alice", -1), ("alice", 1.5), (0, 1), ("alice", True)):
+            self.expect_event("bad-id", [agent, seq, [], 0, "x"])
+        for bad in (["alice"], ["alice", -1], ["alice", 1.5], [0, 1], "alice:0", ["alice", False]):
+            self.expect_event("bad-id", ["a", 1, [bad], 0, "x"])
+
+    def test_implied_parent_needs_a_previous_character(self):
+        self.expect_event("bad-id", ["a", 0, 0, 0, "x"])
+        frame = decode_frame(json.dumps({"type": "delta", "events": [["a", 1, 0, 0, "x"]]}))
+        assert frame["events"][0].parents == (EventId("a", 0),)
 
     def test_bad_ops(self):
         cases = [
-            {"kind": "ins", "pos": 0, "content": ""},  # empty insert
-            {"kind": "ins", "pos": -1, "content": "x"},
-            {"kind": "del", "pos": 0, "len": 0},
-            {"kind": "del", "pos": 0},  # no length
-            {"kind": "move", "pos": 0},  # unknown kind
-            "not an object",
+            ["a", 0, [], 0, ""],  # empty insert
+            ["a", 0, [], -1, "x"],  # negative position
+            ["a", 0, [], 0, 0],  # zero-length delete
+            ["a", 0, [], 0, -2],
+            ["a", 0, [], 0, None],  # no body
+            ["a", 0, [], 0, 1.5],  # neither text nor a length
+            ["a", 0, [], 0, ["move"]],
+            ["a", 0, [], 0, True],  # a bool is not a length
+            ["a", 0, [], "0", "x"],  # non-int position
+            ["a", 0, [], 0.0, "x"],
+            ["a", 0, [], None, "x"],
+            ["a", 0, [], False, "x"],
         ]
         for bad in cases:
-            frame = delta_frame([])
-            frame["events"] = [{"id": ["a", 0], "parents": [], "op": bad}]
-            self.expect("bad-op", json.dumps(frame))
+            self.expect_event("bad-op", bad)
 
     def test_bad_event_shapes(self):
-        frame = delta_frame([])
-        frame["events"] = ["not an object"]
-        self.expect("bad-event", json.dumps(frame))
-        frame["events"] = [{"id": ["a", 0], "parents": "oops", "op": {"kind": "ins", "pos": 0, "content": "x"}}]
-        self.expect("bad-event", json.dumps(frame))
+        cases = [
+            "not an array",
+            {"id": ["a", 0], "parents": [], "op": {"kind": "ins", "pos": 0, "content": "x"}},
+            ["a", 0, [], 0],  # arity
+            ["a", 0, [], 0, "x", "extra"],
+            [],
+            ["a", 1, "oops", 0, "x"],  # parents neither 0 nor a list
+            ["a", 1, 1, 0, "x"],
+            ["a", 1, False, 0, "x"],  # a bool is not the 0 shorthand
+            ["a", 1, 0.0, 0, "x"],
+            ["a", 1, None, 0, "x"],
+        ]
+        for bad in cases:
+            self.expect_event("bad-event", bad)
 
     def test_oversized_frame(self):
         frame = delta_frame([])
         frame["padding"] = "x" * MAX_FRAME_BYTES
         self.expect("frame-too-large", json.dumps(frame))
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_frame_ceiling_counts_utf8_bytes(self, excess):
+        """A frame gets the same verdict as WebSocket text and as an HTTP
+        body: the ceiling is in UTF-8 bytes, not characters."""
+        shell = encode_frame(bye_frame(reason=""))
+        euros, rest = divmod(MAX_FRAME_BYTES + excess - len(shell), 3)
+        text = encode_frame(bye_frame(reason="€" * euros + "x" * rest))
+        assert len(text.encode("utf-8")) == MAX_FRAME_BYTES + excess
+        assert len(text) < MAX_FRAME_BYTES
+        for raw in (text, text.encode("utf-8")):
+            if excess:
+                self.expect("frame-too-large", raw)
+            else:
+                assert decode_frame(raw)["reason"].startswith("€")
+
+
+def trace_events(generator, **options):
+    return graph_to_remote_events(generator("wire", target_events=300, seed=3, **options).graph)
+
+
+class TestPositionalEvents:
+    """The v2 event: ``[agent, seq, parents, pos, body]``, with ``parents``
+    ``0`` when the only parent is the author's previous character."""
+
+    def test_shape(self):
+        typed_on = RemoteEvent(EventId("bob", 5), (EventId("bob", 4),), insert_op(2, "hi"))
+        assert encode_event(typed_on) == ["bob", 5, 0, 2, "hi"]
+        events = sample_events()
+        assert encode_event(events[0]) == ["alice", 0, [], 0, "héllo ✎"]
+        assert encode_event(events[1]) == ["bob", 4, [["alice", 6], ["carol", 2]], 3, 4]
+        # Another author's previous character, or two parents, spell it out.
+        other = RemoteEvent(EventId("bob", 5), (EventId("alice", 4),), delete_op(0))
+        assert encode_event(other) == ["bob", 5, [["alice", 4]], 0, 1]
+        assert decode_event(encode_event(typed_on)) == typed_on
+
+    @pytest.mark.parametrize("generator", [generate_sequential, generate_concurrent])
+    def test_trace_round_trip(self, generator):
+        options = {"authors": 3} if generator is generate_sequential else {}
+        events = trace_events(generator, **options)
+        frame = delta_frame(events)
+        assert [decode_event(e) for e in frame["events"]] == events
+        assert decode_frame(encode_frame(frame))["events"] == events
+        implied = [e for e in frame["events"] if e[2] == 0]
+        spelled = [e for e in frame["events"] if e[2] != 0]
+        assert implied and spelled
+        for wire in implied:
+            assert wire[1] > 0
+        # The shorthand fires exactly when it can.
+        assert len(implied) == sum(
+            e.parents == (EventId(e.id.agent, e.id.seq - 1),) for e in events
+        )
 
 
 class TestWebSocketFrameCodec:
