@@ -41,11 +41,14 @@ __all__ = ["CausalBuffer", "DeliveryStats"]
 
 @dataclass(slots=True)
 class DeliveryStats:
-    """Counters describing the buffer's behaviour (exposed for tests/examples)."""
+    """Counters describing the buffer's behaviour (exposed for tests/examples).
+    ``received == delivered + duplicates + superseded + pending_count``."""
 
     received: int = 0
     delivered: int = 0
     duplicates: int = 0
+    #: Parked events replaced by a coarser carving of the same run.
+    superseded: int = 0
     buffered_high_water: int = 0
     #: Delivery batches handed to ``deliver_batch``.  ``delivered / batches``
     #: is the fan-in amortisation a batching consumer (the merge engine)
@@ -142,6 +145,7 @@ class CausalBuffer:
             # one: drop the stale entry now, or it lingers as a phantom
             # pending event (a leak) until some parent span is re-touched.
             del self._pending[event_id]
+            self.stats.superseded += 1
         if missing:
             if pending is not None:
                 # A coarser carving of an already-buffered run (same first
@@ -149,6 +153,7 @@ class CausalBuffer:
                 # keep the longer event; the existing waiter registrations
                 # still apply.
                 self._pending[event_id] = event
+                self.stats.superseded += 1
                 return
             self._pending[event_id] = event
             for parent in missing:
@@ -219,6 +224,7 @@ class CausalBuffer:
         while stack:
             current = stack.pop()
             if self._covers(current):
+                self.stats.duplicates += 1
                 continue
             out.append(current)
             self._known_spans(current.id.agent).add(current.id.seq, current.op.length)

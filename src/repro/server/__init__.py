@@ -4,8 +4,8 @@ This package turns the in-process replica —
 :class:`~repro.network.replica.Replica`, a
 :class:`~repro.core.document.Document` behind its inbound
 :class:`~repro.network.causal_broadcast.CausalBuffer` — into a network
-service.  Rooms and load-generator clients are replicas; only the per-session
-outbound buffers are the server's own:
+service.  Rooms and load-generator clients are replicas; a room's inbound
+buffer is the one causal order its sessions share:
 
 * :mod:`repro.server.protocol` — the JSON message schema (hello / welcome /
   delta / presence / error / bye) shared by both transports, with structured
@@ -13,9 +13,9 @@ outbound buffers are the server's own:
 * :mod:`repro.server.wire` — a minimal HTTP/1.1 request reader and an RFC 6455
   WebSocket implementation over asyncio streams (no third-party deps).
 * :mod:`repro.server.session` — per-document rooms (each a ``Replica``) and
-  per-connection sessions; every connection owns an outbound
-  :class:`CausalBuffer`, so batch delivery and re-carve-proof dedup work
-  exactly as they do in the simulator.
+  per-connection sessions; each causally ordered batch the room delivers is
+  fanned out to every session as it stands, less, per event, the spans that
+  session's client uploaded itself.
 * :mod:`repro.server.app` — :class:`CollabServer`, the asyncio server that
   speaks WebSockets on the fast path and degrades to HTTP long-polling
   (cursor presence disabled there, like sysreptor's fallback).

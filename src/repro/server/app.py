@@ -505,7 +505,7 @@ class CollabServer:
         room = self.room(frame["doc"])
         session = room.connect(frame["agent"], "poll", frame["version"])
         self._sessions[session.id] = (room, session)
-        return http_response(200, json.dumps({"frames": session.drain()}, default=list))
+        return http_response(200, encode_frame({"frames": session.drain()}))
 
     def _poll_session(
         self, request: HttpRequest, *, allow_closed: bool = False
@@ -582,13 +582,13 @@ class CollabServer:
             frames = session.drain()
             room.disconnect(session)
             self._sessions.pop(session.id, None)
-            return http_response(200, json.dumps({"frames": frames}, default=list))
+            return http_response(200, encode_frame({"frames": frames}))
         try:
             wait = min(float(request.query.get("wait", "25")), MAX_POLL_WAIT)
         except ValueError:
             wait = 0.0
         frames = await session.wait_for_frames(timeout=max(wait, 0.0))
-        return http_response(200, json.dumps({"frames": frames}, default=list))
+        return http_response(200, encode_frame({"frames": frames}))
 
     async def _http_text(self, request: HttpRequest) -> bytes:
         doc = request.query.get("doc", "")

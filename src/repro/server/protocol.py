@@ -38,14 +38,15 @@ ids.
 
 Malformed input raises :class:`ProtocolError`, which carries the machine
 readable ``code`` used in ``error`` frames.  Decoding is strict — unknown
-frame types, missing fields, malformed ids and events, and frames over
-:data:`MAX_FRAME_BYTES` of UTF-8 are all rejected — because the server feeds
-decoded events straight into the event graph.
+frame types, missing fields, malformed ids and events, lone surrogates, and
+frames over :data:`MAX_FRAME_BYTES` of UTF-8 are all rejected — because the
+server feeds decoded events straight into the event graph.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Iterable, Sequence
 
 from ..core.ids import EventId, delete_op, insert_op
@@ -221,12 +222,19 @@ def bye_frame(reason: str | None = None, resume: bool = False) -> dict[str, Any]
 # ----------------------------------------------------------------------
 # Codec
 # ----------------------------------------------------------------------
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+#: One encoder, built once (``JSONEncoder.encode`` builds one per call), with
+#: ``iterencode``'s arguments less the cycle check; pure Python without ``_json``.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_ITERENCODE = (
+    c_make_encoder(None, _COMPACT.default, encode_basestring, None, ":", ",", False, False, True)
+    if c_make_encoder is not None
+    else _COMPACT.iterencode
+)
 
 
 def encode_frame(frame: dict[str, Any]) -> str:
-    """Serialise one frame for the wire (compact JSON)."""
-    return _ENCODER.encode(frame)
+    """Serialise one frame (or a long-poll body of frames) as compact JSON."""
+    return "".join(_ITERENCODE(frame, 0))
 
 
 def decode_frame(text: str | bytes) -> dict[str, Any]:
@@ -237,8 +245,8 @@ def decode_frame(text: str | bytes) -> dict[str, Any]:
     :class:`RemoteEvent` lists, so consumers never touch raw JSON shapes.
 
     Raises:
-        ProtocolError: on oversized input, invalid JSON, unknown frame types,
-            missing fields or malformed ids/operations.
+        ProtocolError: on oversized input, invalid JSON, lone surrogates,
+            unknown frame types, missing fields or malformed ids/operations.
     """
     size = len(text)
     if isinstance(text, str) and size > MAX_FRAME_BYTES // 4:
@@ -247,6 +255,10 @@ def decode_frame(text: str | bytes) -> dict[str, Any]:
         raise ProtocolError("frame-too-large", f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
         frame = json.loads(text)
+        if (b"\\u" if isinstance(text, bytes) else "\\u") in text or not text.isascii():
+            encode_frame(frame).encode("utf-8")  # strict: a lone surrogate is not text
+    except UnicodeEncodeError as exc:
+        raise ProtocolError("bad-frame", f"frame text is not valid UTF-8: {exc}") from exc
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError("bad-json", f"frame is not valid JSON: {exc}") from exc
     if not isinstance(frame, dict):

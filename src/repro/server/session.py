@@ -8,13 +8,14 @@ drops duplicates (reconnect replays, however they are re-carved) and hands the
 document one causally ordered batch per upload — the same amortisation the
 network simulator's relay hub enjoys.
 
-Each connection is a :class:`Session` with an **outbound** ``CausalBuffer`` of
-its own, seeded with the spans the client already has (computed from the
-``hello`` version's ancestor closure).  Everything the room ingests is offered
-to every session; a session's buffer dedups what that client already holds —
-its own uploads, catch-up overlap after a reconnect, re-carved duplicates —
-and frames the rest as ``delta`` messages on the session's queue.  The queue
-is transport-agnostic: the WebSocket handler pumps it over the socket, the
+That batch order is the room's one causal order (paper §2.1), and every
+session shares it: :meth:`DocumentRoom.deliver` fans each batch out to every
+connection as it stands.  No session parks or re-orders — a parent of a
+fanned-out event is in the client's ``hello`` version, in the catch-up queued
+at connect, in an earlier batch or among the client's own uploads — and each
+drops, per event, the spans its own client uploaded (:class:`UploadFilter`),
+framing the rest as one ``delta`` on its queue.  The queue is
+transport-agnostic: the WebSocket handler pumps it over the socket, the
 long-poll handler drains it per poll.
 
 Presence (cursors as id-frontier positions) rides the same queues but is only
@@ -33,14 +34,15 @@ from typing import Any, Callable, Iterable
 from ..core.document import Document
 from ..core.ids import EventId
 from ..core.oplog import RemoteEvent
+from ..core.range_map import SpanSet
 from ..faults import InjectedCrash
 from ..history import Version
-from ..network.causal_broadcast import CausalBuffer
+from ..network.causal_broadcast import DeliveryStats
 from ..network.replica import Replica
 from .protocol import bye_frame, delta_frame, presence_frame, welcome_frame
 from .wal import RoomStorage
 
-__all__ = ["Session", "DocumentRoom", "RoomStats"]
+__all__ = ["Session", "DocumentRoom", "RoomStats", "UploadFilter"]
 
 #: Idle seconds after which a long-poll session is reaped (a vanished poll
 #: client never says ``bye``; WebSocket sessions die with their socket).
@@ -70,6 +72,40 @@ class RoomStats:
     frames_shed: int = 0
     #: Idle long-poll sessions reclaimed by the periodic reaper.
     sessions_reaped: int = 0
+
+
+class UploadFilter:
+    """The id spans one client uploaded, which fan-out must not echo back.
+    Its ``stats`` count as a causal buffer's do; it never parks an event."""
+
+    def __init__(self) -> None:
+        self._uploaded: dict[str, SpanSet] = {}
+        self.stats = DeliveryStats()
+
+    def mark_uploaded(self, events: Iterable[RemoteEvent]) -> None:
+        for event in events:
+            agent, seq = event.id
+            self._uploaded.setdefault(agent, SpanSet()).add(seq, event.op.length)
+
+    def fresh(self, events: list[RemoteEvent]) -> list[RemoteEvent]:
+        """The events of one room batch that the client did not upload."""
+        stats = self.stats
+        stats.received += len(events)
+        uploaded = self._uploaded
+        if uploaded:  # a client that uploaded nothing (a reader) gets all
+            fresh = [
+                e
+                for e in events
+                if (spans := uploaded.get(e.id.agent)) is None
+                or not spans.covers(e.id.seq, e.op.length)
+            ]
+            stats.duplicates += len(events) - len(fresh)
+        else:
+            fresh = events
+        if fresh:
+            stats.delivered += len(fresh)
+            stats.batches += 1
+        return fresh
 
 
 class Session:
@@ -106,9 +142,8 @@ class Session:
         #: Frames waiting for this client, in delivery order.
         self._queue: list[dict[str, Any]] = []
         self._wakeup = asyncio.Event()
-        #: Outbound causal buffer: offered every room ingest, delivers (as
-        #: one ``delta`` frame per batch) only what this client is missing.
-        self.outbound = CausalBuffer(deliver_batch=self._queue_delta)
+        #: Drops this client's own uploads from the room's batches.
+        self.outbound = UploadFilter()
 
     # ------------------------------------------------------------------
     @property
@@ -116,30 +151,16 @@ class Session:
         return self.transport == "ws"
 
     @property
-    def pending_count(self) -> int:
-        """Events parked in the outbound buffer (0 after quiescence)."""
-        return self.outbound.pending_count
-
-    @property
     def queued_frames(self) -> int:
         return len(self._queue)
 
     # ------------------------------------------------------------------
-    def seed_known(self, spans: Iterable[tuple[EventId, int]]) -> None:
-        """Mark the spans the client already holds (its ``hello`` version's
-        ancestor closure), so catch-up and live traffic dedup against them."""
-        self.outbound.mark_known_spans(spans)
-
-    def mark_uploaded(self, events: Iterable[RemoteEvent]) -> None:
-        """Record that the client itself sent ``events``: the room's ingest
-        loop will offer them back, and the buffer must treat the echo as
-        already-known (a clean no-op, whatever the carving)."""
-        self.outbound.mark_known_spans((e.id, e.op.length) for e in events)
-
     def offer_events(self, events: list[RemoteEvent]) -> None:
-        """Offer newly ingested room events; only the genuinely new ones (for
-        this client) are framed and queued."""
-        self.outbound.receive_batch(events)
+        """Offer one causally ordered room batch; the events this client did
+        not upload are framed and queued as one ``delta``."""
+        fresh = self.outbound.fresh(events)
+        if fresh:
+            self.queue_frame(delta_frame(fresh))
 
     def queue_frame(self, frame: dict[str, Any]) -> None:
         """Queue one non-delta frame (welcome / presence / error / bye)."""
@@ -176,9 +197,6 @@ class Session:
         if frames:
             self._queue[0:0] = frames
             self._wakeup.set()
-
-    def _queue_delta(self, events: list[RemoteEvent]) -> None:
-        self.queue_frame(delta_frame(events))
 
     # ------------------------------------------------------------------
     def drain(self) -> list[dict[str, Any]]:
@@ -260,20 +278,19 @@ class DocumentRoom(Replica):
     # Connection lifecycle
     # ------------------------------------------------------------------
     def connect(self, agent: str, transport: str, version_ids: Iterable[EventId]) -> Session:
-        """Open a session: seed its dedup state from the client's version and
-        queue ``welcome`` + catch-up ``delta`` + current presence frames."""
+        """Open a session: queue ``welcome``, the catch-up ``delta`` of every
+        event outside the client's version, and current presence frames.
+        Live fan-out to the session starts right after, in the same step."""
         self.reap_idle_sessions(self.poll_session_timeout)
         session = Session(
             self, agent, transport, max_queued_frames=self.max_queued_frames
         )
         self.sessions[session.id] = session
         self.stats.sessions_opened += 1
-        version_ids = tuple(version_ids)
-        session.seed_known(self._spans_at(version_ids))
         session.queue_frame(
             welcome_frame(self.name, session.id, self.document.version().ids)
         )
-        catchup = self.document.events_since(version_ids)
+        catchup = self.document.events_since(tuple(version_ids))
         if catchup:
             session.offer_events(catchup)
         if session.wants_presence:
@@ -303,17 +320,6 @@ class DocumentRoom(Replica):
                 reaped.append(session)
         return reaped
 
-    def _spans_at(self, version_ids: tuple[EventId, ...]) -> list[tuple[EventId, int]]:
-        """The id spans covered by ``Events(version)`` — what a client at that
-        version already holds.  Unknown ids (the client is ahead of us on a
-        branch) contribute nothing; its uploads will fill the gap."""
-        graph = self.document.oplog.graph
-        known = [eid for eid in version_ids if graph.contains_id(eid)]
-        if not known:
-            return []
-        indices = tuple(sorted({graph.dependency_index(eid) for eid in known}))
-        return graph.id_spans(self.document.oplog.causal.ancestors(indices))
-
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
@@ -322,7 +328,7 @@ class DocumentRoom(Replica):
         document (0 for a pure duplicate replay)."""
         self.stats.deltas_received += 1
         session.last_seen = time.monotonic()
-        session.mark_uploaded(events)
+        session.outbound.mark_uploaded(events)
         before = self.inbound.stats.duplicates
         delivered = self.receive(events)
         self.stats.duplicates_dropped += self.inbound.stats.duplicates - before
@@ -330,8 +336,7 @@ class DocumentRoom(Replica):
 
     def deliver(self, events: list[RemoteEvent]) -> None:
         """Inbound-buffer delivery: apply one causally ordered batch to the
-        server replica, WAL-append it, then fan it out to every session's
-        outbound buffer.
+        server replica, WAL-append it, then fan it out to every session.
 
         The write-ahead append happens *before* any session sees the batch:
         a crash after the append loses only unacknowledged fan-out (clients
@@ -374,11 +379,8 @@ class DocumentRoom(Replica):
 
     def buffer_pending(self) -> dict[str, int]:
         """Parked-event counts for the leak check: all zero once the room has
-        quiesced (no in-flight uploads, every session caught up)."""
-        pending = {"inbound": self.pending_count}
-        for session in self.sessions.values():
-            pending[f"outbound:{session.id}"] = session.pending_count
-        return pending
+        quiesced (no in-flight uploads).  Sessions park nothing."""
+        return {"inbound": self.pending_count}
 
     def summary(self) -> dict[str, Any]:
         summary = {

@@ -57,6 +57,23 @@ class TestCausalBuffer:
         assert len(delivered) == 1
         assert buffer.stats.duplicates == 1
 
+    def test_a_superseded_carving_is_counted(self):
+        """A parked run that a coarser carving replaces is ``superseded``,
+        whether the coarser one parks too or is deliverable (its sender named
+        other parents for the same first character)."""
+        delivered = []
+        buffer = CausalBuffer(deliver_batch=delivered.extend)
+        finer = remote_event("a", 0, [EventId("z", 0)], 0, "x")
+        coarser = remote_event("a", 0, [EventId("z", 0)], 0, "xy")
+        buffer.receive_batch([finer, coarser])
+        assert buffer.pending_count == 1 and buffer.stats.superseded == 1
+        rootless = remote_event("a", 0, [], 0, "xyz")
+        buffer.receive_batch([rootless])
+        assert delivered == [rootless]
+        stats = buffer.stats
+        assert buffer.pending_count == 0 and stats.superseded == 2
+        assert stats.received == stats.delivered + stats.duplicates + stats.superseded
+
     def test_mark_known_suppresses_local_events(self):
         delivered = []
         buffer = CausalBuffer(deliver_batch=delivered.extend)
@@ -192,11 +209,20 @@ class TestShuffledDelivery:
 
         released = []
         buffer = CausalBuffer(deliver_batch=released.extend)
+        stats = buffer.stats
         while deliveries:
             cut = rng.randint(1, 12)
             buffer.receive_batch(deliveries[:cut])
             deliveries = deliveries[cut:]
+            # Every received event is accounted once, parked ones included.
+            # Seed 0 is the stream whose counters once read received 168 vs
+            # delivered 43 + duplicates 85: superseded carvings and covered
+            # cascade pops were counted nowhere.
+            assert stats.received == (
+                stats.delivered + stats.duplicates + stats.superseded + buffer.pending_count
+            )
         assert buffer.pending_count == 0
+        assert stats.superseded > 0
 
         known = {}
         for event in released:  # every parent was released before its child
@@ -211,7 +237,7 @@ class TestShuffledDelivery:
                 range(event.id.seq, event.id.seq + event.op.length)
             )
         assert known == expected
-        assert buffer.stats.delivered == len(released)
+        assert stats.delivered == len(released)
         document = Document("reader")
         document.apply_remote_events(released)
         assert document.text == trace.final_text

@@ -12,12 +12,16 @@ reaper are also checked in process, on the room itself.)
 
 import asyncio
 import json
+import random
 import time
 
 import pytest
 
+from repro.core.causal_graph import CausalGraph
+from repro.core.document import Document
 from repro.core.ids import EventId, insert_op
 from repro.core.oplog import RemoteEvent
+from repro.network import Replica
 from repro.server import (
     CollabServer,
     DocumentRoom,
@@ -26,6 +30,7 @@ from repro.server import (
     run_trace_replay,
 )
 from repro.server.loadgen import CollabClient, PollClient, http_request
+from repro.server.protocol import decode_frame, delta_frame, encode_frame
 from repro.traces.datasets import get_trace
 
 
@@ -215,6 +220,43 @@ class TestLongPollFallback:
 
         run(scenario())
 
+    def test_lone_surrogate_is_refused_on_both_transports(self):
+        """A lone surrogate is valid JSON but not UTF-8: were it accepted,
+        every poll response carrying it would fail to encode and the poll
+        client would lose those frames.  Both transports refuse it, and the
+        poll client still receives every frame."""
+        lone = delta_frame([RemoteEvent(EventId("mallory", 0), (), insert_op(0, "\ud800"))])
+
+        async def scenario():
+            async with CollabServer() as server:
+                host, port = server.host, server.port
+                ws = CollabClient(host, port, "d", "alice")
+                poll = PollClient(host, port, "d", "bob", poll_wait=0.05)
+                await ws.connect()
+                await poll.connect()
+                await ws.send_raw(json.dumps(lone))
+                assert await wait_until(lambda: len(ws.errors) == 1)
+                assert ws.errors[0]["code"] == "bad-frame"
+                status, body = await http_request(
+                    host, port, "POST", f"/v1/send?session={poll.session_id}", {"frames": [lone]}
+                )
+                assert status == 400 and body["code"] == "bad-frame"
+                hello = {"type": "hello", "doc": "d", "agent": "\udfff", "version": [], "protocol": 2}
+                status, body = await http_request(host, port, "POST", "/v1/connect", hello)
+                assert status == 400 and body["code"] == "bad-frame"
+                await ws.insert(0, "ws ")
+                assert await wait_until(lambda: poll.text == "ws ")
+                await poll.insert(3, "poll")
+                assert await wait_until(lambda: ws.text == poll.text == "ws poll")
+                late = PollClient(host, port, "d", "carol", poll_wait=0.05)
+                await late.connect()
+                assert await wait_until(lambda: late.text == "ws poll")
+                assert_no_leaks(server, "d", ws, poll, late)
+                for client in (ws, poll, late):
+                    await client.close()
+
+        run(scenario())
+
     def test_http_endpoints(self):
         async def scenario():
             async with CollabServer() as server:
@@ -259,6 +301,160 @@ class TestRoomSummary:
         assert room.summary()["resident_walker_records"] > 0
 
 
+def received_events(session):
+    """Drain ``session``; the events of its queued ``delta`` frames, as the
+    client decodes them."""
+    return [
+        event
+        for frame in session.drain()
+        if frame["type"] == "delta"
+        for event in decode_frame(encode_frame(frame))["events"]
+    ]
+
+
+def chars(events):
+    """Every character id the events carry, in order (repeats kept)."""
+    return [(e.id.agent, e.id.seq + k) for e in events for k in range(e.op.length)]
+
+
+def assert_filters_add_up(room):
+    for session in room.sessions.values():
+        stats = session.outbound.stats
+        assert stats.received == stats.delivered + stats.duplicates + stats.superseded
+        assert stats.buffered_high_water == 0  # a session never parks
+
+
+def typed_room(seed, edits=30, names=("alice", "bob")):
+    """A room the clients typed into concurrently: each edit is uploaded at
+    once, but a client reads its queue only now and then."""
+    rng = random.Random(seed)
+    room = DocumentRoom("fan-out")
+    clients = {name: Replica(Document(name)) for name in names}
+    sessions = {name: room.connect(name, "ws", ()) for name in names}
+    for session in sessions.values():
+        session.drain()
+    uploads = {name: [] for name in names}
+    for _ in range(edits):
+        name = rng.choice(names)
+        client = clients[name]
+        if client.text and rng.random() < 0.3:
+            events = client.local_delete(rng.randrange(len(client.text)))
+        else:
+            events = client.local_insert(rng.randint(0, len(client.text)), rng.choice("xyz"))
+        room.receive_delta(sessions[name], events)
+        uploads[name] += events
+        for other in names:
+            if rng.random() < 0.4:
+                clients[other].receive(received_events(sessions[other]))
+    return room, clients, sessions, uploads
+
+
+class TestFanOut:
+    """In process: the room hands each causally ordered batch to every
+    session as it stands, and a session drops, per event, only the spans its
+    own client uploaded."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uploader_never_receives_its_own_spans(self, seed):
+        room, clients, sessions, uploads = typed_room(seed, names=("alice", "bob", "carol"))
+        for name, client in clients.items():
+            client.receive(received_events(sessions[name]))
+            assert client.pending_count == 0
+            assert client.text == room.text
+            # Each upload was offered back once, and dropped as an echo.
+            stats = sessions[name].outbound.stats
+            assert stats.duplicates == len(uploads[name]) > 0
+            assert stats.delivered == sum(len(u) for u in uploads.values()) - len(uploads[name])
+        assert_filters_add_up(room)
+
+    def test_an_upload_that_unblocks_another_is_filtered_per_event(self):
+        """Session ``a`` uploads a child whose parent the room lacks; session
+        ``b`` then uploads the parent, and one batch delivers both.  ``b``
+        still gets ``a``'s child, and ``a`` gets only ``b``'s parent."""
+        room = DocumentRoom("cascade")
+        a, b, c = (room.connect(name, "ws", ()) for name in ("a", "b", "c"))
+        for session in (a, b, c):
+            session.drain()
+        parent = RemoteEvent(EventId("b", 0), (), insert_op(0, "x"))
+        child = RemoteEvent(EventId("a", 0), (parent.id,), insert_op(1, "y"))
+        room.receive_delta(a, [child])
+        assert room.pending_count == 1
+        assert [received_events(s) for s in (a, b, c)] == [[], [], []]
+        room.receive_delta(b, [parent])
+        assert received_events(a) == [parent]
+        assert received_events(b) == [child]
+        assert received_events(c) == [parent, child]
+        assert room.text == "xy"
+        assert_filters_add_up(room)
+
+    def test_a_session_gets_the_events_since_its_version_once(self):
+        room, clients, sessions, _ = typed_room(11)
+        carol = Replica(Document("carol"))
+        carol.receive(room.document.events_since(())[:12])
+        version = carol.document.version().ids
+        expected = room.document.events_since(version)
+        late = room.connect("carol", "ws", version)
+        frames = late.drain()
+        assert [f["type"] for f in frames] == ["welcome", "delta"]
+        assert frames[1] == delta_frame(expected)
+        catchup = decode_frame(encode_frame(frames[1]))["events"]
+        # Live traffic after the connect carries each new event once.
+        alice = clients["alice"]
+        alice.receive(received_events(sessions["alice"]))
+        typed, live = [], []
+        for k in range(5):
+            events = alice.local_insert(k, "L")
+            room.receive_delta(sessions["alice"], events)
+            typed += events
+            live += received_events(late)
+        assert live == typed
+        before = set(chars(carol.document.events_since(())))
+        got = chars(catchup + live)
+        assert len(got) == len(set(got))
+        assert set(got) == set(chars(room.document.events_since(()))) - before
+        carol.receive(catchup + live)
+        assert carol.pending_count == 0 and carol.text == room.text
+        assert_filters_add_up(room)
+
+    def test_replaying_the_whole_own_history_on_reconnect_gets_nothing_back(self):
+        room, clients, sessions, _ = typed_room(4)
+        alice, bob = clients["alice"], clients["bob"]
+        for name in ("alice", "bob"):
+            clients[name].receive(received_events(sessions[name]))
+        room.disconnect(sessions["alice"])
+        missed = []
+        for k in range(3):  # bob types on while alice is away
+            events = bob.local_insert(k, "b")
+            room.receive_delta(sessions["bob"], events)
+            missed += events
+        again = room.connect("alice", "ws", alice.document.version().ids)
+        catchup = received_events(again)
+        assert chars(catchup) == chars(missed)
+        alice.receive(catchup)
+        dropped = room.stats.duplicates_dropped
+        room.receive_delta(again, alice.own_history())
+        assert room.stats.duplicates_dropped > dropped
+        assert again.drain() == [] and sessions["bob"].drain() == []
+        assert alice.text == bob.text == room.text
+        assert_filters_add_up(room)
+
+    def test_connect_runs_no_ancestor_closure(self, monkeypatch):
+        room, *_ = typed_room(7)
+        carol = Replica(Document("carol"))
+        carol.receive(room.document.events_since(())[:10])
+        closures = []
+        original = CausalGraph.ancestors
+
+        def spy(self, frontier):
+            closures.append(frontier)
+            return original(self, frontier)
+
+        monkeypatch.setattr(CausalGraph, "ancestors", spy)
+        late = room.connect("carol", "ws", carol.document.version().ids)
+        assert received_events(late)
+        assert closures == []
+
+
 class TestLoadgen:
     def test_live_session_mixed_transports(self):
         async def scenario():
@@ -280,8 +476,8 @@ class TestLoadgen:
     @pytest.mark.parametrize("clients", [2, 4, 8])
     def test_live_sessions_converge_at_every_fanout(self, clients):
         """Every client and the server replica converge byte-identically,
-        and no causal buffer (the room's inbound, any session's outbound,
-        any client's) still parks an event after quiesce."""
+        and no causal buffer (the room's inbound, any client's) still parks
+        an event after quiesce."""
 
         async def scenario():
             async with CollabServer() as server:

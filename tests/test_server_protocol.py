@@ -15,6 +15,7 @@ from repro.server.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    ack_frame,
     bye_frame,
     decode_event,
     decode_frame,
@@ -89,6 +90,42 @@ class TestFrameRoundTrips:
     def test_decode_accepts_bytes(self):
         raw = encode_frame(bye_frame()).encode("utf-8")
         assert decode_frame(raw)["type"] == "bye"
+
+
+#: Text the encoder must escape exactly as ``json.dumps`` does: quotes,
+#: backslashes, control characters, non-BMP characters, a lone surrogate.
+AWKWARD = ['say "hi"', "C:\\path\\", "tab\tnul\x00bell\x07\x1f\x7f", "emoji 😀 𝄞", "lone \ud800 half"]
+
+
+def every_frame():
+    """One frame from every builder, the awkward strings in every text field."""
+    ids = [EventId(text, 3) for text in AWKWARD]
+    events = [RemoteEvent(EventId(text, 1), (), insert_op(0, text)) for text in AWKWARD]
+    events += sample_events()
+    frames = [delta_frame(events), ack_frame(7), bye_frame(), bye_frame("slow-consumer", True)]
+    for text in AWKWARD:
+        frames += [
+            hello_frame(text, text, ids),
+            welcome_frame(text, text, ids),
+            presence_frame(text, ids),
+            error_frame(text, text),
+            bye_frame(text),
+        ]
+    return frames
+
+
+class TestWireExactness:
+    """``encode_frame`` reuses one C encoder; its output must be the bytes of
+    ``json.dumps`` with compact separators and no ASCII escaping, frame for
+    frame, or ``wire_bytes_per_edit`` moves."""
+
+    @pytest.mark.parametrize("frame", every_frame(), ids=lambda f: f["type"])
+    def test_matches_json_dumps(self, frame):
+        assert encode_frame(frame) == json.dumps(frame, separators=(",", ":"), ensure_ascii=False)
+
+    def test_long_poll_body_matches_json_dumps(self):
+        body = {"frames": every_frame()}
+        assert encode_frame(body) == json.dumps(body, separators=(",", ":"), ensure_ascii=False)
 
 
 class TestMalformedFrames:
@@ -189,6 +226,32 @@ class TestMalformedFrames:
                 self.expect("frame-too-large", raw)
             else:
                 assert decode_frame(raw)["reason"].startswith("€")
+
+    def test_lone_surrogate_is_refused(self):
+        """The server sends on what it accepts as UTF-8, which a lone
+        surrogate cannot be: escaped, raw, or surrogate-encoded in bytes, in
+        any text field, it is refused where it enters."""
+        lone = delta_frame([RemoteEvent(EventId("a", 0), (), insert_op(0, "x\ud800"))])
+        escaped = json.dumps(lone)
+        assert "\\ud800" in escaped
+        raw = encode_frame(lone)
+        for text in (escaped, escaped.encode(), raw, raw.encode("utf-8", "surrogatepass")):
+            self.expect("bad-frame", text)
+        for frame in (
+            hello_frame("\udfff", "a"),
+            hello_frame("d", "a\ud800"),
+            hello_frame("d", "a", [("\udc00", 1)]),
+            presence_frame("a", [("\ud800", 1)]),
+            error_frame("x", "\udfff"),
+        ):
+            self.expect("bad-frame", json.dumps(frame))
+
+    def test_surrogate_pair_escape_is_text(self):
+        emoji = delta_frame([RemoteEvent(EventId("a", 0), (), insert_op(0, "😀 \\ud800"))])
+        escaped = json.dumps(emoji)
+        assert "\\ud83d\\ude00" in escaped
+        for text in (escaped, escaped.encode()):
+            assert decode_frame(text)["events"][0].op.content == "😀 \\ud800"
 
 
 def trace_events(generator, **options):
