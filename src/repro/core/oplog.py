@@ -311,16 +311,25 @@ class OpLog:
 
         Accepts a raw id sequence (the wire representation) or a
         :class:`repro.history.Version` handle (anything with an ``ids``
-        attribute).  Event ids the local graph does not know are ignored: the
-        remote is simply ahead of us on those branches and needs nothing for
-        them.  A version id that lands mid-run (the remote carved, or saw,
-        only a prefix of one of our runs) splits the stored run at the
-        boundary so the unseen suffix is exported and the seen prefix is not
-        re-sent.  Cost: the causal diff between the two frontiers plus the
-        export of the missing events.
+        attribute).  A version id the local graph does not know means the
+        remote is ahead of us on that agent's line (it typed offline, or we
+        lost its last characters in a crash); an agent's characters are
+        causally ordered, so the id stands for the agent's last character we
+        know.  An agent we have never seen contributes nothing.  A version id
+        that lands mid-run (the remote carved, or saw, only a prefix of one of
+        our runs) splits the stored run at the boundary so the unseen suffix
+        is exported and the seen prefix is not re-sent.  Cost: the causal diff
+        between the two frontiers plus the export of the missing events.
         """
         ids = getattr(remote_version, "ids", remote_version)
-        known = [eid for eid in ids if self.graph.contains_id(eid)]
+        known: list[EventId] = []
+        for eid in ids:
+            if not self.graph.contains_id(eid):
+                end = self.graph.next_seq_for(eid.agent)
+                if not 0 < end <= eid.seq:
+                    continue  # an agent we have never seen
+                eid = EventId(eid.agent, end - 1)
+            known.append(eid)
         # Resolve to Event objects first: each dependency_index call may split
         # a stored run, shifting every later index (Event.index stays live).
         local_events = [self.graph[self.graph.dependency_index(eid)] for eid in known]

@@ -18,7 +18,7 @@ harness can wrap any layer without cycles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "InjectedCrash",
@@ -129,16 +129,7 @@ class FaultStats:
     slow_waits: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "reordered": self.reordered,
-            "delayed": self.delayed,
-            "cuts": self.cuts,
-            "partitioned": self.partitioned,
-            "crashes": self.crashes,
-            "slow_waits": self.slow_waits,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,6 +34,8 @@ from .protocol import (
     decode_frame,
     encode_frame,
     error_frame,
+    load_json,
+    validate_frame,
 )
 from .session import POLL_SESSION_TIMEOUT, DocumentRoom, Session
 from .wal import (
@@ -56,6 +58,10 @@ __all__ = ["CollabServer"]
 
 #: Cap on how long one ``/v1/poll`` request may hang (seconds).
 MAX_POLL_WAIT = 30.0
+
+
+def _error_response(status: int, code: str, reason: str) -> bytes:
+    return http_response(status, encode_frame(error_frame(code, reason)))
 
 
 class CollabServer:
@@ -484,9 +490,7 @@ class CollabServer:
             ("GET", "/healthz"): self._http_health,
         }.get((request.method, request.path))
         if handler is None:
-            response = http_response(
-                404, json.dumps(error_frame("not-found", f"no route {request.method} {request.path}"))
-            )
+            response = _error_response(404, "not-found", f"no route {request.method} {request.path}")
         else:
             response = await handler(request)
         writer.write(response)
@@ -501,7 +505,7 @@ class CollabServer:
             if frame["type"] != "hello":
                 raise ProtocolError("hello-required", "connect body must be a hello frame")
         except ProtocolError as exc:
-            return http_response(400, json.dumps(error_frame(exc.code, exc.reason)))
+            return _error_response(400, exc.code, exc.reason)
         room = self.room(frame["doc"])
         session = room.connect(frame["agent"], "poll", frame["version"])
         self._sessions[session.id] = (room, session)
@@ -518,17 +522,17 @@ class CollabServer:
     async def _http_send(self, request: HttpRequest) -> bytes:
         entry = self._poll_session(request)
         if entry is None:
-            return http_response(404, json.dumps(error_frame("unknown-session", "no such session")))
+            return _error_response(404, "unknown-session", "no such session")
         room, session = entry
         try:
-            body = request.json()
+            # The body is checked as one frame's text, as it arrived.
+            body = load_json(request.body)
             frames = body.get("frames") if isinstance(body, dict) else None
             if not isinstance(frames, list):
                 raise ProtocolError("bad-frame", "send body must be {'frames': [...]}")
-            decoded = [decode_frame(json.dumps(f)) for f in frames]
-        except (ValueError, ProtocolError) as exc:
-            code = exc.code if isinstance(exc, ProtocolError) else "bad-json"
-            return http_response(400, json.dumps(error_frame(code, str(exc))))
+            decoded = [validate_frame(f) for f in frames]
+        except ProtocolError as exc:
+            return _error_response(400, exc.code, exc.reason)
         if self.faults is not None and decoded:
             fate = self.faults.inbound_fate()
             if fate.cut:
@@ -536,12 +540,7 @@ class CollabServer:
                 # client's reconnect path takes over (its events replay).
                 room.disconnect(session)
                 self._sessions.pop(session.id, None)
-                return http_response(
-                    503,
-                    json.dumps(
-                        error_frame("injected-cut", "fault injection cut this session")
-                    ),
-                )
+                return _error_response(503, "injected-cut", "fault injection cut this session")
             if fate.delay:
                 await asyncio.sleep(fate.delay)
             if fate.copies > 1:
@@ -562,18 +561,15 @@ class CollabServer:
                 room.disconnect(session)
                 self._sessions.pop(session.id, None)
             else:
-                return http_response(
-                    400,
-                    json.dumps(
-                        error_frame("unexpected-type", f"cannot upload {frame['type']!r} frames")
-                    ),
+                return _error_response(
+                    400, "unexpected-type", f"cannot upload {frame['type']!r} frames"
                 )
-        return http_response(200, json.dumps(ack_frame(accepted)))
+        return http_response(200, encode_frame(ack_frame(accepted)))
 
     async def _http_poll(self, request: HttpRequest) -> bytes:
         entry = self._poll_session(request, allow_closed=True)
         if entry is None:
-            return http_response(404, json.dumps(error_frame("unknown-session", "no such session")))
+            return _error_response(404, "unknown-session", "no such session")
         room, session = entry
         if session.closed:
             # A shed (or otherwise closed) session answers exactly one more
@@ -594,7 +590,7 @@ class CollabServer:
         doc = request.query.get("doc", "")
         room = self.rooms.get(doc)
         if room is None:
-            return http_response(404, json.dumps(error_frame("unknown-doc", f"no document {doc!r}")))
+            return _error_response(404, "unknown-doc", f"no document {doc!r}")
         return http_response(
             200,
             json.dumps(
@@ -611,9 +607,7 @@ class CollabServer:
         if doc:
             room = self.rooms.get(doc)
             if room is None:
-                return http_response(
-                    404, json.dumps(error_frame("unknown-doc", f"no document {doc!r}"))
-                )
+                return _error_response(404, "unknown-doc", f"no document {doc!r}")
             return http_response(200, json.dumps(room.summary()))
         return http_response(
             200, json.dumps({"docs": [room.summary() for room in self.rooms.values()]})

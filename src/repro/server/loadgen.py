@@ -46,6 +46,7 @@ from .protocol import (
     encode_frame,
     hello_frame,
     presence_frame,
+    validate_frame,
 )
 from .wire import WebSocketConnection, connect_websocket
 
@@ -109,10 +110,12 @@ class LoadgenResult:
 async def http_request(
     host: str, port: int, method: str, target: str, payload: Any | None = None
 ) -> tuple[int, Any]:
-    """One HTTP exchange with the server; returns ``(status, parsed_json)``."""
+    """One HTTP exchange with the server; returns ``(status, parsed_json)``.
+    ``payload`` goes as compact UTF-8 JSON; a lone surrogate in it is passed
+    through (``surrogatepass``) for the server to refuse."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        body = b"" if payload is None else encode_frame(payload).encode("utf-8", "surrogatepass")
         writer.write(
             (
                 f"{method} {target} HTTP/1.1\r\n"
@@ -360,7 +363,7 @@ class PollClient(_ReplicaCore):
             raise ConnectionError(f"connect failed ({status}): {payload}")
         session_id = None
         for raw in payload["frames"]:
-            frame = decode_frame(json.dumps(raw))
+            frame = validate_frame(raw)
             if frame["type"] == "welcome":
                 session_id = frame["session"]
             else:
@@ -382,7 +385,7 @@ class PollClient(_ReplicaCore):
                     return
                 continue
             for raw in payload["frames"]:
-                self.handle_frame(decode_frame(json.dumps(raw)))
+                self.handle_frame(validate_frame(raw))
 
     async def _ship(self, frame: dict[str, Any]) -> None:
         status, payload = await http_request(

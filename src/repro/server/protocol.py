@@ -14,7 +14,9 @@ Frame types
 ``welcome``   server → client: session id + the server's current version.
 ``delta``     both directions: a causally ordered batch of portable run
               events (:class:`~repro.core.oplog.RemoteEvent`), the same
-              id-span representation ``export_since_seq`` produces.
+              id-span representation ``export_since_seq`` produces.  The
+              room's write-ahead log records each delivered batch as this
+              same ``events`` array (:mod:`repro.server.wal`).
 ``presence``  both directions: a cursor as an id-frontier position
               (``Version.as_tuples()``).  Character ids survive re-carving,
               so a cursor stays pinned while runs split and extend.
@@ -40,7 +42,9 @@ Malformed input raises :class:`ProtocolError`, which carries the machine
 readable ``code`` used in ``error`` frames.  Decoding is strict — unknown
 frame types, missing fields, malformed ids and events, lone surrogates, and
 frames over :data:`MAX_FRAME_BYTES` of UTF-8 are all rejected — because the
-server feeds decoded events straight into the event graph.
+server feeds decoded events straight into the event graph.  It is two steps,
+:func:`load_json` on the text as it arrived and :func:`validate_frame` on
+each parsed frame, so a long-poll body of frames is parsed once.
 """
 
 from __future__ import annotations
@@ -56,8 +60,11 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "ProtocolError",
+    "encode_json",
     "encode_frame",
     "decode_frame",
+    "load_json",
+    "validate_frame",
     "encode_event",
     "decode_event",
     "hello_frame",
@@ -232,35 +239,52 @@ _ITERENCODE = (
 )
 
 
+def encode_json(value: Any) -> str:
+    """Compact JSON, no ASCII escapes: frames, long-poll bodies, WAL records."""
+    return "".join(_ITERENCODE(value, 0))
+
+
 def encode_frame(frame: dict[str, Any]) -> str:
     """Serialise one frame (or a long-poll body of frames) as compact JSON."""
-    return "".join(_ITERENCODE(frame, 0))
+    return encode_json(frame)
 
 
 def decode_frame(text: str | bytes) -> dict[str, Any]:
-    """Parse and validate one frame.
+    """Parse and validate one frame: ``validate_frame(load_json(text))``."""
+    return validate_frame(load_json(text))
 
-    Returns the frame dict with ``version`` / ``cursor`` fields normalised to
-    :class:`EventId` tuples and ``events`` normalised to
-    :class:`RemoteEvent` lists, so consumers never touch raw JSON shapes.
 
-    Raises:
-        ProtocolError: on oversized input, invalid JSON, lone surrogates,
-            unknown frame types, missing fields or malformed ids/operations.
-    """
+def load_json(text: str | bytes) -> Any:
+    """Parse a frame, or a long-poll body of frames, as it arrived: at most
+    :data:`MAX_FRAME_BYTES` of UTF-8, valid JSON, no lone surrogate (else
+    :class:`ProtocolError` ``frame-too-large``, ``bad-json``, ``bad-frame``)."""
     size = len(text)
     if isinstance(text, str) and size > MAX_FRAME_BYTES // 4:
         size = len(text.encode("utf-8", "surrogatepass"))  # <= 4 bytes a char
     if size > MAX_FRAME_BYTES:
         raise ProtocolError("frame-too-large", f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
-        frame = json.loads(text)
+        value = json.loads(text)
         if (b"\\u" if isinstance(text, bytes) else "\\u") in text or not text.isascii():
-            encode_frame(frame).encode("utf-8")  # strict: a lone surrogate is not text
+            encode_json(value).encode("utf-8")  # strict: a lone surrogate is not text
     except UnicodeEncodeError as exc:
         raise ProtocolError("bad-frame", f"frame text is not valid UTF-8: {exc}") from exc
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError("bad-json", f"frame is not valid JSON: {exc}") from exc
+    return value
+
+
+def validate_frame(frame: Any) -> dict[str, Any]:
+    """Validate one parsed frame.
+
+    Returns the frame dict with ``version`` / ``cursor`` fields normalised to
+    :class:`EventId` tuples and ``events`` normalised to
+    :class:`RemoteEvent` lists, so consumers never touch raw JSON shapes.
+
+    Raises:
+        ProtocolError: on unknown frame types, missing fields or malformed
+            ids/operations.
+    """
     if not isinstance(frame, dict):
         raise ProtocolError("bad-frame", "frame must be a JSON object")
     frame_type = frame.get("type")

@@ -5,12 +5,12 @@ Eg-walker's pitch is that the durable event graph *is* the document, so
 durability falls out of the storage layer this repo already has:
 
 * Every causally ordered batch a room ingests is appended to a
-  :class:`WriteAheadLog` as one varint-framed record — the same LEB128
-  primitives and column discipline as the storage column codecs
-  (:mod:`repro.storage.columns`), scoped down to one batch of portable
-  :class:`~repro.core.oplog.RemoteEvent`\\ s (agent table, id/parents rows,
-  op rows).  Records are guarded by a CRC32 so a torn write (crash mid
-  ``write``) is detected, not silently decoded.
+  :class:`WriteAheadLog` as one varint-framed record whose payload is the
+  batch's event list exactly as a ``delta`` frame carries it
+  (:func:`~repro.server.protocol.encode_event` arrays as compact UTF-8
+  JSON), so an event has one serialised form on the wire and in the log.
+  Records are guarded by a CRC32 so a torn write (crash mid ``write``) is
+  detected, not silently decoded.
 * ``fsync`` is a policy, not a constant: ``"always"`` syncs per appended
   delta, ``"group"`` lets the server's group-commit task sync on an interval
   (the production trade), ``"none"`` never syncs (the ablation floor).
@@ -39,17 +39,18 @@ named by the UTF-8 hex of its name (reversible, filesystem-safe).
 
 from __future__ import annotations
 
+import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from ..core.document import Document
-from ..core.ids import EventId, delete_op, insert_op
 from ..core.oplog import RemoteEvent, graph_to_remote_events
 from ..network.replica import Replica
 from ..storage.container import ContainerOptions, decode_file, encode_event_graph_v3
-from ..storage.varint import ByteReader, ByteWriter, decode_uvarint
+from ..storage.varint import decode_uvarint, encode_uvarint
+from .protocol import decode_event, encode_event, encode_json
 
 __all__ = [
     "DurabilityOptions",
@@ -67,7 +68,9 @@ __all__ = [
 ]
 
 _WAL_MAGIC = b"EGWL"
-_WAL_FORMAT = 1
+#: A record holds :func:`~repro.server.protocol.encode_event` arrays, so any
+#: change to that function bumps this.
+_WAL_FORMAT = 2
 _CRC_BYTES = 4
 
 SNAPSHOT_FILENAME = "snapshot.egwk"
@@ -118,14 +121,7 @@ class WalStats:
     torn_writes: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "records_appended": self.records_appended,
-            "events_appended": self.events_appended,
-            "bytes_appended": self.bytes_appended,
-            "fsyncs": self.fsyncs,
-            "compactions": self.compactions,
-            "torn_writes": self.torn_writes,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -150,121 +146,45 @@ class RecoveryInfo:
     pending_after_recovery: int = 0
 
     def as_dict(self) -> dict[str, int | bool]:
-        return {
-            "snapshot_loaded": self.snapshot_loaded,
-            "snapshot_events": self.snapshot_events,
-            "snapshot_text_verified": self.snapshot_text_verified,
-            "wal_records": self.wal_records,
-            "wal_events": self.wal_events,
-            "torn_bytes_dropped": self.torn_bytes_dropped,
-            "pending_after_recovery": self.pending_after_recovery,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
 # Record codec: one causally ordered batch of RemoteEvents per record
 # ----------------------------------------------------------------------
 def encode_wal_record(events: Iterable[RemoteEvent]) -> bytes:
-    """Serialise one ingest batch as a WAL record payload.
-
-    The layout mirrors the storage columns at batch scope: an agent
-    table, then per event the id, parents and op as varint rows.  Parents
-    are explicit ``(agent, seq)`` pairs (they may reference events from
-    earlier records or the snapshot).
-    """
-    events = list(events)
-    agents: list[str] = []
-    agent_index: dict[str, int] = {}
-
-    def agent_ref(name: str) -> int:
-        index = agent_index.get(name)
-        if index is None:
-            index = agent_index[name] = len(agents)
-            agents.append(name)
-        return index
-
-    for event in events:
-        agent_ref(event.id.agent)
-        for parent in event.parents:
-            agent_ref(parent.agent)
-
-    writer = ByteWriter()
-    writer.write_uvarint(len(agents))
-    for agent in agents:
-        writer.write_string(agent)
-    writer.write_uvarint(len(events))
-    for event in events:
-        writer.write_uvarint(agent_index[event.id.agent])
-        writer.write_uvarint(event.id.seq)
-        writer.write_uvarint(len(event.parents))
-        for parent in event.parents:
-            writer.write_uvarint(agent_index[parent.agent])
-            writer.write_uvarint(parent.seq)
-        op = event.op
-        writer.write_uvarint(int(op.kind))
-        writer.write_svarint(op.pos)
-        if op.is_insert:
-            writer.write_string(op.content)
-        else:
-            writer.write_uvarint(op.length)
-    return writer.getvalue()
+    """Serialise one delivered batch as a WAL record payload: the compact
+    UTF-8 JSON of its wire event arrays, ``delta_frame(events)["events"]``.
+    Parents may name events of earlier records or of the snapshot."""
+    return encode_json([encode_event(event) for event in events]).encode("utf-8")
 
 
 def decode_wal_record(payload: bytes) -> list[RemoteEvent]:
-    """Inverse of :func:`encode_wal_record`.
+    """Inverse of :func:`encode_wal_record`, with no frame ceiling: one
+    delivered batch may be a cascade of parked events from several deltas.
 
     Raises:
-        ValueError: if the payload is malformed (the framing CRC makes this
-            unreachable for torn writes; it guards against foreign bytes).
+        ValueError: if the payload is not a JSON list of wire events (the
+            framing CRC makes this unreachable for torn writes; it guards
+            against foreign bytes).
     """
-    reader = ByteReader(payload)
-    agents = [reader.read_string() for _ in range(reader.read_uvarint())]
-    count = reader.read_uvarint()
-    events: list[RemoteEvent] = []
-    try:
-        for _ in range(count):
-            event_id = EventId(agents[reader.read_uvarint()], reader.read_uvarint())
-            parent_count = reader.read_uvarint()
-            parents = tuple(
-                EventId(agents[reader.read_uvarint()], reader.read_uvarint())
-                for _ in range(parent_count)
-            )
-            kind = reader.read_uvarint()
-            pos = reader.read_svarint()
-            if kind == 0:
-                op = insert_op(pos, reader.read_string())
-            elif kind == 1:
-                op = delete_op(pos, reader.read_uvarint())
-            else:
-                raise ValueError(f"unknown op kind {kind} in WAL record")
-            events.append(RemoteEvent(id=event_id, parents=parents, op=op))
-    except IndexError as exc:
-        raise ValueError(
-            f"agent index outside the WAL record's table of {len(agents)}"
-        ) from exc
-    if not reader.at_end():
-        raise ValueError("trailing bytes after WAL record payload")
-    return events
+    events = json.loads(payload)
+    if not isinstance(events, list):
+        raise ValueError(f"a WAL record is a list of events, not {type(events).__name__}")
+    return [decode_event(event) for event in events]
 
 
 def frame_record(payload: bytes) -> bytes:
     """Frame one record for the log: ``uvarint(len) + payload + crc32``."""
-    writer = ByteWriter()
-    writer.write_uvarint(len(payload))
-    writer.write_bytes(payload)
-    writer.write_bytes(zlib.crc32(payload).to_bytes(_CRC_BYTES, "little"))
-    return writer.getvalue()
+    crc = zlib.crc32(payload).to_bytes(_CRC_BYTES, "little")
+    return encode_uvarint(len(payload)) + payload + crc
 
 
-def _file_header() -> bytes:
-    writer = ByteWriter()
-    writer.write_bytes(_WAL_MAGIC)
-    writer.write_uvarint(_WAL_FORMAT)
-    return writer.getvalue()
-
-
-_FILE_HEADER = _file_header()
+_FILE_HEADER = _WAL_MAGIC + encode_uvarint(_WAL_FORMAT)
 _HEADER_LEN = len(_FILE_HEADER)
+#: A format-1 log with no records, as a clean shutdown's compaction leaves
+#: it: there is nothing in it to decode, so it opens as an empty log.
+_EMPTY_V1_LOG = _WAL_MAGIC + b"\x01"
 
 
 class WriteAheadLog:
@@ -279,7 +199,8 @@ class WriteAheadLog:
     tail left by a crash) and fsyncs the cut before anything is appended;
     otherwise new records would land behind bytes :meth:`scan` stops at, and
     the next recovery would lose them.  A file this format cannot read is
-    refused with :class:`ValueError` rather than appended to.
+    refused with :class:`ValueError` rather than appended to; a format-1 log
+    with no records is rewritten as an empty log of this format.
     """
 
     def __init__(self, path: str) -> None:
@@ -297,8 +218,8 @@ class WriteAheadLog:
             data = fh.read()
         if data.startswith(_FILE_HEADER):
             end = _intact_frames(data)[1]
-        elif _FILE_HEADER.startswith(data):
-            end = 0  # new, or a crash while its header was being written
+        elif _FILE_HEADER.startswith(data) or data == _EMPTY_V1_LOG:
+            end = 0  # new, a crash mid header, or an empty format-1 log
         else:
             raise ValueError(
                 f"{self.path}: not a write-ahead log this version can append to "
@@ -346,9 +267,10 @@ class WriteAheadLog:
 
         Returns ``(payloads, torn_bytes)``: the scan stops at the first
         frame that is truncated or fails its CRC, and ``torn_bytes`` is how
-        much tail was discarded (0 for a clean log).  A missing file yields
-        no records; a file without this format's header yields none and
-        reports all of its bytes as discarded.
+        much tail was discarded (0 for a clean log).  A missing file, or a
+        format-1 log with no records, yields no records; any other file
+        without this format's header yields none and reports all of its
+        bytes as discarded.
         """
         try:
             with open(path, "rb") as fh:
@@ -356,7 +278,7 @@ class WriteAheadLog:
         except FileNotFoundError:
             return [], 0
         if not data.startswith(_FILE_HEADER):
-            return [], len(data)
+            return [], 0 if data == _EMPTY_V1_LOG else len(data)
         payloads, end = _intact_frames(data)
         return payloads, len(data) - end
 
@@ -445,8 +367,7 @@ class RoomStorage:
         """
         payload = encode_wal_record(events)
         if torn:
-            framed_len = len(frame_record(payload))
-            self.wal.append_record(payload, partial=framed_len // 2)
+            self.wal.append_record(payload, partial=len(frame_record(payload)) // 2)
             self.stats.torn_writes += 1
             return
         written = self.wal.append_record(payload)

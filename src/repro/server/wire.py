@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import struct
-from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 __all__ = [
@@ -71,10 +70,6 @@ class HttpRequest:
         self.query = {k: v[0] for k, v in parse_qs(split.query).items()}
         self.headers = headers
         self.body = body
-
-    def json(self) -> Any:
-        """The body parsed as JSON (raises ``ValueError`` on garbage)."""
-        return json.loads(self.body.decode("utf-8"))
 
     @property
     def wants_websocket(self) -> bool:

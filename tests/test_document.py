@@ -180,6 +180,22 @@ class TestMerging:
         handle = alice.version()
         assert bob.events_since(handle) == bob.events_since(handle.ids)
 
+    def test_events_since_a_version_ahead_of_ours_sends_only_what_it_lacks(self):
+        """A peer whose version names ``(a, 44)`` when we hold only ``a``'s
+        first 40 characters (we lost the rest in a crash) has all 40 of them:
+        an agent's characters are causally ordered."""
+        room = Document("a")
+        for k in range(40):
+            room.insert(k, "x")
+        assert room.events_since([EventId("a", 44)]) == []
+        carol = Document("carol")
+        carol.merge(room)
+        carol.insert(40, "ccc")
+        room.merge(carol)
+        assert [e.id for e in room.events_since([EventId("a", 44)])] == [EventId("carol", 0)]
+        # An agent we have never seen still contributes nothing.
+        assert room.events_since([EventId("zed", 7)]) == room.events_since(())
+
 
 class TestBatchFailingMidway:
     """A batch whose n-th event is refused leaves events 0..n-1 in the graph

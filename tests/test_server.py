@@ -30,7 +30,7 @@ from repro.server import (
     run_trace_replay,
 )
 from repro.server.loadgen import CollabClient, PollClient, http_request
-from repro.server.protocol import decode_frame, delta_frame, encode_frame
+from repro.server.protocol import MAX_FRAME_BYTES, decode_frame, delta_frame, encode_frame
 from repro.traces.datasets import get_trace
 
 
@@ -257,6 +257,62 @@ class TestLongPollFallback:
 
         run(scenario())
 
+    def test_a_large_cjk_delta_crosses_both_transports(self):
+        """300 000 CJK characters are one 900 043-byte delta frame of UTF-8,
+        under the ceiling on either transport; ASCII-escaped they would be
+        1 800 050 bytes, over it."""
+        cjk = "中" * 300_000
+        frame = delta_frame([RemoteEvent(EventId("a", 0), (), insert_op(0, cjk))])
+        assert len(encode_frame(frame).encode()) == 900_043 < MAX_FRAME_BYTES
+        assert len(json.dumps(frame)) == 1_800_050
+
+        async def scenario():
+            async with CollabServer() as server:
+                ws = CollabClient(server.host, server.port, "d", "a")
+                poll = PollClient(server.host, server.port, "d", "b", poll_wait=0.05)
+                await ws.connect()
+                await poll.connect()
+                await ws.insert(0, cjk)
+                assert await wait_until(lambda: poll.text == cjk)
+                await poll.insert(300_000, cjk)
+                assert await wait_until(lambda: ws.text == poll.text == cjk * 2)
+                assert ws.errors == poll.errors == []
+                assert server.room("d").text == cjk * 2
+                assert_no_leaks(server, "d", ws, poll)
+                await ws.close()
+                await poll.close()
+
+        run(scenario())
+
+    def test_a_body_over_the_frame_ceiling_is_refused_on_both_transports(self):
+        huge = delta_frame([RemoteEvent(EventId("m", 0), (), insert_op(0, "中" * 350_000))])
+        assert len(encode_frame(huge).encode()) > MAX_FRAME_BYTES
+
+        async def scenario():
+            async with CollabServer() as server:
+                host, port = server.host, server.port
+                ws = CollabClient(host, port, "d", "alice")
+                poll = PollClient(host, port, "d", "bob", poll_wait=0.05)
+                await ws.connect()
+                await poll.connect()
+                await ws.send_raw(encode_frame(huge))
+                assert await wait_until(lambda: len(ws.errors) == 1)
+                assert ws.errors[0]["code"] == "frame-too-large"
+                status, body = await http_request(
+                    host, port, "POST", f"/v1/send?session={poll.session_id}", {"frames": [huge]}
+                )
+                assert status == 400 and body["code"] == "frame-too-large"
+                assert server.room("d").text == ""
+                # Both sessions survive the refusal.
+                await ws.insert(0, "ws ")
+                await poll.insert(0, "poll ")
+                assert await wait_until(lambda: ws.text == poll.text == server.room("d").text)
+                assert len(ws.text) == 8
+                await ws.close()
+                await poll.close()
+
+        run(scenario())
+
     def test_http_endpoints(self):
         async def scenario():
             async with CollabServer() as server:
@@ -436,6 +492,31 @@ class TestFanOut:
         assert room.stats.duplicates_dropped > dropped
         assert again.drain() == [] and sessions["bob"].drain() == []
         assert alice.text == bob.text == room.text
+        assert_filters_add_up(room)
+
+    def test_a_hello_naming_ids_the_room_lost_gets_only_what_it_lacks(self):
+        """The room lost alice's last characters in a crash, so her hello
+        names ids it does not know.  Her catch-up is bob's edit alone, not
+        her own history again, and her replay restores what was lost."""
+        alice = Replica(Document("alice"))
+        typed = [event for k in range(10) for event in alice.local_insert(k, "a")]
+        survivor = Document("server::lost")
+        survivor.apply_remote_events(typed[:6])
+        room = DocumentRoom("lost", document=survivor)
+        bob = Replica(Document("bob"))
+        bob_session = room.connect("bob", "ws", ())
+        bob.receive(received_events(bob_session))
+        edit = bob.local_insert(6, "b")
+        room.receive_delta(bob_session, edit)
+        again = room.connect("alice", "ws", alice.document.version().ids)
+        catchup = received_events(again)
+        assert chars(catchup) == chars(edit)
+        alice.receive(catchup)
+        room.receive_delta(again, alice.own_history())
+        bob.receive(received_events(bob_session))
+        assert alice.pending_count == bob.pending_count == 0
+        assert alice.text == bob.text == room.text
+        assert sorted(room.text) == ["a"] * 10 + ["b"]
         assert_filters_add_up(room)
 
     def test_connect_runs_no_ancestor_closure(self, monkeypatch):

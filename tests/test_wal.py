@@ -15,6 +15,8 @@ import pytest
 
 from repro.core.document import Document
 from repro.core.event_graph import expand_to_chars
+from repro.core.ids import EventId, delete_op, insert_op
+from repro.core.oplog import RemoteEvent
 from repro.core.walker import EgWalker
 from repro.server import CollabServer, DurabilityOptions, ReconnectPolicy
 from repro.server.loadgen import CollabClient
@@ -73,14 +75,56 @@ class TestRecordCodec:
         with pytest.raises(ValueError):
             decode_wal_record(payload + b"\x00")
 
-    def test_agent_index_outside_table_rejected(self):
-        payload = bytearray(encode_wal_record(make_events()[1]))
-        # Layout: 1 agent, "alice" (length 5), 1 event, then the event's
-        # agent index — point it past the one-entry table.
-        assert payload[:8] == b"\x01\x05alice\x01"
-        payload[8] = 1
-        with pytest.raises(ValueError, match="agent index"):
-            decode_wal_record(bytes(payload))
+
+class TestRecordFormat:
+    """A record is the protocol's event list, pinned byte for byte: a change
+    to ``encode_event`` that would change the on-disk log fails here until
+    ``_WAL_FORMAT`` is bumped."""
+
+    #: Two agents, an explicit and an implied parent, a delete and a
+    #: character outside the BMP.
+    EVENTS = [
+        RemoteEvent(EventId("alice", 0), (), insert_op(0, "hi")),
+        RemoteEvent(EventId("alice", 2), (EventId("alice", 1),), insert_op(2, "\U0001F600")),
+        RemoteEvent(EventId("bob", 0), (EventId("alice", 2),), delete_op(1, 2)),
+    ]
+    PAYLOAD = (
+        b'[["alice",0,[],0,"hi"],["alice",2,0,2,"\xf0\x9f\x98\x80"],'
+        b'["bob",0,[["alice",2]],1,2]]'
+    )
+
+    def test_pinned_record(self, tmp_path):
+        assert decode_wal_record(self.PAYLOAD) == self.EVENTS
+        assert encode_wal_record(self.EVENTS) == self.PAYLOAD
+        WriteAheadLog(str(tmp_path / "wal.log")).close()
+        assert (tmp_path / "wal.log").read_bytes() == b"EGWL\x02"
+
+    @pytest.mark.parametrize("payload", [b"{}", b"[1]", b"\xff"])
+    def test_crc_valid_record_that_is_no_event_list_is_refused(self, tmp_path, payload):
+        directory = room_directory(str(tmp_path), "doc")
+        storage = RoomStorage(directory)
+        storage.wal.append_record(payload)
+        storage.abandon()
+        with pytest.raises(ValueError):
+            recover_document(directory, "server")
+
+    def test_empty_format_1_log_opens_empty_and_accepts_appends(self, tmp_path):
+        """A clean shutdown's compaction leaves a format-1 log with only its
+        header: nothing in it to decode."""
+        directory = room_directory(str(tmp_path), "doc")
+        os.makedirs(directory)
+        path = os.path.join(directory, "wal.log")
+        with open(path, "wb") as fh:
+            fh.write(b"EGWL\x01")
+        _, info = recover_document(directory, "server")
+        assert info.wal_records == info.torn_bytes_dropped == 0
+        storage = RoomStorage(directory)
+        doc, events = make_events()
+        storage.append(events)
+        storage.abandon()
+        assert open(path, "rb").read().startswith(b"EGWL\x02")
+        recovered, info = recover_document(directory, "server")
+        assert recovered.text == doc.text and info.wal_records == 1
 
 
 class TestWriteAheadLog:
@@ -129,7 +173,9 @@ class TestWriteAheadLog:
         wal.close()
         assert WriteAheadLog.scan(path) == ([b"kept", b"after restart"], 0)
 
-    @pytest.mark.parametrize("header", [b"EGWL\x02", b"EGWL\x80", b"not a wal at all"])
+    @pytest.mark.parametrize(
+        "header", [b"EGWL\x01", b"EGWL\x03", b"EGWL\x80", b"not a wal at all"]
+    )
     def test_reopen_refuses_unreadable_file(self, tmp_path, header):
         path = tmp_path / "wal.log"
         path.write_bytes(header + b"\x05hello")
@@ -320,7 +366,7 @@ class TestRoomStorage:
         directory = room_directory(str(tmp_path), "doc")
         os.makedirs(directory)
         with open(os.path.join(directory, "wal.log"), "wb") as fh:
-            fh.write(b"EGWL\x02" + frame_record(b"a newer format"))
+            fh.write(b"EGWL\x03" + frame_record(b"a newer format"))
         with pytest.raises(ValueError, match="wal.log"):
             run(CollabServer(data_dir=str(tmp_path)).start())
 
