@@ -2,62 +2,24 @@
 
 Two users each perform k events while offline and then merge.  The paper's
 complexity analysis says Eg-walker pays O((k+m)·log(k+m)) while OT pays at
-least O(k·m); this benchmark sweeps the branch length and records the cost of
-each algorithm so the scaling exponents (and the crossover against the
-reference CRDT) can be read off the report.
+least O(k·m); :func:`repro.bench.harness.run_scaling` sweeps the branch length
+and records the cost of each algorithm so the scaling exponents (and the
+crossover against the reference CRDT) can be read off the report.  This
+module checks that every merge produced the right document.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.walker import EgWalker
-from repro.crdt.ref_crdt import RefCRDTDocument
-from repro.ot.ot_replica import OTDocument
-from repro.traces.generator import generate_async
 
-BRANCH_SIZES = [250, 500, 1000, 2000]
-ALGORITHMS = ["eg-walker", "ot", "ref-crdt"]
-
-
-def _two_branch_trace(branch_size: int):
-    return generate_async(
-        f"scaling-{branch_size}",
-        target_events=2 * branch_size,
-        seed=9000 + branch_size,
-        concurrent_branches=2,
-        events_per_branch=branch_size,
-        authors=2,
-    )
-
-
-@pytest.fixture(scope="module", params=BRANCH_SIZES)
-def scaling_trace(request):
-    return request.param, _two_branch_trace(request.param)
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_two_branch_merge_scaling(benchmark, scaling_trace, algorithm):
-    branch_size, trace = scaling_trace
-    benchmark.group = f"x2-scaling-k={branch_size}"
-    benchmark.extra_info["branch_events"] = branch_size
-    benchmark.extra_info["total_events"] = len(trace.graph)
-    benchmark.extra_info["algorithm"] = algorithm
-
+@pytest.mark.parametrize("algorithm", ["eg-walker", "ot", "ref-crdt"])
+@pytest.mark.parametrize("branch_size", [250, 500, 1000, 2000])
+def test_two_branch_merge_scaling(bench_row, branch_size, algorithm):
+    row = bench_row("x2", None, branch_events=branch_size)
     if algorithm == "eg-walker":
-        walker = EgWalker(trace.graph)
-        text = benchmark.pedantic(walker.replay_text, rounds=1, iterations=1)
-        assert text == trace.final_text
+        assert row["egwalker_matches_trace"]
     elif algorithm == "ot":
-        document = OTDocument()
-        text = benchmark.pedantic(
-            document.merge_event_graph, args=(trace.graph,), rounds=1, iterations=1
-        )
-        benchmark.extra_info["ot_work_units"] = document.work_units
-        assert len(text) == len(trace.final_text)
+        assert row["ot_chars"] == row["final_chars"]
     else:
-        document = RefCRDTDocument()
-        text = benchmark.pedantic(
-            document.merge_event_graph, args=(trace.graph,), rounds=1, iterations=1
-        )
-        assert text == trace.final_text
+        assert row["ref_crdt_matches_trace"]

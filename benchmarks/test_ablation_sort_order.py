@@ -2,33 +2,20 @@
 
 The paper notes that on highly concurrent graphs (A2) a poorly chosen
 traversal order makes merging up to 8× slower, because the walker has to
-retreat and advance events far more often.  This benchmark replays the
-concurrent and asynchronous traces under the branch-aware heuristic, the plain
-local order, and a deliberately interleaved (breadth-first) order.
+retreat and advance events far more often.
+:func:`repro.bench.harness.run_sort_order_ablation` replays the concurrent and
+asynchronous traces under the branch-aware heuristic, the plain local order,
+and a deliberately interleaved (breadth-first) order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.walker import EgWalker
-from repro.traces.datasets import get_trace
 
-STRATEGIES = ["branch_aware", "local", "interleaved"]
-TRACES = ["C1", "C2", "A1", "A2"]
-
-
-@pytest.mark.parametrize("trace_name", TRACES)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_sort_order_sensitivity(benchmark, trace_name, strategy):
-    trace = get_trace(trace_name)
-    walker = EgWalker(trace.graph, sort_strategy=strategy)
-    benchmark.group = f"x1-sort-order-{trace_name}"
-    text = benchmark.pedantic(walker.replay_text, rounds=1, iterations=1)
-    stats = walker.last_stats
-    benchmark.extra_info["trace"] = trace_name
-    benchmark.extra_info["sort_order"] = strategy
-    benchmark.extra_info["retreats"] = stats.retreats
-    benchmark.extra_info["advances"] = stats.advances
+@pytest.mark.parametrize("trace_name", ["C1", "C2", "A1", "A2"])
+@pytest.mark.parametrize("strategy", ["branch_aware", "local", "interleaved"])
+def test_sort_order_sensitivity(bench_row, trace_name, strategy):
+    row = bench_row("x1", trace_name, sort_order=strategy)
     # The traversal order must never change the result (Lemma C.8).
-    assert text == trace.final_text
+    assert row["text_matches_trace"]

@@ -1,8 +1,9 @@
 """Figure 10 — RAM while merging a remote editing trace.
 
-For every algorithm and trace we record (via tracemalloc) the peak memory
-allocated while merging and the memory still retained afterwards (the steady
-state).  The paper's claims reproduced here:
+For every algorithm and trace :func:`repro.bench.harness.run_memory` records
+(via tracemalloc) the peak memory allocated while merging and the memory
+still retained afterwards (the steady state).  The paper's claims checked
+here:
 
 * the Eg-walker *replay* and OT retain only the document text once the merge
   completes — one to two orders of magnitude less than any CRDT (claim C5);
@@ -13,86 +14,39 @@ state).  The paper's claims reproduced here:
   retains the text plus that graph: more than the replay, still below the
   reference CRDT on every trace.
 
-The benchmark time measured here includes the tracemalloc overhead, so it is
-not comparable with Figure 8's numbers; the memory readings are attached as
-``extra_info``.
+Every check reads raw byte counts, not the rounded KiB the table prints.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.adapters import (
-    AutomergeLikeAdapter,
-    EgWalkerAdapter,
-    OTAdapter,
-    RefCRDTAdapter,
-    YjsLikeAdapter,
-)
-from repro.bench.memory import measure_memory
-from repro.core.document import Document
-from repro.core.oplog import graph_to_remote_events
-
-ADAPTERS = {
-    "eg-walker": EgWalkerAdapter,
-    "ot": OTAdapter,
-    "ref-crdt": RefCRDTAdapter,
-    "automerge-like": AutomergeLikeAdapter,
-    "yjs-like": YjsLikeAdapter,
-}
+from repro.bench.adapters import ALL_ADAPTERS
+from repro.traces.datasets import TRACE_NAMES
 
 
-@pytest.mark.parametrize("algorithm", list(ADAPTERS))
-def test_memory_while_merging(benchmark, trace, algorithm):
-    adapter = ADAPTERS[algorithm]()
-    benchmark.group = f"fig10-memory-{trace.name}"
-
-    def run():
-        return measure_memory(lambda: adapter.merge(trace))
-
-    outcome, measurement = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["trace"] = trace.name
-    benchmark.extra_info["algorithm"] = algorithm
-    benchmark.extra_info["peak_kib"] = round(measurement.peak_bytes / 1024, 1)
-    benchmark.extra_info["steady_kib"] = round(measurement.retained_bytes / 1024, 1)
-    benchmark.extra_info["text_kib"] = round(len(outcome.text.encode()) / 1024, 1)
-    # Run-length-encoding accounting: how many run events / span records the
-    # replay touched vs. the per-character counts the seed implementation paid.
-    benchmark.extra_info["char_events"] = trace.graph.num_chars
-    benchmark.extra_info["run_events"] = len(trace.graph)
+@pytest.mark.parametrize("algorithm", [adapter.name for adapter in ALL_ADAPTERS()])
+def test_memory_while_merging(bench_row, trace, algorithm):
+    row = bench_row("fig10", trace.name, algorithm=algorithm)
     if algorithm == "eg-walker":
-        stats = adapter.last_stats
-        assert stats is not None
-        benchmark.extra_info["peak_span_records"] = stats.peak_records
-        benchmark.extra_info["peak_span_record_chars"] = stats.peak_record_chars
-        benchmark.extra_info["fast_path_run_events"] = stats.events_fast_path
-        benchmark.extra_info["fast_path_chars"] = stats.chars_fast_path
-
-    assert measurement.peak_bytes >= measurement.retained_bytes
+        # The walker's run-length accounting rides along in the row.
+        assert "peak_span_records" in row and "fast_path_events" in row
+    assert row["peak_bytes"] >= row["steady_bytes"]
     if algorithm in ("eg-walker", "ot"):
         # Steady state is essentially just the text (plus small constants).
-        assert measurement.retained_bytes < 40 * len(outcome.text.encode()) + 200_000
+        assert row["steady_bytes"] < 40 * row["text_bytes"] + 200_000
     else:
         # CRDTs keep per-character metadata alive.
-        assert measurement.retained_bytes > len(outcome.text.encode())
+        assert row["steady_bytes"] > row["text_bytes"]
 
 
-def test_steady_state_ratio_egwalker_vs_ref_crdt(benchmark, all_traces):
+def test_steady_state_ratio_egwalker_vs_ref_crdt(bench_row):
     """Claim C5: Eg-walker's steady state is far below the reference CRDT's."""
-
-    def run():
-        ratios = {}
-        for name, trace in all_traces.items():
-            _, eg = measure_memory(lambda: EgWalkerAdapter().merge(trace))
-            _, crdt = measure_memory(lambda: RefCRDTAdapter().merge(trace))
-            ratios[name] = crdt.retained_bytes / max(1, eg.retained_bytes)
-        return ratios
-
-    ratios = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["crdt_over_egwalker_steady_ratio"] = {
-        name: round(value, 1) for name, value in ratios.items()
+    ratios = {
+        name: bench_row("fig10", name, algorithm="eg-walker")["crdt_steady_ratio"]
+        for name in TRACE_NAMES
     }
-    assert all(value > 2 for value in ratios.values())
+    assert all(value > 2 for value in ratios.values()), ratios
 
 
 #: Steady bytes per run event a replica may retain on the sequential traces
@@ -101,34 +55,12 @@ def test_steady_state_ratio_egwalker_vs_ref_crdt(benchmark, all_traces):
 REPLICA_BYTES_PER_RUN_EVENT = 200
 
 
-def _replica(events):
-    document = Document("fig10-replica")
-    document.apply_remote_events(events)
-    return document
-
-
-def test_replica_memory(benchmark, trace):
+def test_replica_memory(bench_row, trace):
     """The ``eg-walker-replica`` row: a replica that keeps its graph."""
-    benchmark.group = f"fig10-memory-{trace.name}"
-    events = graph_to_remote_events(trace.graph)  # built outside the measurement
-
-    def run():
-        _, replica = measure_memory(lambda: _replica(events))
-        _, crdt = measure_memory(lambda: RefCRDTAdapter().merge(trace))
-        return replica, crdt
-
-    replica, crdt = benchmark.pedantic(run, rounds=1, iterations=1)
-    per_run_event = replica.retained_bytes / len(trace.graph)
-    benchmark.extra_info["trace"] = trace.name
-    benchmark.extra_info["algorithm"] = "eg-walker-replica"
-    benchmark.extra_info["peak_kib"] = round(replica.peak_bytes / 1024, 1)
-    benchmark.extra_info["steady_kib"] = round(replica.retained_bytes / 1024, 1)
-    benchmark.extra_info["steady_bytes_per_run_event"] = round(per_run_event, 1)
-    benchmark.extra_info["crdt_over_replica_steady_ratio"] = round(
-        crdt.retained_bytes / max(1, replica.retained_bytes), 1
-    )
-    assert replica.retained_bytes < crdt.retained_bytes
+    replica = bench_row("fig10", trace.name, algorithm="eg-walker-replica")
+    crdt = bench_row("fig10", trace.name, algorithm="ref-crdt")
+    assert replica["steady_bytes"] < crdt["steady_bytes"]
     # Below a few hundred run events (a reduced REPRO_TRACE_SCALE) the rope's
     # and the maps' fixed costs dominate the per-event figure.
     if trace.kind == "sequential" and len(trace.graph) >= 300:
-        assert per_run_event < REPLICA_BYTES_PER_RUN_EVENT
+        assert replica["steady_bytes"] / len(trace.graph) < REPLICA_BYTES_PER_RUN_EVENT

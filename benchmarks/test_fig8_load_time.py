@@ -1,7 +1,8 @@
 """Figure 8 (load series) — CPU time to reload a document from disk.
 
-After a merge, each algorithm persists its document and we measure the time to
-load it back into a state where the user can view and edit it:
+After each merge, :func:`repro.bench.harness.run_merge_time` persists the
+document and times loading it back into a state where the user can view and
+edit it:
 
 * Eg-walker and OT save the event-graph file with its snapshot column, and the
   Eg-walker load reads only that column — the event graph stays on disk — so
@@ -9,39 +10,18 @@ load it back into a state where the user can view and edit it:
 * the CRDTs must rebuild their full per-character structure (Automerge-like
   even replays its stored operation history), which is why the paper reports
   CRDT loads costing as much as merges.
+
+The cells read the same rows as the merge series: each merge runs once.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.adapters import (
-    AutomergeLikeAdapter,
-    EgWalkerAdapter,
-    OTAdapter,
-    RefCRDTAdapter,
-    YjsLikeAdapter,
-)
-
-ADAPTERS = {
-    "eg-walker": EgWalkerAdapter,
-    "ot": OTAdapter,
-    "ref-crdt": RefCRDTAdapter,
-    "automerge-like": AutomergeLikeAdapter,
-    "yjs-like": YjsLikeAdapter,
-}
+from repro.bench.adapters import ALL_ADAPTERS
 
 
-@pytest.mark.parametrize("algorithm", list(ADAPTERS))
-def test_load_document_from_disk(benchmark, trace, algorithm):
-    adapter = ADAPTERS[algorithm]()
-    outcome = adapter.merge(trace)
-    saved = adapter.save(trace, outcome)
-
-    benchmark.group = f"fig8-load-{trace.name}"
-    rounds = 3 if algorithm in ("eg-walker", "ot") else 1
-    text = benchmark.pedantic(adapter.load, args=(saved,), rounds=rounds, iterations=1)
-    benchmark.extra_info["trace"] = trace.name
-    benchmark.extra_info["algorithm"] = algorithm
-    benchmark.extra_info["file_bytes"] = len(saved)
-    assert text == outcome.text
+@pytest.mark.parametrize("algorithm", [adapter.name for adapter in ALL_ADAPTERS()])
+def test_load_document_from_disk(bench_row, trace, algorithm):
+    row = bench_row("fig8", trace.name, algorithm=algorithm)
+    assert row["load_matches_merge"]

@@ -4,30 +4,21 @@ The state-clearing / fast-path optimisation is what lets Eg-walker skip the
 CRDT machinery entirely on the (dominant) sequential portions of a history.
 The paper reports a 5–10× speed-up on the sequential traces and essentially no
 difference on the highly concurrent ones (A2 has no critical versions at all);
-this benchmark reproduces both halves of that comparison.
+:func:`repro.bench.harness.run_clearing_ablation` replays both halves, and this
+module checks the walker's counters behind them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.walker import EgWalker
-
 
 @pytest.mark.parametrize("optimisation", ["enabled", "disabled"])
-def test_merge_with_and_without_clearing(benchmark, trace, optimisation):
-    walker = EgWalker(trace.graph, enable_clearing=(optimisation == "enabled"))
-    benchmark.group = f"fig9-{trace.name}"
-    text = benchmark.pedantic(walker.replay_text, rounds=1, iterations=1)
-    stats = walker.last_stats
-    benchmark.extra_info["trace"] = trace.name
-    benchmark.extra_info["optimisation"] = optimisation
-    benchmark.extra_info["fast_path_events"] = stats.events_fast_path
-    benchmark.extra_info["state_clears"] = stats.state_clears
-    benchmark.extra_info["peak_records"] = stats.peak_records
-    assert text == trace.final_text
+def test_merge_with_and_without_clearing(bench_row, trace, optimisation):
+    row = bench_row("fig9", trace.name, optimisation=optimisation)
+    assert row["text_matches_trace"]
     if optimisation == "disabled":
-        assert stats.events_fast_path == 0
+        assert row["fast_path_events"] == 0
     elif trace.kind == "sequential":
         # Sequential histories are entirely fast-pathed when the optimisation is on.
-        assert stats.events_fast_path == len(trace.graph)
+        assert row["fast_path_events"] == row["run_events"] == len(trace.graph)

@@ -1,32 +1,23 @@
 """Table 1 — editing trace statistics.
 
-Regenerates the statistics the paper reports for each benchmark trace (number
-of events, average concurrency, graph runs, authors, surviving characters,
-final size) and prints them next to the paper's values.  The timing itself is
-incidental; the deliverable is the table, which is echoed into the benchmark
-report via ``extra_info``.
+Checks the statistics :func:`repro.bench.harness.run_table1` measures for
+each benchmark trace (number of events, average concurrency, graph runs,
+authors, surviving characters, final size) against the shape of the paper's
+values, which the row carries alongside.
 """
 
 from __future__ import annotations
 
-from repro.traces.datasets import PAPER_TABLE1
-from repro.traces.stats import compute_stats
 
-
-def test_table1_statistics(benchmark, trace):
-    stats = benchmark.pedantic(compute_stats, args=(trace,), rounds=1, iterations=1)
-    row = stats.as_row()
-    paper_row = PAPER_TABLE1[trace.name]
-    benchmark.extra_info["measured"] = row
-    benchmark.extra_info["paper"] = paper_row
-
+def test_table1_statistics(bench_row, trace):
+    row = bench_row("table1", trace.name)
     # Structural sanity: the trace has the right *shape* relative to the paper.
-    assert row["events_k"] > 0
-    if paper_row["avg_concurrency"] == 0.0:
-        assert row["avg_concurrency"] == 0.0
-        assert row["graph_runs"] == 1
+    assert row["measured_events_k"] > 0
+    if row["paper_avg_concurrency"] == 0.0:
+        assert row["measured_avg_concurrency"] == 0.0
+        assert row["measured_graph_runs"] == 1
     else:
-        assert row["avg_concurrency"] > 0.0
-        assert row["graph_runs"] > 1
-    assert row["authors"] >= 1
-    assert 0 < row["chars_remaining_pct"] <= 100
+        assert row["measured_avg_concurrency"] > 0.0
+        assert row["measured_graph_runs"] > 1
+    assert row["measured_authors"] >= 1
+    assert 0 < row["measured_chars_remaining_pct"] <= 100

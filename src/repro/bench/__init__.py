@@ -22,7 +22,7 @@ from .harness import (
     run_sort_order_ablation,
     run_table1,
 )
-from .memory import MemoryMeasurement, measure_memory, measure_retained
+from .memory import MemoryMeasurement, measure_memory
 from .report import format_results, format_table, results_to_json
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "format_results",
     "format_table",
     "measure_memory",
-    "measure_retained",
     "results_to_json",
     "run_all",
     "run_clearing_ablation",

@@ -7,8 +7,7 @@ Each adapter exposes the same three operations the paper measures (§4.2):
   the memory benchmark of Figure 10);
 * ``save(...)`` / ``load(...)`` — the persistent document representation (the
   file sizes of Figures 11–12) and the CPU time to reload it for editing (the
-  "load" series of Figure 8);
-* ``steady_state(...)`` — what has to stay in memory after the merge.
+  "load" series of Figure 8).
 
 Five algorithms are wrapped: Eg-walker (this paper), our reference OT, our
 reference CRDT, and the Automerge-like / Yjs-like CRDT stand-ins.
@@ -17,7 +16,6 @@ reference CRDT, and the Automerge-like / Yjs-like CRDT stand-ins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..core.walker import EgWalker, WalkerStats
 from ..crdt.automerge_like import AutomergeLikeDocument
@@ -57,7 +55,6 @@ class AlgorithmAdapter:
     """Base class; subclasses implement the per-algorithm behaviour."""
 
     name: str = "abstract"
-    is_crdt: bool = False
 
     # -- merging -----------------------------------------------------------
     def merge(self, trace: Trace) -> MergeOutcome:
@@ -107,7 +104,7 @@ class EgWalkerAdapter(AlgorithmAdapter):
             ),
         )
 
-    def save_pruned(self, trace: Trace, outcome: MergeOutcome) -> bytes:
+    def save_pruned(self, trace: Trace) -> bytes:
         """The Figure 12 variant: drop deleted characters' content."""
         return encode_event_graph_v3(
             trace.graph,
@@ -155,7 +152,6 @@ class RefCRDTAdapter(AlgorithmAdapter):
     """Our reference CRDT: full per-character state, persisted and reloaded."""
 
     name = "ref-crdt"
-    is_crdt = True
     document_class: type[RefCRDTDocument] = RefCRDTDocument
 
     def merge(self, trace: Trace) -> MergeOutcome:

@@ -4,9 +4,13 @@ Each function takes the traces to run on and returns a list of row
 dictionaries; :mod:`repro.bench.report` renders them as aligned text tables
 next to the paper's own numbers.  ``python -m repro.bench`` runs everything
 and writes a results summary (this is the equivalent of the artifact's
-``step1-prepare.sh`` / ``step2*-*.sh`` + ``collect.js`` pipeline).
+``step1-prepare.sh`` / ``step2*-*.sh`` + ``collect.js`` pipeline).  The
+runners are the only code that runs an experiment: the claim checks under
+``benchmarks/`` assert over the rows they return, so a row carries the raw
+counts and the correctness facts (``*_matches_*``) those checks read next
+to the rounded figures the tables print.
 
-Experiment index (see DESIGN.md §3):
+Experiment index:
 
 * :func:`run_table1`      — trace statistics (Table 1)
 * :func:`run_merge_time`  — merge + load CPU time per algorithm (Figure 8)
@@ -23,6 +27,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Sequence
 
+from ..core.document import Document
+from ..core.oplog import graph_to_remote_events
 from ..core.walker import EgWalker
 from ..crdt.ref_crdt import RefCRDTDocument
 from ..ot.ot_replica import OTDocument
@@ -30,8 +36,15 @@ from ..traces.datasets import PAPER_TABLE1, load_all_traces
 from ..traces.generator import generate_async
 from ..traces.stats import compute_stats
 from ..traces.trace import Trace
-from .adapters import ALL_ADAPTERS, AlgorithmAdapter, EgWalkerAdapter
-from .memory import measure_memory
+from .adapters import (
+    ALL_ADAPTERS,
+    AlgorithmAdapter,
+    AutomergeLikeAdapter,
+    EgWalkerAdapter,
+    MergeOutcome,
+    YjsLikeAdapter,
+)
+from .memory import MemoryMeasurement, measure_memory
 
 __all__ = [
     "run_table1",
@@ -82,20 +95,35 @@ def run_merge_time(
     adapters = list(adapters) if adapters is not None else ALL_ADAPTERS()
     rows = []
     for name, trace in _traces(traces).items():
-        for adapter in adapters:
-            outcome, merge_seconds = _timed(lambda: adapter.merge(trace))
-            saved = adapter.save(trace, outcome)
-            _, load_seconds = _timed(lambda: adapter.load(saved))
-            rows.append(
-                {
-                    "trace": name,
-                    "algorithm": adapter.name,
-                    "merge_ms": round(merge_seconds * 1000, 2),
-                    "load_ms": round(load_seconds * 1000, 3),
-                    "final_chars": len(outcome.text),
-                }
-            )
+        rows.extend(_row(name, a.name, lambda: _merge_save_load(trace, a)) for a in adapters)
     return rows
+
+
+def _merge_save_load(trace: Trace, adapter: AlgorithmAdapter) -> dict[str, object]:
+    outcome, merge_seconds = _timed(lambda: adapter.merge(trace))
+    saved = adapter.save(trace, outcome)
+    loaded, load_seconds = _timed(lambda: adapter.load(saved))
+    return {
+        "merge_ms": round(merge_seconds * 1000, 2),
+        "load_ms": round(load_seconds * 1000, 3),
+        "final_chars": len(outcome.text),
+        "file_bytes": len(saved),
+        "text_matches_trace": outcome.text == trace.final_text,
+        "load_matches_merge": loaded == outcome.text,
+    }
+
+
+def _row(
+    trace_name: str, algorithm: str, measure: Callable[[], dict[str, object]]
+) -> dict[str, object]:
+    """One algorithm's row: what ``measure`` returns, or the error it raised,
+    so one broken algorithm fails its own row rather than the whole run."""
+    row: dict[str, object] = {"trace": trace_name, "algorithm": algorithm}
+    try:
+        row.update(measure())
+    except Exception as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -106,15 +134,19 @@ def run_clearing_ablation(traces: dict[str, Trace] | None = None) -> list[dict[s
     for name, trace in _traces(traces).items():
         for enabled in (True, False):
             walker = EgWalker(trace.graph, enable_clearing=enabled)
-            _, seconds = _timed(walker.replay_text)
+            text, seconds = _timed(walker.replay_text)
             stats = walker.last_stats
+            assert stats is not None
             rows.append(
                 {
                     "trace": name,
                     "optimisation": "enabled" if enabled else "disabled",
                     "merge_ms": round(seconds * 1000, 2),
-                    "fast_path_events": stats.events_fast_path if stats else 0,
-                    "state_clears": stats.state_clears if stats else 0,
+                    "run_events": len(trace.graph),
+                    "fast_path_events": stats.events_fast_path,
+                    "state_clears": stats.state_clears,
+                    "peak_records": stats.peak_records,
+                    "text_matches_trace": text == trace.final_text,
                 }
             )
     return rows
@@ -127,90 +159,111 @@ def run_memory(
     traces: dict[str, Trace] | None = None,
     adapters: Sequence[AlgorithmAdapter] | None = None,
 ) -> list[dict[str, object]]:
+    """Peak and steady-state heap of every algorithm's merge, plus the
+    ``eg-walker-replica`` row: a :class:`Document` that merged the trace's
+    events and keeps its event graph to go on editing and syncing.
+
+    ``crdt_steady_ratio`` is the reference CRDT's steady state over the row's
+    (claim C5 on the ``eg-walker`` row), when the reference CRDT ran.
+    """
     adapters = list(adapters) if adapters is not None else ALL_ADAPTERS()
     rows = []
     for name, trace in _traces(traces).items():
-        for adapter in adapters:
-            outcome, measurement = measure_memory(lambda: adapter.merge(trace))
-            # Steady state: what must stay alive for the user to keep editing.
-            # For Eg-walker and OT that is the text; for the CRDTs it is the
-            # whole document object (the `retained` field keeps it alive while
-            # tracemalloc takes the final reading above).
-            row = {
-                "trace": name,
-                "algorithm": adapter.name,
-                "peak_kib": round(measurement.peak_bytes / 1024, 1),
-                "steady_kib": round(measurement.retained_bytes / 1024, 1),
-                "text_kib": round(len(outcome.text.encode("utf-8")) / 1024, 1),
-                "char_events": trace.graph.num_chars,
-                "run_events": len(trace.graph),
-            }
-            stats = getattr(adapter, "last_stats", None)
-            if stats is not None:
-                row["peak_span_records"] = stats.peak_records
-                row["peak_span_record_chars"] = stats.peak_record_chars
-            rows.append(row)
+        trace_rows = [_row(name, a.name, lambda: _merge_memory(trace, a)) for a in adapters]
+        trace_rows.append(_row(name, "eg-walker-replica", lambda: _replica_memory(trace)))
+        steady = {r["algorithm"]: r["steady_bytes"] for r in trace_rows if "steady_bytes" in r}
+        if "ref-crdt" in steady:
+            for row in trace_rows:
+                if "steady_bytes" in row:
+                    row["crdt_steady_ratio"] = steady["ref-crdt"] / max(1, row["steady_bytes"])
+        rows.extend(trace_rows)
     return rows
+
+
+def _merge_memory(trace: Trace, adapter: AlgorithmAdapter) -> dict[str, object]:
+    # Steady state: what must stay alive for the user to keep editing.  For
+    # Eg-walker and OT that is the text; for the CRDTs it is the whole
+    # document object (the `retained` field keeps it alive while tracemalloc
+    # takes the final reading).
+    outcome, measurement = measure_memory(lambda: adapter.merge(trace))
+    row = _memory(trace, outcome, measurement)
+    stats = getattr(adapter, "last_stats", None)
+    if stats is not None:
+        row["peak_span_records"] = stats.peak_records
+        row["peak_span_record_chars"] = stats.peak_record_chars
+        row["fast_path_events"] = stats.events_fast_path
+        row["fast_path_chars"] = stats.chars_fast_path
+    return row
+
+
+def _memory(
+    trace: Trace, merged: MergeOutcome | Document, measurement: MemoryMeasurement
+) -> dict[str, object]:
+    text_bytes = len(merged.text.encode("utf-8"))
+    return {
+        "peak_kib": round(measurement.peak_bytes / 1024, 1),
+        "steady_kib": round(measurement.retained_bytes / 1024, 1),
+        "text_kib": round(text_bytes / 1024, 1),
+        "peak_bytes": measurement.peak_bytes,
+        "steady_bytes": measurement.retained_bytes,
+        "text_bytes": text_bytes,
+        "char_events": trace.graph.num_chars,
+        "run_events": len(trace.graph),
+    }
+
+
+def _replica_memory(trace: Trace) -> dict[str, object]:
+    events = graph_to_remote_events(trace.graph)  # built outside the measurement
+
+    def replica() -> Document:
+        document = Document("fig10-replica")
+        document.apply_remote_events(events)
+        return document
+
+    return _memory(trace, *measure_memory(replica))
 
 
 # ----------------------------------------------------------------------
 # Figures 11 and 12: file sizes
 # ----------------------------------------------------------------------
 def run_file_size_full(traces: dict[str, Trace] | None = None) -> list[dict[str, object]]:
-    """Full-history formats: Eg-walker encoding (± cached doc) vs Automerge-like."""
-    from .adapters import AutomergeLikeAdapter
-
+    """Full-history formats: Eg-walker encoding (± cached doc, ± per-column
+    deflate) vs Automerge-like, next to the UTF-8 bytes of all inserted text."""
     rows = []
     automerge = AutomergeLikeAdapter()
     for name, trace in _traces(traces).items():
         outcome = EgWalkerAdapter().merge(trace)
-        inserted_chars = sum(e.op.length for e in trace.graph.events() if e.op.is_insert)
-        eg_plain = EgWalkerAdapter(cache_final_doc=False).save(trace, outcome)
-        eg_cached = EgWalkerAdapter(cache_final_doc=True).save(trace, outcome)
-        eg_deflated = EgWalkerAdapter(cache_final_doc=False, compress_columns=True).save(
-            trace, outcome
+        inserted = sum(
+            len(e.op.content.encode("utf-8")) for e in trace.graph.events() if e.op.is_insert
         )
-        eg_deflated_cached = EgWalkerAdapter(
-            cache_final_doc=True, compress_columns=True
-        ).save(trace, outcome)
-        am_outcome = automerge.merge(trace)
-        am_bytes = automerge.save(trace, am_outcome)
-        rows.append(
-            {
-                "trace": name,
-                "inserted_text_bytes": inserted_chars,
-                "egwalker_bytes": len(eg_plain),
-                "egwalker_cached_doc_bytes": len(eg_cached),
-                "egwalker_compressed_bytes": len(eg_deflated),
-                "egwalker_compressed_cached_doc_bytes": len(eg_deflated_cached),
-                "automerge_like_bytes": len(am_bytes),
-            }
-        )
+        row: dict[str, object] = {"trace": name, "inserted_text_bytes": inserted}
+        for column, cached, compressed in (
+            ("egwalker_bytes", False, False),
+            ("egwalker_cached_doc_bytes", True, False),
+            ("egwalker_compressed_bytes", False, True),
+            ("egwalker_compressed_cached_doc_bytes", True, True),
+        ):
+            adapter = EgWalkerAdapter(cache_final_doc=cached, compress_columns=compressed)
+            row[column] = len(adapter.save(trace, outcome))
+        row["automerge_like_bytes"] = len(automerge.save(trace, automerge.merge(trace)))
+        rows.append(row)
     return rows
 
 
 def run_file_size_pruned(traces: dict[str, Trace] | None = None) -> list[dict[str, object]]:
     """Deleted-content-free formats: pruned Eg-walker encoding vs Yjs-like."""
-    from .adapters import YjsLikeAdapter
-
     rows = []
     yjs = YjsLikeAdapter()
     for name, trace in _traces(traces).items():
-        eg = EgWalkerAdapter()
-        outcome = eg.merge(trace)
-        pruned = eg.save_pruned(trace, outcome)
-        pruned_deflated = EgWalkerAdapter(compress_columns=True).save_pruned(
-            trace, outcome
-        )
-        yjs_outcome = yjs.merge(trace)
-        yjs_bytes = yjs.save(trace, yjs_outcome)
         rows.append(
             {
                 "trace": name,
-                "final_doc_bytes": len(outcome.text.encode("utf-8")),
-                "egwalker_pruned_bytes": len(pruned),
-                "egwalker_compressed_pruned_bytes": len(pruned_deflated),
-                "yjs_like_bytes": len(yjs_bytes),
+                "final_doc_bytes": len(trace.final_text.encode("utf-8")),
+                "egwalker_pruned_bytes": len(EgWalkerAdapter().save_pruned(trace)),
+                "egwalker_compressed_pruned_bytes": len(
+                    EgWalkerAdapter(compress_columns=True).save_pruned(trace)
+                ),
+                "yjs_like_bytes": len(yjs.save(trace, yjs.merge(trace))),
             }
         )
     return rows
@@ -220,7 +273,8 @@ def run_file_size_pruned(traces: dict[str, Trace] | None = None) -> list[dict[st
 # Ablation X1: traversal order sensitivity (§4.3)
 # ----------------------------------------------------------------------
 def run_sort_order_ablation(
-    traces: dict[str, Trace] | None = None, trace_names: Iterable[str] = ("C1", "A2")
+    traces: dict[str, Trace] | None = None,
+    trace_names: Iterable[str] = ("C1", "C2", "A1", "A2"),
 ) -> list[dict[str, object]]:
     all_traces = _traces(traces)
     rows = []
@@ -230,15 +284,18 @@ def run_sort_order_ablation(
         trace = all_traces[name]
         for strategy in ("branch_aware", "local", "interleaved"):
             walker = EgWalker(trace.graph, sort_strategy=strategy)
-            _, seconds = _timed(walker.replay_text)
+            text, seconds = _timed(walker.replay_text)
             stats = walker.last_stats
+            assert stats is not None
             rows.append(
                 {
                     "trace": name,
                     "sort_order": strategy,
                     "merge_ms": round(seconds * 1000, 2),
-                    "retreats": stats.retreats if stats else 0,
-                    "advances": stats.advances if stats else 0,
+                    "retreats": stats.retreats,
+                    "advances": stats.advances,
+                    # The traversal order must never change the result (Lemma C.8).
+                    "text_matches_trace": text == trace.final_text,
                 }
             )
     return rows
@@ -256,20 +313,17 @@ def run_scaling(branch_sizes: Sequence[int] = (250, 500, 1000, 2000)) -> list[di
     rows = []
     for size in branch_sizes:
         trace = generate_async(
-            f"scale-{size}",
+            f"scaling-{size}",
             target_events=2 * size,
-            seed=size,
+            seed=9000 + size,
             concurrent_branches=2,
             events_per_branch=size,
             authors=2,
-            keep_unmerged=False,
         )
-        eg_walker = EgWalker(trace.graph)
-        _, eg_seconds = _timed(eg_walker.replay_text)
+        eg_text, eg_seconds = _timed(EgWalker(trace.graph).replay_text)
         ot = OTDocument()
-        _, ot_seconds = _timed(lambda: ot.merge_event_graph(trace.graph))
-        ref = RefCRDTDocument()
-        _, ref_seconds = _timed(lambda: ref.merge_event_graph(trace.graph))
+        ot_text, ot_seconds = _timed(lambda: ot.merge_event_graph(trace.graph))
+        ref_text, ref_seconds = _timed(lambda: RefCRDTDocument().merge_event_graph(trace.graph))
         rows.append(
             {
                 "branch_events": size,
@@ -278,6 +332,10 @@ def run_scaling(branch_sizes: Sequence[int] = (250, 500, 1000, 2000)) -> list[di
                 "ot_ms": round(ot_seconds * 1000, 2),
                 "ref_crdt_ms": round(ref_seconds * 1000, 2),
                 "ot_work_units": ot.work_units,
+                "final_chars": len(trace.final_text),
+                "ot_chars": len(ot_text),
+                "egwalker_matches_trace": eg_text == trace.final_text,
+                "ref_crdt_matches_trace": ref_text == trace.final_text,
             }
         )
     return rows

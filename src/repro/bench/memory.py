@@ -20,7 +20,7 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-__all__ = ["MemoryMeasurement", "measure_memory", "measure_retained"]
+__all__ = ["MemoryMeasurement", "measure_memory"]
 
 T = TypeVar("T")
 
@@ -54,9 +54,3 @@ def measure_memory(action: Callable[[], T]) -> tuple[T, MemoryMeasurement]:
     finally:
         tracemalloc.stop()
     return result, MemoryMeasurement(peak_bytes=peak, retained_bytes=current)
-
-
-def measure_retained(build: Callable[[], T]) -> tuple[T, int]:
-    """Measure only the retained size of whatever ``build`` constructs."""
-    result, measurement = measure_memory(build)
-    return result, measurement.retained_bytes

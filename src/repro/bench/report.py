@@ -2,8 +2,8 @@
 
 The artifact renders SVG charts; here the same data is printed as aligned
 text tables (one per table/figure) so the reproduction can run anywhere and
-its output can be diffed, archived in EXPERIMENTS.md, and eyeballed next to
-the paper's reported numbers.
+its output can be diffed, archived (``python -m repro.bench --json``), and
+eyeballed next to the paper's reported numbers.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ choice must be made prefer the branch with the fewest estimated descendants so
 that small branches are emitted (and retired) before large ones.
 
 Three orderings are exposed so the benchmark harness can measure the
-sensitivity described in §4.3 (ablation X1 in DESIGN.md):
+sensitivity described in §4.3 (ablation X1 in the experiment index of
+:mod:`repro.bench.harness`):
 
 * :func:`sort_branch_aware` — the heuristic order used by the real algorithm.
 * :func:`sort_local_order` — the replica's own append order (already

@@ -17,7 +17,8 @@ engine:
   much as merging for Automerge in Figure 8.
 
 It is a stand-in, not a byte-compatible reimplementation of the Automerge
-columnar format; DESIGN.md §2 records the substitution.
+columnar format; the figures compare it through :mod:`repro.bench.adapters`
+(the README's Benchmarks section says how to run them).
 """
 
 from __future__ import annotations

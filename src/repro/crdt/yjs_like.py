@@ -15,7 +15,8 @@ and ``load`` parses those rows and reconstructs the item list, id index and
 text.
 
 Like the Automerge stand-in, this is behaviourally faithful rather than
-byte-compatible with the real library; DESIGN.md §2 records the substitution.
+byte-compatible with the real library; the figures compare it through
+:mod:`repro.bench.adapters`.
 """
 
 from __future__ import annotations

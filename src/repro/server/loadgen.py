@@ -111,11 +111,17 @@ async def http_request(
     host: str, port: int, method: str, target: str, payload: Any | None = None
 ) -> tuple[int, Any]:
     """One HTTP exchange with the server; returns ``(status, parsed_json)``.
-    ``payload`` goes as compact UTF-8 JSON; a lone surrogate in it is passed
-    through (``surrogatepass``) for the server to refuse."""
+    ``payload`` goes as compact UTF-8 JSON, a lone surrogate in it passed
+    through (``surrogatepass``) for the server to refuse; ``bytes`` go as
+    they are."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        body = b"" if payload is None else encode_frame(payload).encode("utf-8", "surrogatepass")
+        if isinstance(payload, bytes):
+            body = payload
+        elif payload is None:
+            body = b""
+        else:
+            body = encode_frame(payload).encode("utf-8", "surrogatepass")
         writer.write(
             (
                 f"{method} {target} HTTP/1.1\r\n"

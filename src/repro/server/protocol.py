@@ -50,6 +50,7 @@ each parsed frame, so a long-poll body of frames is parsed once.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Iterable, Sequence
 
@@ -257,21 +258,54 @@ def decode_frame(text: str | bytes) -> dict[str, Any]:
 def load_json(text: str | bytes) -> Any:
     """Parse a frame, or a long-poll body of frames, as it arrived: at most
     :data:`MAX_FRAME_BYTES` of UTF-8, valid JSON, no lone surrogate (else
-    :class:`ProtocolError` ``frame-too-large``, ``bad-json``, ``bad-frame``)."""
-    size = len(text)
-    if isinstance(text, str) and size > MAX_FRAME_BYTES // 4:
-        size = len(text.encode("utf-8", "surrogatepass"))  # <= 4 bytes a char
+    :class:`ProtocolError` ``frame-too-large``, ``bad-json``, ``bad-frame``).
+
+    Bytes that are not UTF-8 are ``bad-json`` whether they arrive as
+    ``bytes`` or surrogate-escaped in a ``str`` (as
+    :meth:`~repro.server.wire.WebSocketConnection.recv_text` hands them on).
+    The text is checked, not the parsed value, unless a ``\\ud800``-style
+    escape may have put a lone surrogate there."""
+    try:
+        if isinstance(text, bytes):
+            size = len(text)
+            if size <= MAX_FRAME_BYTES:
+                text = text.decode("utf-8")
+        else:
+            size = len(text) if text.isascii() else len(text.encode("utf-8"))
+    except UnicodeError as exc:
+        raise _not_text(text, exc) from exc
     if size > MAX_FRAME_BYTES:
         raise ProtocolError("frame-too-large", f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
         value = json.loads(text)
-        if (b"\\u" if isinstance(text, bytes) else "\\u") in text or not text.isascii():
-            encode_json(value).encode("utf-8")  # strict: a lone surrogate is not text
-    except UnicodeEncodeError as exc:
-        raise ProtocolError("bad-frame", f"frame text is not valid UTF-8: {exc}") from exc
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise ProtocolError("bad-json", f"frame is not valid JSON: {exc}") from exc
+    if "\\u" in text and _SURROGATE_ESCAPE.search(text):
+        try:
+            encode_json(value).encode("utf-8")  # strict: a lone surrogate is not text
+        except UnicodeEncodeError as exc:
+            raise ProtocolError("bad-frame", f"frame text is not valid UTF-8: {exc}") from exc
     return value
+
+
+#: A JSON escape of a UTF-16 surrogate, which may leave a lone one in the
+#: parsed value.  An escaped backslash before ``u`` matches too, at the cost
+#: of one needless check.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _not_text(data: str | bytes, exc: UnicodeError) -> ProtocolError:
+    """``bad-frame`` for a lone surrogate, raw or UTF-8-encoded (valid JSON,
+    but no text the server can send on); ``bad-json`` for bytes that are not
+    UTF-8 at all."""
+    try:
+        raw = data.encode("utf-8", "surrogateescape") if isinstance(data, str) else data
+        raw.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        return ProtocolError("bad-json", f"frame is not valid UTF-8: {exc}")
+    except UnicodeEncodeError:
+        pass  # a surrogate that escapes no byte: a lone one
+    return ProtocolError("bad-frame", f"frame text is not valid UTF-8: {exc}")
 
 
 def validate_frame(frame: Any) -> dict[str, Any]:

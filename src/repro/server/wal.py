@@ -216,15 +216,7 @@ class WriteAheadLog:
     def _cut_to_intact_end(self) -> int:
         with open(self.path, "rb") as fh:
             data = fh.read()
-        if data.startswith(_FILE_HEADER):
-            end = _intact_frames(data)[1]
-        elif _FILE_HEADER.startswith(data) or data == _EMPTY_V1_LOG:
-            end = 0  # new, a crash mid header, or an empty format-1 log
-        else:
-            raise ValueError(
-                f"{self.path}: not a write-ahead log this version can append to "
-                f"(header {data[:_HEADER_LEN]!r}, expected {_FILE_HEADER!r})"
-            )
+        end = _intact_frames(data)[1] if _has_records(data, self.path) else 0
         if end < len(data):
             os.ftruncate(self._fd, end)
             os.fsync(self._fd)
@@ -267,20 +259,36 @@ class WriteAheadLog:
 
         Returns ``(payloads, torn_bytes)``: the scan stops at the first
         frame that is truncated or fails its CRC, and ``torn_bytes`` is how
-        much tail was discarded (0 for a clean log).  A missing file, or a
-        format-1 log with no records, yields no records; any other file
-        without this format's header yields none and reports all of its
-        bytes as discarded.
+        much tail was discarded (0 for a clean log).  A missing file, a
+        format-1 log with no records, or a prefix of this format's header (a
+        crash while the log was created, all of it counted as torn) yields
+        no records.  Any other file raises :class:`ValueError` naming
+        ``path``: it is a log this version cannot read, not an empty one.
         """
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
         except FileNotFoundError:
             return [], 0
-        if not data.startswith(_FILE_HEADER):
+        if not _has_records(data, path):
             return [], 0 if data == _EMPTY_V1_LOG else len(data)
         payloads, end = _intact_frames(data)
         return payloads, len(data) - end
+
+
+def _has_records(data: bytes, path: str) -> bool:
+    """Whether ``data`` opens with this format's header, so records may
+    follow; ``False`` for a log with nothing to read (empty, cut mid header
+    by a crash, or an empty format-1 log).  Any other file raises
+    :class:`ValueError` naming ``path``."""
+    if data.startswith(_FILE_HEADER):
+        return True
+    if _FILE_HEADER.startswith(data) or data == _EMPTY_V1_LOG:
+        return False
+    raise ValueError(
+        f"{path}: not a write-ahead log this version can read "
+        f"(header {data[:_HEADER_LEN]!r}, expected {_FILE_HEADER!r})"
+    )
 
 
 def _intact_frames(data: bytes) -> tuple[list[bytes], int]:

@@ -263,7 +263,11 @@ class WebSocketConnection:
 
     async def recv_text(self) -> str | None:
         """The next text/binary message, transparently handling control
-        frames and fragmentation.  ``None`` once the peer closes."""
+        frames and fragmentation.  ``None`` once the peer closes.
+
+        Bytes that are not UTF-8 come back surrogate-escaped (PEP 383), so
+        :func:`~repro.server.protocol.load_json` refuses them as it refuses
+        the same bytes in a long-poll body, and the connection stays up."""
         buffer = b""
         while True:
             try:
@@ -299,7 +303,7 @@ class WebSocketConnection:
             if opcode in (OP_TEXT, OP_BINARY, OP_CONT):
                 buffer += payload
                 if fin:
-                    return buffer.decode("utf-8", errors="replace")
+                    return buffer.decode("utf-8", errors="surrogateescape")
                 continue
             # Unknown opcode: skip the frame rather than killing the link.
 

@@ -1,8 +1,8 @@
 """The benchmark trace suite: synthetic S1–S3, C1–C2, A1–A2 (paper §4.1, Table 1).
 
 The paper's traces are recorded keystroke logs of real documents; this
-reproduction generates synthetic traces with matching structure (see
-DESIGN.md §2 for the substitution rationale).  Sizes are scaled down by
+reproduction generates synthetic traces with matching structure (the
+generators are in :mod:`repro.traces.generator`).  Sizes are scaled down by
 roughly two orders of magnitude because pure Python executes the per-event
 work ~100× slower than the paper's Rust implementation; the *relative*
 comparisons between algorithms — which is what every figure reports — are
@@ -11,7 +11,8 @@ preserved.
 The scale can be adjusted globally with the ``REPRO_TRACE_SCALE`` environment
 variable (e.g. ``REPRO_TRACE_SCALE=0.2`` for a quick run, ``2.0`` for a more
 faithful but slower one).  Traces are cached per (name, scale) so repeated
-benchmark fixtures don't regenerate them.
+benchmark fixtures don't regenerate them; the variable is read on every call,
+so a changed scale gets its own traces.
 """
 
 from __future__ import annotations
@@ -70,13 +71,16 @@ def default_scale() -> float:
     return scale
 
 
-@lru_cache(maxsize=None)
 def get_trace(name: str, scale: float | None = None) -> Trace:
-    """Generate (or fetch from cache) one of the named benchmark traces."""
+    """Generate (or fetch from cache) one of the named benchmark traces, at
+    ``scale`` or else at :func:`default_scale` as it reads now."""
     if name not in TRACE_NAMES:
         raise KeyError(f"unknown trace {name!r}; expected one of {TRACE_NAMES}")
-    if scale is None:
-        scale = default_scale()
+    return _generate(name, default_scale() if scale is None else scale)
+
+
+@lru_cache(maxsize=None)
+def _generate(name: str, scale: float) -> Trace:
     events = max(200, int(_BASE_EVENTS[name] * scale))
 
     if name == "S1":

@@ -23,6 +23,7 @@ from repro.bench import (
     run_sort_order_ablation,
     run_table1,
 )
+from repro.bench.__main__ import main
 from repro.traces import generate_concurrent, generate_sequential
 
 
@@ -106,7 +107,7 @@ class TestAdapters:
         adapter = EgWalkerAdapter()
         trace = tiny_traces["S1"]
         outcome = adapter.merge(trace)
-        assert len(adapter.save_pruned(trace, outcome)) < len(adapter.save(trace, outcome))
+        assert len(adapter.save_pruned(trace)) < len(adapter.save(trace, outcome))
 
 
 class TestMemoryMeasurement:
@@ -152,10 +153,13 @@ class TestExperimentRunners:
         rows = run_memory(tiny_traces, adapters=[EgWalkerAdapter(), RefCRDTAdapter()])
         by_key = {(row["trace"], row["algorithm"]): row for row in rows}
         for name in tiny_traces:
-            assert (
-                by_key[(name, "ref-crdt")]["steady_kib"]
-                > by_key[(name, "eg-walker")]["steady_kib"]
-            )
+            crdt = by_key[(name, "ref-crdt")]
+            assert crdt["steady_bytes"] > by_key[(name, "eg-walker")]["steady_bytes"]
+            assert crdt["crdt_steady_ratio"] == 1.0
+            # The replica row is always measured: it keeps its event graph.
+            replica = by_key[(name, "eg-walker-replica")]
+            assert replica["text_bytes"] == len(tiny_traces[name].final_text.encode())
+            assert replica["steady_bytes"] > by_key[(name, "eg-walker")]["steady_bytes"]
 
     def test_file_size_rows(self, tiny_traces):
         full = run_file_size_full(tiny_traces)
@@ -177,11 +181,35 @@ class TestExperimentRunners:
         rows = run_sort_order_ablation(tiny_traces, trace_names=("C1",))
         strategies = {row["sort_order"] for row in rows}
         assert strategies == {"branch_aware", "local", "interleaved"}
+        assert all(row["text_matches_trace"] for row in rows)
 
     def test_scaling_rows(self):
         rows = run_scaling(branch_sizes=(40, 80))
         assert len(rows) == 2
         assert rows[1]["ot_work_units"] > rows[0]["ot_work_units"]
+
+
+class TestCommandLine:
+    """``python -m repro.bench`` is the one way to print the reproduction."""
+
+    def test_json_holds_every_requested_result(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.02")
+        path = tmp_path / "results.json"
+        assert main(["--experiments", "table1,fig9,fig11", "--json", str(path)]) == 0
+        results = json.loads(path.read_text())
+        assert set(results) == {
+            "table1_trace_stats",
+            "fig9_clearing_optimisation",
+            "fig11_file_size_full",
+        }
+        assert all(results.values())
+        assert "Figure 11" in capsys.readouterr().out
+
+    def test_unknown_experiment_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--experiments", "table1,fig99"])
+        assert excinfo.value.code == 2
+        assert "unknown experiments: fig99" in capsys.readouterr().err
 
 
 class TestReporting:

@@ -31,6 +31,7 @@ from repro.server import (
 )
 from repro.server.loadgen import CollabClient, PollClient, http_request
 from repro.server.protocol import MAX_FRAME_BYTES, decode_frame, delta_frame, encode_frame
+from repro.server.wire import OP_TEXT
 from repro.traces.datasets import get_trace
 
 
@@ -254,6 +255,42 @@ class TestLongPollFallback:
                 assert_no_leaks(server, "d", ws, poll, late)
                 for client in (ws, poll, late):
                     await client.close()
+
+        run(scenario())
+
+    def test_invalid_utf8_is_refused_alike_on_both_transports(self):
+        """A byte that is not UTF-8 is ``bad-json`` over WebSocket as over
+        ``/v1/send``: refused where it enters, never replaced by U+FFFD, and
+        the WebSocket connection goes on editing."""
+        delta = delta_frame([RemoteEvent(EventId("mallory", 0), (), insert_op(0, "X"))])
+
+        def invalid(frame):
+            return encode_frame(frame).encode().replace(b"X", b"\xff")
+
+        async def scenario():
+            async with CollabServer() as server:
+                host, port = server.host, server.port
+                ws = CollabClient(host, port, "d", "alice")
+                poll = PollClient(host, port, "d", "bob", poll_wait=0.05)
+                await ws.connect()
+                await poll.connect()
+                await ws.insert(0, "ab")
+                assert await wait_until(lambda: poll.text == "ab")
+                await ws.ws._send(OP_TEXT, invalid(delta))
+                assert await wait_until(lambda: len(ws.errors) == 1)
+                assert ws.errors[0]["code"] == "bad-json"
+                status, body = await http_request(
+                    host, port, "POST", f"/v1/send?session={poll.session_id}",
+                    invalid({"frames": [delta]}),
+                )
+                assert status == 400 and body["code"] == "bad-json"
+                assert server.room("d").text == "ab"
+                await ws.insert(2, "c")
+                assert await wait_until(lambda: poll.text == server.room("d").text == "abc")
+                assert ws.text == "abc" and len(ws.errors) == 1
+                assert_no_leaks(server, "d", ws, poll)
+                await ws.close()
+                await poll.close()
 
         run(scenario())
 

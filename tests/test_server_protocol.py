@@ -246,6 +246,26 @@ class TestMalformedFrames:
         ):
             self.expect("bad-frame", json.dumps(frame))
 
+    def test_bytes_that_are_not_utf8_are_bad_json_however_they_arrive(self):
+        """As ``bytes`` (a long-poll body) or surrogate-escaped in a ``str``
+        (how ``recv_text`` hands on a WebSocket message) the verdict is the
+        same: ``bad-json`` for a byte that is no UTF-8, ``bad-frame`` for an
+        encoded surrogate (``ED A0 80``), in an otherwise non-ASCII frame."""
+        frame = encode_frame(delta_frame([RemoteEvent(EventId("a", 0), (), insert_op(0, "中 X"))]))
+        for code, bad in (("bad-json", b"\xff"), ("bad-frame", b"\xed\xa0\x80")):
+            data = frame.encode().replace(b"X", bad)
+            self.expect(code, data)
+            self.expect(code, data.decode("utf-8", "surrogateescape"))
+
+    def test_lone_surrogate_escape_in_a_non_ascii_frame(self):
+        frame = encode_frame(delta_frame([RemoteEvent(EventId("a", 0), (), insert_op(0, "中 X"))]))
+        lone = frame.replace("X", "\\ud800")
+        for text in (lone, lone.encode()):
+            self.expect("bad-frame", text)
+        pair = frame.replace("X", "\\ud83d\\ude00")
+        for text in (pair, pair.encode()):
+            assert decode_frame(text)["events"][0].op.content == "中 😀"
+
     def test_surrogate_pair_escape_is_text(self):
         emoji = delta_frame([RemoteEvent(EventId("a", 0), (), insert_op(0, "😀 \\ud800"))])
         escaped = json.dumps(emoji)

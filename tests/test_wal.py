@@ -143,9 +143,25 @@ class TestWriteAheadLog:
         assert WriteAheadLog.scan(str(tmp_path / "nope.log")) == ([], 0)
         foreign = tmp_path / "foreign.log"
         foreign.write_bytes(b"not a wal at all")
-        payloads, torn = WriteAheadLog.scan(str(foreign))
-        assert payloads == []
-        assert torn > 0
+        with pytest.raises(ValueError, match="foreign.log"):
+            WriteAheadLog.scan(str(foreign))
+
+    def test_recovery_refuses_a_log_it_cannot_read(self, tmp_path):
+        """A format-1 log holding a record is no empty room: recovery on its
+        own refuses it, as opening the log for appends does."""
+        directory = room_directory(str(tmp_path), "doc")
+        os.makedirs(directory)
+        path = os.path.join(directory, "wal.log")
+        with open(path, "wb") as fh:
+            fh.write(b"EGWL\x01" + frame_record(b"[]"))
+        with pytest.raises(ValueError, match="wal.log"):
+            recover_document(directory, "server")
+        # A log cut inside its header by a crash is still an empty one.
+        for prefix in (b"", b"E", b"EGWL"):
+            with open(path, "wb") as fh:
+                fh.write(prefix)
+            _, info = recover_document(directory, "server")
+            assert info.wal_records == 0 and info.torn_bytes_dropped == len(prefix)
 
     def test_corrupt_crc_stops_scan(self, tmp_path):
         path = str(tmp_path / "wal.log")
