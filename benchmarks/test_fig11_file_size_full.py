@@ -8,9 +8,12 @@ full-history format.  The lightly shaded lower bound in the paper's chart —
 the UTF-8 bytes of all inserted text — is reported alongside.
 
 Two structural gates per trace family: the compressed file is no larger than
-its uncompressed twin (store-raw-if-not-smaller, column by column), and the
-paper's ordering holds — the uncompressed event-graph file is smaller than
-the CRDT baseline's.
+its uncompressed twin, and the paper's ordering holds — the uncompressed
+event-graph file is smaller than the CRDT baseline's.  The first compares
+whole files, so it does not check the container's per-column rule (store a
+column raw unless deflate makes it smaller): deflate wins file-wide even
+when one column would grow.  That rule is pinned column by column in
+``tests/test_storage_container.py::test_compressed_file_holds_the_uncompressed_payloads``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ _ORDER_COLUMNS = {
     "_order",
     "_labels",
     "_frontier",
-    "_cum_inserts",
     "_agent_index",
     "_more_parents",
     "_more_children",
@@ -79,5 +78,5 @@ class ColumnEncapsulationRule(Rule):
                     node,
                     f"direct access to EventGraph private state {node.attr!r}; "
                     "use the public accessors (events(), frontier, locate(), "
-                    "next_seq_for(), inserted_chars_through())",
+                    "next_seq_for(), inserted_chars)",
                 )

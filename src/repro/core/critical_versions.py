@@ -66,7 +66,7 @@ def critical_cut_positions(graph: EventGraph, order: Sequence[int]) -> dict[int,
 
     Parents are read in bulk (:meth:`EventGraph.to_columns`).  A prefix
     ``range(k)`` of the local order (what :meth:`CriticalCutTracker.rebuild`
-    passes) is its own position map, and a chain step (a one-head frontier
+    passes for a history that is not linear) is its own position map, and a chain step (a one-head frontier
     that the event names) moves that head without touching the frontier
     set, so a sequential history allocates nothing per event.
     """
@@ -130,11 +130,6 @@ class CriticalCutTracker:
         append has tested it.  No other position can *become* critical:
         prefixes never change, and suffixes only grow.
 
-      Each cut is appended at most once and removed at most once, hence O(1)
-      amortized (the removals are a tail truncation of a sorted list).  Heads
-      are stored only for multi-head cuts, so a sequential history allocates
-      nothing beyond its one list entry per event.
-
     * **split** of the run at ``index`` (interop re-carving, a semantic
       no-op): the right half's only parent is the left half and every other
       reference to the run moves to the right half.  A single-head cut after
@@ -148,15 +143,24 @@ class CriticalCutTracker:
     * **in-place extension** of the frontier run (sender-side coalescing):
       no event set changes, so the cuts are untouched.
 
-    Cuts are stored as **stable event handles** (:meth:`EventGraph.handle_at`),
-    not positions: "the cut after event X" survives any number of splits
-    elsewhere in the order without bookkeeping, so :meth:`event_split` is
-    O(log cuts + children of the split run) instead of the O(cuts)
-    shift-everything loop a position-keyed list needs (which made a single
-    interop split O(n) on a mostly-sequential history, where nearly every
-    position is a cut).  The handle list stays sorted by *current* position
-    because order labels are comparison-stable (:meth:`EventGraph.order_key`);
-    the external API still speaks positions.
+    **Storage: runs of consecutive cuts.**  The cuts are kept as maximal
+    runs of consecutive positions, each stored as the handles of its first
+    and last event (:meth:`EventGraph.handle_at`) in two 32-bit columns
+    sorted by position.  A linear history is one run, whatever its length;
+    an append that keeps its predecessor's cut extends the last run in O(1),
+    and the deaths an append causes are a truncation of the run list.  Only
+    a run's first cut can have several heads (a cut right after another cut
+    is single-headed: the event after a critical prefix descends from all
+    of it), so ``_heads`` holds an entry for a run's first handle at most.
+
+    Handles, not positions, so "the cut after event X" survives any number
+    of splits elsewhere without bookkeeping.  A split inside a run leaves
+    the run valid (the twin lands inside it), a split of its last event
+    moves the run's end to the right half, and a multi-head cut that opens a
+    run moves its start there.  The runs stay sorted by *current* position
+    because order labels are comparison-stable (:meth:`EventGraph.order_key`),
+    so every query is a bisect over run starts; the external API still
+    speaks positions.
 
     The tracker registers itself as a listener on the graph
     (:meth:`EventGraph.add_listener`) and must be attached while the graph is
@@ -165,10 +169,11 @@ class CriticalCutTracker:
 
     def __init__(self, graph: EventGraph, *, attach: bool = True) -> None:
         self.graph = graph
-        #: Event handles whose prefix version is critical ("the cut after
-        #: event X"), kept sorted by current local position (equivalently, by
-        #: live order label); an array, like the graph's own columns.
-        self._cuts = array("q")
+        #: Handles of the first and of the last event of each maximal run of
+        #: consecutive cut positions ("the cut after event X" for every X
+        #: from first to last), sorted by current local position.
+        self._first = array("i")
+        self._last = array("i")
         #: Cut handle -> handles of its version's heads, multi-head cuts only
         #: (a cut without an entry has the single head X).
         self._heads: dict[int, tuple[int, ...]] = {}
@@ -177,55 +182,76 @@ class CriticalCutTracker:
         if attach:
             graph.add_listener(self)
 
-    def _bisect_position(self, position: int) -> int:
-        """Index into ``_cuts`` of the first cut at a position ``>= position``."""
+    def _run_at(self, position: int) -> int:
+        """Index of the last run starting at or before ``position`` (a local
+        position of the graph), ``-1`` if none."""
         graph = self.graph
-        if position >= len(graph):
-            return len(self._cuts)
-        return bisect.bisect_left(
-            self._cuts, graph.order_key(graph.handle_at(position)), key=graph.order_key
-        )
+        key = graph.order_key
+        return bisect.bisect_right(self._first, key(graph.handle_at(position)), key=key) - 1
+
+    def _truncate(self, keep: int) -> None:
+        """Drop every run from the ``keep``-th on."""
+        first = self._first
+        if keep < len(first):
+            if self._heads:
+                for dead in first[keep:]:
+                    self._heads.pop(dead, None)
+            del first[keep:]
+            del self._last[keep:]
 
     # -- listener hooks -------------------------------------------------
     def event_added(self, event: Event) -> None:
         graph = self.graph
-        cuts = self._cuts
-        heads = self._heads
+        first, last, heads = self._first, self._last, self._heads
         parents = event.parents
-        latest = graph.handle_at(parents[-1]) if parents else None
-        # Cuts strictly after the event's latest parent die — none, in the
-        # common case where the newest cut *is* that parent (no search then).
-        if not cuts or cuts[-1] != latest:
-            keep = self._bisect_position(parents[-1] + 1) if parents else 0
-            if keep < len(cuts):
-                if heads:
-                    for dead in cuts[keep:]:
-                        heads.pop(dead, None)
-                del cuts[keep:]
-        # The cut at the latest parent survives iff the event names all of
-        # its heads (a single head is that parent itself).
-        if cuts and cuts[-1] in heads and cuts[-1] == latest:
-            if not set(heads[cuts[-1]]) <= {graph.handle_at(p) for p in parents}:
-                del heads[cuts.pop()]
-        cuts.append(event.handle)
+        extends = False
+        if not parents:
+            self._truncate(0)
+        else:
+            top = parents[-1]
+            latest = graph.handle_at(top)
+            # Cuts strictly after the event's latest parent die — none, in the
+            # common case where the newest cut *is* that parent (no search).
+            if not last or last[-1] != latest:
+                run = self._run_at(top)
+                self._truncate(run + 1)
+                if run >= 0 and graph.index_of_handle(last[run]) > top:
+                    last[run] = latest
+            # The cut at the latest parent survives iff the event names all
+            # of its heads (a single head is that parent itself); a
+            # multi-head cut is the only cut of its run here.
+            if last and last[-1] == latest and latest in heads:
+                if not set(heads[latest]) <= set(map(graph.handle_at, parents)):
+                    self._truncate(len(first) - 1)
+            # The event's own cut continues the last run iff that run now
+            # ends right before it.
+            extends = bool(last) and last[-1] == latest and top == len(graph) - 2
+        handle = event.handle
+        if extends:
+            last[-1] = handle
+        else:
+            first.append(handle)
+            last.append(handle)
         frontier = graph.frontier_handles
         if len(frontier) > 1:
-            heads[event.handle] = frontier
+            heads[handle] = frontier
 
     def event_split(self, index: int) -> None:
         graph = self.graph
         heads = self._heads
         left, right = graph.handle_at(index), graph.handle_at(index + 1)
         # The left half keeps the split run's handle, so a stored cut "after
-        # the whole run" now reads "after the left half".  Nothing else
-        # moves: every other cut is keyed by an untouched handle.
-        pos = bisect.bisect_left(self._cuts, graph.order_key(left), key=graph.order_key)
-        if pos < len(self._cuts) and self._cuts[pos] == left:
+        # the whole run" now reads "after the left half".  A single-head one
+        # gains its twin after the right half, inside its run unless the run
+        # ended there; a multi-head one (its run's first cut) moves to the
+        # right half.  Every other cut is keyed by an untouched handle.
+        run = self._run_at(index)
+        if run >= 0 and graph.index_of_handle(self._last[run]) >= index:
+            if self._last[run] == left:
+                self._last[run] = right
             if left in heads:
-                self._cuts[pos] = right
+                self._first[run] = right
                 heads[right] = heads.pop(left)
-            else:
-                self._cuts.insert(pos + 1, right)
         # The run as a head of a multi-head cut: it had no child inside that
         # cut's prefix and (the cut being critical) one right after it.
         children = graph.children_of(index + 1)
@@ -237,9 +263,15 @@ class CriticalCutTracker:
         return None  # run lengths do not affect criticality
 
     # -- queries --------------------------------------------------------
+    def runs(self) -> list[tuple[int, int]]:
+        """The cut positions as maximal runs ``(first, last)`` of
+        consecutive positions, ascending."""
+        index_of = self.graph.index_of_handle
+        return [(index_of(a), index_of(b)) for a, b in zip(self._first, self._last)]
+
     def cuts(self) -> list[int]:
         """The current critical cut positions, ascending (a copy)."""
-        return [self.graph.index_of_handle(h) for h in self._cuts]
+        return [p for a, b in self.runs() for p in range(a, b + 1)]
 
     def version_at(self, position: int | None) -> Version:
         """The critical version of the cut at ``position`` (which must be a
@@ -254,9 +286,12 @@ class CriticalCutTracker:
     def latest_cut_before(self, position: int) -> int | None:
         """The largest cut position strictly smaller than ``position``, or
         ``None`` when a partial replay ending there must start from the
-        root.  O(log n)."""
-        idx = self._bisect_position(position)
-        return self.graph.index_of_handle(self._cuts[idx - 1]) if idx > 0 else None
+        root.  O(log runs)."""
+        if position <= 0 or not self._first:
+            return None
+        below = min(position, len(self.graph)) - 1
+        run = self._run_at(below)
+        return min(below, self.graph.index_of_handle(self._last[run])) if run >= 0 else None
 
     def critical_run_end(self, position: int) -> int:
         """The end of the consecutive run of critical cuts starting at
@@ -269,29 +304,35 @@ class CriticalCutTracker:
         verbatim, so from the cut just before a batch it peels the
         sequential prefix off (batched delivery can hand the engine
         sequential events followed by a concurrent tail; only the tail needs
-        the walker).  Every cut of a run but its first is single-headed.
-        O(log cuts + run length).
+        the walker).  O(log runs): the runs are maximal, so the answer is the
+        end of the run holding ``position``.
         """
-        graph = self.graph
-        n = len(graph)
-        idx = self._bisect_position(position)
-        end = position - 1
-        while (
-            idx < len(self._cuts)
-            and end + 1 < n
-            and self._cuts[idx] == graph.handle_at(end + 1)
-        ):
-            end += 1
-            idx += 1
-        return end
+        if not 0 <= position < len(self.graph):
+            return position - 1
+        run = self._run_at(position)
+        end = self.graph.index_of_handle(self._last[run]) if run >= 0 else -1
+        return end if end >= position else position - 1
 
     def rebuild(self) -> None:
-        """Recompute from scratch (O(n); only used when attaching late)."""
+        """Recompute from scratch (O(n); only used when attaching late).  A
+        linear history is one run, found without a pass over its parents."""
         graph = self.graph
-        cuts = critical_cut_positions(graph, range(len(graph)))
-        self._cuts = array("q", map(graph.handle_at, cuts))
-        self._heads = {
-            graph.handle_at(p): tuple(map(graph.handle_at, version))
-            for p, version in cuts.items()
-            if len(version) > 1
-        }
+        n = len(graph)
+        self._heads = {}
+        if graph.is_linear():
+            self._first = array("i", [0] if n else [])
+            self._last = array("i", [n - 1] if n else [])
+            return
+        first, last = array("i"), array("i")
+        previous = -2
+        for position, version in critical_cut_positions(graph, range(n)).items():
+            handle = graph.handle_at(position)
+            if position == previous + 1:
+                last[-1] = handle
+            else:
+                first.append(handle)
+                last.append(handle)
+            if len(version) > 1:
+                self._heads[handle] = tuple(map(graph.handle_at, version))
+            previous = position
+        self._first, self._last = first, last

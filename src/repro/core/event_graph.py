@@ -34,32 +34,51 @@ so indices cannot be the storage key: the original row-of-objects layout
 paid an O(n) Python re-indexing pass per split, and every listener had to
 shift its own bookkeeping in lockstep.
 
-The graph therefore separates *identity* from *position*:
+The graph therefore separates *identity* from *position*.  Each event gets a
+**handle** — a small integer allocated once and never reused or renumbered —
+and all per-event data lives in parallel columns indexed by handle, the
+columnar layout the storage format has on disk.  A graph keeps only the
+columns it cannot derive:
 
-* Each event gets a **handle** — a small integer allocated once and never
-  reused or renumbered.  All per-event data lives in parallel columns
-  indexed by handle — the columnar layout the storage format has on disk,
-  here as the in-memory representation, at one machine word per event per
-  column.  ``_h_id`` / ``_h_op`` are lists of references to the caller's
-  :class:`~repro.core.ids.EventId` / :class:`~repro.core.ids.Operation`
-  objects; every integer column (run length, order label, first parent,
-  first child) is an ``array('q')``.
-* **Parents and children are a first entry plus a side map.**  The first
-  parent handle sits in ``_h_parent`` (−1 for a root) and the first child in
-  ``_h_child`` (−1 for none); only the rare event with two or more parents
-  (a merge) or children (a fork) has an entry in ``_more_parents`` /
-  ``_more_children`` holding the rest.
-* The local order is one array of handles (``_order``) plus a parallel array
-  of strictly increasing **order labels**.  ``index → handle`` is an array
-  lookup (O(1)); ``handle → index`` is a bisect over the labels (O(log n)).
-  A split allocates the right half a label midway between its neighbours, so
-  no existing label (and no listener keyed by handles) needs touching; label
+==================  =====================  ====================================
+column              width per event        holds / exists
+==================  =====================  ====================================
+``_h_id``           one reference          the caller's first-character
+                                           :class:`~repro.core.ids.EventId`
+``_h_op``           one reference          the caller's
+                                           :class:`~repro.core.ids.Operation`
+``_h_len``          8 bytes (``"q"``)      run length (in sync with the op)
+``_h_parent``       4 bytes (``"i"``)      first parent handle, −1 for a root
+``_h_child``        4 bytes (``"i"``)      first child handle, −1 for none
+range-map values    4 bytes (``"i"``)      per agent, the handle of each run
+                                           start (beside the start seqs)
+``_order``          4 bytes (``"i"``)      handles in local order — from the
+                                           first split on; empty before
+``_h_label``,       8 bytes (``"q"``)      order label per handle, and along
+``_labels``         each                   ``_order`` — from the first split on
+==================  =====================  ====================================
+
+Handle columns are 32-bit: a handle is an index below 2³¹, and no value from
+outside the program is stored in them.  Run lengths and labels stay 64-bit.
+
+* **Parents and children are a first entry plus a side map.**  Only the rare
+  event with two or more parents (a merge) or children (a fork) has an entry
+  in ``_more_parents`` / ``_more_children`` holding the rest.
+* **Identity until the first split.**  Appends allocate handles and
+  positions in lockstep, so until the first split (``_gen == 0``) a handle
+  *is* its index: :meth:`handle_at`, :meth:`index_of_handle` and parent
+  resolution return their argument or the stored handles as they are, with
+  one ``_gen`` test, no lookup and no bisect, and the order columns stay
+  empty.
+* **After it,** the local order is ``_order`` plus the parallel, strictly
+  increasing ``_labels``.  ``index → handle`` is an array lookup (O(1));
+  ``handle → index`` is a bisect over the labels (O(log n)).  A split
+  allocates the right half a label midway between its neighbours, so no
+  existing label (and no listener keyed by handles) needs touching; label
   space is re-spread in the rare case two neighbours become adjacent.
-* **Identity fast path.**  Appends allocate handles and positions in
-  lockstep, so until the first split (``_gen == 0``) a handle *is* its
-  index: :meth:`index_of_handle` and parent resolution return the stored
-  handles as they are, with no bisect and no cache, and the label columns
-  stay empty — the first split creates them.
+* **Aggregates are totals, not columns:** the character count and the
+  inserted-character count (:attr:`EventGraph.inserted_chars`, an upper
+  bound on the document length at every version) are single integers.
 
 :meth:`split_event` is then O(log n + degree) Python work: rewrite the
 whole-run parent references of the split run's children (via the child
@@ -84,7 +103,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
 from operator import ge, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -212,16 +230,16 @@ class EventGraph:
         self._h_op: list[Operation] = []  # operation payload
         self._h_len = array("q")  # run length (in sync with the op)
         self._h_label = array("q")  # order label (from the first split on)
-        self._h_parent = array("q")  # first parent handle, -1 for a root
-        self._h_child = array("q")  # first child handle, -1 for none
+        self._h_parent = array("i")  # first parent handle, -1 for a root
+        self._h_child = array("i")  # first child handle, -1 for none
         #: The rest of a multi-parent event's parent handles, and of a
         #: multi-child event's child handles (append order).
         self._more_parents: dict[int, tuple[int, ...]] = {}
         self._more_children: dict[int, list[int]] = {}
         #: Splits so far; while 0, every handle is its own local index.
         self._gen = 0
-        # -- the local order ----------------------------------------------
-        self._order = array("q")  # handles in local (topological) order
+        # -- the local order (from the first split on) ----------------------
+        self._order = array("i")  # handles in local (topological) order
         self._labels = array("q")  # _h_label along _order (ascending)
         # -- id range maps --------------------------------------------------
         #: Per-agent range map: run-start seq -> event handle, the handles
@@ -232,13 +250,7 @@ class EventGraph:
         self._frontier: list[int] = []  # handles of events with no children
         self._next_seq: dict[str, int] = {}
         self._num_chars = 0
-        #: ``_cum_inserts[i]`` = total characters inserted by events ``0..i``
-        #: (index-parallel, like ``_order``).  Kept in lockstep (O(1) per
-        #: append/extension; splits insert one entry) so
-        #: :meth:`inserted_chars_through` is O(1).  The history subsystem
-        #: uses it as a safe upper bound on the document length at any
-        #: version contained in a prefix, to size replay placeholders.
-        self._cum_inserts = array("q")
+        self._inserted_chars = 0
         #: Structural-change observers (see :meth:`add_listener`).  Listeners
         #: are how incremental consumers (the merge engine's critical-cut
         #: tracker) stay in sync without rescanning the graph.
@@ -257,7 +269,7 @@ class EventGraph:
 
         On a fresh graph handle ``i`` *is* index ``i``, so the decoded
         columns are the handle-indexed columns verbatim and the derived ones
-        (range maps, children, frontier, cumulative inserts) are whole-array
+        (range maps, children, frontier, totals) are whole-array
         operations instead of n rounds of per-event bookkeeping.
         Every check :meth:`add_event` makes is kept: each agent's id spans
         fresh and non-overlapping, every parent tuple sorted, de-duplicated
@@ -270,7 +282,7 @@ class EventGraph:
         if len(ids) != n or len(parents) != n:
             raise ValueError(f"{len(ids)} ids and {len(parents)} parents for {n} ops")
         graph = cls()
-        children, more_children = array("q", [-1]) * n, graph._more_children
+        children, more_children = array("i", [-1]) * n, graph._more_children
         for handle, refs in enumerate(parents):
             _check_parent_indices(refs, handle)
             for parent in refs:
@@ -285,17 +297,14 @@ class EventGraph:
         graph._h_id = list(ids)
         graph._h_op = list(ops)
         graph._h_len = lengths
-        graph._h_parent = array("q", [refs[0] if refs else -1 for refs in parents])
+        graph._h_parent = array("i", [refs[0] if refs else -1 for refs in parents])
         graph._more_parents = {
             handle: tuple(refs[1:]) for handle, refs in enumerate(parents) if len(refs) > 1
         }
         graph._h_child = children
-        graph._order = array("q", range(n))
         graph._frontier = [handle for handle in range(n) if children[handle] < 0]
         graph._num_chars = sum(lengths)
-        graph._cum_inserts = array(
-            "q", accumulate(op.length if op.kind is OpKind.INSERT else 0 for op in ops)
-        )
+        graph._inserted_chars = sum(op.length for op in ops if op.kind is OpKind.INSERT)
         by_agent: dict[str, list[int]] = {}
         for handle, event_id in enumerate(ids):
             by_agent.setdefault(event_id.agent, []).append(handle)
@@ -306,7 +315,7 @@ class EventGraph:
             if any(map(lt, starts[1:], ends)):
                 raise ValueError(f"overlapping event id spans for agent {agent!r}")
             graph._agent_index[agent] = RangeIndex.from_sorted(
-                lengths.__getitem__, starts, array("q", handles)
+                lengths.__getitem__, starts, array("i", handles)
             )
             graph._next_seq[agent] = ends[-1]
         return graph
@@ -321,9 +330,7 @@ class EventGraph:
         With ``indices`` the three lists are parallel to it instead: the bulk
         read of a replay, which visits the same events in its own order.
         """
-        order = self._order
-        handles = order if indices is None else [order[i] for i in indices]
-        ids, ops = self._h_id, self._h_op
+        handles = self._handles(indices)
         if self._gen:
             parents = list(map(self._parent_indices, handles))
         else:
@@ -332,16 +339,28 @@ class EventGraph:
                 () if (p := first[h]) < 0 else (p, *more[h]) if h in more else (p,)
                 for h in handles
             ]
+        if indices is None and not self._gen:
+            # Unsplit and whole: the handle columns are in local order.
+            return list(self._h_id), parents, list(self._h_op)
+        ids, ops = self._h_id, self._h_op
         return [ids[h] for h in handles], parents, [ops[h] for h in handles]
 
     def id_spans(self, indices: Iterable[int] | None = None) -> list[tuple[EventId, int]]:
         """``(first-character id, run length)`` of each event in local order
         (or parallel to ``indices``): the graph's id coverage, without
         :class:`Event` views."""
-        order = self._order
-        handles = order if indices is None else [order[i] for i in indices]
         ids, lengths = self._h_id, self._h_len
-        return [(ids[h], lengths[h]) for h in handles]
+        if indices is None and not self._gen:
+            return list(zip(ids, lengths))
+        return [(ids[h], lengths[h]) for h in self._handles(indices)]
+
+    def _handles(self, indices: Iterable[int] | None) -> Sequence[int]:
+        """The handles of ``indices`` (of every event when ``None``), in
+        that order."""
+        if not self._gen:
+            return range(len(self._h_len)) if indices is None else list(indices)
+        order = self._order
+        return order if indices is None else [order[i] for i in indices]
 
     # ------------------------------------------------------------------
     # Listeners
@@ -381,9 +400,14 @@ class EventGraph:
 
         Handles are never reused or renumbered: they survive splits (the
         handle stays with the *left* half; the right half gets a fresh one),
-        in-place extensions, and any amount of later growth.
+        in-place extensions, and any amount of later growth.  Until the
+        first split the handle is the index itself.
         """
-        return self._order[index]
+        if self._gen:
+            return self._order[index]
+        if 0 <= index < len(self._h_len):
+            return index
+        return range(len(self._h_len))[index]  # a negative index, or IndexError
 
     def index_of_handle(self, handle: int) -> int:
         """Current local index of the event with the given handle: the handle
@@ -424,17 +448,17 @@ class EventGraph:
     # Basic accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._h_len)  # one handle per event
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events())
 
     def __getitem__(self, index: int) -> Event:
-        return Event(self, self._order[index])
+        return Event(self, self.handle_at(index))
 
     def events(self) -> Sequence[Event]:
         """All events in local (topological) order."""
-        return [Event(self, h) for h in self._order]
+        return [Event(self, h) for h in self._handles(None)]
 
     @property
     def num_chars(self) -> int:
@@ -480,27 +504,40 @@ class EventGraph:
 
     def id_of(self, index: int) -> EventId:
         """Id of the first character of the event at ``index``.  O(1)."""
-        return self._h_id[self._order[index]]
+        return self._h_id[self._order[index] if self._gen else index]
 
     def op_of(self, index: int) -> Operation:
         """The run operation of the event at ``index``.  O(1)."""
-        return self._h_op[self._order[index]]
+        return self._h_op[self._order[index] if self._gen else index]
 
     def parents_of(self, index: int) -> Version:
         """Local indices of the event's parents (sorted).  O(parents) until
         the first split, O(parents log n) after."""
-        return self._parent_indices(self._order[index])
+        return self._parent_indices(
+            index if not self._gen and index >= 0 else self.handle_at(index)
+        )
 
     def children_of(self, index: int) -> Sequence[int]:
         """Local indices of the event's children, maintained incrementally as
         events are appended or split.  O(children log n)."""
-        children = self._child_handles(self._order[index])
+        children = self._child_handles(self.handle_at(index))
         return list(map(self.index_of_handle, children)) if self._gen else children
 
     @property
     def frontier(self) -> Version:
         """The current version of the graph: all events with no children."""
         return tuple(sorted(self.index_of_handle(h) for h in self._frontier))
+
+    def is_linear(self) -> bool:
+        """Is the history one chain — every event's only parent the event
+        before it — and not split yet?  O(n), C-level work only.
+
+        Every cut of such a history is critical, so a consumer attaching late
+        (:meth:`CriticalCutTracker.rebuild`) needs no pass over its parents.
+        """
+        return not self._gen and not self._more_parents and self._h_parent == array(
+            "i", range(-1, len(self._h_parent) - 1)
+        )
 
     @property
     def frontier_handles(self) -> tuple[int, ...]:
@@ -519,17 +556,17 @@ class EventGraph:
         """
         return self._next_seq.get(agent, 0)
 
-    def inserted_chars_through(self, index: int) -> int:
-        """Total characters inserted by events ``0 .. index`` (inclusive).
+    @property
+    def inserted_chars(self) -> int:
+        """Total characters inserted by all events.  O(1).
 
-        O(1).  For any version ``V`` whose events all have indices
-        ``<= index`` this is a safe **upper bound** on the document length at
-        ``V`` (deletions only shrink it, and ``Events(V)`` is a subset of the
-        prefix), which is exactly what a partial replay needs to size its
+        A safe **upper bound** on the document length at every version of
+        the graph (deletions only shrink it, and ``Events(V)`` is a subset of
+        all events), which is what a partial replay needs to size its
         placeholder (§3.6) — oversizing leaves unreferenced slack at the end
         of the placeholder and is harmless.
         """
-        return self._cum_inserts[index]
+        return self._inserted_chars
 
     # ------------------------------------------------------------------
     # Mutation
@@ -560,8 +597,8 @@ class EventGraph:
         Returns:
             The newly created :class:`Event`.
 
-        Complexity: O(parents + log runs) amortized — the children, frontier,
-        range-map and cumulative-insert indices all update in place, which is
+        Complexity: O(parents + log runs) amortized — the children, frontier
+        and range-map indices and the totals all update in place, which is
         what lets long-lived consumers (the merge engine, the cut tracker)
         avoid ever rescanning the graph.
 
@@ -581,37 +618,37 @@ class EventGraph:
             parent_indices = sorted(int(p) for p in parents)
         else:
             parent_indices = sorted({self.index_of(p) for p in parents})  # type: ignore[arg-type]
-        _check_parent_indices(parent_indices, len(self._order))
+        _check_parent_indices(parent_indices, len(self))
         return Event(self, self._append(event_id, parent_indices, op))
 
     def _append(self, event_id: EventId, parent_indices: Sequence[int], op: Operation) -> int:
         """The one way an event enters the graph; returns its handle.  Its
         callers (:meth:`add_event`, :meth:`ingest_runs`) have validated it:
         the run's id span is fresh and ``parent_indices`` are sorted,
-        distinct indices of stored events."""
-        order = self._order
-        parents = [order[p] for p in parent_indices] if self._gen else parent_indices
-        agent, seq, length = event_id.agent, event_id.seq, op.length
+        distinct indices of stored events.
 
-        handle = len(self._h_id)
-        self._h_id.append(event_id)
-        self._h_op.append(op)
+        The run length goes in first: it is the one column a caller's value
+        can overflow, so a refused length leaves every column as it was."""
+        agent, seq, length = event_id.agent, event_id.seq, op.length
+        handle = len(self._h_len)
         self._h_len.append(length)
-        self._h_child.append(-1)
-        order.append(handle)
+        parents: Sequence[int] = parent_indices
         if self._gen:
+            order = self._order
+            parents = [order[p] for p in parent_indices]
+            order.append(handle)
             label = self._labels[-1] + _LABEL_GAP
             self._h_label.append(label)
             self._labels.append(label)
-        cum_inserts = self._cum_inserts
-        cum_inserts.append(
-            (cum_inserts[-1] if cum_inserts else 0)
-            + (length if op.kind is OpKind.INSERT else 0)
-        )
+        self._h_id.append(event_id)
+        self._h_op.append(op)
+        self._h_child.append(-1)
+        if op.kind is OpKind.INSERT:
+            self._inserted_chars += length
         agent_index = self._agent_index.get(agent)
         if agent_index is None:
             agent_index = self._agent_index[agent] = RangeIndex(
-                self._h_len.__getitem__, array("q")
+                self._h_len.__getitem__, array("i")
             )
         agent_index.register(seq, handle)
         self._num_chars += length
@@ -656,7 +693,7 @@ class EventGraph:
         event in local order): the new characters depend on everything, which
         is exactly what "continuing the run" means.
         """
-        handle = self._order[index]
+        handle = self.handle_at(index)
         if self._frontier != [handle]:
             raise ValueError("only the sole frontier run can be extended in place")
         event_id = self._h_id[handle]
@@ -677,7 +714,7 @@ class EventGraph:
         self._h_len[handle] = new_op.length
         self._num_chars += op.length
         if op.is_insert:
-            self._cum_inserts[index] += op.length  # the sole frontier run is last
+            self._inserted_chars += op.length
         self._next_seq[event_id.agent] = event_id.seq + new_op.length
         self._notify("event_extended", index, op.length)
         return Event(self, handle)
@@ -712,11 +749,18 @@ class EventGraph:
         when interoperating with a peer that carved runs differently, never
         on the local editing path.
         """
-        left = self._order[index]
+        left = self.handle_at(index)
         op = self._h_op[left]
         if offset <= 0 or offset >= op.length:
             raise ValueError(f"cannot split a run of length {op.length} at {offset}")
 
+        if not self._gen:
+            # The first split: until now handle and index were one, so the
+            # order and its labels (not kept before) start out as the
+            # identity, evenly spread.
+            self._order = array("i", range(len(self)))
+            self._labels = array("q", range(0, len(self) * _LABEL_GAP, _LABEL_GAP))
+            self._h_label = array("q", self._labels)
         label = self._split_label(index)
         right = len(self._h_id)
         right_op = op.slice(offset, op.length - offset)
@@ -751,11 +795,6 @@ class EventGraph:
         self._labels.insert(index + 1, label)
         # A frontier entry for the whole run moves to the right half.
         self._frontier = [right if f == left else f for f in self._frontier]
-        # Cumulative insert counts: the left half's running total drops by the
-        # right half's inserted chars; every later entry keeps its value (the
-        # totals are unchanged, only the positions shift by one).
-        right_inserts = right_op.length if right_op.is_insert else 0
-        self._cum_inserts.insert(index, self._cum_inserts[index] - right_inserts)
         # The id range map refines: the left entry now covers less (its
         # length is consulted live) and the right half gets its own entry.
         self._agent_index[right_id.agent].register(right_id.seq, right)
@@ -767,11 +806,6 @@ class EventGraph:
         ``index + 1``, re-spreading the label space if the gap is exhausted
         (needs ~20 splits between the same two events; O(n) then, amortised
         away)."""
-        if not self._gen:
-            # The first split: until now handle and index were one, so the
-            # labels (not kept before) start out evenly spread.
-            self._labels = array("q", range(0, len(self._order) * _LABEL_GAP, _LABEL_GAP))
-            self._h_label = array("q", self._labels)
         labels = self._labels
         left = labels[index]
         right = labels[index + 1] if index + 1 < len(labels) else left + 2 * _LABEL_GAP
@@ -793,7 +827,7 @@ class EventGraph:
         event ending at that character, preserving exactly the intended causal
         coverage (a first-character id would under-specify it).
         """
-        handle = self._order[index]
+        handle = self.handle_at(index)
         return self._h_id[handle].advance(self._h_len[handle] - 1)
 
     def dependency_index(self, event_id: EventId) -> int:
@@ -904,7 +938,7 @@ class EventGraph:
                     # split a stored run, shifting later indices (handles
                     # never move).
                     parent_handles = [
-                        self._order[self.dependency_index(p)] for p in parent_ids
+                        self.handle_at(self.dependency_index(p)) for p in parent_ids
                     ]
                 parent_indices: Iterable[int] = set(
                     map(self.index_of_handle, parent_handles)
@@ -1013,14 +1047,11 @@ class EventGraph:
         ``events`` counts run events; ``inserts`` / ``deletes`` / ``chars``
         count characters, so they are invariant under run-length encoding.
         """
-        inserted = sum(
-            self._h_len[h] for h in self._order if self._h_op[h].is_insert
-        )
         return {
-            "events": len(self._order),
+            "events": len(self),
             "chars": self._num_chars,
-            "inserts": inserted,
-            "deletes": self._num_chars - inserted,
+            "inserts": self._inserted_chars,
+            "deletes": self._num_chars - self._inserted_chars,
             "agents": len(self._next_seq),
         }
 

@@ -402,7 +402,7 @@ class MergeEngine:
         causal = self.walker.causal
         cut = self._history_cut(from_version)
         base_version = self.tracker.version_at(cut)
-        base_length = 0 if cut is None else graph.inserted_chars_through(cut)
+        base_length = 0 if cut is None else graph.inserted_chars
         _, window = causal.diff(base_version, from_version)
         _, new_events = causal.diff(from_version, to_version)
         order = sort_branch_aware(graph, window) + sort_branch_aware(graph, new_events)

@@ -39,7 +39,8 @@ class RangeIndex(Generic[T]):
         self, length_of: Callable[[T], int], values: MutableSequence[T] | None = None
     ) -> None:
         self._starts: list[int] = []
-        #: Parallel to ``_starts``; integer values may come in an ``array``.
+        #: Parallel to ``_starts``; integer values may come in an ``array``
+        #: (the event graph's handles do, 32-bit: ``array('i')``).
         self._values: MutableSequence[T] = [] if values is None else values
         #: Current length of a value's range; consulted at lookup time so
         #: splits that shrink a registered value are reflected immediately.

@@ -124,15 +124,23 @@ def encode_event(event: RemoteEvent) -> list[Any]:
     return [eid.agent, eid.seq, wire_parents, op.pos, op.content or op.length]
 
 
+#: Seqs, positions and run lengths live in 64-bit columns once ingested, so
+#: a value at or past 2⁶³ is refused here, where it is one bad event: taken
+#: in, it would overflow a column halfway through an append.
+_INT_LIMIT = 1 << 63
+
+
 def _decode_id(obj: Any, *, what: str) -> EventId:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
         or not isinstance(obj[0], str)
         or type(obj[1]) is not int
-        or obj[1] < 0
+        or not 0 <= obj[1] < _INT_LIMIT
     ):
-        raise ProtocolError("bad-id", f"{what} must be a [agent, seq>=0] pair, got {obj!r:.80}")
+        raise ProtocolError(
+            "bad-id", f"{what} must be a [agent, 0<=seq<2**63] pair, got {obj!r:.80}"
+        )
     return EventId(obj[0], obj[1])
 
 
@@ -144,8 +152,10 @@ def decode_event(obj: Any) -> RemoteEvent:
             "bad-event", f"event must be [agent, seq, parents, pos, body], got {obj!r:.80}"
         )
     agent, seq, parents, pos, body = obj
-    if not isinstance(agent, str) or type(seq) is not int or seq < 0:
-        raise ProtocolError("bad-id", f"event id must be agent, seq>=0, got {obj[:2]!r:.80}")
+    if not isinstance(agent, str) or type(seq) is not int or not 0 <= seq < _INT_LIMIT:
+        raise ProtocolError(
+            "bad-id", f"event id must be agent, 0<=seq<2**63, got {obj[:2]!r:.80}"
+        )
     if parents == 0 and type(parents) is int:
         if seq == 0:
             raise ProtocolError("bad-id", "a seq 0 event has no previous character to imply")
@@ -156,10 +166,14 @@ def decode_event(obj: Any) -> RemoteEvent:
         raise ProtocolError("bad-event", f"event parents must be 0 or a list, got {parents!r:.80}")
     if type(pos) is not int or type(body) not in (str, int):
         raise ProtocolError("bad-op", f"op needs an int pos and a str/int body, got {obj!r:.80}")
+    if pos >= _INT_LIMIT or (type(body) is int and body >= _INT_LIMIT):
+        raise ProtocolError("bad-op", f"op pos and length must be below 2**63, got {obj!r:.80}")
     try:
         op = insert_op(pos, body) if type(body) is str else delete_op(pos, body)
     except ValueError as exc:  # Operation's own validation
         raise ProtocolError("bad-op", str(exc)) from exc
+    if seq + op.length >= _INT_LIMIT:
+        raise ProtocolError("bad-id", f"event id span must end below 2**63, got {obj!r:.80}")
     return RemoteEvent(EventId(agent, seq), parent_ids, op)
 
 

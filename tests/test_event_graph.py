@@ -68,6 +68,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             graph.add_event(EventId("a", 0), (3,), insert_op(0, "x"), parents_are_indices=True)
 
+    def test_a_run_length_past_64_bits_leaves_the_graph_as_it_was(self):
+        graph = EventGraph()
+        graph.add_event(EventId("alice", 0), (), insert_op(0, "abc"))
+        with pytest.raises(OverflowError):
+            graph.add_event(EventId("bob", 0), [EventId("alice", 2)], delete_op(0, 1 << 64))
+        assert len(graph) == 1 and not graph.contains_id(EventId("bob", 0))
+        graph.add_event(EventId("alice", 3), [EventId("alice", 2)], insert_op(3, "d"))
+        assert [graph.op_of(i).content for i in range(len(graph))] == ["abc", "d"]
+        assert graph.parents_of(1) == (0,) and graph.frontier == (1,)
+        assert graph.locate(EventId("alice", 3)) == (1, 0)
+
     def test_children_tracking(self):
         graph = linear_graph("ab")
         graph.add_event(EventId("b", 0), (0,), insert_op(1, "X"), parents_are_indices=True)
@@ -388,9 +399,7 @@ class TestBulkConstruction:
         assert rebuilt.to_columns() == (ids, parents, ops)
         assert rebuilt.frontier == graph.frontier
         assert rebuilt.num_chars == graph.num_chars
-        assert [rebuilt.inserted_chars_through(i) for i in range(len(graph))] == [
-            graph.inserted_chars_through(i) for i in range(len(graph))
-        ]
+        assert rebuilt.inserted_chars == graph.inserted_chars
         for agent in ("late", ids[0].agent):
             assert rebuilt.next_seq_for(agent) == graph.next_seq_for(agent)
 

@@ -173,6 +173,41 @@ class TestWebSocketSessions:
 
         run(scenario())
 
+    def test_an_event_past_the_64_bit_columns_is_refused_and_the_room_goes_on(self):
+        """A delete of length 2**64 names a real parent, so it would reach
+        the event graph — and overflow a column halfway through an append.
+        It gets an error frame instead, and the honest author's next edits
+        still reach everyone."""
+
+        async def scenario():
+            async with CollabServer() as server:
+                a = CollabClient(server.host, server.port, "d", "alice")
+                b = CollabClient(server.host, server.port, "d", "bob")
+                await a.connect()
+                await b.connect()
+                await a.insert(0, "abc")
+                assert await wait_until(lambda: b.text == "abc")
+                await b.send_raw(
+                    json.dumps(
+                        {"type": "delta", "events": [["bob", 0, [["alice", 2]], 0, 1 << 64]]}
+                    )
+                )
+                assert await wait_until(lambda: len(b.errors) == 1)
+                assert b.errors[0]["code"] == "bad-op"
+                await a.insert(3, "d")
+                await a.delete(0)
+                await b.insert(0, "x")
+                room = server.room("d")
+                assert await wait_until(
+                    lambda: a.text == b.text == room.document.text == "xbcd"
+                )
+                assert len(room.document.oplog.graph) == 4
+                assert_no_leaks(server, "d", a, b)
+                await a.close()
+                await b.close()
+
+        run(scenario())
+
     def test_presence_reaches_websocket_peers_only(self):
         async def scenario():
             async with CollabServer() as server:

@@ -191,6 +191,28 @@ class TestMalformedFrames:
         for bad in cases:
             self.expect_event("bad-op", bad)
 
+    def test_ints_at_or_past_two_to_the_63_are_refused(self):
+        """Seqs, positions and lengths end up in 64-bit columns: the decoder
+        refuses one that cannot fit there, and takes the largest that can."""
+        top = 1 << 63
+        for code, bad in (
+            ("bad-id", ["a", top, [], 0, "x"]),  # the event's seq
+            ("bad-id", ["a", 1, [["b", top]], 0, "x"]),  # a parent's seq
+            ("bad-id", ["a", top - 1, [], 0, "x"]),  # the span's end
+            ("bad-id", ["a", top - 2, [], 0, 2]),
+            ("bad-op", ["a", 0, [], top, "x"]),  # the position
+            ("bad-op", ["a", 0, [], 0, top]),  # a delete's length
+            ("bad-op", ["bob", 0, [["alice", 2]], 0, 1 << 64]),
+        ):
+            self.expect_event(code, bad)
+        for fits in (
+            ["a", top - 2, [], top - 1, "x"],
+            ["a", 1, [["b", top - 1]], 0, top - 2],
+            ["a", 0, [], 0, top - 1],
+        ):
+            frame = decode_frame(json.dumps({"type": "delta", "events": [fits]}))
+            assert encode_event(frame["events"][0]) == fits
+
     def test_bad_event_shapes(self):
         cases = [
             "not an array",
