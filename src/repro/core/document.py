@@ -243,15 +243,14 @@ class Document:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ingest(self, ingest: Callable[..., list[int]], source: object) -> list[Operation]:
-        """Run one of the oplog's batch ingests and fold what it added into
-        the text — also when it raises midway: the events before the refused
-        one are in the graph for good (redelivering them is a no-op), so a
-        text that never received them would stay wrong."""
-        added_spans: list[tuple[str, int, int]] = []
+    def _ingest(self, ingest: Callable[..., range], source: object) -> list[Operation]:
+        """Run one of the oplog's batch ingests and fold the tail it added
+        into the text — also when it raises midway: the events before the
+        refused one are in the graph for good (redelivering them is a no-op),
+        so a text that never received them would stay wrong."""
         try:
-            added = ingest(source, added_spans)
+            added = ingest(source)
         except (KeyError, ValueError):
-            self.engine.integrate(self.oplog.graph.indices_covering(added_spans))
+            self.engine.integrate(self.oplog.graph.batch_tail)
             raise
         return self.engine.integrate(added)

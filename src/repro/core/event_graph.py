@@ -251,6 +251,9 @@ class EventGraph:
         self._next_seq: dict[str, int] = {}
         self._num_chars = 0
         self._inserted_chars = 0
+        #: Local index of the first event the latest ingest added (see
+        #: :attr:`batch_tail`); a split below it moves it up by one.
+        self._batch_start = 0
         #: Structural-change observers (see :meth:`add_listener`).  Listeners
         #: are how incremental consumers (the merge engine's critical-cut
         #: tracker) stay in sync without rescanning the graph.
@@ -793,6 +796,9 @@ class EventGraph:
 
         self._order.insert(index + 1, right)
         self._labels.insert(index + 1, label)
+        if index < self._batch_start:
+            # The old right half lands before the batch's tail.
+            self._batch_start += 1
         # A frontier entry for the whole run moves to the right half.
         self._frontier = [right if f == left else f for f in self._frontier]
         # The id range map refines: the left entry now covers less (its
@@ -860,10 +866,8 @@ class EventGraph:
         return tuple(indices)
 
     def ingest_runs(
-        self,
-        runs: Iterable[tuple[EventId, Iterable[EventId], Operation]],
-        added_spans: list[tuple[str, int, int]] | None = None,
-    ) -> list[int]:
+        self, runs: Iterable[tuple[EventId, Iterable[EventId], Operation]]
+    ) -> range:
         """Add a causally ordered batch of ``(id, parent ids, op)`` remote
         runs, each possibly carved differently than this graph.
 
@@ -879,30 +883,32 @@ class EventGraph:
         parents name whole stored runs — every run of a peer we are merely
         behind — skips the walk: it is validated and appended directly.
 
-        Returns the current local indices of the events covering the new id
-        spans, resolved once the batch is done (a later run may split an
-        earlier one); empty for a full redelivery.  ``added_spans``, if given,
-        receives each new ``(agent, seq, length)`` span as it is added, so a
-        caller can account for a batch that raises midway.  Raises
-        :class:`ValueError` if stored coverage disagrees with an incoming
-        operation (same ids, different content — the one truly illegal
-        divergence), and :class:`KeyError` if a needed parent is missing (the
-        replication layer holds such events back).
+        Returns :attr:`batch_tail`: the events covering the new id spans are
+        exactly the tail of the local order from the first one appended (a
+        split of a stored run puts its right half below the tail, a split of
+        a new event keeps both halves in it); empty, at ``len(self)``, for a
+        full redelivery.  Raises :class:`ValueError` if stored coverage
+        disagrees with an incoming operation (same ids, different content —
+        the one truly illegal divergence), and :class:`KeyError` if a needed
+        parent is missing (the replication layer holds such events back).
+        The events added before the refused one stay in the graph, and
+        :attr:`batch_tail` still names them.
         """
-        if added_spans is None:
-            added_spans = []
-        ids, lengths = self._h_id, self._h_len
+        self._batch_start = len(self)
         for event_id, parent_ids, op in runs:
-            for handle in self._ingest_run(event_id, parent_ids, op):
-                new_id = ids[handle]
-                added_spans.append((new_id.agent, new_id.seq, lengths[handle]))
-        return self.indices_covering(added_spans)
+            self._ingest_run(event_id, parent_ids, op)
+        return self.batch_tail
+
+    @property
+    def batch_tail(self) -> range:
+        """The local indices of the events the latest :meth:`ingest_runs`
+        added, also when it raised midway, plus any appended since."""
+        return range(self._batch_start, len(self))
 
     def _ingest_run(
         self, event_id: EventId, parent_ids: Iterable[EventId], op: Operation
-    ) -> list[int]:
-        """Ingest one run of :meth:`ingest_runs`; return the new events'
-        handles."""
+    ) -> None:
+        """Ingest one run of :meth:`ingest_runs`."""
         agent = event_id.agent
         if event_id.seq >= self._next_seq.get(agent, 0):
             # The whole span is new (nothing stored reaches its first seq), so
@@ -911,8 +917,8 @@ class EventGraph:
             # a plain append.  A mid-run parent takes the general path below.
             parent_indices = self._whole_run_indices(parent_ids)
             if parent_indices is not None:
-                return [self._append(event_id, parent_indices, op)]
-        added: list[int] = []
+                self._append(event_id, parent_indices, op)
+                return
         parent_handles: list[int] | None = None
         seq = event_id.seq
         end = event_id.seq + op.length
@@ -945,16 +951,13 @@ class EventGraph:
                 )
             else:
                 parent_indices = (self.dependency_index(EventId(agent, seq - 1)),)
-            added.append(
-                self.add_event(
-                    EventId(agent, seq),
-                    parent_indices,
-                    op.slice(offset, span),
-                    parents_are_indices=True,
-                ).handle
+            self.add_event(
+                EventId(agent, seq),
+                parent_indices,
+                op.slice(offset, span),
+                parents_are_indices=True,
             )
             seq += span
-        return added
 
     def _verify_overlap(
         self,
@@ -983,49 +986,21 @@ class EventGraph:
                 f"different content"
             )
 
-    def merge_from(
-        self, other: "EventGraph", added_spans: list[tuple[str, int, int]] | None = None
-    ) -> list[int]:
+    def merge_from(self, other: "EventGraph") -> range:
         """Union this graph with ``other`` (paper §2.2).
 
         Events of ``other`` that are missing locally are added in ``other``'s
         local order, which is guaranteed to deliver parents before children.
         The two graphs may carve the same edits into different runs; the
-        overlap handling is the same (shared) path as :meth:`ingest_runs`.
-
-        Returns:
-            The local indices (in *this* graph) of the events now covering the
-            newly added id spans, ascending.  (A span added early in the merge
-            may be split by a later event of the batch, in which case both
-            halves are reported.)  ``added_spans``, if given, receives the
-            ``(agent, seq, length)`` span of each event as it is added, so a
-            caller can account for a merge that raises midway.
+        overlap handling is the same (shared) path as :meth:`ingest_runs`,
+        and so is the result: the tail of the local order that covers the
+        newly added id spans.
         """
         dependency_id = other.dependency_id
         return self.ingest_runs(
-            (
-                (event_id, list(map(dependency_id, parents)), op)
-                for event_id, parents, op in zip(*other.to_columns())
-            ),
-            added_spans,
+            (event_id, list(map(dependency_id, parents)), op)
+            for event_id, parents, op in zip(*other.to_columns())
         )
-
-    def indices_covering(self, spans: Iterable[tuple[str, int, int]]) -> list[int]:
-        """Current event indices covering the given ``(agent, seq, length)`` spans.
-
-        Used after a batch ingest: events added early in the batch may have
-        been split (and every index shifted) by later events, so callers track
-        the added *id spans* and resolve them to indices once the batch is
-        done.
-        """
-        indices: set[int] = set()
-        for agent, seq, length in spans:
-            end = seq + length
-            while seq < end:
-                handle, offset = self._located(EventId(agent, seq))
-                indices.add(self.index_of_handle(handle))
-                seq += self._h_len[handle] - offset
-        return sorted(indices)
 
     # ------------------------------------------------------------------
     # Version helpers

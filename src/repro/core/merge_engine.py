@@ -200,13 +200,13 @@ class MergeEngine:
     # ------------------------------------------------------------------
     # The merge entry point
     # ------------------------------------------------------------------
-    def integrate(self, added: list[int]) -> list[Operation]:
+    def integrate(self, added: range) -> list[Operation]:
         """Fold newly ingested events into the text.
 
         Args:
-            added: local indices of the events the oplog just ingested (a
-                contiguous tail of the local order; interop splits land below
-                it by construction).
+            added: the local indices of the events the oplog just ingested —
+                the tail of the local order it returns (interop splits land
+                below it by construction).
 
         Returns:
             The transformed operations that were applied to the rope, in
@@ -219,24 +219,23 @@ class MergeEngine:
         """
         if not added:
             return []
+        graph = self.oplog.graph
+        # New events always form a contiguous tail of the local order (splits
+        # of stored runs land below the first appended event).
+        if added != range(added[0], len(graph)):
+            raise AssertionError("merged events are not a tail of the local order")
         stats = self.stats
         stats.merges += 1
         stats.events_integrated += len(added)
-        graph = self.oplog.graph
         stats.chars_integrated += sum(op.length for op in map(graph.op_of, added))
-        first_new = min(added)
-        # New events always form a contiguous tail of the local order (splits
-        # of stored runs land below the first appended event).
-        if len(added) != len(graph) - first_new:
-            raise AssertionError("merged events are not a tail of the local order")
-        return self._integrate_incremental(first_new)
+        return self._integrate_incremental(added[0])
 
     def replay_adopted(self) -> None:
         """Rebuild the text of an adopted graph that came without a snapshot:
         the merge without the re-ingest.  Every event already sits in the
         graph (and in the tracker), so the whole local order is integrated in
         place; no walker state stays resident afterwards."""
-        self.integrate(list(range(len(self.oplog.graph))))
+        self.integrate(range(len(self.oplog.graph)))
         self._drop_checkpoint()
 
     # ------------------------------------------------------------------
@@ -272,7 +271,7 @@ class MergeEngine:
             stats.last_merge_events_touched += len(run)
             return ops + rest
 
-        new_events = list(range(first_new, n))
+        new_events = range(first_new, n)
         # Replay base: the latest critical cut before the new events — a
         # binary search over the tracked cuts, not a graph scan.
         cut = tracker.latest_cut_before(first_new)
@@ -285,13 +284,13 @@ class MergeEngine:
             # Resume: the live state already covers the window up to
             # ``through``; silently fold in the local gap events (edits made
             # since the last merge), then replay only the new events.
-            gap = list(range(ckpt.through, first_new))
+            gap = range(ckpt.through, first_new)
             order = sort_branch_aware(graph, gap) + sort_branch_aware(graph, new_events)
             result = self.walker.transform(
-                gap + new_events,
+                None,
                 base_version=base_version,
                 order=order,
-                emit_only=set(new_events),
+                emit_only=new_events,
                 state=ckpt.state,
                 start_prepare_version=ckpt.prepare_version,
                 clearing=False,
@@ -315,7 +314,7 @@ class MergeEngine:
             # names only some of its heads and un-makes it.
             if ckpt is not None:
                 self._drop_checkpoint()
-            old_range = list(range(replay_start, first_new))
+            old_range = range(replay_start, first_new)
             order = sort_branch_aware(graph, old_range) + sort_branch_aware(
                 graph, new_events
             )
@@ -323,11 +322,11 @@ class MergeEngine:
                 op.length for op in map(graph.op_of, old_range) if op.is_delete
             )
             result = self.walker.transform(
-                old_range + new_events,
+                None,
                 base_version=base_version,
                 base_doc_length=len(self.rope) + deletes_in_old,
                 order=order,
-                emit_only=set(new_events),
+                emit_only=new_events,
                 # The state stays resident, so walker-internal clearing
                 # (which would leave it representing only a window suffix)
                 # is disabled.
@@ -407,7 +406,7 @@ class MergeEngine:
         _, new_events = causal.diff(from_version, to_version)
         order = sort_branch_aware(graph, window) + sort_branch_aware(graph, new_events)
         result = self.walker.transform(
-            window + new_events,
+            None,
             base_version=base_version,
             base_doc_length=base_length,
             order=order,

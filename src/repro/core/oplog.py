@@ -337,11 +337,7 @@ class OpLog:
         _, missing = self.causal.diff(local_version, self.graph.frontier)
         return self.export_events(missing)
 
-    def ingest_events(
-        self,
-        events: Iterable[RemoteEvent],
-        added_spans: list[tuple[str, int, int]] | None = None,
-    ) -> list[int]:
+    def ingest_events(self, events: Iterable[RemoteEvent]) -> range:
         """Add remote events to the graph (idempotently).
 
         Events must arrive with their parents either already known or earlier
@@ -351,23 +347,19 @@ class OpLog:
         :meth:`EventGraph.ingest_runs`).
 
         Returns:
-            Local indices of the events now covering the spans that were
-            actually new (resolved after the whole batch, since later events
-            of the batch may split earlier ones).  ``added_spans``, if given,
-            receives each new ``(agent, seq, length)`` span as it is added:
-            the events before one that raises stay in the graph, and the
-            caller has to account for them.
+            The tail of the local order that covers the spans that were
+            actually new (:attr:`EventGraph.batch_tail`).  If an event is
+            refused, the events before it stay in the graph and the graph's
+            ``batch_tail`` names them.
         """
         return self.graph.ingest_runs(
-            ((remote.id, remote.parents, remote.op) for remote in events), added_spans
+            (remote.id, remote.parents, remote.op) for remote in events
         )
 
-    def merge_from(
-        self, other: "OpLog", added_spans: list[tuple[str, int, int]] | None = None
-    ) -> list[int]:
-        """Union this log with another replica's log (paper §2.2); see
-        :meth:`ingest_events` for ``added_spans``."""
-        return self.graph.merge_from(other.graph, added_spans)
+    def merge_from(self, other: "OpLog") -> range:
+        """Union this log with another replica's log (paper §2.2); returns
+        the tail :meth:`ingest_events` returns."""
+        return self.graph.merge_from(other.graph)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -31,7 +31,7 @@ it uses (see :class:`repro.core.document.Document`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .causal_graph import CausalGraph
 from .critical_versions import critical_cut_positions
@@ -191,7 +191,7 @@ class EgWalker:
         base_version: Version = (),
         base_doc_length: int = 0,
         order: Sequence[int] | None = None,
-        emit_only: set[int] | None = None,
+        emit_only: Container[int] | None = None,
         state: InternalState | None = None,
         start_prepare_version: Version | None = None,
         clearing: bool | None = None,
@@ -203,17 +203,20 @@ class EgWalker:
                 replays the whole graph.  The set must be closed under
                 concurrency relative to ``base_version``: every replayed
                 event's parents must either be replayed too or be ancestors of
-                ``base_version``.
+                ``base_version``.  Ignored when ``order`` is given (the
+                merge engine passes ``None`` with its order).
             base_version: the version the replay starts from.  The empty
                 version replays from the beginning of history.
             base_doc_length: length (or a safe upper bound on the length) of
                 the document at ``base_version``; used to size the initial
                 placeholder (§3.6).
-            order: explicit replay order.  When omitted the configured
-                topological sort is used.
+            order: explicit replay order, which is then the replayed set.
+                When omitted the configured topological sort of ``events`` is
+                used.
             emit_only: if given, transformed operations are only collected for
                 these events (the rest are replayed silently, as in the merge
-                procedure of §3.6).
+                procedure of §3.6).  Anything that answers ``in`` will do;
+                the merge engine passes the batch's tail as a ``range``.
             state: an existing :class:`InternalState` to **resume** from (the
                 live state a previous ``transform`` returned).  The replayed
                 events are applied on top of it; the events it already covers

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.document import Document
 from repro.core.event_graph import EventGraph
-from repro.core.ids import EventId, insert_op
+from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.internal_state import InternalState
 from repro.core.merge_engine import MergeEngine
 from repro.core.oplog import OpLog, RemoteEvent
@@ -244,6 +244,73 @@ class TestBatchFailingMidway:
         assert sorted(receiver.text) == sorted("Qhello world")
         receiver.insert(0, "> ")
         assert receiver.text == EgWalker(receiver.oplog.graph).replay_text()
+
+    @pytest.mark.parametrize("kind", ["unknown-parent", "different-content"])
+    def test_a_batch_that_splits_a_stored_run_then_is_refused(self, kind):
+        """The batch's first event splits the stored run below the batch's
+        tail; what the receiver integrates is still exactly what the batch
+        added.  With a conflict that includes the new head of the refused
+        run, added before its stored rest was found to differ."""
+        sender = Document("sender")
+        sender.insert(0, "hello world")
+        receiver = Document("receiver")
+        receiver.apply_remote_events(sender.oplog.export_events())
+        split = RemoteEvent(EventId("bob", 0), (EventId("sender", 4),), insert_op(5, ","))
+        if kind == "unknown-parent":
+            error = KeyError
+            batch = [split, RemoteEvent(EventId("ghost", 0), (EventId("nobody", 3),), insert_op(0, "x"))]
+        else:
+            error = ValueError
+            batch = [
+                split,
+                RemoteEvent(EventId("bob", 2), (EventId("bob", 0),), insert_op(6, "q")),
+                RemoteEvent(EventId("bob", 1), (EventId("bob", 0),), insert_op(6, "pZ")),
+            ]
+        with pytest.raises(error):
+            receiver.apply_remote_events(batch)
+        graph = receiver.oplog.graph
+        assert [graph.op_of(i).content for i in range(2)] == ["hello", " world"]
+        assert graph.contains_id(EventId("bob", 1)) is (kind == "different-content")
+        assert receiver.text == EgWalker(graph).replay_text()
+        assert receiver.apply_remote_events(batch[:-1]) == []  # redelivery: all known
+        sender.apply_remote_events(receiver.events_since(sender.version()))
+        sender.insert(len(sender), "!")
+        receiver.apply_remote_events(sender.events_since(receiver.version()))
+        receiver.insert(0, "> ")
+        sender.apply_remote_events(receiver.events_since(sender.version()))
+        assert receiver.text == sender.text == EgWalker(receiver.oplog.graph).replay_text()
+
+
+class TestRefusedOperations:
+    """ROADMAP item 13: an event whose range does not fit the document at its
+    parents enters the graph before anything refuses it.  Each test asserts
+    the right outcome, which the code does not give yet."""
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, IndexError), reason="ROADMAP item 13")
+    def test_an_oversized_delete_leaves_no_trace(self):
+        server = Document("server")
+        server.apply_remote_events([RemoteEvent(EventId("alice", 0), (), insert_op(0, "abcd"))])
+        with pytest.raises((IndexError, ValueError)):
+            server.apply_remote_events(
+                [RemoteEvent(EventId("bob", 0), (EventId("alice", 3),), delete_op(0, 5))]
+            )
+        server.apply_remote_events(
+            [RemoteEvent(EventId("alice", 4), (EventId("alice", 3),), insert_op(4, "e"))]
+        )
+        assert server.text == "abcde"
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, IndexError), reason="ROADMAP item 13")
+    def test_an_insert_past_the_end_does_not_wedge_the_replica(self):
+        server = Document("server")
+        server.apply_remote_events([RemoteEvent(EventId("alice", 0), (), insert_op(0, "abc"))])
+        with pytest.raises((IndexError, ValueError)):
+            server.apply_remote_events(
+                [RemoteEvent(EventId("evil", 0), (EventId("alice", 2),), insert_op(10, "x"))]
+            )
+        server.apply_remote_events(
+            [RemoteEvent(EventId("alice", 3), (EventId("alice", 2),), insert_op(3, "d"))]
+        )
+        assert server.text == "abcd"
 
 
 class TestHistory:

@@ -110,24 +110,26 @@ class TestRemoteEventsAndMerge:
     def test_add_remote_event_is_idempotent(self):
         graph = linear_graph("ab")
         result = graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "a"))])
-        assert result == []
+        assert result == range(2, 2)
         assert len(graph) == 2
 
     def test_ingest_runs_is_the_one_remote_entry_point(self):
         for name in ("add_remote_event", "ingest_run"):
             assert not hasattr(EventGraph, name), name
         graph = linear_graph("ab")
-        # New events come back as local indices, not Event views.
-        assert graph.ingest_runs([(EventId("b", 0), (EventId("a", 1),), insert_op(2, "c"))]) == [2]
+        # New events come back as the tail of the local order, not Event views.
+        assert graph.ingest_runs(
+            [(EventId("b", 0), (EventId("a", 1),), insert_op(2, "c"))]
+        ) == range(2, 3)
         assert graph.parents_of(2) == (1,)
 
     def test_add_remote_event_conflicting_content_rejected(self):
         graph = EventGraph()
         graph.add_local_event("a", insert_op(0, "abc"))
         # Exact redelivery of the whole run is idempotent ...
-        assert graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))]) == []
+        assert graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))]) == range(1, 1)
         # ... and so is redelivery of a re-carved sub-run ...
-        assert graph.ingest_runs([(EventId("a", 1), (), insert_op(1, "bc"))]) == []
+        assert graph.ingest_runs([(EventId("a", 1), (), insert_op(1, "bc"))]) == range(1, 1)
         # ... but the same ids carrying different content is the one truly
         # illegal divergence.
         with pytest.raises(ValueError, match="different content"):
@@ -160,10 +162,10 @@ class TestRemoteEventsAndMerge:
         other.merge_from(base)
         other.add_local_event("bob", insert_op(2, "!"))
         added = base.merge_from(other)
-        assert added == [2]
+        assert added == range(2, 3)
         assert base.contains_id(EventId("bob", 0))
         # Merging again adds nothing.
-        assert base.merge_from(other) == []
+        assert base.merge_from(other) == range(3, 3)
 
     def test_merge_from_preserves_parent_relationships(self):
         base = linear_graph("ab", agent="alice")
@@ -175,6 +177,68 @@ class TestRemoteEventsAndMerge:
         bob_index = base.index_of(EventId("bob", 0))
         assert base.parents_of(bob_index) == (1,)
         assert set(base.frontier) == {2, 3}
+
+
+class TestBatchTail:
+    """``ingest_runs`` returns the tail of the local order from the first
+    event it appended; these check it against the events covering the new
+    ids, found by id lookup."""
+
+    @staticmethod
+    def _covering(graph: EventGraph, spans) -> list[int]:
+        return sorted(
+            {
+                graph.locate(EventId(agent, seq))[0]
+                for agent, first, length in spans
+                for seq in range(first, first + length)
+            }
+        )
+
+    def _check(self, graph: EventGraph, runs, new_spans) -> range:
+        tail = graph.ingest_runs(runs)
+        assert tail == range(tail.start, len(graph)) == graph.batch_tail
+        assert list(tail) == self._covering(graph, new_spans)
+        return tail
+
+    def test_a_mid_run_parent_splits_a_stored_run_below_the_tail(self):
+        graph = EventGraph()
+        graph.add_event(EventId("x", 0), (), insert_op(0, "abcd"), parents_are_indices=True)
+        graph.add_event(EventId("z", 0), (0,), insert_op(4, "!"), parents_are_indices=True)
+        tail = self._check(
+            graph, [(EventId("y", 0), (EventId("x", 1),), insert_op(2, "Y"))], [("y", 0, 1)]
+        )
+        # The old right half "cd" sits at 1, below the tail.
+        assert tail == range(3, 4) and graph.op_of(1).content == "cd"
+
+    def test_a_later_run_splits_an_earlier_event_of_the_same_batch(self):
+        graph = linear_graph("ab", agent="x")
+        tail = self._check(
+            graph,
+            [
+                (EventId("y", 0), (EventId("x", 1),), insert_op(2, "pqrs")),
+                (EventId("z", 0), (EventId("y", 1),), insert_op(4, "Z")),
+            ],
+            [("y", 0, 4), ("z", 0, 1)],
+        )
+        assert tail == range(2, 5)
+        assert [graph.op_of(i).content for i in tail] == ["pq", "rs", "Z"]
+
+    def test_a_re_carved_partial_overlap(self):
+        graph = EventGraph()
+        graph.add_event(EventId("a", 0), (), insert_op(0, "ab"), parents_are_indices=True)
+        graph.add_event(EventId("a", 4), (0,), insert_op(4, "ef"), parents_are_indices=True)
+        graph.add_event(EventId("b", 0), (1,), insert_op(0, "x"), parents_are_indices=True)
+        tail = self._check(
+            graph,
+            [(EventId("a", 0), (), insert_op(0, "abcdefgh"))],
+            [("a", 2, 2), ("a", 6, 2)],
+        )
+        assert [graph.op_of(i).content for i in tail] == ["cd", "gh"]
+
+    def test_a_full_redelivery_is_empty_at_the_end(self):
+        graph = linear_graph("abc")
+        runs = [(EventId("a", 0), (), insert_op(0, "ab")), (EventId("a", 2), (), insert_op(2, "c"))]
+        assert self._check(graph, runs, []) == range(3, 3)
 
 
 class TestRunCarvingInterop:
@@ -197,9 +261,9 @@ class TestRunCarvingInterop:
         fine = EventGraph()
         fine.add_event(EventId("a", 0), (), insert_op(0, "ab"), parents_are_indices=True)
         fine.add_event(EventId("a", 2), (0,), insert_op(2, "cd"), parents_are_indices=True)
-        assert coarse.merge_from(fine) == []
+        assert coarse.merge_from(fine) == range(1, 1)
         assert len(coarse) == 1  # nothing split: the coverage already agreed
-        assert fine.merge_from(coarse) == []
+        assert fine.merge_from(coarse) == range(2, 2)
         assert len(fine) == 2
 
     def test_mid_run_parent_reference_splits_stored_run(self):
@@ -532,7 +596,7 @@ class TestFreshAppend:
 
     def test_redelivery_is_a_no_op_and_a_conflict_is_refused(self):
         graph = self._abc()
-        assert graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))]) == []
+        assert graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abc"))]) == range(1, 1)
         with pytest.raises(ValueError, match="different content"):
             graph.ingest_runs([(EventId("a", 0), (), insert_op(0, "abX"))])
         with pytest.raises(ValueError, match="duplicate"):

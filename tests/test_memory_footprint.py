@@ -13,7 +13,9 @@ The bound sits between what the layout costs now and what the earlier
 layouts cost (in comments, measured on these histories with CPython 3.11;
 CPython 3.12's object sizes differ by a few bytes, well inside the
 headroom).  :func:`test_the_layout_keeps_only_what_it_cannot_derive` pins
-the layout itself.
+the layout itself.  :func:`test_merge_transient_bytes_per_run_event` bounds
+the other moment, the merge itself: what a bulk merge allocates beyond what
+it keeps.
 """
 
 import gc
@@ -39,6 +41,14 @@ N = 500
 #: boxed-int columns.
 BYTES_PER_RUN_EVENT = 80
 
+#: Bytes per run event a bulk merge holds at its peak beyond what it keeps
+#: (peak − steady, everything allocated): 26–34 on the sequential history and
+#: 323–327 on the async one now, where the walker's transient state is the
+#: bulk; 131–153 and 504–516 when ingest recorded one ``(agent, seq, length)``
+#: span per new event, resolved them back to a sorted index list, and the
+#: engine's windows were lists and sets.
+MERGE_TRANSIENT_BYTES_PER_RUN_EVENT = {"sequential": 60, "async": 420}
+
 _UNDER_GRAPH = tracemalloc.Filter(True, "*repro/core/event_graph.py", all_frames=True)
 
 
@@ -53,6 +63,21 @@ def _graph_resident_bytes(build):
     finally:
         tracemalloc.stop()
     return built, sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def _transient_bytes(build):
+    """``build()`` under tracemalloc: its peak minus what stays allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        built = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+        gc.collect()
+        steady = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return built, peak - steady
 
 
 def _merged(events):
@@ -84,6 +109,17 @@ def test_merged_graph_bytes_per_run_event_and_linear_growth(history):
         assert len(document.oplog.graph) == n
         assert resident[n] / n < BYTES_PER_RUN_EVENT
     assert 1.8 <= resident[2 * N] / resident[N] <= 2.2
+
+
+def test_merge_transient_bytes_per_run_event(history, request):
+    """A bulk merge names its new events as the tail of the local order; it
+    keeps no per-event record of them while it integrates."""
+    bound = MERGE_TRANSIENT_BYTES_PER_RUN_EVENT[request.node.callspec.params["history"]]
+    for n in (N, 2 * N):
+        events = graph_to_remote_events(history, range(n))
+        document, transient = _transient_bytes(lambda: _merged(events))
+        assert len(document.oplog.graph) == n
+        assert transient / n <= bound, transient / n
 
 
 def test_bulk_built_graph_bytes_per_run_event(history):

@@ -73,7 +73,7 @@ def test_lookups_per_event(history, monkeypatch):
     assert walked > 0.9 * EVENTS and stats.retreats > walked / 2, "not the branchy shape"
     assert calls["record_at_seq"] / walked <= 3  # 2.7; was 7.1
     assert calls["neighbours"] / walked <= 3  # 2.8; was 5.6 (next and previous, a search each)
-    assert calls["_locate_handle"] / EVENTS <= 2.5  # 2.0 (a parent, the added span); was 4.0
+    assert calls["_locate_handle"] / EVENTS <= 1.5  # 1.0 (a parent); was 2.0 with the added-span lookup
 
 
 def test_a_fresh_replay_gives_the_merged_text(history):
