@@ -22,7 +22,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from repro import Document, EgWalker
+from repro import Document
 from repro.ot import replay_ot
 
 SENTENCES_PER_AUTHOR = 120
@@ -59,16 +59,17 @@ def main() -> None:
     print(f"Eg-walker merged both branches in {merge_seconds * 1000:.1f} ms")
     print(f"merged document: {len(alice.text)} characters")
 
-    # The same merge through the walker directly, with its work counters.
-    walker = EgWalker(alice.oplog.graph)
-    start = time.perf_counter()
-    walker.replay_text()
-    replay_seconds = time.perf_counter() - start
-    stats = walker.last_stats
+    # What alice's merge engine did: the window since the last critical
+    # version replayed silently, bob's events transformed, and the walker's
+    # retreats and advances between the two branches.
+    stats = alice.merge_stats
+    walker = alice.engine.walker.last_stats
+    assert walker is not None
     print(
-        f"full replay: {replay_seconds * 1000:.1f} ms "
-        f"({stats.events_fast_path} fast-path events, "
-        f"{stats.retreats} retreats, {stats.advances} advances)"
+        f"alice's merge: {stats.fresh_replays} window replay "
+        f"({stats.replayed_window_events} window events, "
+        f"{stats.replayed_new_events} new events; "
+        f"{walker.retreats} retreats, {walker.advances} advances)"
     )
 
     # And through the OT baseline, counting its quadratic work.

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.walker import EgWalker, WalkerStats
+from ..core.event_graph import EventGraph
+from ..core.merge_engine import MergeEngine
+from ..core.walker import WalkerStats
 from ..crdt.automerge_like import AutomergeLikeDocument
 from ..crdt.ref_crdt import RefCRDTDocument
 from ..crdt.yjs_like import YjsLikeDocument
@@ -40,6 +42,7 @@ __all__ = [
     "YjsLikeAdapter",
     "ALL_ADAPTERS",
     "adapter_by_name",
+    "engine_replay",
 ]
 
 
@@ -88,10 +91,8 @@ class EgWalkerAdapter(AlgorithmAdapter):
         self.last_stats: WalkerStats | None = None
 
     def merge(self, trace: Trace) -> MergeOutcome:
-        walker = EgWalker(trace.graph)
-        text = walker.replay_text()
-        self.last_stats = walker.last_stats
-        # The walker's internal state is transient; only the text is retained.
+        text, self.last_stats = engine_replay(trace.graph)
+        # The replay's internal state is transient; only the text is retained.
         return MergeOutcome(text=text, retained=text)
 
     def save(self, trace: Trace, outcome: MergeOutcome) -> bytes:
@@ -118,6 +119,20 @@ class EgWalkerAdapter(AlgorithmAdapter):
         # the document (§4.3): a file with a snapshot column serves it without
         # materialising a single event; one without replays its graph.
         return LazyDecodedFile(data).text
+
+
+def engine_replay(graph: EventGraph) -> tuple[str, WalkerStats]:
+    """The merge engine's full replay of ``graph`` (:meth:`MergeEngine.replay`)
+    and its work as one :class:`WalkerStats`: the §3.5 critical run that the
+    engine reads verbatim counts among the fast-path events, next to those of
+    the walker's own clearing (a history that is one run never reaches the
+    walker at all)."""
+    engine = MergeEngine.replay(graph)
+    stats = engine.walker.last_stats or WalkerStats()
+    run = range(engine.stats.history_fast_path_events)
+    stats.events_fast_path += len(run)
+    stats.chars_fast_path += sum(op.length for op in map(graph.op_of, run))
+    return str(engine.rope), stats
 
 
 class OTAdapter(AlgorithmAdapter):

@@ -25,11 +25,14 @@ Experiment index:
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from ..core.document import Document
+from ..core.event_graph import EventGraph
 from ..core.oplog import graph_to_remote_events
-from ..core.walker import EgWalker
+from ..core.topo_sort import sort_branch_aware
+from ..core.walker import EgWalker, WalkerStats
 from ..crdt.ref_crdt import RefCRDTDocument
 from ..ot.ot_replica import OTDocument
 from ..traces.datasets import PAPER_TABLE1, load_all_traces
@@ -43,6 +46,7 @@ from .adapters import (
     EgWalkerAdapter,
     MergeOutcome,
     YjsLikeAdapter,
+    engine_replay,
 )
 from .memory import MemoryMeasurement, measure_memory
 
@@ -55,6 +59,8 @@ __all__ = [
     "run_file_size_pruned",
     "run_sort_order_ablation",
     "run_scaling",
+    "sort_interleaved",
+    "SORT_ORDERS",
     "EXPERIMENTS",
     "run_all",
 ]
@@ -130,19 +136,26 @@ def _row(
 # Figure 9: the state-clearing / fast-path optimisation
 # ----------------------------------------------------------------------
 def run_clearing_ablation(traces: dict[str, Trace] | None = None) -> list[dict[str, object]]:
+    """The engine's full replay ("enabled": the critical run read verbatim,
+    the rest through the walker with clearing) against a walker replay of
+    the same branch-aware order that never clears ("disabled")."""
     rows = []
     for name, trace in _traces(traces).items():
-        for enabled in (True, False):
-            walker = EgWalker(trace.graph, enable_clearing=enabled)
-            text, seconds = _timed(walker.replay_text)
-            stats = walker.last_stats
-            assert stats is not None
+        graph = trace.graph
+        replays = {
+            "enabled": lambda: engine_replay(graph),
+            "disabled": lambda: _walker_replay(
+                graph, SORT_ORDERS["branch_aware"](graph), clearing=False
+            ),
+        }
+        for optimisation, replay in replays.items():
+            (text, stats), seconds = _timed(replay)
             rows.append(
                 {
                     "trace": name,
-                    "optimisation": "enabled" if enabled else "disabled",
+                    "optimisation": optimisation,
                     "merge_ms": round(seconds * 1000, 2),
-                    "run_events": len(trace.graph),
+                    "run_events": len(graph),
                     "fast_path_events": stats.events_fast_path,
                     "state_clears": stats.state_clears,
                     "peak_records": stats.peak_records,
@@ -150,6 +163,15 @@ def run_clearing_ablation(traces: dict[str, Trace] | None = None) -> list[dict[s
                 }
             )
     return rows
+
+
+def _walker_replay(
+    graph: EventGraph, order: Sequence[int], *, clearing: bool
+) -> tuple[str, WalkerStats]:
+    """The walker alone over the whole graph, in ``order``: the baseline the
+    ablations compare the shipped replay with."""
+    result = EgWalker(graph).transform(order, clearing=clearing)
+    return result.text(), result.stats
 
 
 # ----------------------------------------------------------------------
@@ -282,11 +304,10 @@ def run_sort_order_ablation(
         if name not in all_traces:
             continue
         trace = all_traces[name]
-        for strategy in ("branch_aware", "local", "interleaved"):
-            walker = EgWalker(trace.graph, sort_strategy=strategy)
-            text, seconds = _timed(walker.replay_text)
-            stats = walker.last_stats
-            assert stats is not None
+        for strategy, order in SORT_ORDERS.items():
+            (text, stats), seconds = _timed(
+                lambda: _walker_replay(trace.graph, order(trace.graph), clearing=True)
+            )
             rows.append(
                 {
                     "trace": name,
@@ -299,6 +320,38 @@ def run_sort_order_ablation(
                 }
             )
     return rows
+
+
+def sort_interleaved(graph: EventGraph, events: Iterable[int]) -> list[int]:
+    """A valid but deliberately branch-alternating topological order.
+
+    Ready events are emitted round-robin across branches (FIFO per branch
+    head, i.e. breadth-first), which maximises the walker's prepare-version
+    switches: the pathological order of the sort-order ablation (§4.3).
+    """
+    events = sorted(events)
+    members = set(events)
+    waiting = {idx: sum(p in members for p in graph.parents_of(idx)) for idx in events}
+    ready = deque(idx for idx in events if waiting[idx] == 0)
+    order: list[int] = []
+    while ready:
+        idx = ready.popleft()
+        order.append(idx)
+        for child in graph.children_of(idx):
+            if child in members:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    ready.append(child)
+    return order
+
+
+#: The whole-graph replay orders of the sort-order ablation: the paper's
+#: branch-aware heuristic, the local (append) order, and the interleaved one.
+SORT_ORDERS: dict[str, Callable[[EventGraph], Sequence[int]]] = {
+    "branch_aware": lambda graph: sort_branch_aware(graph, range(len(graph))),
+    "local": lambda graph: range(len(graph)),
+    "interleaved": lambda graph: sort_interleaved(graph, range(len(graph))),
+}
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +373,7 @@ def run_scaling(branch_sizes: Sequence[int] = (250, 500, 1000, 2000)) -> list[di
             events_per_branch=size,
             authors=2,
         )
-        eg_text, eg_seconds = _timed(EgWalker(trace.graph).replay_text)
+        (eg_text, _), eg_seconds = _timed(lambda: engine_replay(trace.graph))
         ot = OTDocument()
         ot_text, ot_seconds = _timed(lambda: ot.merge_event_graph(trace.graph))
         ref_text, ref_seconds = _timed(lambda: RefCRDTDocument().merge_event_graph(trace.graph))

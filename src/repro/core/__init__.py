@@ -13,12 +13,7 @@ from .merge_engine import MergeEngine, MergeEngineStats, WalkerCheckpoint
 from .oplog import OpLog, RemoteEvent
 from .order_statistic_tree import TreeSequence
 from .records import CrdtRecord, PlaceholderPiece
-from .topo_sort import (
-    is_topological_order,
-    sort_branch_aware,
-    sort_interleaved,
-    sort_local_order,
-)
+from .topo_sort import is_topological_order, sort_branch_aware
 from .walker import EgWalker, ReplayResult, TransformedOp, WalkerStats
 
 __all__ = [
@@ -51,6 +46,4 @@ __all__ = [
     "insert_op",
     "is_topological_order",
     "sort_branch_aware",
-    "sort_interleaved",
-    "sort_local_order",
 ]

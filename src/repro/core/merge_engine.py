@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 from ..rope import Rope
 from .critical_versions import CriticalCutTracker
-from .event_graph import Version
+from .event_graph import EventGraph, Version
 from .ids import Operation
 from .internal_state import InternalState
 from .oplog import OpLog
@@ -159,7 +159,8 @@ class MergeEngine:
     event indices via :meth:`integrate`, which it turns into transformed
     operations applied to the rope.  It is also the walker backend of the
     history subsystem (:meth:`history_ops` — ``text_at`` / ``diff`` replays
-    resumed from tracked critical cuts).
+    resumed from tracked critical cuts), and of every full replay
+    (:meth:`replay_adopted`, :meth:`replay`).
 
     Args:
         oplog: the replica's event log; the engine registers itself as a
@@ -168,6 +169,10 @@ class MergeEngine:
     """
 
     def __init__(self, oplog: OpLog, rope: Rope) -> None:
+        self._start(oplog, rope, CriticalCutTracker(oplog.graph))
+        oplog.graph.add_listener(self)
+
+    def _start(self, oplog: OpLog, rope: Rope, tracker: CriticalCutTracker) -> None:
         self.oplog = oplog
         self.rope = rope
         self.stats = MergeEngineStats()
@@ -175,8 +180,20 @@ class MergeEngine:
         #: causal-graph view update in place, so there is nothing to rebuild.
         self.walker = EgWalker(oplog.graph)
         self._ckpt: WalkerCheckpoint | None = None
-        self.tracker = CriticalCutTracker(oplog.graph)
-        oplog.graph.add_listener(self)
+        self.tracker = tracker
+
+    @classmethod
+    def replay(cls, graph: EventGraph) -> "MergeEngine":
+        """The full replay (:meth:`replay_adopted`) of a graph the caller
+        keeps, e.g. a trace's or a file reader's.  The engine registers no
+        listener on it — its tracker is a detached one-pass rebuild — and no
+        walker state outlives the call.  Returns the spent engine:
+        ``str(engine.rope)`` is the text at ``graph``'s frontier, and
+        ``engine.stats`` / ``engine.walker.last_stats`` count the work."""
+        engine = cls.__new__(cls)
+        engine._start(OpLog(graph=graph), Rope(), CriticalCutTracker(graph, attach=False))
+        engine.replay_adopted()
+        return engine
 
     # ------------------------------------------------------------------
     # Graph listener hooks (checkpoint invalidation)
@@ -231,12 +248,12 @@ class MergeEngine:
         return self._integrate_incremental(added[0])
 
     def replay_adopted(self) -> None:
-        """Rebuild the text of an adopted graph that came without a snapshot:
-        the merge without the re-ingest.  Every event already sits in the
-        graph (and in the tracker), so the whole local order is integrated in
-        place; no walker state stays resident afterwards."""
-        self.integrate(range(len(self.oplog.graph)))
-        self._drop_checkpoint()
+        """Rebuild the text of an adopted graph that came without a snapshot
+        — the one full replay: :meth:`history_ops` from the root to the
+        frontier, applied to the (empty) rope.  It reads the §3.5 critical
+        run verbatim and replays the rest through the walker with clearing;
+        no event counts as merged and no walker state stays resident."""
+        self._apply_to_rope(self.history_ops((), self.oplog.graph.frontier))
 
     # ------------------------------------------------------------------
     # Incremental path
@@ -287,9 +304,8 @@ class MergeEngine:
             gap = range(ckpt.through, first_new)
             order = sort_branch_aware(graph, gap) + sort_branch_aware(graph, new_events)
             result = self.walker.transform(
-                None,
+                order,
                 base_version=base_version,
-                order=order,
                 emit_only=new_events,
                 state=ckpt.state,
                 start_prepare_version=ckpt.prepare_version,
@@ -322,10 +338,9 @@ class MergeEngine:
                 op.length for op in map(graph.op_of, old_range) if op.is_delete
             )
             result = self.walker.transform(
-                None,
+                order,
                 base_version=base_version,
                 base_doc_length=len(self.rope) + deletes_in_old,
-                order=order,
                 emit_only=new_events,
                 # The state stays resident, so walker-internal clearing
                 # (which would leave it representing only a window suffix)
@@ -406,11 +421,12 @@ class MergeEngine:
         _, new_events = causal.diff(from_version, to_version)
         order = sort_branch_aware(graph, window) + sort_branch_aware(graph, new_events)
         result = self.walker.transform(
-            None,
+            order,
             base_version=base_version,
             base_doc_length=base_length,
-            order=order,
-            emit_only=set(new_events),
+            # With no window every replayed event is new.
+            emit_only=set(new_events) if window else None,
+            clearing=True,
         )
         stats.history_replays += 1
         stats.history_window_events += len(window)

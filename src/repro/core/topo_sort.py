@@ -11,15 +11,11 @@ the next event's only parent is the previously emitted event, and when a
 choice must be made prefer the branch with the fewest estimated descendants so
 that small branches are emitted (and retired) before large ones.
 
-Three orderings are exposed so the benchmark harness can measure the
-sensitivity described in §4.3 (ablation X1 in the experiment index of
-:mod:`repro.bench.harness`):
-
-* :func:`sort_branch_aware` — the heuristic order used by the real algorithm.
-* :func:`sort_local_order` — the replica's own append order (already
-  topological, no heuristics).
-* :func:`sort_interleaved` — a deliberately poor order that alternates between
-  ready branches, used to demonstrate the pathological slowdown.
+:func:`sort_branch_aware` is the only order the merge engine and the
+reference replay use.  The walker takes any topological order its caller
+builds (:meth:`repro.core.walker.EgWalker.transform`); the deliberately poor
+orders of the sort-order ablation (§4.3) live with the benchmarks, in
+:mod:`repro.bench.harness`.
 """
 
 from __future__ import annotations
@@ -29,13 +25,7 @@ from typing import Iterable, Sequence
 
 from .event_graph import EventGraph
 
-__all__ = [
-    "sort_branch_aware",
-    "sort_local_order",
-    "sort_interleaved",
-    "estimate_descendants",
-    "is_topological_order",
-]
+__all__ = ["sort_branch_aware", "estimate_descendants", "is_topological_order"]
 
 
 def _restricted_children(
@@ -79,11 +69,6 @@ def estimate_descendants(graph: EventGraph, events: Sequence[int]) -> dict[int, 
             total += estimates.get(child, 1)
         estimates[idx] = total
     return estimates
-
-
-def sort_local_order(graph: EventGraph, events: Iterable[int]) -> list[int]:
-    """Sort events by their local index (always a valid topological order)."""
-    return sorted(events)
 
 
 def sort_branch_aware(graph: EventGraph, events: Iterable[int]) -> list[int]:
@@ -141,39 +126,6 @@ def sort_branch_aware(graph: EventGraph, events: Iterable[int]) -> list[int]:
             pending_parents[child] -= 1
             if pending_parents[child] == 0 and child != chosen:
                 heapq.heappush(ready, (estimates[child], child))
-    if len(order) != len(events):  # pragma: no cover - defensive
-        raise RuntimeError("topological sort failed to cover all events")
-    return order
-
-
-def sort_interleaved(graph: EventGraph, events: Iterable[int]) -> list[int]:
-    """A valid but deliberately branch-alternating topological order.
-
-    Used by the ablation benchmark to demonstrate how a poorly chosen
-    traversal order slows down highly concurrent traces (§4.3).  Ready events
-    are emitted round-robin across branches (FIFO per branch head), which
-    maximises the number of prepare-version switches.
-    """
-    events = sorted(events)
-    if not events:
-        return []
-    event_set = set(events)
-    children = _restricted_children(graph, events, event_set)
-    pending_parents = _restricted_parent_counts(graph, events, event_set)
-
-    from collections import deque
-
-    ready: deque[int] = deque(idx for idx in events if pending_parents[idx] == 0)
-    order: list[int] = []
-    while ready:
-        idx = ready.popleft()
-        order.append(idx)
-        for child in children[idx]:
-            pending_parents[child] -= 1
-            if pending_parents[child] == 0:
-                # Appending to the right while popping from the left makes the
-                # traversal breadth-first, i.e. it alternates between branches.
-                ready.append(child)
     if len(order) != len(events):  # pragma: no cover - defensive
         raise RuntimeError("topological sort failed to cover all events")
     return order

@@ -2,18 +2,23 @@
 
 :class:`EgWalker` turns a (portion of an) event graph into a linear sequence
 of *transformed* index-based operations that can be applied, in order, to a
-document text.  It is the heart of the reproduction: the walker
+document text.  It is the heart of the reproduction: given a replay order
+(a topological sort of the events, §3.2), the walker
 
-1. topologically sorts the events to replay, keeping branches contiguous
-   (§3.2),
-2. for each event, moves its *prepare version* to the event's parents by
+1. for each event, moves its *prepare version* to the event's parents by
    retreating and advancing previously applied events (computed with the
    priority-queue ``diff`` of §3.2),
-3. applies the event to the internal CRDT state, which yields the operation
+2. applies the event to the internal CRDT state, which yields the operation
    transformed into the *effect version* (§3.3–3.4), and
-4. exploits critical versions (§3.5) to clear the internal state and to skip
-   the CRDT entirely for events in purely sequential regions, and placeholders
-   (§3.6) so that a merge only replays events after the last critical version.
+3. when the caller asks for ``clearing``, exploits the critical versions of
+   the order (§3.5) to clear the internal state and to skip the CRDT
+   entirely for events in purely sequential regions; placeholders (§3.6)
+   let a replay start from any base version.
+
+The walker takes orders, not knobs: the replay order and whether to clear
+are per-call arguments.  In production its caller is
+:class:`~repro.core.merge_engine.MergeEngine`; :meth:`EgWalker.replay_text`
+is the reference replay that traces and oracles check the engine against.
 
 The pipeline is **run-length encoded end to end**: events are runs, the
 internal state applies/retreats/advances whole runs (splitting record spans
@@ -31,7 +36,7 @@ it uses (see :class:`repro.core.document.Document`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .causal_graph import CausalGraph
 from .critical_versions import critical_cut_positions
@@ -39,7 +44,7 @@ from .event_graph import EventGraph, Version
 from .ids import Operation, OpKind, delete_op, insert_op
 from .internal_state import InternalState
 from .order_statistic_tree import TreeSequence
-from .topo_sort import sort_branch_aware, sort_interleaved, sort_local_order
+from .topo_sort import sort_branch_aware
 
 __all__ = ["EgWalker", "ReplayResult", "TransformedOp", "WalkerStats", "coalesce_ops"]
 
@@ -106,9 +111,17 @@ class ReplayResult:
     state: InternalState | None = None
     prepare_version: Version = ()
 
-    def ops(self) -> list[Operation]:
-        """The non-noop transformed operations, in replay order."""
-        return [op for t in self.transformed for op in t.ops]
+    def text(self, base_text: str = "") -> str:
+        """Apply the emitted operations, in order, to ``base_text`` (the
+        document at the replay's base version)."""
+        buffer = list(base_text)
+        for entry in self.transformed:
+            for op in entry.ops:
+                if op.is_insert:
+                    buffer[op.pos : op.pos] = op.content
+                else:
+                    del buffer[op.pos : op.pos + op.length]
+        return "".join(buffer)
 
 
 def coalesce_ops(ops: Iterable[Operation]) -> list[Operation]:
@@ -141,13 +154,6 @@ def coalesce_ops(ops: Iterable[Operation]) -> list[Operation]:
     return out
 
 
-_SORTERS: dict[str, Callable[[EventGraph, Iterable[int]], list[int]]] = {
-    "branch_aware": sort_branch_aware,
-    "local": sort_local_order,
-    "interleaved": sort_interleaved,
-}
-
-
 class EgWalker:
     """Replays event graphs into transformed operations.
 
@@ -158,27 +164,11 @@ class EgWalker:
 
     Args:
         graph: the event graph to replay from.
-        enable_clearing: enable the critical-version optimisations of §3.5
-            (state clearing plus the transform-free fast path).  Disabling
-            this reproduces the "opt disabled" series of Figure 9.
-        sort_strategy: ``"branch_aware"`` (default, the paper's heuristic),
-            ``"local"`` or ``"interleaved"`` (pathological; used by the
-            sort-order ablation).
     """
 
-    def __init__(
-        self,
-        graph: EventGraph,
-        *,
-        enable_clearing: bool = True,
-        sort_strategy: str = "branch_aware",
-    ) -> None:
-        if sort_strategy not in _SORTERS:
-            raise ValueError(f"unknown sort strategy {sort_strategy!r}")
+    def __init__(self, graph: EventGraph) -> None:
         self.graph = graph
         self.causal = CausalGraph(graph)
-        self.enable_clearing = enable_clearing
-        self.sort_strategy = sort_strategy
         self.last_stats: WalkerStats | None = None
 
     # ------------------------------------------------------------------
@@ -186,33 +176,29 @@ class EgWalker:
     # ------------------------------------------------------------------
     def transform(
         self,
-        events: Iterable[int] | None = None,
+        order: Sequence[int],
         *,
         base_version: Version = (),
         base_doc_length: int = 0,
-        order: Sequence[int] | None = None,
         emit_only: Container[int] | None = None,
         state: InternalState | None = None,
         start_prepare_version: Version | None = None,
-        clearing: bool | None = None,
+        clearing: bool,
     ) -> ReplayResult:
-        """Replay ``events`` and return the transformed operation sequence.
+        """Replay the events of ``order``, in that order, and return the
+        transformed operation sequence.
 
         Args:
-            events: local indices of the run events to replay.  ``None``
-                replays the whole graph.  The set must be closed under
-                concurrency relative to ``base_version``: every replayed
-                event's parents must either be replayed too or be ancestors of
-                ``base_version``.  Ignored when ``order`` is given (the
-                merge engine passes ``None`` with its order).
+            order: local indices of the run events to replay, in a
+                topological order.  The set must be closed under concurrency
+                relative to ``base_version``: every replayed event's parents
+                must either be replayed too or be ancestors of
+                ``base_version``.
             base_version: the version the replay starts from.  The empty
                 version replays from the beginning of history.
             base_doc_length: length (or a safe upper bound on the length) of
                 the document at ``base_version``; used to size the initial
                 placeholder (§3.6).
-            order: explicit replay order, which is then the replayed set.
-                When omitted the configured topological sort of ``events`` is
-                used.
             emit_only: if given, transformed operations are only collected for
                 these events (the rest are replayed silently, as in the merge
                 procedure of §3.6).  Anything that answers ``in`` will do;
@@ -225,11 +211,13 @@ class EgWalker:
             start_prepare_version: the prepare version the resumed state was
                 left at (``ReplayResult.prepare_version`` of the previous
                 call).  Defaults to ``base_version``.
-            clearing: per-call override of ``enable_clearing``.  A resuming
-                caller passes ``False``: criticality of the replayed subset
-                alone says nothing about the events already folded into the
-                live state, so clearing decisions belong to the engine, not
-                the walker.
+            clearing: use the critical versions of ``order`` (§3.5): clear
+                the state when the replay crosses one, and emit an event
+                whose parent version and own version are both critical
+                verbatim.  A caller that keeps the state resident passes
+                ``False``: criticality of the replayed subset alone says
+                nothing about the events already folded into the live state,
+                and a cleared state would represent only a window suffix.
 
         Returns:
             A :class:`ReplayResult` with one :class:`TransformedOp` per
@@ -237,18 +225,11 @@ class EgWalker:
             prepare version for callers that resume.
         """
         graph = self.graph
-        if order is None:
-            event_list = range(len(graph)) if events is None else sorted(events)
-            order = _SORTERS[self.sort_strategy](graph, event_list)
-        else:
-            order = list(order)
-
         if state is None:
             state = InternalState(TreeSequence(base_doc_length))
         sequence = state.sequence
-        use_clearing = self.enable_clearing if clearing is None else clearing
         cuts: dict[int, Version] = {}
-        if use_clearing:
+        if clearing:
             cuts = critical_cut_positions(graph, order)
 
         transformed: list[TransformedOp] = []
@@ -269,7 +250,7 @@ class EgWalker:
             is_insert = op.kind is OpKind.INSERT
             chars += length
             emit = emit_only is None or idx in emit_only
-            parent_critical = use_clearing and (pos == 0 or (pos - 1) in cuts)
+            parent_critical = clearing and (pos == 0 or (pos - 1) in cuts)
 
             if parent_critical and pos in cuts:
                 # Fast path (§3.5): both the event's parents and the event
@@ -368,29 +349,14 @@ class EgWalker:
         base_text: str = "",
         base_version: Version = (),
     ) -> str:
-        """Replay events and return the resulting document text.
-
-        Convenience wrapper used by tests, examples and the benchmark
-        harness: transformed operations are applied to a simple character
-        buffer.  ``base_text`` is the document at ``base_version``.
-        """
-        result = self.transform(
-            events, base_version=base_version, base_doc_length=len(base_text)
-        )
-        buffer = list(base_text)
-        for entry in result.transformed:
-            for op in entry.ops:
-                if op.is_insert:
-                    buffer[op.pos : op.pos] = op.content
-                else:
-                    del buffer[op.pos : op.pos + op.length]
-        return "".join(buffer)
-
-    def text_at_version(self, version: Version) -> str:
-        """Reconstruct the document at an arbitrary historical version.
-
-        Replays exactly the events that happened at or before ``version``
-        (§2.3: the document at a version is ``replay(Events(V))``).
-        """
-        subset = self.causal.ancestors(version)
-        return self.replay_text(subset)
+        """The reference replay: ``events`` (default: the whole graph) in
+        the branch-aware order, clearing on, applied to ``base_text`` — the
+        document at ``base_version``.  It shares no code with the merge
+        engine's replays above :meth:`transform`, so it checks them."""
+        graph = self.graph
+        return self.transform(
+            sort_branch_aware(graph, range(len(graph)) if events is None else events),
+            base_version=base_version,
+            base_doc_length=len(base_text),
+            clearing=True,
+        ).text(base_text)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.event_graph import EventGraph
-from ..core.walker import EgWalker
+from ..core.merge_engine import MergeEngine
 from . import compression
 from .columns import (
     build_graph,
@@ -508,11 +508,12 @@ class LazyDecodedFile:
     @property
     def text(self) -> str:
         """Current document text: the snapshot column, or — for a file
-        without one — a replay of the hydrated graph."""
+        without one — the merge engine's full replay of the hydrated graph
+        (:meth:`MergeEngine.replay`; it leaves nothing attached to it)."""
         if self._text is None:
             snapshot = self.snapshot
             self._text = (
-                snapshot if snapshot is not None else EgWalker(self.graph).replay_text()
+                snapshot if snapshot is not None else str(MergeEngine.replay(self.graph).rope)
             )
         return self._text
 

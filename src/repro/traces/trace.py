@@ -56,10 +56,10 @@ class Trace:
 
     @property
     def final_text(self) -> str:
-        """The merged document text (computed once, on demand)."""
+        """The merged document text (computed once, on demand, by the
+        walker's reference replay)."""
         if self._final_text is None:
-            walker = EgWalker(self.graph)
-            self._final_text = walker.replay_text()
+            self._final_text = EgWalker(self.graph).replay_text()
         return self._final_text
 
     def summary_line(self) -> str:

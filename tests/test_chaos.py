@@ -10,8 +10,6 @@ longer soak runs.
 
 import asyncio
 
-from repro.core.event_graph import expand_to_chars
-from repro.core.walker import EgWalker
 from repro.faults import FaultPlan, PartitionWindow
 from repro.network.simulator import full_mesh
 from repro.server import (
@@ -22,6 +20,8 @@ from repro.server import (
 )
 from repro.server.loadgen import CollabClient, PollClient
 from repro.server.wal import recover_document, room_directory
+
+from oracles import per_char_text
 
 
 def run(coro):
@@ -42,15 +42,10 @@ async def wait_until(predicate, timeout=15.0, interval=0.02):
 FAST_RECONNECT = ReconnectPolicy(base_delay=0.02, max_delay=0.25, max_attempts=40)
 
 
-def oracle_text(document):
-    """The per-character reference replay of a replica's event graph."""
-    return EgWalker(expand_to_chars(document.oplog.graph)).replay_text()
-
-
 def assert_converged(server, doc, *clients):
     room = server.room(doc)
     text = room.document.text
-    assert text == oracle_text(room.document)
+    assert text == per_char_text(room.document.oplog.graph)
     for client in clients:
         assert client.text == text, (client.agent, client.text, text)
         assert client.pending_count == 0
@@ -243,7 +238,7 @@ class TestPartitionHeal:
         sim.run_until_quiescent()
         assert sim.converged(), sim.all_texts()
         text = sim.replicas["a"].text
-        assert text == oracle_text(sim.replicas["a"].document)
+        assert text == per_char_text(sim.replicas["a"].document.oplog.graph)
         assert all(r.inbound.pending_count == 0 for r in sim.replicas.values())
 
     def test_random_drops_heal_by_repeated_anti_entropy(self):

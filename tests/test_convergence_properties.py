@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from hypothesis import given, settings, strategies as st
 
 from repro.core.document import Document
+from repro.core.topo_sort import sort_branch_aware
 from repro.core.walker import EgWalker
 from repro.crdt import SimpleListCRDT, event_graph_to_crdt_ops
 from repro.ot import replay_ot
@@ -86,8 +87,9 @@ def test_every_walker_configuration_agrees(script):
             if doc is not other:
                 doc.merge(other)
     graph = docs[0].oplog.graph
+    order = sort_branch_aware(graph, range(len(graph)))
     texts = {
-        EgWalker(graph, enable_clearing=clearing).replay_text()
+        EgWalker(graph).transform(order, clearing=clearing).text()
         for clearing in (True, False)
     }
     assert len(texts) == 1

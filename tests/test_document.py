@@ -517,12 +517,9 @@ class TestOptionSurface:
         params = inspect.signature(MergeEngine).parameters
         assert list(params) == ["oplog", "rope"]
 
-    def test_walker_keeps_only_the_figure_knobs(self):
-        params = inspect.signature(EgWalker).parameters
-        keyword_only = {
-            name for name, p in params.items() if p.kind is p.KEYWORD_ONLY
-        }
-        assert keyword_only == {"enable_clearing", "sort_strategy"}
+    def test_walker_takes_only_the_graph(self):
+        # Replay order and clearing are per-call arguments of transform.
+        assert list(inspect.signature(EgWalker).parameters) == ["graph"]
 
     def test_index_based_snapshot_shims_are_gone(self):
         for name in ("remote_version", "text_at_remote", "history_versions"):
@@ -544,8 +541,9 @@ class TestWalkerConfigurationsOnDocuments:
         bob.merge(alice)
         assert alice.text == bob.text == "Hello!"
         for doc in (alice, bob):
-            walker = EgWalker(doc.oplog.graph, enable_clearing=clearing)
-            assert walker.replay_text() == "Hello!"
+            graph = doc.oplog.graph
+            result = EgWalker(graph).transform(range(len(graph)), clearing=clearing)
+            assert result.text() == "Hello!"
 
 
 class TestAdoption:
@@ -605,8 +603,11 @@ class TestAdoption:
         doc = Document("reader", graph=graph)
         assert doc.oplog.graph is graph
         assert doc.text == text
-        assert doc.merge_stats.merges == 1
-        assert doc.merge_stats.events_integrated == len(graph)
+        # The one full replay: history from the root, not a merge.
+        stats = doc.merge_stats
+        assert stats.merges == stats.events_integrated == 0
+        assert stats.history_fast_path_events + stats.history_new_events == len(graph)
+        assert stats.history_window_events == 0
         assert not doc.engine.has_resident_state
         self._type_two_runs(doc)
         assert doc.text == "reader was here. " + text

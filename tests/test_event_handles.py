@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from repro.core.critical_versions import CriticalCutTracker, critical_cut_positions
 from repro.core.document import Document
-from repro.core.event_graph import EventGraph, expand_to_chars
+from repro.core.event_graph import EventGraph
 from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.oplog import RemoteEvent
 from repro.core.walker import EgWalker
 from repro.storage import decode_file, encode_event_graph_v3
+
+from oracles import per_char_text
 
 
 def sequential_graph(chunks: list[str], agent: str = "a") -> EventGraph:
@@ -42,11 +44,6 @@ def sequential_graph(chunks: list[str], agent: str = "a") -> EventGraph:
         graph.add_local_event(agent, insert_op(pos, chunk))
         pos += len(chunk)
     return graph
-
-
-def oracle_text(document: Document) -> str:
-    expanded = expand_to_chars(document.oplog.graph)
-    return EgWalker(expanded, enable_clearing=False).replay_text()
 
 
 class TestHandleIndirection:
@@ -205,7 +202,7 @@ class ResidentStateAtSplits:
 def assert_converged(document: Document) -> None:
     observer = Document("observer")
     observer.merge(document)
-    assert observer.text == document.text == oracle_text(document)
+    assert observer.text == document.text == per_char_text(document.oplog.graph)
 
 
 class TestCheckpointDrop:

@@ -89,7 +89,6 @@ from repro.core.document import Document
 from repro.core.event_graph import EventGraph, expand_to_chars
 from repro.core.ids import EventId
 from repro.core.oplog import RemoteEvent, graph_to_remote_events, recarve_events
-from repro.core.walker import EgWalker
 from repro.crdt import CrdtOp, SimpleListCRDT
 from repro.history import History, Version, apply_ops
 from repro.network import Replica
@@ -102,6 +101,8 @@ from repro.storage import (
     encode_event_graph_v3,
     encode_version,
 )
+
+from oracles import per_char_text
 
 BASE_SEED = 0xE6_2024
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -175,21 +176,13 @@ def oracle_text(shadows: Shadows, document: Document) -> str:
     return shadows.text_of(char_ids(document.oplog.graph))
 
 
-def per_char_text(document: Document) -> str:
-    """The per-character replay of the document's graph (the check on
-    run-length encoding)."""
-    expanded = expand_to_chars(document.oplog.graph)
-    return EgWalker(expanded, enable_clearing=False).replay_text()
-
-
 def oracle_text_at(shadows: Shadows, document: Document, version: Version) -> str:
     """:func:`oracle_text` at ``version``: a shadow fed exactly its events."""
     expanded = expand_to_chars(document.oplog.graph)
     heads = tuple(sorted({expanded.index_of(eid) for eid in version.ids}))
     events = sorted(CausalGraph(expanded).ancestors(heads))
     text = shadows.text_of(expanded.id_of(i) for i in events)
-    per_char = EgWalker(expanded, enable_clearing=False).text_at_version(heads)
-    assert per_char == text, (
+    assert per_char_text(document.oplog.graph, version.ids) == text, (
         f"per-character replay at a version disagrees with the shadow "
         f"({shadows.context})"
     )
@@ -300,7 +293,7 @@ def run_session(
         assert oracle_text(shadows, replica.document) == expected, (
             f"replica {name} disagrees with the shadow oracle ({context})"
         )
-        assert per_char_text(replica.document) == expected, (
+        assert per_char_text(replica.document.oplog.graph) == expected, (
             f"replica {name} disagrees with the per-character replay ({context})"
         )
 
@@ -477,15 +470,15 @@ def _assert_adopted_equals_reingested(
     twin.apply_remote_events(graph_to_remote_events(decoded.graph))
 
     stats = adopted.merge_stats
-    if decoded.snapshot is not None:
-        assert stats.merges == 0 and stats.events_integrated == 0, (
-            f"adoption merged events although the file has a snapshot ({context})"
-        )
-    else:
-        # In-place replay fallback: one merge over the adopted indices.
-        assert stats.merges == 1 and stats.events_integrated == len(decoded.graph), (
-            f"snapshot-less file did not take the in-place replay ({context})"
-        )
+    assert stats.merges == 0 and stats.events_integrated == 0, (
+        f"adoption merged events ({context})"
+    )
+    # A snapshot-less file takes the one full replay (history from the root,
+    # every event read verbatim or replayed once); a snapshot needs none.
+    replayed = stats.history_fast_path_events + stats.history_new_events
+    assert replayed == (0 if decoded.snapshot is not None else len(decoded.graph)), (
+        f"adoption replayed {replayed} events ({context})"
+    )
     assert adopted.engine.has_resident_state is False, (
         f"adopted document holds walker state ({context})"
     )
@@ -528,7 +521,7 @@ def _assert_adopted_equals_reingested(
                 receiver.apply_remote_events(sender.events_since(receiver.version()))
     assert (
         oracle_text(shadows, adopted)
-        == per_char_text(adopted)
+        == per_char_text(adopted.oplog.graph)
         == adopted.text
         == twin.text
         == oracle_text(shadows, twin)

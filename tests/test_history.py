@@ -6,7 +6,7 @@ Covers the :class:`Version` value type, the version algebra
 **handle stability**: a saved version keeps meaning exactly the same
 characters across further edits, in-place frontier-run extension, re-carved
 interop syncs and storage round trips.  Texts are checked against the
-per-character :func:`expand_to_chars` oracle.
+per-character oracle (``oracles.per_char_text``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.causal_graph import CausalGraph
 from repro.core.document import Document
-from repro.core.event_graph import EventGraph, expand_to_chars
+from repro.core.event_graph import EventGraph
 from repro.core.ids import EventId, insert_op
 from repro.core.oplog import RemoteEvent, recarve_events
 from repro.core.walker import EgWalker
@@ -29,13 +29,7 @@ from repro.storage import (
     encode_version,
 )
 
-
-def oracle_text_at(document: Document, version: Version) -> str:
-    """Reconstruct ``version`` on the per-character oracle graph."""
-    expanded = expand_to_chars(document.oplog.graph)
-    indices = tuple(sorted({expanded.index_of(eid) for eid in version.ids}))
-    walker = EgWalker(expanded, enable_clearing=False)
-    return walker.text_at_version(indices)
+from oracles import per_char_text
 
 
 def diamond_documents() -> tuple[Document, Version, Version, Version]:
@@ -127,7 +121,7 @@ class TestTextAt:
     def test_against_oracle_on_a_diamond(self):
         alice, base, branch_a, branch_b = diamond_documents()
         for version in (ROOT, base, branch_a, branch_b, alice.version()):
-            assert alice.text_at(version) == oracle_text_at(alice, version)
+            assert alice.text_at(version) == per_char_text(alice.oplog.graph, version.ids)
         assert alice.text_at(alice.version()) == alice.text
 
     def test_unknown_version_raises(self):
@@ -280,7 +274,7 @@ class TestCheckout:
         for branch in branches:
             branch.merge(alice)
             assert branch.text == alice.text
-        assert alice.text == EgWalker(expand_to_chars(alice.oplog.graph)).replay_text()
+        assert alice.text == per_char_text(alice.oplog.graph)
 
     def test_checkout_coalesces_local_runs(self):
         doc = Document("alice")
@@ -304,7 +298,7 @@ class TestHandleStability:
         doc.insert(4, "ef")
         assert len(doc.oplog) == 1  # all one coalesced run
         assert doc.text_at(saved) == saved_text == "ab"
-        assert doc.text_at(saved) == oracle_text_at(doc, saved)
+        assert doc.text_at(saved) == per_char_text(doc.oplog.graph, saved.ids)
 
     def test_survives_recarved_interop_sync(self):
         producer = Document("p")
@@ -321,7 +315,7 @@ class TestHandleStability:
         producer.merge(consumer)
         assert len(producer.oplog) > 1  # the run really was split
         assert producer.text_at(saved) == "abcdef"
-        assert producer.text_at(saved) == oracle_text_at(producer, saved)
+        assert producer.text_at(saved) == per_char_text(producer.oplog.graph, saved.ids)
 
     def test_survives_storage_round_trip(self):
         alice, base, branch_a, branch_b = diamond_documents()
@@ -376,7 +370,7 @@ class TestMultiHeadCriticalVersions:
     def check_everything(self, history: History, doc: Document, saved) -> None:
         final = saved["both2"]
         for name, version in saved.items():
-            expected = oracle_text_at(doc, version)
+            expected = per_char_text(doc.oplog.graph, version.ids)
             assert history.text_at(version) == expected, name
             ops = history.diff(version, final)
             assert apply_ops(expected, ops) == doc.text, name
@@ -393,7 +387,7 @@ class TestMultiHeadCriticalVersions:
         assert stats.last_history_events_touched == 4  # window b1; new a1 a2 b2
         for name in ("a1", "b1"):
             branch = alice.checkout(saved[name])
-            assert branch.text == oracle_text_at(alice, saved[name])
+            assert branch.text == per_char_text(alice.oplog.graph, saved[name].ids)
 
     def test_diff_from_the_two_head_version_has_an_empty_window(self):
         alice, saved = two_author_session()
@@ -417,7 +411,7 @@ class TestMultiHeadCriticalVersions:
         alice.diff(saved["both1"], saved["both2"])
         assert stats.last_history_events_touched == 2
         alice.insert(0, "later ")  # the engine still merges across it
-        assert alice.text == oracle_text_at(alice, alice.version())
+        assert alice.text == per_char_text(alice.oplog.graph, alice.version().ids)
 
     def test_storage_round_trip_of_a_two_head_version_handle(self):
         alice, saved = two_author_session()
@@ -464,14 +458,17 @@ class TestLinearTimeTravel:
         versions = doc.versions()
         n = len(versions)
         middle, a, b = n // 2, n // 5, 4 * n // 5
-        expected = {i: oracle_text_at(doc, versions[i]) for i in (middle, a, b)}
+        expected = {i: per_char_text(doc.oplog.graph, versions[i].ids) for i in (middle, a, b)}
         stats = doc.merge_stats
+        # A snapshot-less open is the one full replay: all of it verbatim.
+        opened = stats.history_fast_path_events
+        assert opened == (n if reopen else 0)
         refuse_walker(monkeypatch)
 
         assert doc.text_at(versions[middle]) == expected[middle]  # cold
-        assert stats.history_fast_path_events == middle + 1
+        assert stats.history_fast_path_events == opened + middle + 1
         ops = doc.diff(versions[a], versions[b])
-        assert stats.history_fast_path_events == middle + 1 + (b - a)
+        assert stats.history_fast_path_events == opened + middle + 1 + (b - a)
         assert stats.last_history_events_touched == b - a
         assert apply_ops(expected[a], ops) == expected[b]
         assert stats.history_replays == 0 and stats.history_window_events == 0
@@ -511,7 +508,7 @@ class TestCriticalRunBoundaries:
     def check_against_oracle(self, doc: Document, saved: dict[str, Version]) -> None:
         history = History.from_bytes(encode_event_graph_v3(doc.oplog.graph))
         for version in [*doc.versions(), *saved.values()]:
-            expected = oracle_text_at(doc, version)
+            expected = per_char_text(doc.oplog.graph, version.ids)
             for h in (doc.history, history):
                 assert h.text_at(version) == expected
                 assert apply_ops("", h.diff(ROOT, version)) == expected
@@ -539,10 +536,10 @@ class TestCriticalRunBoundaries:
             before = stats.history_fast_path_events
             ops = doc.diff(saved[name], saved["end"])
             assert stats.history_fast_path_events == before, name
-            assert apply_ops(oracle_text_at(doc, saved[name]), ops) == doc.text
+            assert apply_ops(per_char_text(doc.oplog.graph, saved[name].ids), ops) == doc.text
 
         # From the whole two-head version the tail is one verbatim run.
-        both = oracle_text_at(doc, saved["both"])
+        both = per_char_text(doc.oplog.graph, saved["both"].ids)
         refuse_walker(monkeypatch)
         before = stats.history_fast_path_events
         ops = doc.diff(saved["both"], saved["end"])
@@ -571,7 +568,8 @@ class TestCriticalRunBoundaries:
         )
         assert doc.diff(at_b, at_c) == ops
         assert (stats.history_replays, stats.history_window_events) == (1, 1)
-        assert apply_ops(oracle_text_at(doc, at_b), ops) == oracle_text_at(doc, at_c)
+        at_c_text = per_char_text(doc.oplog.graph, at_c.ids)
+        assert apply_ops(per_char_text(doc.oplog.graph, at_b.ids), ops) == at_c_text
 
 
 class TestDiffQuadraticGuard:

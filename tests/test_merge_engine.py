@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.critical_versions import CriticalCutTracker, critical_cut_positions
 from repro.core.document import Document
-from repro.core.event_graph import EventGraph, expand_to_chars
+from repro.core.event_graph import EventGraph
 from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.oplog import RemoteEvent
 from repro.core.walker import EgWalker
@@ -29,10 +29,7 @@ from repro.network.simulator import live_session
 from repro.server.wal import graph_to_remote_events
 from repro.traces.generator import generate_concurrent
 
-
-def oracle_text(document: Document) -> str:
-    expanded = expand_to_chars(document.oplog.graph)
-    return EgWalker(expanded, enable_clearing=False).replay_text()
+from oracles import per_char_text
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +337,7 @@ class TestResidentState:
                     doc.merge(peer) if rng.random() < 0.5 else peer.merge(doc)
             doc.merge(peer)
             peer.merge(doc)
-            assert doc.text == peer.text == oracle_text(doc)
+            assert doc.text == peer.text == per_char_text(doc.oplog.graph)
 
     def test_live_session_mostly_fast_paths(self):
         """The steady-state claim on a realistic live session: the engine
@@ -365,7 +362,7 @@ class TestResidentState:
                 stats.fast_path_events + stats.replayed_new_events
                 == stats.events_integrated
             )
-            assert oracle_text(replica.document) == replica.text
+            assert per_char_text(replica.document.oplog.graph) == replica.text
 
 
 class TestTwoAuthorLiveSession:
@@ -378,7 +375,7 @@ class TestTwoAuthorLiveSession:
         receiver = Document("receiver")
         for event in graph_to_remote_events(trace.graph):
             receiver.apply_remote_events([event])
-        assert receiver.text == oracle_text(receiver)
+        assert receiver.text == per_char_text(receiver.oplog.graph)
         assert receiver.text == EgWalker(trace.graph).replay_text()
         return receiver
 
@@ -409,7 +406,7 @@ class TestTwoAuthorLiveSession:
         )
         receiver.apply_remote_events([closing])
         assert not receiver.engine.has_resident_state
-        assert receiver.text == oracle_text(receiver)
+        assert receiver.text == per_char_text(receiver.oplog.graph)
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +446,7 @@ class TestSenderSideCoalescing:
         alice.insert(0, "z")
         assert len(alice.oplog) == before + 1
         bob.merge(alice)
-        assert alice.text == bob.text == oracle_text(alice)
+        assert alice.text == bob.text == per_char_text(alice.oplog.graph)
 
     def test_export_since_seq_ships_only_the_extension_suffix(self):
         alice = Document("alice")

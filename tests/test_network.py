@@ -6,14 +6,14 @@ import random
 import pytest
 
 from repro.core.document import Document
-from repro.core.event_graph import expand_to_chars
 from repro.core.ids import EventId, insert_op
 from repro.core.oplog import RemoteEvent, graph_to_remote_events, recarve_events
-from repro.core.walker import EgWalker
 from repro.core.range_map import SpanSet
 from repro.network import CausalBuffer, NetworkSimulator, Replica, full_mesh, star
 from repro.storage.container import ContainerOptions, encode_event_graph_v3
 from repro.traces.generator import generate_concurrent
+
+from oracles import per_char_text
 
 
 def remote_event(agent, seq, parents, pos, char):
@@ -568,7 +568,7 @@ class TestReplica:
             peer.receive(full)
             assert peer.pending_count == 0
             assert peer.text == replica.text
-        oracle = EgWalker(expand_to_chars(replica.document.oplog.graph)).replay_text()
+        oracle = per_char_text(replica.document.oplog.graph)
         assert replica.text == oracle
 
     def test_local_edits_return_the_suffix_to_send(self):

@@ -7,8 +7,8 @@ These tests pin down the two sides of that claim for this reproduction:
 
 * **Equivalence** — replaying a trace as run events produces byte-identical
   documents (and final lengths) to the expanded per-character oracle
-  (:func:`repro.core.event_graph.expand_to_chars`), across all sort
-  strategies and with the §3.5 optimisations on and off.
+  (``oracles.per_char_text``), across the sort-order ablation's orders
+  and with the §3.5 optimisations on and off.
 * **Complexity** — a run-encoded sequential trace creates O(runs) events and
   O(runs) peak CRDT records, not O(chars).
 
@@ -27,7 +27,9 @@ from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.internal_state import InternalState
 from repro.core.order_statistic_tree import TreeSequence
 from repro.core.records import INSERTED, CrdtRecord, PlaceholderPiece
+from repro.core.topo_sort import sort_branch_aware
 from repro.core.walker import EgWalker, coalesce_ops
+from repro.bench.harness import SORT_ORDERS
 from repro.crdt import SimpleListCRDT, event_graph_to_crdt_ops
 from repro.traces.generator import (
     generate_async,
@@ -35,7 +37,7 @@ from repro.traces.generator import (
     generate_sequential,
 )
 
-SORT_STRATEGIES = ["branch_aware", "local", "interleaved"]
+from oracles import per_char_text
 
 
 def make_state(placeholder: int = 0, *, merge_spans: bool = True) -> InternalState:
@@ -50,47 +52,38 @@ class TestRunCharEquivalence:
         "trace_fixture",
         ["small_sequential_trace", "small_concurrent_trace", "small_async_trace"],
     )
-    @pytest.mark.parametrize("sort_strategy", SORT_STRATEGIES)
-    def test_run_replay_matches_per_char_oracle(
-        self, trace_fixture, sort_strategy, request
-    ):
+    @pytest.mark.parametrize("sort_order", SORT_ORDERS)
+    def test_run_replay_matches_per_char_oracle(self, trace_fixture, sort_order, request):
         trace = request.getfixturevalue(trace_fixture)
         graph = trace.graph
-        oracle_graph = expand_to_chars(graph)
-        assert oracle_graph.num_chars == graph.num_chars
-        oracle = EgWalker(oracle_graph, enable_clearing=False).replay_text()
-        for enable_clearing in (True, False):
-            walker = EgWalker(
-                graph,
-                sort_strategy=sort_strategy,
-                enable_clearing=enable_clearing,
-            )
-            result = walker.transform()
-            text = walker.replay_text()
-            assert text == oracle
+        assert expand_to_chars(graph).num_chars == graph.num_chars
+        oracle = per_char_text(graph)
+        order = SORT_ORDERS[sort_order](graph)
+        for clearing in (True, False):
+            result = EgWalker(graph).transform(order, clearing=clearing)
+            assert result.text() == oracle
             assert result.final_length == len(oracle)
 
     @pytest.mark.parametrize(
         "trace_fixture",
         ["small_sequential_trace", "small_concurrent_trace", "small_async_trace"],
     )
-    @pytest.mark.parametrize("sort_strategy", SORT_STRATEGIES)
-    def test_run_replay_matches_the_list_crdt(self, trace_fixture, sort_strategy, request):
+    @pytest.mark.parametrize("sort_order", SORT_ORDERS)
+    def test_run_replay_matches_the_list_crdt(self, trace_fixture, sort_order, request):
         """Whatever the sort order, the run replay gives the text of the
         independent list CRDT fed the graph's id-based ops: concurrent runs
         are ordered by that CRDT's own YjsMod integration, not the walker's."""
         graph = request.getfixturevalue(trace_fixture).graph
         replica = SimpleListCRDT("oracle")
         replica.apply_all(event_graph_to_crdt_ops(graph))
-        walker = EgWalker(graph, sort_strategy=sort_strategy)
-        assert walker.replay_text() == replica.text()
+        order = SORT_ORDERS[sort_order](graph)
+        assert EgWalker(graph).transform(order, clearing=True).text() == replica.text()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_concurrent_traces_match_oracle(self, seed):
         trace = generate_concurrent("rle", target_events=160, seed=100 + seed)
         graph = trace.graph
-        oracle = EgWalker(expand_to_chars(graph)).replay_text()
-        assert EgWalker(graph).replay_text() == oracle
+        assert EgWalker(graph).replay_text() == per_char_text(graph)
 
     def test_expansion_is_identity_on_per_char_graphs(self, figure4_graph):
         expanded = expand_to_chars(figure4_graph)
@@ -137,9 +130,7 @@ class TestRunComplexity:
         # ever thrown away), the internal state holds O(runs) span records,
         # not O(chars): each insert run is one record and each delete run
         # splits at most two of them.
-        walker = EgWalker(graph, enable_clearing=False)
-        walker.replay_text()
-        stats = walker.last_stats
+        stats = EgWalker(graph).transform(range(len(graph)), clearing=False).stats
         assert stats.events_processed == runs
         assert stats.chars_processed == chars
         assert stats.peak_records <= 3 * runs
@@ -147,7 +138,7 @@ class TestRunComplexity:
 
     def test_fast_path_counts_runs_and_chars(self, small_sequential_trace):
         graph = small_sequential_trace.graph
-        walker = EgWalker(graph, enable_clearing=True)
+        walker = EgWalker(graph)
         walker.replay_text()
         stats = walker.last_stats
         assert stats.events_fast_path == len(graph)
@@ -167,10 +158,10 @@ class TestRunComplexity:
         bob.merge(alice)
         assert alice.text == bob.text
         graph = alice.oplog.graph
-        walker = EgWalker(graph, enable_clearing=False)
-        walker.replay_text()
-        assert walker.last_stats.peak_records <= 4 * len(graph)
-        assert walker.last_stats.peak_records < graph.num_chars / 4
+        order = sort_branch_aware(graph, range(len(graph)))
+        stats = EgWalker(graph).transform(order, clearing=False).stats
+        assert stats.peak_records <= 4 * len(graph)
+        assert stats.peak_records < graph.num_chars / 4
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +277,7 @@ class TestPlaceholderRunCarving:
         alice.merge(bob)
         bob.merge(alice)
         assert alice.text == bob.text == "012XYZ789"
-        oracle = EgWalker(expand_to_chars(alice.oplog.graph)).replay_text()
+        oracle = per_char_text(alice.oplog.graph)
         assert alice.text == oracle
         walker = EgWalker(alice.oplog.graph)
         assert walker.replay_text() == oracle
@@ -337,8 +328,8 @@ class TestPlaceholderRunCarving:
             if i % 3 == 2:
                 doc.delete(0, 3)
         graph = doc.oplog.graph
-        oracle = EgWalker(expand_to_chars(graph)).replay_text()
-        walker = EgWalker(graph, enable_clearing=True)
+        oracle = per_char_text(graph)
+        walker = EgWalker(graph)
         assert walker.replay_text() == oracle
         assert walker.last_stats.state_clears >= 0
 
@@ -447,24 +438,17 @@ class TestSpanReMerging:
 
         # Span merging is a property of the internal state, so the split-only
         # ablation hands the walker a state built with ``merge_spans=False``.
-        walker = EgWalker(graph, enable_clearing=False)
+        walker = EgWalker(graph)
 
         def replay_in_order(merge_spans):
+            # Clearing is off so the whole session runs against live CRDT
+            # state (the regime span re-merging exists for).
             result = walker.transform(
-                order=order, state=make_state(merge_spans=merge_spans)
+                order, state=make_state(merge_spans=merge_spans), clearing=False
             )
-            buffer: list[str] = []
-            for entry in result.transformed:
-                for op in entry.ops:
-                    if op.is_insert:
-                        buffer[op.pos : op.pos] = op.content
-                    else:
-                        del buffer[op.pos : op.pos + op.length]
-            return "".join(buffer), result.stats
+            return result.text(), result.stats
 
-        # Clearing is disabled so the whole session runs against live CRDT
-        # state (the regime span re-merging exists for).
-        oracle = EgWalker(expand_to_chars(graph)).replay_text()
+        oracle = per_char_text(graph)
         merged_text, merged = replay_in_order(True)
         plain_text, plain = replay_in_order(False)
         assert merged_text == plain_text == oracle
@@ -490,8 +474,8 @@ class TestSpanReMerging:
             results[merging] = walker.transform(
                 window,
                 base_version=(run.index,),
-                order=window,
                 state=make_state(40, merge_spans=merging),
+                clearing=False,
             )
         assert [t.ops for t in results[True].transformed] == [
             t.ops for t in results[False].transformed

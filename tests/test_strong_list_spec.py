@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.causal_graph import CausalGraph
+from repro.core.topo_sort import sort_branch_aware
 from repro.core.walker import EgWalker
 from repro.crdt import CrdtDeleteOp, CrdtInsertOp, event_graph_to_crdt_ops
 
@@ -98,8 +99,8 @@ class TestListOrderConsistency:
 
     def _character_order(self, graph, clearing):
         """Map each surviving character's id to its document index."""
-        walker = EgWalker(graph, enable_clearing=clearing)
-        result = walker.transform()
+        order = sort_branch_aware(graph, range(len(graph)))
+        result = EgWalker(graph).transform(order, clearing=clearing)
         # Replay the transformed ops over a buffer of character ids to learn
         # where each inserted character ended up (and which ones survived).
         return _replay_char_ids(graph, result.transformed)
@@ -127,7 +128,9 @@ class TestListOrderConsistency:
         # characters that survive to the end.
         for idx in range(0, len(graph), max(1, len(graph) // 10)):
             subset = causal.ancestors((idx,))
-            partial = EgWalker(graph, enable_clearing=False).transform(subset)
+            partial = EgWalker(graph).transform(
+                sort_branch_aware(graph, subset), clearing=False
+            )
             buffer = _replay_char_ids(graph, partial.transformed)
             survivors = [event_id for event_id in buffer if event_id in final_positions]
             positions = [final_positions[event_id] for event_id in survivors]

@@ -4,12 +4,11 @@ import pytest
 
 from repro.core.event_graph import EventGraph
 from repro.core.ids import EventId, insert_op
+from repro.bench.harness import sort_interleaved
 from repro.core.topo_sort import (
     estimate_descendants,
     is_topological_order,
     sort_branch_aware,
-    sort_interleaved,
-    sort_local_order,
 )
 
 
@@ -35,7 +34,8 @@ def two_branch_graph(k: int, m: int) -> EventGraph:
     return graph
 
 
-ALL_SORTERS = [sort_branch_aware, sort_local_order, sort_interleaved]
+#: The engine's order and the sort-order ablation's interleaved one.
+ALL_SORTERS = [sort_branch_aware, sort_interleaved]
 
 
 class TestValidity:
@@ -84,10 +84,6 @@ class TestBranchAwareness:
         agents = [graph.id_of(idx).agent for idx in order][1:-1]
         switches = sum(1 for x, y in zip(agents, agents[1:]) if x != y)
         assert switches > 5  # far more branch switches than the branch-aware order
-
-    def test_local_order_is_identity_for_full_range(self, small_sequential_trace):
-        graph = small_sequential_trace.graph
-        assert sort_local_order(graph, range(len(graph))) == list(range(len(graph)))
 
 
 class TestDescendantEstimates:

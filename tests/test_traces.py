@@ -70,7 +70,7 @@ class TestGenerators:
         step = max(1, len(graph) // 40)
         for idx in range(0, len(graph), step):
             event = graph[idx]
-            parent_text = walker.text_at_version(event.parents)
+            parent_text = walker.replay_text(causal.ancestors(event.parents))
             if event.op.is_insert:
                 assert 0 <= event.op.pos <= len(parent_text)
             else:

@@ -14,10 +14,8 @@ import random
 import pytest
 
 from repro.core.document import Document
-from repro.core.event_graph import expand_to_chars
 from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.oplog import RemoteEvent
-from repro.core.walker import EgWalker
 from repro.server import CollabServer, DurabilityOptions, ReconnectPolicy
 from repro.server.loadgen import CollabClient
 from repro.server.session import DocumentRoom
@@ -33,6 +31,8 @@ from repro.server.wal import (
     room_directory,
     room_name_from_directory,
 )
+
+from oracles import per_char_text
 
 
 def run(coro):
@@ -362,7 +362,12 @@ class TestRoomStorage:
         recovered, info = recover_document(directory, "server")
         assert recovered.text == doc.text
         assert info.snapshot_loaded and not info.snapshot_text_verified
-        assert recovered.merge_stats.events_integrated == len(doc.oplog.graph)
+        # The text comes from the one full replay (history from the root),
+        # which merges nothing.
+        stats = recovered.merge_stats
+        assert stats.merges == stats.events_integrated == 0
+        replayed = stats.history_fast_path_events + stats.history_new_events
+        assert replayed == len(doc.oplog.graph)
         assert not recovered.engine.has_resident_state
 
     def test_close_compacts_when_configured(self, tmp_path):
@@ -502,7 +507,7 @@ class TestRecoveryMergesTailOnce:
         assert info.pending_after_recovery == 0
         assert recovered.merge_stats.merges == 1
         assert recovered.text == server.text
-        assert recovered.text == EgWalker(expand_to_chars(recovered.oplog.graph)).replay_text()
+        assert recovered.text == per_char_text(recovered.oplog.graph)
 
 
 class TestDoubleCrash:

@@ -8,26 +8,32 @@ from repro.core.causal_graph import CausalGraph
 from repro.core.event_graph import EventGraph
 from repro.core.ids import EventId, delete_op, insert_op
 from repro.core.topo_sort import is_topological_order, sort_branch_aware
+from repro.bench.harness import SORT_ORDERS
 from repro.core.walker import EgWalker
 
+#: (replay order, clearing) pairs: the walker takes both per call.
 WALKER_CONFIGS = [
-    {"enable_clearing": True},
-    {"enable_clearing": False},
-    {"enable_clearing": True, "sort_strategy": "local"},
-    {"enable_clearing": False, "sort_strategy": "interleaved"},
+    ("branch_aware", True),
+    ("branch_aware", False),
+    ("local", True),
+    ("interleaved", False),
 ]
+
+
+def replay(graph: EventGraph, config: tuple[str, bool] = ("branch_aware", True)) -> str:
+    """The whole graph through the walker, in one of the ablation orders."""
+    order, clearing = config
+    return EgWalker(graph).transform(SORT_ORDERS[order](graph), clearing=clearing).text()
 
 
 class TestPaperExamples:
     @pytest.mark.parametrize("config", WALKER_CONFIGS)
     def test_figure_1_and_2(self, figure2_graph, config):
-        walker = EgWalker(figure2_graph, **config)
-        assert walker.replay_text() == "Hello!"
+        assert replay(figure2_graph, config) == "Hello!"
 
     @pytest.mark.parametrize("config", WALKER_CONFIGS)
     def test_figure_4(self, figure4_graph, config):
-        walker = EgWalker(figure4_graph, **config)
-        assert walker.replay_text() == "Hey!"
+        assert replay(figure4_graph, config) == "Hey!"
 
     def test_figure2_all_replay_orders_agree(self, figure2_graph):
         """Any topologically sorted order yields the same document (Lemma C.8)."""
@@ -42,28 +48,14 @@ class TestPaperExamples:
         ]
         assert len(valid_orders) > 1
         for order in valid_orders:
-            walker = EgWalker(graph, enable_clearing=False)
-            result = walker.transform(order=order)
-            text = _apply_ops(result)
-            assert text == expected
+            assert EgWalker(graph).transform(order, clearing=False).text() == expected
 
     def test_figure4_transformed_ops_shape(self, figure4_graph):
-        walker = EgWalker(figure4_graph, enable_clearing=False)
-        result = walker.transform()
+        walker = EgWalker(figure4_graph)
+        result = walker.transform(range(len(figure4_graph)), clearing=False)
         # 8 events in, 8 transformed entries out (some may be no-ops).
         assert len(result.transformed) == len(figure4_graph)
         assert result.final_length == 4
-
-
-def _apply_ops(result) -> str:
-    buffer: list[str] = []
-    for entry in result.transformed:
-        for op in entry.ops:
-            if op.is_insert:
-                buffer[op.pos : op.pos] = op.content
-            else:
-                del buffer[op.pos : op.pos + op.length]
-    return "".join(buffer)
 
 
 class TestConcurrentScenarios:
@@ -91,7 +83,7 @@ class TestConcurrentScenarios:
             edits_a=[("i", 0, "A"), ("i", 1, "B")],
             edits_b=[("d", 4, None), ("i", 4, "Z")],
         )
-        text = EgWalker(graph, **config).replay_text()
+        text = replay(graph, config)
         assert text.startswith("AB")
         assert "Z" in text
         assert len(text) == 5 + 2 + 1 - 1
@@ -102,7 +94,7 @@ class TestConcurrentScenarios:
             edits_a=[("d", 0, None)],
             edits_b=[("d", 0, None)],
         )
-        text = EgWalker(graph, **config).replay_text()
+        text = replay(graph, config)
         assert text == "ase "
 
     @pytest.mark.parametrize("config", WALKER_CONFIGS)
@@ -111,7 +103,7 @@ class TestConcurrentScenarios:
             edits_a=[("i", 0, "X")],
             edits_b=[("d", 4, None)],  # delete the space in "base "
         )
-        text = EgWalker(graph, **config).replay_text()
+        text = replay(graph, config)
         assert text == "Xbase"
 
 
@@ -124,7 +116,7 @@ class TestTraceEquivalence:
     )
     def test_all_configs_agree(self, trace_fixture, request):
         trace = request.getfixturevalue(trace_fixture)
-        texts = {EgWalker(trace.graph, **cfg).replay_text() for cfg in WALKER_CONFIGS}
+        texts = {replay(trace.graph, config) for config in WALKER_CONFIGS}
         assert len(texts) == 1
 
     @pytest.mark.parametrize(
@@ -134,30 +126,29 @@ class TestTraceEquivalence:
     def test_sort_strategies_agree(self, trace_fixture, request):
         trace = request.getfixturevalue(trace_fixture)
         expected = EgWalker(trace.graph).replay_text()
-        for strategy in ("branch_aware", "local", "interleaved"):
-            assert EgWalker(trace.graph, sort_strategy=strategy).replay_text() == expected
+        for order in SORT_ORDERS:
+            assert replay(trace.graph, (order, True)) == expected
 
 
 class TestOptimisations:
     def test_sequential_trace_uses_fast_path(self, small_sequential_trace):
-        walker = EgWalker(small_sequential_trace.graph, enable_clearing=True)
+        walker = EgWalker(small_sequential_trace.graph)
         walker.replay_text()
         stats = walker.last_stats
         assert stats.events_fast_path == len(small_sequential_trace.graph)
         assert stats.retreats == 0 and stats.advances == 0
 
     def test_disabling_clearing_disables_fast_path(self, small_sequential_trace):
-        walker = EgWalker(small_sequential_trace.graph, enable_clearing=False)
-        walker.replay_text()
-        assert walker.last_stats.events_fast_path == 0
+        graph = small_sequential_trace.graph
+        result = EgWalker(graph).transform(range(len(graph)), clearing=False)
+        assert result.stats.events_fast_path == 0
 
     def test_clearing_bounds_peak_records(self, small_async_trace):
         graph = small_async_trace.graph
-        with_opt = EgWalker(graph, enable_clearing=True)
-        with_opt.replay_text()
-        without_opt = EgWalker(graph, enable_clearing=False)
-        without_opt.replay_text()
-        assert with_opt.last_stats.peak_records <= without_opt.last_stats.peak_records
+        order = sort_branch_aware(graph, range(len(graph)))
+        with_opt = EgWalker(graph).transform(order, clearing=True).stats
+        without_opt = EgWalker(graph).transform(order, clearing=False).stats
+        assert with_opt.peak_records <= without_opt.peak_records
 
     def test_stats_counts_every_event(self, small_concurrent_trace):
         walker = EgWalker(small_concurrent_trace.graph)
@@ -171,24 +162,28 @@ class TestPartialReplayAndHistory:
         text = "abcdef"
         for i, char in enumerate(text):
             graph.add_local_event("a", insert_op(i, char))
-        walker = EgWalker(graph)
+        walker, causal = EgWalker(graph), CausalGraph(graph)
         for i in range(len(text)):
-            assert walker.text_at_version((i,)) == text[: i + 1]
+            assert walker.replay_text(causal.ancestors((i,))) == text[: i + 1]
 
     def test_text_at_version_on_branches(self, figure4_graph):
-        walker = EgWalker(figure4_graph)
+        walker, causal = EgWalker(figure4_graph), CausalGraph(figure4_graph)
+
+        def text_at(version):
+            return walker.replay_text(causal.ancestors(version))
+
         # Version (1,): just "hi" typed.
-        assert walker.text_at_version((1,)) == "hi"
+        assert text_at((1,)) == "hi"
         # Version (3,): the capitalisation branch only.
-        assert walker.text_at_version((3,)) == "Hi"
+        assert text_at((3,)) == "Hi"
         # Version (6,): the "hey" branch only.
-        assert walker.text_at_version((6,)) == "hey"
+        assert text_at((6,)) == "hey"
         # The merge of both branches plus the exclamation mark.
-        assert walker.text_at_version((7,)) == "Hey!"
+        assert text_at((7,)) == "Hey!"
 
     def test_transform_with_emit_only_filters_output(self, figure2_graph):
         walker = EgWalker(figure2_graph)
-        result = walker.transform(emit_only={4, 5})
+        result = walker.transform(range(len(figure2_graph)), emit_only={4, 5}, clearing=True)
         assert {entry.event_index for entry in result.transformed} == {4, 5}
 
     def test_invalid_backend_rejected(self, figure2_graph):
@@ -196,6 +191,10 @@ class TestPartialReplayAndHistory:
         with pytest.raises(TypeError):
             EgWalker(figure2_graph, backend="hash-table")  # type: ignore[call-arg]
 
-    def test_invalid_sort_strategy_rejected(self, figure2_graph):
-        with pytest.raises(ValueError):
-            EgWalker(figure2_graph, sort_strategy="random")
+    def test_the_walker_takes_orders_not_knobs(self, figure2_graph):
+        # Order and clearing are per-call arguments; the constructor takes
+        # only the graph, and a transform must say whether it clears.
+        with pytest.raises(TypeError):
+            EgWalker(figure2_graph, enable_clearing=False)  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            EgWalker(figure2_graph).transform(range(len(figure2_graph)))  # type: ignore[call-arg]
